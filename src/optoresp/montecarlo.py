@@ -9,11 +9,19 @@ power-dependent response
                                                 - dS_i G1_i^2/(G1_i^2 + w_r^2) g_i^2 ]
 
 where K(x, P) = [tanh((x + xi P/2)/l_edge) - tanh((x - xi P/2)/l_edge)]/2 is
-the phonon-window kernel around the laser spot.  Both sums are the
+the phonon-window kernel around the laser spot, evaluated as
+tanh 2v / (1 + cosh 2u / cosh 2v) with u = x/l_edge, v = xi P/(2 l_edge): one
+cosh per TLS and a few per power.  Both sums are the
 illumination-induced *change*: the transverse term carries the sign of
 omega_TLS - omega_r, so exciting the (more numerous) high-frequency TLSs
 cancels part of the downward dispersive baseline and shows up as a blue
 shift, exactly as in the analytic K_perp coefficient.
+
+TLSs beyond McConfig.reach see a kernel below exp(-28) ~ 7e-13 at every
+power, so a trial draws its bath on |x| <= reach only.  This is
+exact Poisson thinning of the bath on [-L, L]: the Poisson mean scales with
+the window and positions are uniform on it, so the drawn bath has the
+distribution of the full bath's TLSs inside the reach.
 
 Determinism: (seed, config) -> result is a pure function.  Trials get
 independent sub-streams spawned from the master seed, so parallel and
@@ -21,7 +29,8 @@ sequential execution agree bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -119,6 +128,11 @@ class McConfig:
         width = sum(b - a for a, b in self.window_segments)
         return self.rho_tls * HBAR * width * self.area * 2.0 * self.half_length
 
+    @property
+    def reach(self) -> float:
+        """|x| beyond which the kernel is below exp(-28) at every grid power."""
+        return self.xi * self.p_grid[-1] / 2.0 + 14.0 * self.l_edge
+
 
 @dataclass(frozen=True)
 class TlsBath:
@@ -187,16 +201,36 @@ class McResult:
                 (float(self.slopes_dfrac.mean()), float(self.slopes_dfrac.std(ddof=ddof))))
 
 
+# cosh overflows past 710; beyond this argument use the tanh form
+_COSH_ARG_MAX = 700.0
+
+
 def kernel(x, p_opt, xi, l_edge):
-    """Phonon window around the laser spot, in [0, 1].
+    """Phonon window around the laser spot, in [0, 1]; x and p_opt broadcast.
 
     K(x, P) = [tanh((x + xi P/2)/l_edge) - tanh((x - xi P/2)/l_edge)] / 2
+            = sinh 2v / (cosh 2u + cosh 2v) = tanh 2v / (1 + cosh 2u / cosh 2v)
+
+    with u = x/l_edge, v = xi P/(2 l_edge).  The last form costs one cosh per
+    x and a tanh and a cosh per power, so an outer (powers x TLS) matrix from
+    x of shape (n,) and p_opt of shape (m, 1) needs n + 2m transcendentals
+    instead of 2mn tanh.  Every step of it rounds monotonically, so K stays
+    in [0, 1] and does not decrease with P, as with the tanh form.  When 2|u|
+    or 2|v| exceeds _COSH_ARG_MAX the whole call uses the tanh form.
     """
     if not (l_edge > 0):
         raise ValueError("l_edge must be positive")
-    x = np.asarray(x, dtype=float)
-    half = xi * np.asarray(p_opt, dtype=float) / 2.0
-    return 0.5 * (np.tanh((x + half) / l_edge) - np.tanh((x - half) / l_edge))
+    u = np.abs(np.asarray(x, dtype=float)) / l_edge
+    v = np.asarray(p_opt, dtype=float) * (xi / (2.0 * l_edge))
+    if 2.0 * max(np.max(u, initial=0.0),
+                 np.max(np.abs(v), initial=0.0)) > _COSH_ARG_MAX:
+        return 0.5 * (np.tanh(u + v) - np.tanh(u - v))
+    # in place, with out given so that 0-d inputs stay arrays; [()] unwraps
+    # those to a scalar
+    k = np.multiply(1.0 / np.cosh(2.0 * v), np.cosh(2.0 * u),
+                    out=np.empty(np.broadcast_shapes(u.shape, v.shape)))
+    k += 1.0
+    return np.divide(np.tanh(2.0 * v), k, out=k)[()]
 
 
 def _clamped_normal(rng, n, rel_std, mean):
@@ -218,26 +252,28 @@ def generate_ensemble(config: McConfig, rng=None) -> TlsBath:
     """Draw one random bath.
 
     Count ~ Poisson(rho hbar dW A 2L); detunings uniform on the window minus
-    the exclusion band; positions uniform on [-L, L]; g and Gamma_1 Gaussian
+    the exclusion band, from one uniform variate over the total width mapped
+    across the band; positions uniform on [-L, L]; g and Gamma_1 Gaussian
     around their means with FWHM-rule spread, clamped at zero (Gamma_2 =
     Gamma_1, g_perp = g_par); S Gaussian(s_mean, s_std) clamped into [-1, 0]
     unless s_clamp is off; dS shared.
+
+    run() calls this with half_length cut to config.reach, which draws the
+    full bath's TLSs inside the reach (Poisson thinning) and no others.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n = int(rng.poisson(config.expected_count))
     if n == 0:
-        import warnings
         warnings.warn("empty TLS ensemble (expected count "
                       f"{config.expected_count:.3g})", stacklevel=2)
         empty = np.empty(0)
         return TlsBath(*(empty.copy() for _ in range(8)))
 
     segs = config.window_segments
-    widths = np.array([b - a for a, b in segs])
-    starts = np.array([a for a, _ in segs])
-    idx = rng.choice(len(segs), size=n, p=widths / widths.sum())
-    detuning = starts[idx] + rng.random(n) * widths[idx]
+    detuning = segs[0][0] + rng.random(n) * sum(b - a for a, b in segs)
+    for (_, end), (start, _) in zip(segs, segs[1:]):
+        detuning[detuning >= end] += start - end
 
     x = rng.uniform(-config.half_length, config.half_length, n)
 
@@ -272,17 +308,20 @@ def response_curves(config: McConfig, bath: TlsBath) -> McResult:
                         slopes_inv_q=np.array([sq]), slopes_dfrac=np.array([sf]),
                         seed=config.seed)
 
-    # TLSs far outside the largest phonon window never contribute
-    reach = config.xi * p[-1] / 2.0 + 14.0 * config.l_edge
-    keep = np.abs(bath.x) <= reach
-    det = bath.detuning[keep]
-    g2sq = bath.g_perp[keep] ** 2
-    gpar_sq = bath.g_par[keep] ** 2
-    gam1 = bath.gamma1[keep]
-    gam2 = bath.gamma2[keep]
-    s = bath.s[keep]
-    ds = bath.ds[keep]
-    x = bath.x[keep]
+    # TLSs far outside the largest phonon window never contribute; a bath
+    # drawn by run() lies inside the reach already
+    reach = config.reach
+    if bath.x.min() < -reach or bath.x.max() > reach:
+        keep = np.abs(bath.x) <= reach
+        bath = TlsBath(**{f.name: getattr(bath, f.name)[keep]
+                          for f in fields(bath)})
+    det = bath.detuning
+    g2sq = bath.g_perp ** 2
+    gpar_sq = bath.g_par ** 2
+    gam1 = bath.gamma1
+    gam2 = bath.gamma2
+    s = bath.s
+    ds = bath.ds
 
     lorentz_par = gam1 / (gam1**2 + w_r**2)
     w_q = ds * 2.0 * lorentz_par * w_r * gpar_sq
@@ -291,9 +330,7 @@ def response_curves(config: McConfig, bath: TlsBath) -> McResult:
     w_f_long = ds * gam1 * lorentz_par * gpar_sq
     w_f = w_f_transverse - w_f_long
 
-    half = config.xi * p[:, None] / 2.0
-    k_mat = 0.5 * (np.tanh((x[None, :] + half) / config.l_edge)
-                   - np.tanh((x[None, :] - half) / config.l_edge))
+    k_mat = kernel(bath.x, p[:, None], config.xi, config.l_edge)
     dq = (k_mat @ w_q) / w_r
     df = (k_mat @ w_f) / w_r
     sq, sf = _fit_slopes(config, dq, df)
@@ -311,19 +348,19 @@ def _fit_slopes(config: McConfig, dq, df):
         m &= p <= config.fit_p_max
     if m.sum() < 2:
         raise ValueError("fit window keeps fewer than two power points")
-    sq = np.polyfit(p[m], dq[m], 1)[0]
-    sf = np.polyfit(p[m], df[m], 1)[0]
+    # straight line through both curves at once; columns scaled as polyfit does
+    design = np.vander(p[m], 2)
+    scale = np.sqrt((design * design).sum(axis=0))
+    coef = np.linalg.lstsq(design / scale, np.column_stack((dq[m], df[m])),
+                           rcond=None)[0]
+    sq, sf = coef[0] / scale[0]
     return float(sq), float(sf)
 
 
-def _run_trial(config: McConfig, seed_seq) -> tuple[np.ndarray, np.ndarray]:
-    import warnings
+def _run_trial(config: McConfig, seed_seq) -> McResult:
     rng = np.random.default_rng(seed_seq)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        bath = generate_ensemble(config, rng)
-    res = response_curves(config, bath)
-    return res.dinv_q[0], res.dfrac[0]
+    draw = replace(config, half_length=min(config.half_length, config.reach))
+    return response_curves(config, generate_ensemble(draw, rng))
 
 
 def run(config: McConfig) -> McResult:
@@ -334,26 +371,19 @@ def run(config: McConfig) -> McResult:
     trial index, so the output is independent of scheduling.
     """
     if config.rho_tls == 0.0:
-        import warnings
         warnings.warn("rho_tls = 0: every trial is an empty ensemble",
                       stacklevel=2)
-    p = config.p_grid
-    dq = np.empty((config.trials, p.size))
-    df = np.empty((config.trials, p.size))
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
-
     if config.workers == 1:
-        for k, child in enumerate(children):
-            dq[k], df[k] = _run_trial(config, child)
+        trials = [_run_trial(config, child) for child in children]
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            for k, out in enumerate(pool.map(
-                    lambda c: _run_trial(config, c), children)):
-                dq[k], df[k] = out
+            trials = list(pool.map(lambda c: _run_trial(config, c), children))
 
-    slopes = np.array([_fit_slopes(config, dq[k], df[k])
-                       for k in range(config.trials)])
-    return McResult(p_grid=p, dinv_q=dq, dfrac=df,
-                    slopes_inv_q=slopes[:, 0], slopes_dfrac=slopes[:, 1],
-                    seed=config.seed)
+    def stack(name):
+        return np.concatenate([getattr(t, name) for t in trials])
+
+    return McResult(p_grid=config.p_grid, dinv_q=stack("dinv_q"),
+                    dfrac=stack("dfrac"), slopes_inv_q=stack("slopes_inv_q"),
+                    slopes_dfrac=stack("slopes_dfrac"), seed=config.seed)

@@ -1,10 +1,17 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from optoresp import montecarlo
 from optoresp.constants import HBAR, TWO_PI
-from optoresp.montecarlo import (McConfig, TlsBath, generate_ensemble, kernel,
-                                 response_curves, run)
+from optoresp.montecarlo import (McConfig, TlsBath, _fit_slopes,
+                                 generate_ensemble, kernel, response_curves,
+                                 run)
 from optoresp.tls import (TlsUnit, longitudinal_complex_shift,
                           transverse_complex_shift)
 
@@ -28,6 +35,53 @@ def test_kernel_values():
     assert kernel(0.0, 100e-6 / 50.0 * 100, xi=50.0, l_edge=10e-6) > 1 - 1e-12
     with pytest.raises(ValueError):
         kernel(0.0, 1e-9, xi=50.0, l_edge=0.0)
+
+
+def tanh_kernel(x, p_opt, xi, l_edge):
+    half = xi * p_opt / 2.0
+    return 0.5 * (np.tanh((x + half) / l_edge) - np.tanh((x - half) / l_edge))
+
+
+def test_kernel_identity_matches_tanh_form():
+    l_edge, xi = 10e-6, 50.0
+    x = l_edge * np.concatenate([-np.logspace(-3, np.log10(500), 120)[::-1],
+                                 [0.0], np.logspace(-3, np.log10(500), 120)])
+    p = l_edge / xi * np.concatenate([[0.0], np.logspace(-3, 3, 121)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the whole grid falls back to the tanh form; the part inside the
+        # cosh range takes the cosh-ratio form
+        full = kernel(x, p[:, None], xi, l_edge)
+        direct = (np.abs(x) / l_edge <= 350)[None, :] & (p * xi / l_edge <= 700)[:, None]
+        inner = kernel(x[np.abs(x) / l_edge <= 350],
+                       p[p * xi / l_edge <= 700][:, None], xi, l_edge)
+    ref = tanh_kernel(x[None, :], p[:, None], xi, l_edge)
+    assert np.max(np.abs(full - ref)) < 1e-13
+    assert np.max(np.abs(inner.ravel() - ref[direct])) < 1e-13
+
+
+# about half the examples stay inside the cosh range, half fall back
+@settings(max_examples=300, deadline=None)
+@given(u=st.floats(-500.0, 500.0), v=st.floats(0.0, 600.0), dv=st.floats(0.0, 600.0))
+def test_kernel_bounded_even_monotone(u, v, dv):
+    l_edge, xi = 10e-6, 50.0
+    x = np.array([u, -u])[:, None] * l_edge
+    p = np.array([v, v + dv]) * l_edge / xi
+    k = kernel(x, p, xi, l_edge)
+    assert np.all((k >= 0.0) & (k <= 1.0))
+    assert np.array_equal(k[0], k[1])
+    assert k[0, 1] >= k[0, 0]
+
+
+def test_kernel_monotone_near_saturation():
+    # the sum form sinh 2v / (cosh 2u + cosh 2v) rounds above 1 and down
+    # with P by an ulp on this grid; the evaluated form must not
+    l_edge, xi = 10e-6, 50.0
+    x = np.linspace(0.0, 30.0, 61) * l_edge
+    p = np.linspace(0.0, 300.0, 30001) * l_edge / xi
+    k = kernel(x, p[:, None], xi, l_edge)
+    assert np.all(k <= 1.0)
+    assert np.all(np.diff(k, axis=0) >= 0.0)
 
 
 def test_expected_count_formula():
@@ -91,6 +145,58 @@ def test_ensemble_draw_properties():
     assert abs(bath.gamma1.mean() / cfg.gamma1_mean - 1.0) < 0.02
 
 
+def test_thinned_draw(monkeypatch):
+    drawn = []
+
+    def recording(config, rng):
+        bath = generate_ensemble(config, rng)
+        drawn.append((config, bath))
+        return bath
+
+    monkeypatch.setattr(montecarlo, "generate_ensemble", recording)
+    cfg = McConfig(trials=1)
+    assert cfg.reach < cfg.half_length
+    run(cfg)
+    (thin, bath), = drawn
+    assert thin.half_length == cfg.reach
+    assert_allclose(thin.expected_count,
+                    cfg.expected_count * cfg.reach / cfg.half_length, rtol=1e-14)
+    assert np.max(np.abs(bath.x)) <= cfg.reach
+
+    # a wire shorter than the reach is drawn whole, bit for bit
+    drawn.clear()
+    small = small_config(trials=1)
+    assert small.reach >= small.half_length
+    run(small)
+    (_, bath), = drawn
+    child, = np.random.SeedSequence(small.seed).spawn(1)
+    full = generate_ensemble(small, np.random.default_rng(child))
+    for f in dataclasses.fields(TlsBath):
+        assert np.array_equal(getattr(bath, f.name), getattr(full, f.name))
+
+
+def test_empty_trials_warn():
+    # about 0.1 TLS per trial: the draw's warning reaches run()'s caller
+    cfg = small_config(trials=2, rho_tls=3e40)
+    with pytest.warns(UserWarning, match="empty TLS ensemble"):
+        run(cfg)
+
+
+def test_fit_slopes_match_polyfit():
+    rng = np.random.default_rng(2)
+    for cfg in (McConfig(), small_config(fit_p_min=20e-9),
+                small_config(p_grid=np.linspace(0, 50e-9, 4))):
+        p = cfg.p_grid
+        m = p >= (cfg.fit_p_min or 0.0)
+        for _ in range(300):
+            dq = (rng.normal() * 10 ** rng.uniform(-3, 6) * p
+                  + rng.normal() * 1e-5 + rng.normal(size=p.size) * 1e-6)
+            df = (rng.normal() * 1e2 * p + rng.normal() * 1e-6
+                  + rng.normal(size=p.size) * 1e-7)
+            want = np.polyfit(p[m], dq[m], 1)[0], np.polyfit(p[m], df[m], 1)[0]
+            assert_allclose(_fit_slopes(cfg, dq, df), want, rtol=1e-12, atol=0)
+
+
 def test_bath_indexing_roundtrip():
     cfg = small_config()
     bath = generate_ensemble(cfg)
@@ -117,6 +223,18 @@ def test_single_tls_matches_closed_forms():
     expected_f = (now - ground + long_shift) / cfg.omega_r
     assert_allclose(res.dfrac[0, 1], expected_f, rtol=1e-9)
     assert res.dinv_q[0, 0] == 0.0
+
+
+def test_tls_beyond_reach_are_dropped():
+    cfg = small_config(l_edge=1e-6)
+    bath = generate_ensemble(cfg)
+    assert np.max(np.abs(bath.x)) > cfg.reach
+    res = response_curves(cfg, bath)
+    # every TLS through the tanh form: the dropped ones add below 1e-12
+    k = tanh_kernel(bath.x[None, :], cfg.p_grid[:, None], cfg.xi, cfg.l_edge)
+    lorentz = bath.gamma1 / (bath.gamma1**2 + cfg.omega_r**2)
+    w_q = bath.ds * 2.0 * lorentz * cfg.omega_r * bath.g_par**2
+    assert_allclose(res.dinv_q[0], k @ w_q / cfg.omega_r, rtol=1e-12, atol=0)
 
 
 def test_ground_state_bath_is_silent():
