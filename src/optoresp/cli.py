@@ -4,7 +4,9 @@ Subcommands: photon-number, slopes, mc, temp-model, synth, fit-spectrum.
 Every run writes a JSON result envelope whose config echo contains the fully
 resolved parameters, so any run can be replayed exactly; numeric tables go
 to unit-labeled CSV next to it.  Exit status is nonzero only for I/O, parse
-or validation failures; statistical non-convergence is reported in-band.
+or validation failures and for numerical failures (an unsettled ODE, a
+failed quadrature, a singular Jacobian or linear system), each reported as
+one ``error:`` line; statistical non-convergence is reported in-band.
 
 A flat key=value or JSON config file can seed any subcommand via --config;
 explicit flags override file values.  The OPTORESP_OUTDIR environment
@@ -21,11 +23,13 @@ import numpy as np
 
 from . import ensemble, io, montecarlo, superconductor
 from .constants import TWO_PI, dbm_to_watts
+from .fitkit import SingularJacobianError
 from .fitkit import models as fitmodels
 from .fitkit import synth as fitsynth
+from .meanfield import OdeConvergenceError
 from .resonator import (DriveCondition, LineCalibration, ResonatorMode,
                         photon_number)
-from .tls import ThermalEnvironment, permittivity_bracket
+from .tls import QuadratureError, ThermalEnvironment, permittivity_bracket
 
 TEMP_MODEL_HEADER = "temp_k,fr_ghz,dfrac_tls,dfrac_qp,dfrac_total"
 SLOPES_SWEEP_HEADER = "g_over_2pi_mhz,xi_m_per_w,slope_inv_q_per_w,slope_dfrac_per_w"
@@ -59,23 +63,29 @@ def load_config_file(path):
     return cfg
 
 
-def _apply_config_file(parser, args):
-    """File values fill in any argument still at its parser default."""
+def _apply_config_file(parser, args, argv):
+    """File values fill in every argument not given explicitly in argv."""
     if not getattr(args, "config", None):
         return args
     cfg = load_config_file(args.config)
     actions = {a.dest: a for a in parser._actions}
+    # argparse fills in a default only where the namespace lacks the
+    # attribute, so a probe preset to a sentinel keeps it for unset flags
+    unset = object()
+    probe = argparse.Namespace(**{dest: unset for dest in actions})
+    parser.parse_known_args(argv, probe)
     for key, value in cfg.items():
         dest = key.replace("-", "_")
         if dest not in actions:
             raise SystemExit(f"config key '{key}' is not a flag of this command")
+        if getattr(probe, dest) is not unset:
+            continue
         action = actions[dest]
-        if getattr(args, dest) == action.default:
-            if isinstance(action, argparse._StoreTrueAction):
-                value = str(value).strip().lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                value = action.type(value)
-            setattr(args, dest, value)
+        if isinstance(action, argparse._StoreTrueAction):
+            value = str(value).strip().lower() in ("1", "true", "yes", "on")
+        elif action.type is not None:
+            value = action.type(value)
+        setattr(args, dest, value)
     return args
 
 
@@ -99,8 +109,7 @@ def run_photon_number(cfg):
     }
 
 
-def cmd_photon_number(args, parser):
-    args = _apply_config_file(parser, args)
+def cmd_photon_number(args):
     missing = [n for n in ("fr_ghz", "q_int", "q_ext", "power_dbm")
                if getattr(args, n) is None]
     if missing:
@@ -157,8 +166,7 @@ def run_slopes(cfg):
     }
 
 
-def cmd_slopes(args, parser):
-    args = _apply_config_file(parser, args)
+def cmd_slopes(args):
     cfg = {
         "fr_hz": args.fr_ghz * 1e9,
         "rho_tls": args.rho,
@@ -225,8 +233,7 @@ def run_mc(cfg):
     }
 
 
-def cmd_mc(args, parser):
-    args = _apply_config_file(parser, args)
+def cmd_mc(args):
     cfg = {
         "seed": args.seed, "trials": args.trials,
         "fr_hz": args.fr_ghz * 1e9, "fmax_hz": args.fmax_ghz * 1e9,
@@ -291,8 +298,7 @@ def run_temp_model(cfg):
     return rows
 
 
-def cmd_temp_model(args, parser):
-    args = _apply_config_file(parser, args)
+def cmd_temp_model(args):
     if args.t_grid_mk:
         t_grid = [v * 1e-3 for v in _float_list(args.t_grid_mk)]
     else:
@@ -345,8 +351,7 @@ def run_synth_power(cfg):
         delta3=cfg["delta3_per_w"], noise_rel=cfg["noise"], seed=cfg["seed"])
 
 
-def cmd_synth(args, parser):
-    args = _apply_config_file(parser, args)
+def cmd_synth(args):
     out = _out_dir(args)
     if args.kind == "trace":
         cfg = {"fr_hz": args.fr_ghz * 1e9, "q_int": args.q_int,
@@ -412,8 +417,7 @@ def run_fit_spectrum(trace, which):
     return payload, model_curve
 
 
-def cmd_fit_spectrum(args, parser):
-    args = _apply_config_file(parser, args)
+def cmd_fit_spectrum(args):
     trace = io.read_trace(args.input)
     cfg = {"input": str(args.input), "model": args.model}
     with io.Timer() as t:
@@ -577,14 +581,19 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
     subparser = sub.choices[args.command]
     try:
-        return args.func(args, subparser)
-    except (io.ParseError, fitmodels.NoDipError, ValueError, OSError) as exc:
+        args = _apply_config_file(subparser, args,
+                                  argv[argv.index(args.command) + 1:])
+        return args.func(args)
+    except (io.ParseError, fitmodels.NoDipError, ValueError, OSError,
+            OdeConvergenceError, QuadratureError, SingularJacobianError,
+            np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,6 +37,8 @@ class ComplexTrace:
         object.__setattr__(self, "values", v)
         if f.ndim != 1 or f.size != v.size:
             raise ValueError("frequencies/values must be 1-D of equal length")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v))):
+            raise ValueError("frequencies/values must be finite")
         if np.any(np.diff(f) <= 0):
             raise ValueError("frequencies must be strictly increasing")
         if self.noise_std is not None:

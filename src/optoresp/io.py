@@ -6,6 +6,7 @@ changes whenever column semantics change.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -50,10 +51,13 @@ def _parse_table(path, expected_header):
             raise ParseError(f"{path}:{lineno}: expected {len(expected)} "
                              f"columns, got {len(cells)}")
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric cell in "
                              f"'{line}'") from exc
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{path}:{lineno}: non-finite cell in '{line}'")
+        rows.append(row)
     if not header_seen:
         raise ParseError(f"{path}: missing header '{expected_header}'")
     if not rows:

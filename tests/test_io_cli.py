@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from optoresp import io
+from optoresp import cli, io
 from optoresp.cli import main
-from optoresp.fitkit import PowerSeries, synth_trace
+from optoresp.fitkit import (ComplexTrace, PowerSeries, SingularJacobianError,
+                             synth_trace)
+from optoresp.meanfield import OdeConvergenceError
 from optoresp.resonator import LineCalibration, ResonatorMode
+from optoresp.tls import QuadratureError
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -41,6 +44,25 @@ def test_parse_error_names_line(tmp_path):
     nohdr.write_text("1e9,0.5,0.1\n")
     with pytest.raises(io.ParseError, match="expected header"):
         io.read_trace(nohdr)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_cell_names_line(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"# comment\nfreq_hz,re,im\n1e9,0.5,0.1\n"
+                    f"1.1e9,0.4,{cell}\n1.2e9,0.3,0.2\n")
+    with pytest.raises(io.ParseError, match="nonfinite.csv:4: non-finite"):
+        io.read_trace(path)
+
+
+def test_complex_trace_rejects_non_finite():
+    f = np.array([1e9, 1.1e9, 1.2e9])
+    with pytest.raises(ValueError, match="finite"):
+        ComplexTrace(f, np.array([1.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        ComplexTrace(f, np.array([1.0, 1j * np.inf, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        ComplexTrace(np.array([1e9, 1.1e9, np.inf]), np.ones(3))
 
 
 def test_envelope_key_order():
@@ -222,6 +244,40 @@ def test_cli_json_config(tmp_path):
     assert code == 0
     env = json.loads((tmp_path / "photon_number.json").read_text())
     assert abs(env["result"]["n_cav"] - 6.25e5) / 6.25e5 < 0.02
+
+
+def test_cli_explicit_flag_at_default_beats_config(tmp_path):
+    # --seed 0 equals the parser default, yet it must win over seed=5
+    cfgfile = tmp_path / "c.txt"
+    cfgfile.write_text("seed = 5\ntrials = 2\nhalf-length-um = 50\n"
+                       "fmax-ghz = 50\np-points = 3\n")
+    code = run_cli("mc", "--config", str(cfgfile), "--seed", "0",
+                   "--out-dir", str(tmp_path))
+    assert code == 0
+    env = json.loads((tmp_path / "mc.json").read_text())
+    assert env["config"]["seed"] == 0
+    assert env["config"]["trials"] == 2  # the file still fills the rest
+    # without the flag the file's value applies
+    code = run_cli("mc", "--config", str(cfgfile), "--out-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads((tmp_path / "mc.json").read_text())["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("exc", [
+    OdeConvergenceError("decay fit residual too large"),
+    QuadratureError("quadrature failed"),
+    SingularJacobianError("Jacobian vanishes"),
+    np.linalg.LinAlgError("Singular matrix"),
+])
+def test_cli_numerical_errors_exit_cleanly(tmp_path, monkeypatch, capsys, exc):
+    def failing_command(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_slopes", failing_command)
+    code = run_cli("slopes", "--out-dir", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {exc}\n"
 
 
 def test_mc_csv_schemas(tmp_path):
