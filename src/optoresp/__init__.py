@@ -14,7 +14,9 @@ cli             command-line entry point (``optoresp ...``)
 
 __version__ = "0.1.0"
 
-from . import (cli, constants, digamma, ensemble, fitkit, io, meanfield,
+# cli is imported on first use: importing it here would make
+# ``python -m optoresp.cli`` find it in sys.modules before running it
+from . import (constants, digamma, ensemble, fitkit, io, meanfield,
                montecarlo, resonator, superconductor, tls)
 
 __all__ = ["cli", "constants", "digamma", "ensemble", "fitkit", "io",

@@ -36,8 +36,14 @@ SLOPES_SWEEP_HEADER = "g_over_2pi_mhz,xi_m_per_w,slope_inv_q_per_w,slope_dfrac_p
 FIT_CURVE_HEADER = "freq_hz,data_re,data_im,model_re,model_im"
 
 
-def _out_dir(args):
+def _envelope_path(args):
+    """The command's result envelope, in --out-dir, $OPTORESP_OUTDIR or '.'."""
     d = Path(args.out_dir or os.environ.get("OPTORESP_OUTDIR", "."))
+    return d / args.envelope.format_map(vars(args))
+
+
+def _out_dir(args):
+    d = _envelope_path(args).parent
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -77,7 +83,7 @@ def _apply_config_file(parser, args, argv):
     for key, value in cfg.items():
         dest = key.replace("-", "_")
         if dest not in actions:
-            raise SystemExit(f"config key '{key}' is not a flag of this command")
+            raise ValueError(f"config key '{key}' is not a flag of this command")
         if getattr(probe, dest) is not unset:
             continue
         action = actions[dest]
@@ -121,7 +127,8 @@ def cmd_photon_number(args):
     with io.Timer() as t:
         result = run_photon_number(cfg)
     env = io.result_envelope("photon-number", cfg, result, t.elapsed)
-    path = _out_dir(args) / "photon_number.json"
+    _out_dir(args)
+    path = _envelope_path(args)
     io.write_envelope(path, env)
     print(f"n_cav = {result['n_cav']:.4g}  "
           f"(kappa_int = {result['kappa_int_rad_per_s']:.4g} rad/s = "
@@ -132,37 +139,38 @@ def cmd_photon_number(args):
 
 # --- slopes -----------------------------------------------------------------
 
-def _ensemble_from_cfg(cfg, g_rad_s=None, xi=None):
+def _ensemble_from_cfg(cfg, g_mhz, xi):
+    """EnsembleParams of the slopes config; g_mhz and xi may be arrays."""
+    g_rad_s = TWO_PI * g_mhz * 1e6
     return ensemble.EnsembleParams(
         omega_r=TWO_PI * cfg["fr_hz"],
         rho_tls=cfg["rho_tls"],
         thickness=cfg["thickness_m"],
         width=cfg["width_m"],
-        xi=cfg["xi"] if xi is None else xi,
+        xi=xi,
         omega_max=TWO_PI * cfg["fmax_hz"],
         s_tilde=cfg["s_tilde"],
         ds_tilde=cfg["ds_2pi_inv_mhz"] / (TWO_PI * 1e6),
         gamma1_t=TWO_PI * cfg["gamma1_mhz"] * 1e6,
-        g_perp_t=cfg["g_rad_s"] if g_rad_s is None else g_rad_s,
-        g_par_t=cfg["g_rad_s"] if g_rad_s is None else g_rad_s,
+        g_perp_t=g_rad_s,
+        g_par_t=g_rad_s,
     )
 
 
 def run_slopes(cfg):
     g_grid = cfg["g_grid_mhz"] or [cfg["g_mhz"]]
     xi_grid = cfg["xi_grid"] or [cfg["xi"]]
-    rows = []
-    for g_mhz in g_grid:
-        for xi in xi_grid:
-            p = _ensemble_from_cfg(cfg, g_rad_s=TWO_PI * g_mhz * 1e6, xi=xi)
-            rows.append((g_mhz, xi, ensemble.slope_inverse_q(p),
-                         ensemble.slope_fractional_frequency(p)))
-    single = _ensemble_from_cfg(dict(cfg, g_rad_s=TWO_PI * cfg["g_mhz"] * 1e6))
+    # g-major rows: every xi for the first g, then the next g
+    g_mhz, xi = (a.ravel() for a in np.meshgrid(g_grid, xi_grid, indexing="ij"))
+    sweep = _ensemble_from_cfg(cfg, g_mhz, xi)
+    single = _ensemble_from_cfg(cfg, cfg["g_mhz"], cfg["xi"])
     return {
         "slope_inverse_q_per_w": ensemble.slope_inverse_q(single),
         "slope_fractional_frequency_per_w":
             ensemble.slope_fractional_frequency(single),
-        "sweep_rows": rows,
+        "sweep_rows": np.column_stack(
+            (g_mhz, xi, ensemble.slope_inverse_q(sweep),
+             ensemble.slope_fractional_frequency(sweep))),
     }
 
 
@@ -191,15 +199,14 @@ def cmd_slopes(args):
         "sweep_csv": "slopes_sweep.csv",
         "sweep_row_count": len(result["sweep_rows"]),
     }, t.elapsed)
-    io.write_envelope(out / "slopes.json", env)
-    rows = np.array(result["sweep_rows"])
+    io.write_envelope(_envelope_path(args), env)
     io.write_table(out / "slopes_sweep.csv", SLOPES_SWEEP_HEADER,
-                   [rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]])
+                   result["sweep_rows"].T)
     per_nw = 1e-9
     print(f"d(1/Q)/dP   = {result['slope_inverse_q_per_w'] * per_nw:.4g} /nW")
     print(f"d(df/f)/dP  = "
           f"{result['slope_fractional_frequency_per_w'] * per_nw:.4g} /nW")
-    print(f"wrote {out / 'slopes.json'} and {out / 'slopes_sweep.csv'}")
+    print(f"wrote {_envelope_path(args)} and {out / 'slopes_sweep.csv'}")
     return 0
 
 
@@ -255,13 +262,13 @@ def cmd_mc(args):
     io.write_mc_curves(out / "mc_curves.csv", result)
     io.write_mc_aggregate(out / "mc_aggregate.csv", result)
     env = io.result_envelope("mc", cfg, payload, t.elapsed)
-    io.write_envelope(out / "mc.json", env)
+    io.write_envelope(_envelope_path(args), env)
     print(f"d(1/Q)/dP  = {payload['slope_inv_q_mean_per_w'] * 1e-9:.4g} "
           f"+- {payload['slope_inv_q_std_per_w'] * 1e-9:.2g} /nW "
           f"({cfg['trials']} trials)")
     print(f"d(df/f)/dP = {payload['slope_dfrac_mean_per_w'] * 1e-9:.4g} "
           f"+- {payload['slope_dfrac_std_per_w'] * 1e-9:.2g} /nW")
-    print(f"wrote {out / 'mc.json'}")
+    print(f"wrote {_envelope_path(args)}")
     return 0
 
 
@@ -305,7 +312,7 @@ def cmd_temp_model(args):
         t_grid = list(np.linspace(args.t_min_mk, args.t_max_mk,
                                   args.t_points) * 1e-3)
     if min(t_grid) <= 0:
-        raise SystemExit("temperature grid must be positive")
+        raise ValueError("temperature grid must be positive")
     cfg = {
         "fr_hz_list": [v * 1e9 for v in _float_list(args.fr_ghz)],
         "t_grid_k": t_grid,
@@ -327,7 +334,7 @@ def cmd_temp_model(args):
     env = io.result_envelope("temp-model", cfg,
                              {"csv": "temp_model.csv",
                               "n_rows": len(rows["temp_k"])}, t.elapsed)
-    io.write_envelope(out / "temp_model.json", env)
+    io.write_envelope(_envelope_path(args), env)
     print(f"wrote {out / 'temp_model.csv'} ({len(rows['temp_k'])} rows)")
     return 0
 
@@ -381,7 +388,7 @@ def cmd_synth(args):
                               comments=[f"generator {json.dumps(cfg)}"])
     env = io.result_envelope(f"synth-{args.kind}", cfg,
                              {"file": path.name}, t.elapsed)
-    io.write_envelope(out / f"synth_{args.kind}.json", env)
+    io.write_envelope(_envelope_path(args), env)
     print(f"wrote {path}")
     return 0
 
@@ -424,7 +431,7 @@ def cmd_fit_spectrum(args):
         payload, model_curve = run_fit_spectrum(trace, args.model)
     out = _out_dir(args)
     env = io.result_envelope("fit-spectrum", cfg, payload, t.elapsed)
-    io.write_envelope(out / "fit_spectrum.json", env)
+    io.write_envelope(_envelope_path(args), env)
     if model_curve is not None:
         io.write_table(out / "fit_spectrum_curve.csv", FIT_CURVE_HEADER,
                        [trace.frequencies, trace.values.real,
@@ -437,7 +444,7 @@ def cmd_fit_spectrum(args):
     if "q_int_discrepancy_rel" in payload:
         print(f"Q_int discrepancy (lorentzian vs full): "
               f"{payload['q_int_discrepancy_rel']:.2%}")
-    print(f"wrote {out / 'fit_spectrum.json'}")
+    print(f"wrote {_envelope_path(args)}")
     return 0
 
 
@@ -472,7 +479,7 @@ def build_parser():
     sp.add_argument("--q-ext", type=float, default=None)
     sp.add_argument("--power-dbm", type=float, default=None)
     sp.add_argument("--detuning-hz", type=float, default=0.0)
-    sp.set_defaults(func=cmd_photon_number)
+    sp.set_defaults(func=cmd_photon_number, envelope="photon_number.json")
 
     sp = sub.add_parser("slopes", help="analytic optical-response slopes")
     _add_common(sp)
@@ -492,7 +499,7 @@ def build_parser():
     sp.add_argument("--g-grid-mhz", default="",
                     help="comma list; sweeps the coupling")
     sp.add_argument("--xi-grid", default="", help="comma list; sweeps xi")
-    sp.set_defaults(func=cmd_slopes)
+    sp.set_defaults(func=cmd_slopes, envelope="slopes.json")
 
     sp = sub.add_parser("mc", help="Monte Carlo ensemble simulation")
     _add_common(sp)
@@ -519,7 +526,7 @@ def build_parser():
     sp.add_argument("--raw-moments", action="store_true",
                     help="skip the <g^2>/<Gamma_1> moment normalization")
     sp.add_argument("--workers", type=int, default=1)
-    sp.set_defaults(func=cmd_mc)
+    sp.set_defaults(func=cmd_mc, envelope="mc.json")
 
     sp = sub.add_parser("temp-model",
                         help="temperature dependence of the frequency shift")
@@ -543,7 +550,7 @@ def build_parser():
     sp.add_argument("--ltl", type=float, default=None,
                     help="total inductance per length [H/m]; default "
                          "kinetic-dominated")
-    sp.set_defaults(func=cmd_temp_model)
+    sp.set_defaults(func=cmd_temp_model, envelope="temp_model.json")
 
     sp = sub.add_parser("synth", help="synthetic traces and power series")
     _add_common(sp)
@@ -569,14 +576,14 @@ def build_parser():
     sp.add_argument("--delta1-per-nw", type=float, default=5.9e-7)
     sp.add_argument("--delta2", type=float, default=0.0)
     sp.add_argument("--delta3-per-nw", type=float, default=0.0)
-    sp.set_defaults(func=cmd_synth)
+    sp.set_defaults(func=cmd_synth, envelope="synth_{kind}.json")
 
     sp = sub.add_parser("fit-spectrum", help="fit a measured/synthetic trace")
     _add_common(sp)
     sp.add_argument("--input", required=True)
     sp.add_argument("--model", choices=("lorentzian", "full", "both"),
                     default="both")
-    sp.set_defaults(func=cmd_fit_spectrum)
+    sp.set_defaults(func=cmd_fit_spectrum, envelope="fit_spectrum.json")
     return p
 
 
@@ -595,6 +602,13 @@ def main(argv=None):
             OdeConvergenceError, QuadratureError, SingularJacobianError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # a failed run leaves no envelope, so none from an earlier run
+        # passes for its result
+        path = _envelope_path(args)
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as err:
+            print(f"error: could not remove {path}: {err}", file=sys.stderr)
         return 1
 
 

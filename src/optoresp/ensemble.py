@@ -39,6 +39,10 @@ class EnsembleParams:
     (cross-section A = thickness * width); xi in m/W; dS_tilde in s.
     delta_max/delta_min are the detuning cutoffs of the dispersive log
     window; they default to omega_max and omega_r.
+
+    Any field may be a numpy array: the closed forms below broadcast over
+    the fields and return arrays of the broadcast shape, and validation
+    rejects the whole set if any element is out of range.
     """
 
     omega_r: float = TWO_PI * 7e9
@@ -65,15 +69,16 @@ class EnsembleParams:
             object.__setattr__(self, "gamma2_t", self.gamma1_t)
         for name in ("omega_r", "rho_tls", "thickness", "width", "xi",
                      "omega_max", "gamma1_t", "gamma2_t"):
-            if not (getattr(self, name) > 0):
+            if not np.all(getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
-        if self.g_perp_t < 0 or self.g_par_t < 0:
+        if not np.all((self.g_perp_t >= 0) & (self.g_par_t >= 0)):
             raise ValueError("couplings must be >= 0")
-        if not (-1.0 <= self.s_tilde <= 0.0):
+        if not np.all((-1.0 <= self.s_tilde) & (self.s_tilde <= 0.0)):
             raise ValueError("s_tilde must lie in [-1, 0]")
-        if self.ds_tilde < 0:
+        if not np.all(self.ds_tilde >= 0):
             raise ValueError("ds_tilde must be >= 0")
-        if not (self.delta_max >= self.delta_min >= self.gamma2_t):
+        if not np.all((self.delta_max >= self.delta_min)
+                      & (self.delta_min >= self.gamma2_t)):
             raise ValueError("need delta_max >= delta_min >= gamma2_t")
 
     @property
@@ -175,19 +180,15 @@ def parameter_sweep(p: EnsembleParams, axis, grid):
     if axis not in _SWEEP_AXES:
         raise ValueError(f"axis must be one of {_SWEEP_AXES}")
 
-    sq = np.empty(grid.size)
-    sf = np.empty(grid.size)
-    for i, v in enumerate(grid):
-        if axis == "omega_r":
-            scale = np.sqrt(v / (TWO_PI * _G_REFERENCE_FR))
-            q = replace(p, omega_r=v, delta_min=v,
-                        g_perp_t=p.g_perp_t * scale, g_par_t=p.g_par_t * scale)
-        elif axis == "omega_max":
-            q = replace(p, omega_max=v, delta_max=v)
-        else:
-            q = replace(p, gamma1_t=v,
-                        gamma2_t=v if p.gamma2_t == p.gamma1_t else p.gamma2_t)
-        sq[i] = slope_inverse_q(q)
-        sf[i] = slope_fractional_frequency(q)
+    if axis == "omega_r":
+        scale = np.sqrt(grid / (TWO_PI * _G_REFERENCE_FR))
+        q = replace(p, omega_r=grid, delta_min=grid,
+                    g_perp_t=p.g_perp_t * scale, g_par_t=p.g_par_t * scale)
+    elif axis == "omega_max":
+        q = replace(p, omega_max=grid, delta_max=grid)
+    else:
+        q = replace(p, gamma1_t=grid,
+                    gamma2_t=grid if p.gamma2_t == p.gamma1_t else p.gamma2_t)
     return {"axis": axis, "grid": grid,
-            "slope_inverse_q": sq, "slope_fractional_frequency": sf}
+            "slope_inverse_q": slope_inverse_q(q),
+            "slope_fractional_frequency": slope_fractional_frequency(q)}

@@ -163,11 +163,8 @@ def fit_lorentzian_dip(trace: ComplexTrace) -> LorentzianDipResult:
     if i_min in (0, power.size - 1):
         raise NoDipError("minimum of |S21| sits at the trace edge")
 
-    outer_power = power[_outer_mask(f, f[i_min])]
-    baseline = float(np.median(outer_power))
-    depth = baseline - power[i_min]
-    noise_scale = 1.4826 * float(np.median(np.abs(outer_power - baseline)))
-    if depth <= 0 or depth < 8.0 * noise_scale:
+    baseline, depth, resolved = _dip_significance(f, power, i_min)
+    if not resolved:
         raise NoDipError("no dip resolved above the baseline scatter")
     half_level = baseline - 0.5 * depth
     lo = np.where(power[:i_min] >= half_level)[0]
@@ -247,6 +244,20 @@ def _from_bottom_q_int(f, power, noise_std=None):
     width_bottom = 2.0 * np.sqrt(b_vertex / c2)
     f_min = center - c1 / (2.0 * c2)
     return f_min / width_bottom, None
+
+
+def _dip_significance(f, power, i_min):
+    """(baseline, depth, resolved) of the |S21|^2 dip at index i_min.
+
+    baseline is the median of the outer points, depth the baseline minus
+    power[i_min]; the dip is resolved when its depth is at least 8 times
+    the robust (MAD) scatter of the outer points.
+    """
+    outer_power = power[_outer_mask(f, f[i_min])]
+    baseline = float(np.median(outer_power))
+    depth = baseline - power[i_min]
+    noise_scale = 1.4826 * float(np.median(np.abs(outer_power - baseline)))
+    return baseline, depth, bool(depth > 0 and depth >= 8.0 * noise_scale)
 
 
 def _outer_mask(f, f_center):
@@ -342,7 +353,9 @@ def fit_full_s21(trace: ComplexTrace, initial=None) -> FullS21Result:
 
     Reports the diameter-corrected external Q and the internal Q via
     1/Q_int = 1/Q_tot - Re(1/(Q_e,r + i Q_e,i)).  An ill-conditioned
-    delay/phase pair over a narrow span is flagged, not raised.
+    delay/phase pair over a narrow span is flagged, not raised; so is a
+    trace whose |S21|^2 minimum does not stand out of the baseline scatter
+    by the Lorentzian-dip significance test (flag "no_resonance").
     """
     f, z = trace.frequencies, trace.values
     weight = np.ones_like(f)
@@ -363,6 +376,9 @@ def fit_full_s21(trace: ComplexTrace, initial=None) -> FullS21Result:
     span = f[-1] - f[0]
     if TWO_PI * span * abs(fit["delay"]) < 0.05:
         fit.flags.append("delay_phase_degenerate")
+    power = np.abs(z) ** 2
+    if not _dip_significance(f, power, int(np.argmin(power)))[2]:
+        fit.flags.append("no_resonance")
 
     qe = complex(fit["q_ext_re"], fit["q_ext_im"])
     inv_qe = (1.0 / qe).real

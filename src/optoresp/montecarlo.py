@@ -4,11 +4,12 @@ Each trial draws a random bath of TLSs (Poisson count, uniform frequencies
 and positions, Gaussian couplings/rates/populations) and accumulates the
 power-dependent response
 
-    Delta(1/Q)(P) = (1/w_r) sum_i K(x_i, P) * dS_i * 2 G1_i w_r/(G1_i^2 + w_r^2) * g_i^2
-    Df/f(P)       = (1/w_r) sum_i K(x_i, P) * [ (1 + S_i) (w_i - w_r)/(G2_i^2 + D_i^2) g_i^2
-                                                - dS_i G1_i^2/(G1_i^2 + w_r^2) g_i^2 ]
+    Delta(1/Q)(P) = (1/w_r) sum_i K(x_i, P) * loss_par_i
+    Df/f(P)       = (1/w_r) sum_i K(x_i, P) * [shift_perp_i(1 + S_i) + shift_par_i]
 
-where K(x, P) = [tanh((x + xi P/2)/l_edge) - tanh((x - xi P/2)/l_edge)]/2 is
+where loss_par, shift_par are tls.longitudinal_complex_shift and shift_perp
+is tls.transverse_complex_shift, evaluated on the bath's columns, and
+K(x, P) = [tanh((x + xi P/2)/l_edge) - tanh((x - xi P/2)/l_edge)]/2 is
 the phonon-window kernel around the laser spot, evaluated as
 tanh 2v / (1 + cosh 2u / cosh 2v) with u = x/l_edge, v = xi P/(2 l_edge): one
 cosh per TLS and a few per power.  Both sums are the
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .tls import TlsUnit
+from .tls import longitudinal_complex_shift, transverse_complex_shift
 
 # relative spread of the coupling/rate draws: FWHM equal to the mean
 FWHM_REL_STD = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -54,6 +55,11 @@ class McConfig:
     frequencies over (0, omega_max], the same band the analytic integrals
     count.  exclusion removes |detuning| below the given value to keep
     nearly resonant TLSs (huge dispersive weights) out of the draw.
+
+    g and Gamma_1 are drawn around g_mean and gamma1_mean with a relative
+    spread of FWHM_REL_STD (FWHM equal to the mean), clamped at zero; S is
+    drawn from N(0, s_std) clamped into [-1, 0]; dS is ds_value for every
+    TLS.  The slopes are fitted over the whole p_grid.
 
     normalize_moments rescales the clamped Gaussian draws so that the bath
     satisfies <g_i^2> = g_mean^2 and <Gamma_i> = gamma1_mean exactly; these
@@ -76,15 +82,9 @@ class McConfig:
     area: float = 1000e-18
     g_mean: float = TWO_PI * 5e6
     gamma1_mean: float = TWO_PI * 16e6
-    g_rel_std: float = FWHM_REL_STD
-    gamma1_rel_std: float = FWHM_REL_STD
-    s_mean: float = 0.0
     s_std: float = 0.35
-    s_clamp: bool = True
     ds_value: float = 1.0 / (TWO_PI * 400e6)
     p_grid: np.ndarray = field(default_factory=_default_p_grid)
-    fit_p_min: float | None = None
-    fit_p_max: float | None = None
     normalize_moments: bool = True
     workers: int = 1
 
@@ -136,7 +136,11 @@ class McConfig:
 
 @dataclass(frozen=True)
 class TlsBath:
-    """Column store of TLS draws; indexable into single TlsUnit views."""
+    """Column store of TLS draws.
+
+    The columns carry TlsUnit's attribute names, so the tls closed forms
+    take a bath directly and return one value per TLS.
+    """
 
     detuning: np.ndarray
     g_perp: np.ndarray
@@ -149,21 +153,6 @@ class TlsBath:
 
     def __len__(self):
         return self.detuning.size
-
-    def __getitem__(self, i) -> TlsUnit:
-        return TlsUnit(detuning=float(self.detuning[i]),
-                       g_perp=float(self.g_perp[i]), g_par=float(self.g_par[i]),
-                       gamma1=float(self.gamma1[i]), gamma2=float(self.gamma2[i]),
-                       s=float(self.s[i]), ds=float(self.ds[i]),
-                       x=float(self.x[i]))
-
-    @classmethod
-    def from_units(cls, units):
-        units = list(units)
-        cols = {name: np.array([getattr(u, name) for u in units], dtype=float)
-                for name in ("detuning", "g_perp", "g_par", "gamma1",
-                             "gamma2", "s", "ds", "x")}
-        return cls(**cols)
 
 
 @dataclass(frozen=True)
@@ -233,9 +222,9 @@ def kernel(x, p_opt, xi, l_edge):
     return np.divide(np.tanh(2.0 * v), k, out=k)[()]
 
 
-def _clamped_normal(rng, n, rel_std, mean):
-    """mean * max(N(1, rel_std), 0) draws."""
-    return mean * np.maximum(rng.normal(1.0, rel_std, n), 0.0)
+def _clamped_normal(rng, n, mean):
+    """mean * max(N(1, FWHM_REL_STD), 0) draws."""
+    return mean * np.maximum(rng.normal(1.0, FWHM_REL_STD, n), 0.0)
 
 
 def _clamp_moments(rel_std):
@@ -255,8 +244,8 @@ def generate_ensemble(config: McConfig, rng=None) -> TlsBath:
     the exclusion band, from one uniform variate over the total width mapped
     across the band; positions uniform on [-L, L]; g and Gamma_1 Gaussian
     around their means with FWHM-rule spread, clamped at zero (Gamma_2 =
-    Gamma_1, g_perp = g_par); S Gaussian(s_mean, s_std) clamped into [-1, 0]
-    unless s_clamp is off; dS shared.
+    Gamma_1 and g_perp = g_par share one array); S Gaussian(0, s_std)
+    clamped into [-1, 0]; dS shared.
 
     run() calls this with half_length cut to config.reach, which draws the
     full bath's TLSs inside the reach (Poisson thinning) and no others.
@@ -277,81 +266,53 @@ def generate_ensemble(config: McConfig, rng=None) -> TlsBath:
 
     x = rng.uniform(-config.half_length, config.half_length, n)
 
-    g = _clamped_normal(rng, n, config.g_rel_std, config.g_mean)
-    gamma1 = _clamped_normal(rng, n, config.gamma1_rel_std, config.gamma1_mean)
+    g = _clamped_normal(rng, n, config.g_mean)
+    gamma1 = _clamped_normal(rng, n, config.gamma1_mean)
     if config.normalize_moments:
-        m1_g, m2_g = _clamp_moments(config.g_rel_std)
-        m1_gam, _ = _clamp_moments(config.gamma1_rel_std)
-        g /= np.sqrt(m2_g)
-        gamma1 /= m1_gam
+        m1, m2 = _clamp_moments(FWHM_REL_STD)
+        g /= np.sqrt(m2)
+        gamma1 /= m1
 
-    s = rng.normal(config.s_mean, config.s_std, n)
-    if config.s_clamp:
-        s = np.clip(s, -1.0, 0.0)
+    s = np.clip(rng.normal(0.0, config.s_std, n), -1.0, 0.0)
     ds = np.full(n, config.ds_value)
 
-    return TlsBath(detuning=detuning, g_perp=g, g_par=g.copy(),
-                   gamma1=gamma1, gamma2=gamma1.copy(), s=s, ds=ds, x=x)
+    return TlsBath(detuning=detuning, g_perp=g, g_par=g,
+                   gamma1=gamma1, gamma2=gamma1, s=s, ds=ds, x=x)
 
 
 def response_curves(config: McConfig, bath: TlsBath) -> McResult:
     """Single-trial response of a given bath over the configured power grid."""
-    if not isinstance(bath, TlsBath):
-        bath = TlsBath.from_units(bath)
     p = config.p_grid
     w_r = config.omega_r
-
-    if len(bath) == 0:
-        zeros = np.zeros((1, p.size))
-        sq, sf = _fit_slopes(config, zeros[0], zeros[0])
-        return McResult(p_grid=p, dinv_q=zeros, dfrac=zeros.copy(),
-                        slopes_inv_q=np.array([sq]), slopes_dfrac=np.array([sf]),
-                        seed=config.seed)
 
     # TLSs far outside the largest phonon window never contribute; a bath
     # drawn by run() lies inside the reach already
     reach = config.reach
-    if bath.x.min() < -reach or bath.x.max() > reach:
+    if bath.x.min(initial=0.0) < -reach or bath.x.max(initial=0.0) > reach:
         keep = np.abs(bath.x) <= reach
         bath = TlsBath(**{f.name: getattr(bath, f.name)[keep]
                           for f in fields(bath)})
-    det = bath.detuning
-    g2sq = bath.g_perp ** 2
-    gpar_sq = bath.g_par ** 2
-    gam1 = bath.gamma1
-    gam2 = bath.gamma2
-    s = bath.s
-    ds = bath.ds
 
-    lorentz_par = gam1 / (gam1**2 + w_r**2)
-    w_q = ds * 2.0 * lorentz_par * w_r * gpar_sq
-    # illumination-induced change of the dispersive pull: sign of omega_TLS - omega_r
-    w_f_transverse = (1.0 + s) * (-det) / (gam2**2 + det**2) * g2sq
-    w_f_long = ds * gam1 * lorentz_par * gpar_sq
-    w_f = w_f_transverse - w_f_long
+    loss_par, shift_par = longitudinal_complex_shift(bath, w_r)
+    # optical convention: illumination is measured against the ground-state
+    # bath, so the dispersive pull enters as the change S - (-1) = 1 + S
+    _, shift_perp = transverse_complex_shift(replace(bath, s=1.0 + bath.s))
 
     k_mat = kernel(bath.x, p[:, None], config.xi, config.l_edge)
-    dq = (k_mat @ w_q) / w_r
-    df = (k_mat @ w_f) / w_r
-    sq, sf = _fit_slopes(config, dq, df)
+    dq = (k_mat @ loss_par) / w_r
+    df = (k_mat @ (shift_perp + shift_par)) / w_r
+    sq, sf = _fit_slopes(p, dq, df)
     return McResult(p_grid=p, dinv_q=dq[None, :], dfrac=df[None, :],
                     slopes_inv_q=np.array([sq]), slopes_dfrac=np.array([sf]),
                     seed=config.seed)
 
 
-def _fit_slopes(config: McConfig, dq, df):
-    p = config.p_grid
-    m = np.ones(p.size, dtype=bool)
-    if config.fit_p_min is not None:
-        m &= p >= config.fit_p_min
-    if config.fit_p_max is not None:
-        m &= p <= config.fit_p_max
-    if m.sum() < 2:
-        raise ValueError("fit window keeps fewer than two power points")
+def _fit_slopes(p, dq, df):
+    """Least-squares slopes of dq and df against the power grid p."""
     # straight line through both curves at once; columns scaled as polyfit does
-    design = np.vander(p[m], 2)
+    design = np.vander(p, 2)
     scale = np.sqrt((design * design).sum(axis=0))
-    coef = np.linalg.lstsq(design / scale, np.column_stack((dq[m], df[m])),
+    coef = np.linalg.lstsq(design / scale, np.column_stack((dq, df)),
                            rcond=None)[0]
     sq, sf = coef[0] / scale[0]
     return float(sq), float(sf)

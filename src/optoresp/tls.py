@@ -170,10 +170,11 @@ def equilibrium_ds(omega_tls, env: ThermalEnvironment):
     return 2.0 * equilibrium_population_slope(omega_tls, env)
 
 
-def transverse_complex_shift(tls: TlsUnit):
+def transverse_complex_shift(tls):
     """Loss and frequency pull of the resonator from the exchange coupling.
 
-    Returns (delta_kappa, delta_omega) in rad/s:
+    tls is a TlsUnit, or a montecarlo.TlsBath whose columns give one value
+    per TLS.  Returns (delta_kappa, delta_omega) in rad/s:
 
         delta_kappa = -2 g_perp^2 Gamma_2 S / (Gamma_2^2 + Delta^2)
         delta_omega = -  g_perp^2 Delta  S / (Gamma_2^2 + Delta^2)
@@ -201,10 +202,11 @@ def saturated_population(tls: TlsUnit, drive: SaturationDrive):
     return tls.s / (1.0 + (drive.n_cav / n_s) * lorentz)
 
 
-def longitudinal_complex_shift(tls: TlsUnit, omega_r):
+def longitudinal_complex_shift(tls, omega_r):
     """Debye loss and down-shift from the sigma_z coupling.
 
-    Returns (loss, shift) in rad/s:
+    tls is a TlsUnit, or a montecarlo.TlsBath whose columns give one value
+    per TLS.  Returns (loss, shift) in rad/s:
 
         loss  = +2 g_par^2 dS Gamma_1 omega_r / (Gamma_1^2 + omega_r^2)
         shift = -  g_par^2 dS Gamma_1^2     / (Gamma_1^2 + omega_r^2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -171,6 +173,55 @@ def test_sweep_single_point_matches_direct():
                     rtol=1e-14)
     assert_allclose(out["slope_fractional_frequency"][0],
                     slope_fractional_frequency(P_REF), rtol=1e-14)
+
+
+def scalar_sweep_point(p, axis, v):
+    """One sweep point through scalar fields, as a per-point loop would."""
+    if axis == "omega_r":
+        scale = np.sqrt(v / (TWO_PI * 7e9))
+        q = replace(p, omega_r=v, delta_min=v, g_perp_t=p.g_perp_t * scale,
+                    g_par_t=p.g_par_t * scale)
+    elif axis == "omega_max":
+        q = replace(p, omega_max=v, delta_max=v)
+    else:
+        q = replace(p, gamma1_t=v, gamma2_t=v)
+    return slope_inverse_q(q), slope_fractional_frequency(q)
+
+
+@pytest.mark.parametrize("axis, grid", [
+    ("omega_r", TWO_PI * np.linspace(1e9, 20e9, 25)),
+    ("omega_max", TWO_PI * np.logspace(11, np.log10(3e12), 20)),
+    ("gamma1", TWO_PI * np.linspace(1e6, 100e6, 17)),
+])
+def test_sweep_bitwise_equals_scalar_calls(axis, grid):
+    out = parameter_sweep(P_REF, axis, grid)
+    want = np.array([scalar_sweep_point(P_REF, axis, v) for v in grid])
+    assert np.array_equal(out["slope_inverse_q"], want[:, 0])
+    assert np.array_equal(out["slope_fractional_frequency"], want[:, 1])
+
+
+def test_array_fields_broadcast():
+    g = TWO_PI * np.array([2e6, 5e6, 8e6])
+    xi = np.array([[20.0], [50.0]])
+    p = EnsembleParams(g_perp_t=g, g_par_t=g, xi=xi)
+    sq = slope_inverse_q(p)
+    assert sq.shape == (2, 3)
+    assert sq[1, 1] == slope_inverse_q(P_REF)
+
+
+@pytest.mark.parametrize("field, values, message", [
+    pytest.param(*case, id=case[0]) for case in (
+        ("xi", [50.0, 0.0, 20.0], "xi must be positive"),
+        ("gamma1_t", [TWO_PI * 16e6, np.nan], "gamma1_t must be positive"),
+        ("g_par_t", [TWO_PI * 5e6, -1.0], "couplings"),
+        ("s_tilde", [-0.5, 0.0, 0.1], "s_tilde"),
+        ("ds_tilde", [1e-9, -1e-9], "ds_tilde"),
+        ("delta_min", [TWO_PI * 7e9, TWO_PI * 1e3], "delta_min >= gamma2_t"),
+    )
+])
+def test_params_reject_one_bad_array_element(field, values, message):
+    with pytest.raises(ValueError, match=message):
+        EnsembleParams(**{field: np.array(values)})
 
 
 def test_sweep_validation():

@@ -226,6 +226,16 @@ def test_lorentzian_dip_flat_trace_raises():
         fit_lorentzian_dip(ComplexTrace(f, z))
 
 
+def test_full_s21_flags_trace_without_resonance():
+    f = np.linspace(7.0e9, 7.1e9, 801)
+    rng = np.random.default_rng(0)
+    z = 1.0 + 1e-3 * (rng.standard_normal(801) + 1j * rng.standard_normal(801))
+    assert "no_resonance" in fit_full_s21(ComplexTrace(f, z)).fit.flags
+    # a resolved dip at the same noise level carries no such flag
+    tr = synth_trace(MODE, LINE, GRID, noise_std=1e-3, seed=4)
+    assert "no_resonance" not in fit_full_s21(tr).fit.flags
+
+
 def test_lorentzian_vs_full_on_asymmetric_traces():
     # the two Q_int estimators stay within 20% of each other
     lw = 7.061e9 / MODE.q_tot

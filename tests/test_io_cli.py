@@ -1,11 +1,18 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import optoresp
 from optoresp import cli, io
 from optoresp.cli import main
+from optoresp.ensemble import slope_fractional_frequency, slope_inverse_q
 from optoresp.fitkit import (ComplexTrace, PowerSeries, SingularJacobianError,
                              synth_trace)
 from optoresp.meanfield import OdeConvergenceError
@@ -98,6 +105,12 @@ def test_cli_slopes_defaults_and_sweep(tmp_path):
     rows = (tmp_path / "slopes_sweep.csv").read_text().strip().splitlines()
     assert rows[0] == "g_over_2pi_mhz,xi_m_per_w,slope_inv_q_per_w,slope_dfrac_per_w"
     assert len(rows) == 7
+    # g-major rows, each equal to the closed forms called at that point alone
+    points = itertools.product([2.0, 5.0, 8.0], [20.0, 50.0])
+    for row, (g, xi) in zip(rows[1:], points):
+        p = cli._ensemble_from_cfg(env["config"], g, xi)
+        assert [float(v) for v in row.split(",")] == [
+            g, xi, slope_inverse_q(p), slope_fractional_frequency(p)]
 
 
 def test_cli_slopes_ds_zero(tmp_path):
@@ -214,6 +227,29 @@ def test_cli_fit_spectrum_parse_error(tmp_path):
     code = run_cli("fit-spectrum", "--input", str(bad),
                    "--out-dir", str(tmp_path))
     assert code == 1
+
+
+def test_failed_run_leaves_no_stale_envelope(tmp_path):
+    run_cli("synth", "--kind", "trace", "--noise", "1e-3", "--points", "2001",
+            "--out-dir", str(tmp_path))
+    assert run_cli("fit-spectrum", "--input", str(tmp_path / "synth_trace.csv"),
+                   "--out-dir", str(tmp_path)) == 0
+    assert (tmp_path / "fit_spectrum.json").exists()
+    bad = tmp_path / "nan.csv"
+    bad.write_text("freq_hz,re,im\n1e9,0.5,0.1\n1.1e9,nan,0.2\n")
+    assert run_cli("fit-spectrum", "--input", str(bad),
+                   "--out-dir", str(tmp_path)) == 1
+    assert not (tmp_path / "fit_spectrum.json").exists()
+
+
+def test_module_entry_point_writes_no_warning(tmp_path):
+    src = str(Path(optoresp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "optoresp.cli", "--help"],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_cli_missing_file_nonzero(tmp_path):

@@ -184,26 +184,15 @@ def test_empty_trials_warn():
 
 def test_fit_slopes_match_polyfit():
     rng = np.random.default_rng(2)
-    for cfg in (McConfig(), small_config(fit_p_min=20e-9),
-                small_config(p_grid=np.linspace(0, 50e-9, 4))):
-        p = cfg.p_grid
-        m = p >= (cfg.fit_p_min or 0.0)
+    for p in (McConfig().p_grid, np.linspace(20e-9, 100e-9, 5),
+              np.linspace(0, 50e-9, 4)):
         for _ in range(300):
             dq = (rng.normal() * 10 ** rng.uniform(-3, 6) * p
                   + rng.normal() * 1e-5 + rng.normal(size=p.size) * 1e-6)
             df = (rng.normal() * 1e2 * p + rng.normal() * 1e-6
                   + rng.normal(size=p.size) * 1e-7)
-            want = np.polyfit(p[m], dq[m], 1)[0], np.polyfit(p[m], df[m], 1)[0]
-            assert_allclose(_fit_slopes(cfg, dq, df), want, rtol=1e-12, atol=0)
-
-
-def test_bath_indexing_roundtrip():
-    cfg = small_config()
-    bath = generate_ensemble(cfg)
-    unit = bath[0]
-    assert isinstance(unit, TlsUnit)
-    rebuilt = TlsBath.from_units([bath[i] for i in range(5)])
-    assert np.array_equal(rebuilt.detuning, bath.detuning[:5])
+            want = np.polyfit(p, dq, 1)[0], np.polyfit(p, df, 1)[0]
+            assert_allclose(_fit_slopes(p, dq, df), want, rtol=1e-12, atol=0)
 
 
 def test_single_tls_matches_closed_forms():
@@ -214,7 +203,9 @@ def test_single_tls_matches_closed_forms():
     t = TlsUnit(detuning=-TWO_PI * 3e9, g_perp=5 * MHZ, g_par=5 * MHZ,
                 gamma1=16 * MHZ, gamma2=16 * MHZ, s=-0.25,
                 ds=1.0 / (TWO_PI * 400e6), x=0.0)
-    res = response_curves(cfg, [t])
+    bath = TlsBath(**{f.name: np.array([getattr(t, f.name)])
+                      for f in dataclasses.fields(TlsBath)})
+    res = response_curves(cfg, bath)
     long_loss, long_shift = longitudinal_complex_shift(t, cfg.omega_r)
     assert_allclose(res.dinv_q[0, 1], long_loss / cfg.omega_r, rtol=1e-9)
     # transverse term is the change from the ground-state dispersive pull
@@ -237,8 +228,26 @@ def test_tls_beyond_reach_are_dropped():
     assert_allclose(res.dinv_q[0], k @ w_q / cfg.omega_r, rtol=1e-12, atol=0)
 
 
+def test_multi_tls_bath_matches_closed_forms():
+    # the tls forms on the bath's columns, with the transverse pull taken as
+    # the change from the ground-state bath, through the tanh-form kernel
+    cfg = small_config()
+    bath = generate_ensemble(cfg)
+    assert len(bath) > 1000
+    res = response_curves(cfg, bath)
+    k = tanh_kernel(bath.x[None, :], cfg.p_grid[:, None], cfg.xi, cfg.l_edge)
+    loss_par, shift_par = longitudinal_complex_shift(bath, cfg.omega_r)
+    now = transverse_complex_shift(bath)[1]
+    ground = transverse_complex_shift(
+        dataclasses.replace(bath, s=np.full(len(bath), -1.0)))[1]
+    assert_allclose(res.dinv_q[0], k @ loss_par / cfg.omega_r,
+                    rtol=1e-12, atol=0)
+    assert_allclose(res.dfrac[0], k @ (now - ground + shift_par) / cfg.omega_r,
+                    rtol=1e-12, atol=0)
+
+
 def test_ground_state_bath_is_silent():
-    cfg = small_config(s_std=1e-12, s_mean=-1.0, ds_value=0.0)
+    cfg = small_config(s_std=1e-12, ds_value=0.0)
     bath = generate_ensemble(cfg)
     bath = TlsBath(detuning=bath.detuning, g_perp=bath.g_perp,
                    g_par=bath.g_par, gamma1=bath.gamma1, gamma2=bath.gamma2,
