@@ -36,16 +36,19 @@ SLOPES_SWEEP_HEADER = "g_over_2pi_mhz,xi_m_per_w,slope_inv_q_per_w,slope_dfrac_p
 FIT_CURVE_HEADER = "freq_hz,data_re,data_im,model_re,model_im"
 
 
-def _envelope_path(args):
-    """The command's result envelope, in --out-dir, $OPTORESP_OUTDIR or '.'."""
+def _output_paths(args):
+    """The command's result envelope, then the CSVs it declares, in
+    --out-dir, $OPTORESP_OUTDIR or '.'."""
     d = Path(args.out_dir or os.environ.get("OPTORESP_OUTDIR", "."))
-    return d / args.envelope.format_map(vars(args))
+    return [d / name.format_map(vars(args))
+            for name in (args.envelope, *args.outputs)]
 
 
-def _out_dir(args):
-    d = _envelope_path(args).parent
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+def _prepare_outputs(args):
+    """_output_paths, with their directory created."""
+    paths = _output_paths(args)
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    return paths
 
 
 def load_config_file(path):
@@ -127,8 +130,7 @@ def cmd_photon_number(args):
     with io.Timer() as t:
         result = run_photon_number(cfg)
     env = io.result_envelope("photon-number", cfg, result, t.elapsed)
-    _out_dir(args)
-    path = _envelope_path(args)
+    path, = _prepare_outputs(args)
     io.write_envelope(path, env)
     print(f"n_cav = {result['n_cav']:.4g}  "
           f"(kappa_int = {result['kappa_int_rad_per_s']:.4g} rad/s = "
@@ -191,22 +193,21 @@ def cmd_slopes(args):
     }
     with io.Timer() as t:
         result = run_slopes(cfg)
-    out = _out_dir(args)
+    path, sweep_csv = _prepare_outputs(args)
     env = io.result_envelope("slopes", cfg, {
         "slope_inverse_q_per_w": result["slope_inverse_q_per_w"],
         "slope_fractional_frequency_per_w":
             result["slope_fractional_frequency_per_w"],
-        "sweep_csv": "slopes_sweep.csv",
+        "sweep_csv": sweep_csv.name,
         "sweep_row_count": len(result["sweep_rows"]),
     }, t.elapsed)
-    io.write_envelope(_envelope_path(args), env)
-    io.write_table(out / "slopes_sweep.csv", SLOPES_SWEEP_HEADER,
-                   result["sweep_rows"].T)
+    io.write_envelope(path, env)
+    io.write_table(sweep_csv, SLOPES_SWEEP_HEADER, result["sweep_rows"].T)
     per_nw = 1e-9
     print(f"d(1/Q)/dP   = {result['slope_inverse_q_per_w'] * per_nw:.4g} /nW")
     print(f"d(df/f)/dP  = "
           f"{result['slope_fractional_frequency_per_w'] * per_nw:.4g} /nW")
-    print(f"wrote {_envelope_path(args)} and {out / 'slopes_sweep.csv'}")
+    print(f"wrote {path} and {sweep_csv}")
     return 0
 
 
@@ -236,7 +237,6 @@ def run_mc(cfg):
         "trials": cfg["trials"], "seed": cfg["seed"],
         "slope_inv_q_mean_per_w": mq, "slope_inv_q_std_per_w": sq,
         "slope_dfrac_mean_per_w": mf, "slope_dfrac_std_per_w": sf,
-        "curves_csv": "mc_curves.csv", "aggregate_csv": "mc_aggregate.csv",
     }
 
 
@@ -258,17 +258,19 @@ def cmd_mc(args):
     }
     with io.Timer() as t:
         result, payload = run_mc(cfg)
-    out = _out_dir(args)
-    io.write_mc_curves(out / "mc_curves.csv", result)
-    io.write_mc_aggregate(out / "mc_aggregate.csv", result)
+    path, curves_csv, aggregate_csv = _prepare_outputs(args)
+    payload["curves_csv"] = curves_csv.name
+    payload["aggregate_csv"] = aggregate_csv.name
+    io.write_mc_curves(curves_csv, result)
+    io.write_mc_aggregate(aggregate_csv, result)
     env = io.result_envelope("mc", cfg, payload, t.elapsed)
-    io.write_envelope(_envelope_path(args), env)
+    io.write_envelope(path, env)
     print(f"d(1/Q)/dP  = {payload['slope_inv_q_mean_per_w'] * 1e-9:.4g} "
           f"+- {payload['slope_inv_q_std_per_w'] * 1e-9:.2g} /nW "
           f"({cfg['trials']} trials)")
     print(f"d(df/f)/dP = {payload['slope_dfrac_mean_per_w'] * 1e-9:.4g} "
           f"+- {payload['slope_dfrac_std_per_w'] * 1e-9:.2g} /nW")
-    print(f"wrote {_envelope_path(args)}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -326,16 +328,16 @@ def cmd_temp_model(args):
     }
     with io.Timer() as t:
         rows = run_temp_model(cfg)
-    out = _out_dir(args)
-    io.write_table(out / "temp_model.csv", TEMP_MODEL_HEADER,
+    path, csv = _prepare_outputs(args)
+    io.write_table(csv, TEMP_MODEL_HEADER,
                    [np.array(rows[k]) for k in
                     ("temp_k", "fr_ghz", "dfrac_tls", "dfrac_qp",
                      "dfrac_total")])
     env = io.result_envelope("temp-model", cfg,
-                             {"csv": "temp_model.csv",
+                             {"csv": csv.name,
                               "n_rows": len(rows["temp_k"])}, t.elapsed)
-    io.write_envelope(_envelope_path(args), env)
-    print(f"wrote {out / 'temp_model.csv'} ({len(rows['temp_k'])} rows)")
+    io.write_envelope(path, env)
+    print(f"wrote {csv} ({len(rows['temp_k'])} rows)")
     return 0
 
 
@@ -359,7 +361,7 @@ def run_synth_power(cfg):
 
 
 def cmd_synth(args):
-    out = _out_dir(args)
+    env_path, path = _prepare_outputs(args)
     if args.kind == "trace":
         cfg = {"fr_hz": args.fr_ghz * 1e9, "q_int": args.q_int,
                "q_ext": args.q_ext, "phi": args.phi,
@@ -370,7 +372,6 @@ def cmd_synth(args):
                "points": args.points, "noise": args.noise, "seed": args.seed}
         with io.Timer() as t:
             trace = run_synth_trace(cfg)
-        path = out / "synth_trace.csv"
         io.write_trace(path, trace,
                        comments=[f"generator {json.dumps(cfg)}"])
     else:
@@ -383,29 +384,46 @@ def cmd_synth(args):
                "noise": args.noise, "seed": args.seed}
         with io.Timer() as t:
             series = run_synth_power(cfg)
-        path = out / "synth_power.csv"
         io.write_power_series(path, series,
                               comments=[f"generator {json.dumps(cfg)}"])
     env = io.result_envelope(f"synth-{args.kind}", cfg,
                              {"file": path.name}, t.elapsed)
-    io.write_envelope(_envelope_path(args), env)
+    io.write_envelope(env_path, env)
     print(f"wrote {path}")
     return 0
 
 
 # --- fit-spectrum -----------------------------------------------------------
 
+def _fit_report(fit):
+    """The engine's account of a fit: flags, stop reason, effort and the
+    1-sigma uncertainty of each parameter from its covariance."""
+    return {"converged": fit.converged, "flags": fit.flags,
+            "iterations": fit.iterations, "nfev": fit.nfev,
+            "message": fit.message,
+            "uncertainties": {n: fit.uncertainty(n) for n in fit.names}}
+
+
 def run_fit_spectrum(trace, which):
+    """Payload and full-model curve of the chosen fits.  Under "both", a
+    trace with no resolved dip records the Lorentzian failure in the payload
+    and still gets the full fit."""
     payload = {}
     model_curve = None
     if which in ("lorentzian", "both"):
-        lor = fitmodels.fit_lorentzian_dip(trace)
-        payload["lorentzian"] = {
-            "f_r_hz": lor.f_r, "width_hz": lor.width,
-            "depth": lor.depth, "q_int": lor.q_int,
-            "q_tot_equivalent": lor.q_tot_equivalent,
-            "converged": lor.fit.converged, "flags": lor.fit.flags,
-        }
+        try:
+            lor = fitmodels.fit_lorentzian_dip(trace)
+        except fitmodels.NoDipError as exc:
+            if which == "lorentzian":
+                raise
+            payload["lorentzian"] = {"error": str(exc)}
+        else:
+            payload["lorentzian"] = {
+                "f_r_hz": lor.f_r, "width_hz": lor.width,
+                "depth": lor.depth, "q_int": lor.q_int,
+                "q_tot_equivalent": lor.q_tot_equivalent,
+                **_fit_report(lor.fit),
+            }
     if which in ("full", "both"):
         full = fitmodels.fit_full_s21(trace)
         payload["full"] = {
@@ -414,13 +432,13 @@ def run_fit_spectrum(trace, which):
             "q_ext_imag": full.q_ext_complex.imag,
             "amplitude": full.amplitude, "delay_s": full.delay,
             "phase_offset_rad": full.phase_offset,
-            "converged": full.fit.converged, "flags": full.fit.flags,
+            **_fit_report(full.fit),
         }
         model_curve = fitmodels._s21_model(full.fit.values, trace.frequencies)
-    if which == "both" and "lorentzian" in payload:
-        qi_l, qi_f = payload["lorentzian"]["q_int"], payload["full"]["q_int"]
-        if np.isfinite(qi_l):
-            payload["q_int_discrepancy_rel"] = abs(qi_l - qi_f) / qi_f
+    qi_l = payload.get("lorentzian", {}).get("q_int", np.nan)
+    if which == "both" and np.isfinite(qi_l):
+        qi_f = payload["full"]["q_int"]
+        payload["q_int_discrepancy_rel"] = abs(qi_l - qi_f) / qi_f
     return payload, model_curve
 
 
@@ -429,22 +447,23 @@ def cmd_fit_spectrum(args):
     cfg = {"input": str(args.input), "model": args.model}
     with io.Timer() as t:
         payload, model_curve = run_fit_spectrum(trace, args.model)
-    out = _out_dir(args)
+    path, curve_csv = _prepare_outputs(args)
     env = io.result_envelope("fit-spectrum", cfg, payload, t.elapsed)
-    io.write_envelope(_envelope_path(args), env)
+    io.write_envelope(path, env)
     if model_curve is not None:
-        io.write_table(out / "fit_spectrum_curve.csv", FIT_CURVE_HEADER,
+        io.write_table(curve_csv, FIT_CURVE_HEADER,
                        [trace.frequencies, trace.values.real,
                         trace.values.imag, model_curve.real,
                         model_curve.imag])
-    for name in ("lorentzian", "full"):
-        if name in payload:
-            print(f"{name}: f_r = {payload[name]['f_r_hz']:.6g} Hz, "
-                  f"Q_int = {payload[name]['q_int']:.6g}")
-    if "q_int_discrepancy_rel" in payload:
-        print(f"Q_int discrepancy (lorentzian vs full): "
-              f"{payload['q_int_discrepancy_rel']:.2%}")
-    print(f"wrote {_envelope_path(args)}")
+    for name, fit in payload.items():
+        if name == "q_int_discrepancy_rel":
+            print(f"Q_int discrepancy (lorentzian vs full): {fit:.2%}")
+        elif "error" in fit:
+            print(f"{name}: {fit['error']}")
+        else:
+            print(f"{name}: f_r = {fit['f_r_hz']:.6g} Hz, "
+                  f"Q_int = {fit['q_int']:.6g}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -479,7 +498,8 @@ def build_parser():
     sp.add_argument("--q-ext", type=float, default=None)
     sp.add_argument("--power-dbm", type=float, default=None)
     sp.add_argument("--detuning-hz", type=float, default=0.0)
-    sp.set_defaults(func=cmd_photon_number, envelope="photon_number.json")
+    sp.set_defaults(func=cmd_photon_number, envelope="photon_number.json",
+                    outputs=())
 
     sp = sub.add_parser("slopes", help="analytic optical-response slopes")
     _add_common(sp)
@@ -499,7 +519,8 @@ def build_parser():
     sp.add_argument("--g-grid-mhz", default="",
                     help="comma list; sweeps the coupling")
     sp.add_argument("--xi-grid", default="", help="comma list; sweeps xi")
-    sp.set_defaults(func=cmd_slopes, envelope="slopes.json")
+    sp.set_defaults(func=cmd_slopes, envelope="slopes.json",
+                    outputs=("slopes_sweep.csv",))
 
     sp = sub.add_parser("mc", help="Monte Carlo ensemble simulation")
     _add_common(sp)
@@ -526,7 +547,8 @@ def build_parser():
     sp.add_argument("--raw-moments", action="store_true",
                     help="skip the <g^2>/<Gamma_1> moment normalization")
     sp.add_argument("--workers", type=int, default=1)
-    sp.set_defaults(func=cmd_mc, envelope="mc.json")
+    sp.set_defaults(func=cmd_mc, envelope="mc.json",
+                    outputs=("mc_curves.csv", "mc_aggregate.csv"))
 
     sp = sub.add_parser("temp-model",
                         help="temperature dependence of the frequency shift")
@@ -550,7 +572,8 @@ def build_parser():
     sp.add_argument("--ltl", type=float, default=None,
                     help="total inductance per length [H/m]; default "
                          "kinetic-dominated")
-    sp.set_defaults(func=cmd_temp_model, envelope="temp_model.json")
+    sp.set_defaults(func=cmd_temp_model, envelope="temp_model.json",
+                    outputs=("temp_model.csv",))
 
     sp = sub.add_parser("synth", help="synthetic traces and power series")
     _add_common(sp)
@@ -576,14 +599,16 @@ def build_parser():
     sp.add_argument("--delta1-per-nw", type=float, default=5.9e-7)
     sp.add_argument("--delta2", type=float, default=0.0)
     sp.add_argument("--delta3-per-nw", type=float, default=0.0)
-    sp.set_defaults(func=cmd_synth, envelope="synth_{kind}.json")
+    sp.set_defaults(func=cmd_synth, envelope="synth_{kind}.json",
+                    outputs=("synth_{kind}.csv",))
 
     sp = sub.add_parser("fit-spectrum", help="fit a measured/synthetic trace")
     _add_common(sp)
     sp.add_argument("--input", required=True)
     sp.add_argument("--model", choices=("lorentzian", "full", "both"),
                     default="both")
-    sp.set_defaults(func=cmd_fit_spectrum, envelope="fit_spectrum.json")
+    sp.set_defaults(func=cmd_fit_spectrum, envelope="fit_spectrum.json",
+                    outputs=("fit_spectrum_curve.csv",))
     return p
 
 
@@ -602,13 +627,14 @@ def main(argv=None):
             OdeConvergenceError, QuadratureError, SingularJacobianError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a failed run leaves no envelope, so none from an earlier run
-        # passes for its result
-        path = _envelope_path(args)
-        try:
-            path.unlink(missing_ok=True)
-        except OSError as err:
-            print(f"error: could not remove {path}: {err}", file=sys.stderr)
+        # a failed run leaves none of its outputs, so no envelope or CSV
+        # from an earlier run passes for its result
+        for path in _output_paths(args):
+            try:
+                path.unlink(missing_ok=True)
+            except OSError as err:
+                print(f"error: could not remove {path}: {err}",
+                      file=sys.stderr)
         return 1
 
 

@@ -1,8 +1,7 @@
-"""Physical constants (CODATA 2018) and unit-boundary helpers.
+"""Physical constants (CODATA 2018) and the dBm-to-watt conversion.
 
 Internal convention: every rate and frequency inside the library is angular
-(rad/s).  Hz, GHz, MHz and dBm appear only at the I/O boundary; conversion
-happens here and nowhere else.
+(rad/s).  Hz, GHz, MHz and dBm appear only at the I/O boundary.
 """
 
 import numpy as np
@@ -20,20 +19,3 @@ def dbm_to_watts(p_dbm):
     """P[W] = 10^((P[dBm] - 30)/10)."""
     return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
 
-
-def watts_to_dbm(p_watts):
-    """Inverse of :func:`dbm_to_watts`; requires P > 0."""
-    p = np.asarray(p_watts, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * np.log10(p) + 30.0
-
-
-def hz_to_angular(f):
-    """Ordinary frequency (Hz) to angular frequency (rad/s)."""
-    return TWO_PI * np.asarray(f, dtype=float)
-
-
-def angular_to_hz(omega):
-    """Angular frequency (rad/s) to ordinary frequency (Hz)."""
-    return np.asarray(omega, dtype=float) / TWO_PI

@@ -1,16 +1,23 @@
-"""Damped Gauss-Newton (Levenberg-Marquardt) least squares.
+"""Levenberg-Marquardt least squares over MINPACK's ``lmder``.
 
-Minimizes 0.5 * ||r(x)||^2 for a user residual function.  Complex-valued
-data is handled by the model layer (real and imaginary residuals stacked),
-so the engine only ever sees real vectors.  Parameter bounds are enforced by
-smooth reparameterizations (log for positive quantities, logistic for
-two-sided intervals) rather than clipping, which keeps the descent surface
-differentiable; the solver works in the unconstrained internal coordinates.
+Minimizes 0.5 * ||r(x)||^2 for a user residual and its analytic Jacobian
+with ``scipy.optimize.least_squares(method="lm")``.  Complex-valued data is
+handled by the model layer (real and imaginary residuals stacked), so the
+engine only ever sees real vectors.
 
-Termination: relative step < step_tol, relative cost decrease < cost_tol
-(both counted only for undamped-quality steps), a scaled gradient test, or
-max_iter.  Accepted-step costs are non-increasing by construction.
-Non-convergence is reported as a flag on the result, not an exception;
+Internal coordinates: parameter bounds are enforced by smooth
+reparameterizations (log for positive quantities, logistic for two-sided
+intervals, a fixed scale for unbounded quantities far from O(1)) rather
+than clipping, which keeps the descent surface differentiable.  MINPACK
+works on the internal coordinates u, x = t(u) per parameter; the Jacobian
+is mapped by the chain rule, dr/du = dr/dx * t'(u), and MINPACK scales each
+coordinate by the norm of its Jacobian column (``x_scale="jac"``).
+
+Termination is MINPACK's: relative cost reduction below ftol, relative step
+below xtol, or every Jacobian column nearly orthogonal to the residual
+(cosine below gtol), all at scipy's default 1e-8; or 100 residual
+evaluations per parameter.  Non-convergence, including a stop at a
+non-finite point, is reported as a flag on the result, not an exception;
 SingularJacobianError is reserved for a Jacobian that vanishes identically
 at a nonzero-residual stop (rank deficiency is flagged, with a
 pseudoinverse covariance).
@@ -19,6 +26,7 @@ pseudoinverse covariance).
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import least_squares
 
 
 class SingularJacobianError(RuntimeError):
@@ -42,7 +50,7 @@ class Identity:
 class Scaled(Identity):
     """Unbounded parameter with a natural scale; internal coordinate is x/scale.
 
-    Keeps internal coordinates O(1) so finite differences and damping behave
+    Keeps internal coordinates O(1) so MINPACK's relative step test behaves
     for parameters like cable delays (seconds, values ~1e-9).
     """
 
@@ -106,10 +114,10 @@ class FitResult:
     residual_norm: float
     cost: float
     converged: bool
-    iterations: int
+    iterations: int     # Jacobian evaluations
+    nfev: int           # residual evaluations
     message: str = ""
     flags: list = field(default_factory=list)
-    cost_trace: list = field(default_factory=list)
 
     def __getitem__(self, name):
         return float(self.values[self.names.index(name)])
@@ -124,34 +132,21 @@ class FitResult:
         return dict(zip(self.names, (float(v) for v in self.values)))
 
 
-def _finite_difference_jacobian(fun, u, r0):
-    """Forward differences in internal coordinates, which are O(1) by
-    construction (log/logit/scaled), so a relative step is meaningful."""
-    jac = np.empty((r0.size, u.size))
-    for j in range(u.size):
-        h = 1e-7 * max(1.0, abs(u[j]))
-        up = u.copy()
-        up[j] += h
-        jac[:, j] = (fun(up) - r0) / h
-    return jac
-
-
-def levenberg_marquardt(residual, x0, jac=None, names=None, transforms=None,
-                        max_iter=200, step_tol=1e-10, cost_tol=1e-12,
-                        lam0=1e-3):
+def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     """Minimize 0.5 ||residual(x)||^2 from x0.
 
     Parameters
     ----------
     residual : callable(x) -> 1-D array of residuals (external coordinates).
-    jac : callable(x) -> (m, n) Jacobian in external coordinates, or None
-        for forward differences.
-    transforms : per-parameter Identity/Log/Logistic instances, or None.
+    jac : callable(x) -> (m, n) Jacobian of the residual in external
+        coordinates.
+    transforms : per-parameter Identity/Scaled/Log/Logistic instances, or
+        None for Identity throughout.
 
     Returns
     -------
-    FitResult (converged flag False when max_iter hit without meeting the
-    step/cost tolerances).
+    FitResult: ``converged`` is MINPACK's success at a finite point,
+    ``message`` its stop reason.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -160,113 +155,40 @@ def levenberg_marquardt(residual, x0, jac=None, names=None, transforms=None,
     if len(transforms) != n or len(names) != n:
         raise ValueError("names/transforms length mismatch")
 
-    u = np.array([t.to_internal(v) for t, v in zip(transforms, x0)])
-
     def external(uv):
         return np.array([t.to_external(ui) for t, ui in zip(transforms, uv)])
 
+    nfev = 0
+
     def res_u(uv):
+        nonlocal nfev
+        nfev += 1
         return np.asarray(residual(external(uv)), dtype=float)
 
-    def jac_u(uv, r_now):
-        if jac is None:
-            return _finite_difference_jacobian(res_u, uv, r_now)
-        jx = np.asarray(jac(external(uv)), dtype=float)
+    def jac_u(uv):
         factors = np.array([t.jacobian_factor(ui)
                             for t, ui in zip(transforms, uv)])
-        return jx * factors[None, :]
+        return np.asarray(jac(external(uv)), dtype=float) * factors
 
+    u = np.array([t.to_internal(v) for t, v in zip(transforms, x0)])
     r = res_u(u)
     if not np.all(np.isfinite(r)):
         raise ValueError("residual not finite at the initial point")
+    if np.any(r):
+        sol = least_squares(res_u, u, jac=jac_u, method="lm", x_scale="jac")
+        u, r, j_internal = sol.x, sol.fun, sol.jac
+        finite = bool(np.all(np.isfinite(u)) and np.all(np.isfinite(r)))
+        converged, iterations = finite and sol.status > 0, int(sol.njev)
+        message = sol.message if finite else "stopped at a non-finite point"
+    else:
+        j_internal = jac_u(u)
+        converged, iterations, message = True, 0, "zero residual"
     cost = 0.5 * float(r @ r)
-    cost_trace = [cost]
-    lam = lam0
-    converged = False
-    message = "max_iter reached"
-    iterations = 0
-
-    def try_step(step):
-        """Clamp, evaluate; return (accepted, u_new, r_new, cost_new, step)."""
-        if not np.all(np.isfinite(step)):
-            return False, None, None, None, step
-        # clamp runaway moves along near-flat directions; internal
-        # coordinates are log/logit scaled, so 5 is already a huge move
-        biggest = np.max(np.abs(step))
-        if biggest > 5.0:
-            step = step * (5.0 / biggest)
-        u_new = u + step
-        r_new = res_u(u_new)
-        if not np.all(np.isfinite(r_new)):
-            return False, None, None, None, step
-        cost_new = 0.5 * float(r_new @ r_new)
-        return cost_new <= cost, u_new, r_new, cost_new, step
-
-    for iterations in range(1, max_iter + 1):
-        if cost == 0.0:
-            converged, message = True, "zero residual"
-            break
-        j = jac_u(u, r)
-        jtj = j.T @ j
-        jtr = j.T @ r
-
-        # scaled gradient test (residual nearly orthogonal to the Jacobian)
-        col = np.sqrt(np.maximum(np.diag(jtj), 0.0))
-        rnorm = np.sqrt(2.0 * cost)
-        if np.max(np.abs(jtr)) <= 1e-12 * max(np.max(col) * rnorm, 1e-300):
-            converged, message = True, "gradient tolerance met"
-            break
-
-        # bonus undamped Gauss-Newton attempt: one-shot for linear models,
-        # quadratic convergence near the optimum; its rejection is free
-        try:
-            accepted, u_new, r_new, cost_new, step = try_step(
-                np.linalg.lstsq(j, -r, rcond=None)[0])
-        except np.linalg.LinAlgError:
-            accepted = False
-        clean = accepted
-        if not accepted:
-            for attempt in range(50):
-                damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-300))
-                try:
-                    candidate = np.linalg.solve(damped, -jtr)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                accepted, u_new, r_new, cost_new, step = try_step(candidate)
-                if accepted:
-                    clean = attempt == 0
-                    break
-                lam *= 10.0
-        if not accepted:
-            message = "no acceptable damped step"
-            break
-
-        step_size = np.max(np.abs(step) / np.maximum(np.abs(u_new), 1.0))
-        rel_drop = (cost - cost_new) / max(cost, 1e-300)
-        u, r, cost = u_new, r_new, cost_new
-        cost_trace.append(cost)
-        lam = max(lam / 9.0, 1e-14)
-        if cost == 0.0:
-            converged, message = True, "zero residual"
-            break
-        # trust vanishing steps/drops only when the step needed no extra
-        # damping; a tiny move forced by escalation is not convergence
-        if clean:
-            if step_size < step_tol:
-                converged, message = True, "step tolerance met"
-                break
-            if rel_drop < cost_tol:
-                converged, message = True, "cost tolerance met"
-                break
-
-    x_final = external(u)
-    j_final = jac_u(u, r)
-    cov, flags = _covariance(j_final, r, transforms, u, cost)
-    return FitResult(names=names, values=x_final, covariance=cov,
+    cov, flags = _covariance(j_internal, r, transforms, u, cost)
+    return FitResult(names=names, values=external(u), covariance=cov,
                      residual_norm=float(np.linalg.norm(r)), cost=cost,
-                     converged=converged, iterations=iterations,
-                     message=message, flags=flags, cost_trace=cost_trace)
+                     converged=converged, iterations=iterations, nfev=nfev,
+                     message=message, flags=flags)
 
 
 def _covariance(j_internal, r, transforms, u, cost):

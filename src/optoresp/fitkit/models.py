@@ -4,8 +4,8 @@ and TLS microwave-saturation curves.
 Complex traces are fitted with stacked real/imaginary residuals so that the
 line phase (tau, alpha) and the asymmetry rotation stay separable;
 magnitude-only fitting is reserved for the Lorentzian dip estimator.  Each
-model carries its documented initial-guess policy; bounds are smooth
-transforms, never clips.
+model carries its documented initial-guess policy and an analytic Jacobian;
+bounds are smooth transforms, never clips.
 """
 
 from dataclasses import dataclass
@@ -96,23 +96,22 @@ class FitModelSpec:
     name: str
     param_names: tuple
     residual: Callable
-    jacobian: Callable | None = None
+    jacobian: Callable
     transforms: tuple | None = None
     initial_guess: Callable | None = None
 
 
-def solve_least_squares(model: FitModelSpec, data, initial=None,
-                        **solver_kw) -> FitResult:
-    """Run the damped Gauss-Newton engine on a model/data pair."""
+def solve_least_squares(model: FitModelSpec, data, initial=None) -> FitResult:
+    """Run the Levenberg-Marquardt engine on a model/data pair."""
     if initial is None:
         if model.initial_guess is None:
             raise ValueError(f"model {model.name} has no initial-guess policy")
         initial = model.initial_guess(data)
-    jac = None if model.jacobian is None else (lambda x: model.jacobian(x, data))
     return levenberg_marquardt(lambda x: model.residual(x, data),
                                np.asarray(initial, dtype=float),
-                               jac=jac, names=list(model.param_names),
-                               transforms=model.transforms, **solver_kw)
+                               jac=lambda x: model.jacobian(x, data),
+                               names=list(model.param_names),
+                               transforms=model.transforms)
 
 
 # --- Lorentzian dip in |S21|^2 ---------------------------------------------
@@ -288,6 +287,33 @@ def _s21_residual(x, data):
     return np.concatenate([r.real, r.imag])
 
 
+def _s21_jacobian(x, data):
+    """d _s21_residual / dx: the seven complex columns of the model, weighted
+    and stacked real over imaginary like the residual.
+
+    With the line factor L = amp e^{-i(2 pi f tau + alpha)},
+    D = 1 + 2i Q (f - f_r)/f_r and K = L Q/(Q_e D), the model is L - K and
+    dK/dQ = K/(Q D), dK/dQ_e = -K/Q_e, dK/df_r = 2i Q f K/(f_r^2 D).
+    """
+    f, _, weight = data
+    f_r, q_tot, qer, qei, amp, tau, alpha = x
+    qe = qer + 1j * qei
+    d = 1.0 + 2j * q_tot * (f - f_r) / f_r
+    line = amp * np.exp(-1j * (TWO_PI * f * tau + alpha))
+    k = line * q_tot / (qe * d)
+    s = line - k
+    cols = np.column_stack([
+        -2j * q_tot * f / (f_r**2 * d) * k,   # f_r
+        -k / (q_tot * d),                     # q_tot
+        k / qe,                               # q_ext_re
+        1j * k / qe,                          # q_ext_im
+        s / amp,                              # amplitude
+        -1j * TWO_PI * f * s,                 # delay
+        -1j * s,                              # phase_offset
+    ]) * weight[:, None]
+    return np.concatenate([cols.real, cols.imag])
+
+
 def _s21_initial_guess(data):
     """Documented policy: f_r at min |S21|; width from the half-depth
     crossings of |S21|^2; amplitude from the off-resonant median; delay from
@@ -367,6 +393,7 @@ def fit_full_s21(trace: ComplexTrace, initial=None) -> FullS21Result:
         name="s21_full",
         param_names=_S21_PARAMS,
         residual=_s21_residual,
+        jacobian=_s21_jacobian,
         transforms=(Log(), Log(), Log(), Identity(), Log(), Scaled(1e-9),
                     Identity()),
         initial_guess=_s21_initial_guess,

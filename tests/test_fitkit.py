@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from optoresp.fitkit import (ComplexTrace, FitModelSpec, Identity, Log,
@@ -9,8 +11,9 @@ from optoresp.fitkit import (ComplexTrace, FitModelSpec, Identity, Log,
                              levenberg_marquardt, solve_least_squares,
                              synth_power_series, synth_tls_saturation,
                              synth_trace)
-from optoresp.fitkit.models import _lorentzian, _lorentzian_jac
-from optoresp.resonator import LineCalibration, ResonatorMode
+from optoresp.fitkit.models import (_lorentzian, _lorentzian_jac,
+                                    _s21_jacobian, _s21_model, _s21_residual)
+from optoresp.resonator import LineCalibration, ResonatorMode, s21_ideal
 
 # --- engine ------------------------------------------------------------------
 
@@ -22,9 +25,10 @@ def test_linear_model_exact_recovery():
     def resid(p):
         return p[0] * x - y
 
-    fit = levenberg_marquardt(resid, [1.0])
+    fit = levenberg_marquardt(resid, [1.0], jac=lambda p: x[:, None])
     assert fit.converged
     assert abs(fit.values[0] - 3.7) < 1e-12
+    # one step to the optimum, one Jacobian there to confirm it
     assert fit.iterations <= 2
 
 
@@ -32,8 +36,9 @@ def test_zero_residual_start_returns_immediately():
     def resid(p):
         return np.zeros(5)
 
-    fit = levenberg_marquardt(resid, [2.0, 3.0])
-    assert fit.converged and fit.iterations <= 1
+    fit = levenberg_marquardt(resid, [2.0, 3.0],
+                              jac=lambda p: np.zeros((5, 2)))
+    assert fit.converged and fit.iterations == 0 and fit.nfev == 1
     assert_allclose(fit.values, [2.0, 3.0])
     assert fit.message == "zero residual"
 
@@ -43,12 +48,15 @@ def test_rosenbrock_valley():
     def resid(p):
         return np.array([1.0 - p[0], 10.0 * (p[1] - p[0] ** 2)])
 
-    fit = levenberg_marquardt(resid, [-1.2, 1.0], max_iter=500)
+    def jac(p):
+        return np.array([[-1.0, 0.0], [-20.0 * p[0], 10.0]])
+
+    fit = levenberg_marquardt(resid, [-1.2, 1.0], jac=jac)
     assert fit.converged
     assert np.max(np.abs(fit.values - 1.0)) < 1e-8
 
 
-def test_accepted_cost_sequence_non_increasing():
+def test_final_cost_not_above_initial():
     rng = np.random.default_rng(0)
     x = np.linspace(0, 1, 40)
     y = 2.0 * np.exp(-3.0 * x) + 0.01 * rng.standard_normal(40)
@@ -56,10 +64,37 @@ def test_accepted_cost_sequence_non_increasing():
     def resid(p):
         return p[0] * np.exp(-p[1] * x) - y
 
-    fit = levenberg_marquardt(resid, [0.5, 0.5], transforms=[Log(), Log()])
+    def jac(p):
+        e = np.exp(-p[1] * x)
+        return np.column_stack([e, -p[0] * x * e])
+
+    start = [0.5, 0.5]
+    fit = levenberg_marquardt(resid, start, jac=jac, transforms=[Log(), Log()])
     assert fit.converged
-    assert all(b <= a + 1e-15 for a, b in zip(fit.cost_trace,
-                                              fit.cost_trace[1:]))
+    assert fit.cost <= 0.5 * float(resid(start) @ resid(start))
+    assert abs(fit.values[1] - 3.0) < 0.1
+
+
+def test_non_finite_residual_is_never_converged():
+    # sqrt(p) turns NaN for p < 0, which the first Gauss-Newton step from
+    # p = 4 reaches; a fit may stop there only unconverged
+    x = np.linspace(0.1, 1.0, 20)
+    for target in (0.5, 0.0):
+        def resid(p, target=target):
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(p[0]) * x - target * x
+
+        def jac(p):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return (0.5 / np.sqrt(p[0]) * x)[:, None]
+
+        fit = levenberg_marquardt(resid, [4.0], jac=jac,
+                                  transforms=[Identity()])
+        assert not fit.converged or (np.all(np.isfinite(fit.values))
+                                     and np.isfinite(fit.cost))
+        if target:
+            assert fit.converged
+            assert abs(fit.values[0] - 0.25) < 1e-8
 
 
 def test_transform_bounds_respected():
@@ -70,7 +105,9 @@ def test_transform_bounds_respected():
     def resid(p):
         return p[0] * x + p[1] - y
 
-    fit = levenberg_marquardt(resid, [1.0, 0.3], transforms=[Identity(), Log()])
+    fit = levenberg_marquardt(resid, [1.0, 0.3],
+                              jac=lambda p: np.column_stack([x, np.ones_like(x)]),
+                              transforms=[Identity(), Log()])
     assert fit.values[1] > 0.0
     assert abs(fit.values[0] - 0.5) < 1e-3
 
@@ -151,6 +188,42 @@ MODE = ResonatorMode.from_asymmetry_angle(7.061e9, 34477, 480, 0.3)
 LINE = LineCalibration(0.9, 30e-9, 1.1)
 LW = 7.061e9 / MODE.q_tot
 GRID = np.linspace(7.061e9 - 5 * LW, 7.061e9 + 5 * LW, 801)
+
+
+def test_s21_jacobian_matches_central_differences():
+    # each column's step is 1e-5 of the scale the model varies on: the
+    # linewidth for f_r, a radian of line phase at f_r for the delay
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        x = np.array([7.061e9 + rng.uniform(-1, 1) * LW,
+                      rng.uniform(200, 800), rng.uniform(300, 700),
+                      rng.choice([-1, 1]) * rng.uniform(20, 300),
+                      rng.uniform(0.5, 1.5), 30e-9, rng.uniform(-np.pi, np.pi)])
+        weight = 1.0 / rng.uniform(5e-4, 2e-3, GRID.size)
+        data = (GRID, np.zeros(GRID.size, complex), weight)
+        jac = _s21_jacobian(x, data)
+        steps = 1e-5 * np.array([LW, x[1], x[2], abs(x[3]), x[4],
+                                 1.0 / (2 * np.pi * x[0]), 1.0])
+        for j, h in enumerate(steps):
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            fd = ((_s21_residual(xp, data) - _s21_residual(xm, data))
+                  / (xp[j] - xm[j]))
+            assert_allclose(jac[:, j], fd, rtol=0,
+                            atol=1e-6 * np.max(np.abs(jac[:, j])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f_r=st.floats(1e9, 12e9), q_int=st.floats(1e2, 1e6),
+       q_ext=st.floats(1e1, 1e5), offset=st.floats(-5.0, 5.0))
+def test_s21_model_reduces_to_ideal_notch(f_r, q_int, q_ext, offset):
+    # no asymmetry and an ideal line: the full model is the ideal notch
+    mode = ResonatorMode(f_r, q_int, q_ext)
+    f = f_r + (offset + np.linspace(-3.0, 3.0, 41)) * f_r / mode.q_tot
+    x = [f_r, mode.q_tot, q_ext, 0.0, 1.0, 0.0, 0.0]
+    assert_allclose(_s21_model(x, f), s21_ideal(mode, f), rtol=1e-12,
+                    atol=1e-12)
 
 
 def test_full_s21_round_trip():
@@ -385,6 +458,7 @@ def test_synth_trace_noise_statistics():
 
 def test_solve_least_squares_requires_guess_policy():
     spec = FitModelSpec(name="bare", param_names=("a",),
-                        residual=lambda x, d: x[0] - d)
+                        residual=lambda x, d: x[0] - d,
+                        jacobian=lambda x, d: np.ones((1, 1)))
     with pytest.raises(ValueError):
         solve_least_squares(spec, np.array([1.0]))

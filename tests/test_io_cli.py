@@ -242,6 +242,60 @@ def test_failed_run_leaves_no_stale_envelope(tmp_path):
     assert not (tmp_path / "fit_spectrum.json").exists()
 
 
+def _flat_noise_trace(path):
+    """801 points of noise around 1 with no resonance in them."""
+    f = np.linspace(7.0e9, 7.1e9, 801)
+    rng = np.random.default_rng(0)
+    z = 1.0 + 1e-3 * (rng.standard_normal(801) + 1j * rng.standard_normal(801))
+    io.write_trace(path, ComplexTrace(f, z))
+    return str(path)
+
+
+def test_failed_run_leaves_no_stale_csv(tmp_path):
+    flat = _flat_noise_trace(tmp_path / "flat.csv")
+    assert run_cli("fit-spectrum", "--input", flat, "--model", "full",
+                   "--out-dir", str(tmp_path)) == 0
+    assert (tmp_path / "fit_spectrum_curve.csv").exists()
+    assert run_cli("fit-spectrum", "--input", flat, "--model", "lorentzian",
+                   "--out-dir", str(tmp_path)) == 1
+    assert not (tmp_path / "fit_spectrum.json").exists()
+    assert not (tmp_path / "fit_spectrum_curve.csv").exists()
+
+
+def test_fit_spectrum_both_reports_missing_dip_in_band(tmp_path, capsys):
+    flat = _flat_noise_trace(tmp_path / "flat.csv")
+    assert run_cli("fit-spectrum", "--input", flat, "--model", "both",
+                   "--out-dir", str(tmp_path)) == 0
+    result = json.loads((tmp_path / "fit_spectrum.json").read_text())["result"]
+    assert result["lorentzian"] == {
+        "error": "no dip resolved above the baseline scatter"}
+    assert "no_resonance" in result["full"]["flags"]
+    assert "q_int_discrepancy_rel" not in result
+    assert "lorentzian: no dip resolved" in capsys.readouterr().out
+
+
+def test_fit_spectrum_envelope_reports_fit_diagnostics(tmp_path):
+    run_cli("synth", "--kind", "trace", "--noise", "1e-3", "--points", "2001",
+            "--out-dir", str(tmp_path))
+    assert run_cli("fit-spectrum", "--input", str(tmp_path / "synth_trace.csv"),
+                   "--out-dir", str(tmp_path)) == 0
+    result = json.loads((tmp_path / "fit_spectrum.json").read_text())["result"]
+    names = {"lorentzian": {"baseline", "depth", "f_r", "width"},
+             "full": {"f_r", "q_tot", "q_ext_re", "q_ext_im", "amplitude",
+                      "delay", "phase_offset"}}
+    for block, params in names.items():
+        fit = result[block]
+        assert fit["converged"]
+        assert 1 <= fit["iterations"] <= fit["nfev"]
+        assert "satisfied" in fit["message"]   # a MINPACK tolerance stop
+        sigma = fit["uncertainties"]
+        assert set(sigma) == params
+        assert all(v > 0 for v in sigma.values())
+    # the full fit's f_r sits within a few sigma of the synthesized mode
+    full = result["full"]
+    assert abs(full["f_r_hz"] - 7.061e9) < 10 * full["uncertainties"]["f_r"]
+
+
 def test_module_entry_point_writes_no_warning(tmp_path):
     src = str(Path(optoresp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
