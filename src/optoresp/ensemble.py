@@ -85,10 +85,6 @@ class EnsembleParams:
     def area(self) -> float:
         return self.thickness * self.width
 
-    def with_coupling(self, g):
-        """Copy with g_perp_t = g_par_t = g."""
-        return replace(self, g_perp_t=g, g_par_t=g)
-
 
 def total_loss_rate(p: EnsembleParams, v_eff, split=False):
     """Bath-induced cavity loss [rad/s] in the effective volume v_eff [m^3].

@@ -128,9 +128,6 @@ class FitResult:
         i = self.names.index(name)
         return float(np.sqrt(max(self.covariance[i, i], 0.0)))
 
-    def as_dict(self):
-        return dict(zip(self.names, (float(v) for v in self.values)))
-
 
 def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     """Minimize 0.5 ||residual(x)||^2 from x0.
@@ -158,10 +155,12 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     def external(uv):
         return np.array([t.to_external(ui) for t, ui in zip(transforms, uv)])
 
-    nfev = 0
+    nfev, known = 0, []     # known: r at the start u, for least_squares
 
     def res_u(uv):
         nonlocal nfev
+        if known and np.array_equal(uv, u):
+            return known.pop().copy()
         nfev += 1
         return np.asarray(residual(external(uv)), dtype=float)
 
@@ -175,6 +174,7 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     if not np.all(np.isfinite(r)):
         raise ValueError("residual not finite at the initial point")
     if np.any(r):
+        known.append(r)     # least_squares opens with a call at u
         sol = least_squares(res_u, u, jac=jac_u, method="lm", x_scale="jac")
         u, r, j_internal = sol.x, sol.fun, sol.jac
         finite = bool(np.all(np.isfinite(u)) and np.all(np.isfinite(r)))

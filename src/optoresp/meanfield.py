@@ -17,7 +17,8 @@ Longitudinal mode (sigma_z coupling), in the lab frame:
     d<c>/dt  = -(i omega_r + kappa/2) <c> - i g_par <sigma_z>
     d<sz>/dt = -Gamma_1 (<sz> - [S - dS g_par (<c> + <c>*)])
 
-The transverse equations, nonlinear in <sigma_z>, run on DOP853.  The linear
+The transverse equations, nonlinear in <sigma_z>, run on Hairer's Fortran
+DOP853 (``scipy.integrate.ode``), stepped to each sample time.  The linear
 longitudinal ones are propagated exactly by expm(M dt) on a uniform grid, and
 their fixed point (the static displacement sourced by S) is removed before
 demodulating at omega_r.  Validity of the closed forms requires weak coupling
@@ -26,10 +27,11 @@ behind the longitudinal closed form costs O(kappa/omega_r), so keep
 kappa/omega_r small when using this as a tight oracle.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode
 from scipy.linalg import expm
 
 from .constants import TWO_PI
@@ -37,7 +39,7 @@ from .tls import TlsUnit
 
 
 class OdeConvergenceError(RuntimeError):
-    """Cavity decay did not settle into a clean exponential within the window."""
+    """DOP853 stopped, or the cavity decay did not settle within the window."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,8 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
     residual_tol : float
         Maximum tolerated residual of the exponential-decay fit.
     rtol : float
-        Transverse DOP853 tolerance; the longitudinal propagation is exact.
+        Relative tolerance of the transverse Fortran DOP853 (absolute:
+        1e-12 * seed_amplitude); the longitudinal propagation is exact.
     sz0 : float, optional
         Initial population; defaults to the TLS's own s, so the population
         starts relaxed.
@@ -107,33 +110,37 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
             f"decay fit residual {resid:.2e} exceeds {residual_tol:.2e}; "
             "mode structure not settled within the horizon")
 
-    extra_loss = -2.0 * coef_amp[0] - kappa_tot
-    shift = -coef_ph[0]
-    return SteadyStateResult(extra_loss=float(extra_loss), shift=float(shift),
-                             fit_residual=float(resid), t=t, cavity_field=c,
-                             sigma_z=sz)
+    return SteadyStateResult(extra_loss=float(-2.0 * coef_amp[0] - kappa_tot),
+                             shift=float(-coef_ph[0]), t=t, cavity_field=c,
+                             fit_residual=float(resid), sigma_z=sz)
 
 
 def _integrate_transverse(tls, kappa_tot, t_end, seed, n_samples, rtol,
                           sz_init):
     g, g1, g2 = tls.g_perp, tls.gamma1, tls.gamma2
-    delta, s0 = tls.detuning, tls.s
+    delta, s0, half_kappa = tls.detuning, tls.s, 0.5 * kappa_tot
 
-    def rhs(_t, y):
-        s = y[0] + 1j * y[1]
-        c = y[2] + 1j * y[3]
-        sz = y[4]
-        ds = (1j * delta - g2) * s + 1j * g * sz * c
-        dc = -0.5 * kappa_tot * c - 1j * g * s
-        dsz = -4.0 * g * np.imag(s * np.conj(c)) - g1 * (sz - s0)
-        return [ds.real, ds.imag, dc.real, dc.imag, dsz]
+    def rhs(_t, y):  # y = (Re s, Im s, Re c, Im c, sz), real scalars only
+        sr, si, cr, ci, sz = y
+        return [-g2 * sr - delta * si - g * sz * ci,
+                delta * sr - g2 * si + g * sz * cr,
+                -half_kappa * cr + g * si, -half_kappa * ci - g * sr,
+                -4.0 * g * (si * cr - sr * ci) - g1 * (sz - s0)]
 
-    t_eval = np.linspace(0.0, t_end, n_samples)
-    sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0, seed, 0.0, sz_init],
-                    t_eval=t_eval, method="DOP853", rtol=rtol,
-                    atol=1e-12 * seed)
-    c = sol.y[2] + 1j * sol.y[3]
-    return sol.t, c, sol.y[4]
+    t = np.linspace(0.0, t_end, n_samples)
+    y = np.empty((n_samples, 5))
+    y[0] = [0.0, 0.0, seed, 0.0, sz_init]
+    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-12 * seed)
+    solver.set_initial_value(y[0])
+    with warnings.catch_warnings():  # the return code below reports failure
+        warnings.filterwarnings("ignore", category=UserWarning,
+                                module="scipy.integrate._ode")
+        for k in range(1, n_samples):
+            y[k] = solver.integrate(t[k])
+            if (code := solver.get_return_code()) < 0:
+                raise OdeConvergenceError(f"DOP853 return code {code} at t = "
+                                          f"{solver.t:.3e} s of {t_end:.3e} s")
+    return t, y[:, 2] + 1j * y[:, 3], y[:, 4]
 
 
 def _integrate_longitudinal(tls, omega_r, kappa_tot, t_end, seed, sz_init):

@@ -14,7 +14,8 @@ oracle for that closed form, and the Gaussian spectral-diffusion loss
 integral with its saturated closed form.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -130,11 +131,6 @@ class TlsUnit:
                    gamma1=gamma1, gamma2=gamma2,
                    s=equilibrium_population(omega_tls, env),
                    ds=equilibrium_ds(omega_tls, env), x=x)
-
-    def with_population(self, s=None, ds=None):
-        """Copy with replaced nonequilibrium parameters."""
-        return replace(self, s=self.s if s is None else s,
-                       ds=self.ds if ds is None else ds)
 
     @property
     def saturation_photon_number(self) -> float:
@@ -345,17 +341,18 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     if tls.s == 0.0 or tls.g_perp == 0.0:
         return 0.0
     g2 = tls.gamma2
-    n_ratio = drive.n_cav / tls.saturation_photon_number
-    s_dimless = sigma_sd / g2            # everything below in units of Gamma_2
-    w = np.sqrt(1.0 + n_ratio)           # saturated half-width
-
-    def lor_sat(m):
-        core = 1.0 / (1.0 + m * m)
-        return 2.0 * core / (1.0 + n_ratio * core)
+    n_ratio = float(drive.n_cav / tls.saturation_photon_number)
+    s_dimless = float(sigma_sd / g2)     # everything below in units of Gamma_2
+    w = math.sqrt(1.0 + n_ratio)         # saturated half-width
+    sqrt_two_pi = math.sqrt(TWO_PI)
 
     def smeared(d):
+        # f runs ~1e6 times a call: Python floats and math, not numpy scalars
         def f(u):
-            return lor_sat(d + s_dimless * u) * np.exp(-0.5 * u * u) / np.sqrt(TWO_PI)
+            m = d + s_dimless * u
+            core = 1.0 / (1.0 + m * m)        # saturated Lorentzian, inlined
+            return (2.0 * core / (1.0 + n_ratio * core)
+                    * math.exp(-0.5 * u * u) / sqrt_two_pi)
         feats = sorted((x - d) / s_dimless for x in (-30 * w, -w, 0.0, w, 30 * w))
         knots = ([-n_sigma_cutoff]
                  + [u for u in feats if -n_sigma_cutoff < u < n_sigma_cutoff]

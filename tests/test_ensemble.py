@@ -99,7 +99,8 @@ def test_closed_forms_against_quadrature():
 
 
 def test_slopes_quadratic_in_coupling():
-    p2 = P_REF.with_coupling(2 * P_REF.g_perp_t)
+    g = 2 * P_REF.g_perp_t
+    p2 = replace(P_REF, g_perp_t=g, g_par_t=g)
     assert slope_inverse_q(p2) / slope_inverse_q(P_REF) == 4.0
     assert (slope_fractional_frequency(p2)
             / slope_fractional_frequency(P_REF) == 4.0)

@@ -80,7 +80,10 @@ def test_non_finite_residual_is_never_converged():
     # p = 4 reaches; a fit may stop there only unconverged
     x = np.linspace(0.1, 1.0, 20)
     for target in (0.5, 0.0):
-        def resid(p, target=target):
+        calls = []
+
+        def resid(p, target=target, calls=calls):
+            calls.append(float(p[0]))
             with np.errstate(invalid="ignore"):
                 return np.sqrt(p[0]) * x - target * x
 
@@ -90,6 +93,8 @@ def test_non_finite_residual_is_never_converged():
 
         fit = levenberg_marquardt(resid, [4.0], jac=jac,
                                   transforms=[Identity()])
+        # the start point is evaluated once, not again by least_squares
+        assert calls.count(4.0) == 1 and fit.nfev == len(calls)
         assert not fit.converged or (np.all(np.isfinite(fit.values))
                                      and np.isfinite(fit.cost))
         if target:

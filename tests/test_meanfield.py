@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -122,6 +124,33 @@ def test_longitudinal_matches_cavity_branch_eigenvalue():
     assert worst < 1e-6
 
 
+def test_transverse_matches_cavity_branch_eigenvalue():
+    # linear response at the relaxed population: the cavity-branch
+    # eigenvalue lambda of the (s, c) matrix gives extra loss
+    # -2 Re lambda - kappa and shift -Im lambda, independently of the
+    # closed form and of the time-domain fit
+    rng = np.random.default_rng(56)
+    worst = 0.0
+    for _ in range(40):
+        g2 = rng.uniform(8, 32) * MHZ
+        t = _tls(detuning=rng.uniform(-3, 3) * g2,
+                 g_perp=rng.uniform(g2 / 20, g2 / 9), g_par=0.0,
+                 gamma1=rng.uniform(0.5, 2.0) * g2, gamma2=g2,
+                 s=rng.uniform(-1.0, -0.2))
+        kappa = g2 / 150
+        res = steady_state_by_integration(t, TWO_PI * 7e9, kappa_tot=kappa,
+                                          mode="transverse")
+        mat = np.array([[1j * t.detuning - g2, 1j * t.g_perp * t.s],
+                        [-1j * t.g_perp, -0.5 * kappa]])
+        lam = np.linalg.eigvals(mat)
+        lam = lam[np.argmax(lam.real)]      # kappa/2 << Gamma_2: slowest
+        loss, shift = -2.0 * lam.real - kappa, -lam.imag
+        err = (abs(complex(res.extra_loss - loss, res.shift - shift))
+               / abs(complex(loss, shift)))
+        worst = max(worst, err)
+    assert worst < 1e-7
+
+
 def test_longitudinal_static_population_offset_is_removed():
     # a nonzero S only displaces the fixed point; the extracted rates match
     omega_r = 20 * MHZ
@@ -150,3 +179,15 @@ def test_unsettled_decay_raises():
         steady_state_by_integration(t, TWO_PI * 7e9, kappa_tot=G2 * 2.0,
                                     mode="transverse", horizon=1.0,
                                     residual_tol=1e-9)
+
+
+def test_integrator_failure_names_return_code_and_time():
+    # a TLS detuned by 1e4 Gamma_2 forces steps far below the sample
+    # spacing, so DOP853's step budget runs out before the first sample
+    t = _tls(detuning=1e4 * G2, g_perp=G2 / 12, s=-0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no scipy warning escapes
+        with pytest.raises(OdeConvergenceError,
+                           match=r"return code -2 at t = \S+ s of "):
+            steady_state_by_integration(t, TWO_PI * 7e9, kappa_tot=G2 / 150,
+                                        mode="transverse")

@@ -209,7 +209,7 @@ def test_single_tls_matches_closed_forms():
     long_loss, long_shift = longitudinal_complex_shift(t, cfg.omega_r)
     assert_allclose(res.dinv_q[0, 1], long_loss / cfg.omega_r, rtol=1e-9)
     # transverse term is the change from the ground-state dispersive pull
-    ground = transverse_complex_shift(t.with_population(s=-1.0))[1]
+    ground = transverse_complex_shift(dataclasses.replace(t, s=-1.0))[1]
     now = transverse_complex_shift(t)[1]
     expected_f = (now - ground + long_shift) / cfg.omega_r
     assert_allclose(res.dfrac[0, 1], expected_f, rtol=1e-9)
