@@ -9,15 +9,26 @@ failed quadrature, a singular Jacobian or linear system), each reported as
 one ``error:`` line; statistical non-convergence is reported in-band.
 
 A flat key=value or JSON config file can seed any subcommand via --config;
-explicit flags override file values.  The OPTORESP_OUTDIR environment
-variable selects the default output directory (and nothing else).
+explicit flags override file values.  A malformed file, an unknown key or
+an unparseable value is reported as ``path:lineno``.  The OPTORESP_OUTDIR
+environment variable selects the default output directory (and nothing
+else).
+
+Each subcommand is one row of ``COMMANDS``: its flags, the builder of its
+config echo, its ``run_*`` function, its envelope and declared CSVs, and its
+summary lines.  One driver runs every row.  A failed run removes all of the
+command's declared outputs; a successful run removes any declared output it
+did not write, so no file from an earlier run passes for its result.
 """
 
 import argparse
 import json
 import os
+import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -36,71 +47,29 @@ SLOPES_SWEEP_HEADER = "g_over_2pi_mhz,xi_m_per_w,slope_inv_q_per_w,slope_dfrac_p
 FIT_CURVE_HEADER = "freq_hz,data_re,data_im,model_re,model_im"
 
 
-def _output_paths(args):
-    """The command's result envelope, then the CSVs it declares, in
-    --out-dir, $OPTORESP_OUTDIR or '.'."""
-    d = Path(args.out_dir or os.environ.get("OPTORESP_OUTDIR", "."))
-    return [d / name.format_map(vars(args))
-            for name in (args.envelope, *args.outputs)]
+def float_list(text):
+    """The type of a comma-list flag: '2,4,6' is [2.0, 4.0, 6.0]."""
+    return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _prepare_outputs(args):
-    """_output_paths, with their directory created."""
-    paths = _output_paths(args)
-    paths[0].parent.mkdir(parents=True, exist_ok=True)
-    return paths
-
-
-def load_config_file(path):
-    """JSON object, or flat key=value lines (# comments allowed)."""
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise io.ParseError(f"{path}: JSON config must be an object")
-        return data
-    cfg = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise io.ParseError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
-
-
-def _apply_config_file(parser, args, argv):
-    """File values fill in every argument not given explicitly in argv."""
-    if not getattr(args, "config", None):
-        return args
-    cfg = load_config_file(args.config)
-    actions = {a.dest: a for a in parser._actions}
-    # argparse fills in a default only where the namespace lacks the
-    # attribute, so a probe preset to a sentinel keeps it for unset flags
-    unset = object()
-    probe = argparse.Namespace(**{dest: unset for dest in actions})
-    parser.parse_known_args(argv, probe)
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in actions:
-            raise ValueError(f"config key '{key}' is not a flag of this command")
-        if getattr(probe, dest) is not unset:
-            continue
-        action = actions[dest]
-        if isinstance(action, argparse._StoreTrueAction):
-            value = str(value).strip().lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            value = action.type(value)
-        setattr(args, dest, value)
-    return args
-
+# Every run_* function takes the config echo and the file names of the
+# command's declared CSVs, and returns the envelope's result payload plus one
+# writer per declared CSV: a function of its path, or None when this run
+# writes no such file.
 
 # --- photon-number ----------------------------------------------------------
 
-def run_photon_number(cfg):
+def _photon_number_config(a):
+    missing = [n for n in ("fr_ghz", "q_int", "q_ext", "power_dbm")
+               if getattr(a, n) is None]
+    if missing:
+        raise ValueError("missing required values (flag or config): "
+                         + ", ".join(n.replace('_', '-') for n in missing))
+    return {"fr_hz": a.fr_ghz * 1e9, "q_int": a.q_int, "q_ext": a.q_ext,
+            "power_dbm": a.power_dbm, "detuning_hz": a.detuning_hz}
+
+
+def run_photon_number(cfg, names):
     mode = ResonatorMode(f_r=cfg["fr_hz"], q_int=cfg["q_int"],
                          q_ext=cfg["q_ext"])
     drive = DriveCondition(input_power=dbm_to_watts(cfg["power_dbm"]),
@@ -115,31 +84,34 @@ def run_photon_number(cfg):
         "kappa_ext_hz": mode.kappa_ext / TWO_PI,
         "kappa_tot_hz": mode.kappa_tot / TWO_PI,
         "q_tot": mode.q_tot,
-    }
+    }, []
 
 
-def cmd_photon_number(args):
-    missing = [n for n in ("fr_ghz", "q_int", "q_ext", "power_dbm")
-               if getattr(args, n) is None]
-    if missing:
-        raise ValueError("missing required values (flag or config): "
-                         + ", ".join(n.replace('_', '-') for n in missing))
-    cfg = {"fr_hz": args.fr_ghz * 1e9, "q_int": args.q_int,
-           "q_ext": args.q_ext, "power_dbm": args.power_dbm,
-           "detuning_hz": args.detuning_hz}
-    with io.Timer() as t:
-        result = run_photon_number(cfg)
-    env = io.result_envelope("photon-number", cfg, result, t.elapsed)
-    path, = _prepare_outputs(args)
-    io.write_envelope(path, env)
-    print(f"n_cav = {result['n_cav']:.4g}  "
-          f"(kappa_int = {result['kappa_int_rad_per_s']:.4g} rad/s = "
-          f"{result['kappa_int_hz']:.4g} Hz)")
-    print(f"wrote {path}")
-    return 0
+def _photon_number_summary(r, paths):
+    return [f"n_cav = {r['n_cav']:.4g}  "
+            f"(kappa_int = {r['kappa_int_rad_per_s']:.4g} rad/s = "
+            f"{r['kappa_int_hz']:.4g} Hz)",
+            f"wrote {paths[0]}"]
 
 
 # --- slopes -----------------------------------------------------------------
+
+def _slopes_config(a):
+    return {
+        "fr_hz": a.fr_ghz * 1e9,
+        "rho_tls": a.rho,
+        "thickness_m": a.thickness_nm * 1e-9,
+        "width_m": a.width_nm * 1e-9,
+        "xi": a.xi,
+        "fmax_hz": a.fmax_ghz * 1e9,
+        "s_tilde": a.s,
+        "ds_2pi_inv_mhz": a.ds,
+        "gamma1_mhz": a.gamma1_mhz,
+        "g_mhz": a.g_mhz,
+        "g_grid_mhz": a.g_grid_mhz,
+        "xi_grid": a.xi_grid,
+    }
+
 
 def _ensemble_from_cfg(cfg, g_mhz, xi):
     """EnsembleParams of the slopes config; g_mhz and xi may be arrays."""
@@ -159,59 +131,50 @@ def _ensemble_from_cfg(cfg, g_mhz, xi):
     )
 
 
-def run_slopes(cfg):
+def run_slopes(cfg, names):
     g_grid = cfg["g_grid_mhz"] or [cfg["g_mhz"]]
     xi_grid = cfg["xi_grid"] or [cfg["xi"]]
     # g-major rows: every xi for the first g, then the next g
     g_mhz, xi = (a.ravel() for a in np.meshgrid(g_grid, xi_grid, indexing="ij"))
     sweep = _ensemble_from_cfg(cfg, g_mhz, xi)
     single = _ensemble_from_cfg(cfg, cfg["g_mhz"], cfg["xi"])
+    columns = [g_mhz, xi, ensemble.slope_inverse_q(sweep),
+               ensemble.slope_fractional_frequency(sweep)]
     return {
         "slope_inverse_q_per_w": ensemble.slope_inverse_q(single),
         "slope_fractional_frequency_per_w":
             ensemble.slope_fractional_frequency(single),
-        "sweep_rows": np.column_stack(
-            (g_mhz, xi, ensemble.slope_inverse_q(sweep),
-             ensemble.slope_fractional_frequency(sweep))),
-    }
+        "sweep_csv": names[0],
+        "sweep_row_count": g_mhz.size,
+    }, [lambda path: io.write_table(path, SLOPES_SWEEP_HEADER, columns)]
 
 
-def cmd_slopes(args):
-    cfg = {
-        "fr_hz": args.fr_ghz * 1e9,
-        "rho_tls": args.rho,
-        "thickness_m": args.thickness_nm * 1e-9,
-        "width_m": args.width_nm * 1e-9,
-        "xi": args.xi,
-        "fmax_hz": args.fmax_ghz * 1e9,
-        "s_tilde": args.s,
-        "ds_2pi_inv_mhz": args.ds,
-        "gamma1_mhz": args.gamma1_mhz,
-        "g_mhz": args.g_mhz,
-        "g_grid_mhz": _float_list(args.g_grid_mhz),
-        "xi_grid": _float_list(args.xi_grid),
-    }
-    with io.Timer() as t:
-        result = run_slopes(cfg)
-    path, sweep_csv = _prepare_outputs(args)
-    env = io.result_envelope("slopes", cfg, {
-        "slope_inverse_q_per_w": result["slope_inverse_q_per_w"],
-        "slope_fractional_frequency_per_w":
-            result["slope_fractional_frequency_per_w"],
-        "sweep_csv": sweep_csv.name,
-        "sweep_row_count": len(result["sweep_rows"]),
-    }, t.elapsed)
-    io.write_envelope(path, env)
-    io.write_table(sweep_csv, SLOPES_SWEEP_HEADER, result["sweep_rows"].T)
-    per_nw = 1e-9
-    print(f"d(1/Q)/dP   = {result['slope_inverse_q_per_w'] * per_nw:.4g} /nW")
-    print(f"d(df/f)/dP  = "
-          f"{result['slope_fractional_frequency_per_w'] * per_nw:.4g} /nW")
-    print(f"wrote {path} and {sweep_csv}")
-    return 0
+def _slopes_summary(r, paths):
+    return [f"d(1/Q)/dP   = {r['slope_inverse_q_per_w'] * 1e-9:.4g} /nW",
+            f"d(df/f)/dP  = "
+            f"{r['slope_fractional_frequency_per_w'] * 1e-9:.4g} /nW",
+            f"wrote {paths[0]} and {paths[1]}"]
 
 
 # --- mc ---------------------------------------------------------------------
+
+def _mc_config(a):
+    return {
+        "seed": a.seed, "trials": a.trials,
+        "fr_hz": a.fr_ghz * 1e9, "fmax_hz": a.fmax_ghz * 1e9,
+        "window_rad_s": ([TWO_PI * v * 1e9 for v in a.window_ghz]
+                         if a.window_ghz else None),
+        "exclusion_mhz": a.exclusion_mhz,
+        "half_length_m": a.half_length_um * 1e-6,
+        "l_edge_m": a.l_edge_um * 1e-6,
+        "xi": a.xi, "rho_tls": a.rho,
+        "area_m2": a.area_nm2 * 1e-18,
+        "g_mhz": a.g_mhz, "gamma1_mhz": a.gamma1_mhz,
+        "s_std": a.s_std, "ds_2pi_inv_mhz": a.ds,
+        "p_max_w": a.p_max_nw * 1e-9, "p_points": a.p_points,
+        "normalize_moments": not a.raw_moments, "workers": a.workers,
+    }
+
 
 def mc_config_from_dict(cfg) -> montecarlo.McConfig:
     window = cfg.get("window_rad_s")
@@ -230,56 +193,62 @@ def mc_config_from_dict(cfg) -> montecarlo.McConfig:
     )
 
 
-def run_mc(cfg):
-    result = montecarlo.run(mc_config_from_dict(cfg))
-    (mq, sq), (mf, sf) = result.slope_stats()
-    return result, {
+def run_mc(cfg, names):
+    r = montecarlo.run(mc_config_from_dict(cfg))
+    (mq, sq), (mf, sf) = r.slope_stats()
+    trials, n_p = r.dinv_q.shape
+    # one curve row per (trial, power), trial-major
+    curves = [np.tile(r.p_grid, trials), np.repeat(np.arange(trials), n_p),
+              r.dinv_q.ravel(), r.dfrac.ravel()]
+    aggregate = [r.p_grid, r.mean_dinv_q, r.std_dinv_q, r.mean_dfrac,
+                 r.std_dfrac]
+    return {
         "trials": cfg["trials"], "seed": cfg["seed"],
         "slope_inv_q_mean_per_w": mq, "slope_inv_q_std_per_w": sq,
         "slope_dfrac_mean_per_w": mf, "slope_dfrac_std_per_w": sf,
-    }
+        "curves_csv": names[0], "aggregate_csv": names[1],
+    }, [lambda path: io.write_table(path, io.MC_CURVES_HEADER, curves),
+        lambda path: io.write_table(path, io.MC_AGGREGATE_HEADER, aggregate)]
 
 
-def cmd_mc(args):
-    cfg = {
-        "seed": args.seed, "trials": args.trials,
-        "fr_hz": args.fr_ghz * 1e9, "fmax_hz": args.fmax_ghz * 1e9,
-        "window_rad_s": ([TWO_PI * v * 1e9 for v in _float_list(args.window_ghz)]
-                         if args.window_ghz else None),
-        "exclusion_mhz": args.exclusion_mhz,
-        "half_length_m": args.half_length_um * 1e-6,
-        "l_edge_m": args.l_edge_um * 1e-6,
-        "xi": args.xi, "rho_tls": args.rho,
-        "area_m2": args.area_nm2 * 1e-18,
-        "g_mhz": args.g_mhz, "gamma1_mhz": args.gamma1_mhz,
-        "s_std": args.s_std, "ds_2pi_inv_mhz": args.ds,
-        "p_max_w": args.p_max_nw * 1e-9, "p_points": args.p_points,
-        "normalize_moments": not args.raw_moments, "workers": args.workers,
-    }
-    with io.Timer() as t:
-        result, payload = run_mc(cfg)
-    path, curves_csv, aggregate_csv = _prepare_outputs(args)
-    payload["curves_csv"] = curves_csv.name
-    payload["aggregate_csv"] = aggregate_csv.name
-    io.write_mc_curves(curves_csv, result)
-    io.write_mc_aggregate(aggregate_csv, result)
-    env = io.result_envelope("mc", cfg, payload, t.elapsed)
-    io.write_envelope(path, env)
-    print(f"d(1/Q)/dP  = {payload['slope_inv_q_mean_per_w'] * 1e-9:.4g} "
-          f"+- {payload['slope_inv_q_std_per_w'] * 1e-9:.2g} /nW "
-          f"({cfg['trials']} trials)")
-    print(f"d(df/f)/dP = {payload['slope_dfrac_mean_per_w'] * 1e-9:.4g} "
-          f"+- {payload['slope_dfrac_std_per_w'] * 1e-9:.2g} /nW")
-    print(f"wrote {path}")
-    return 0
+def _mc_summary(r, paths):
+    return [f"d(1/Q)/dP  = {r['slope_inv_q_mean_per_w'] * 1e-9:.4g} "
+            f"+- {r['slope_inv_q_std_per_w'] * 1e-9:.2g} /nW "
+            f"({r['trials']} trials)",
+            f"d(df/f)/dP = {r['slope_dfrac_mean_per_w'] * 1e-9:.4g} "
+            f"+- {r['slope_dfrac_std_per_w'] * 1e-9:.2g} /nW",
+            f"wrote {paths[0]}"]
 
 
 # --- temp-model -------------------------------------------------------------
 
-def run_temp_model(cfg):
+def _temp_model_config(a):
+    fr_hz = [v * 1e9 for v in a.fr_ghz]
+    if not fr_hz:
+        raise ValueError("--fr-ghz lists no mode frequency")
+    if a.t_grid_mk:
+        t_grid = [v * 1e-3 for v in a.t_grid_mk]
+    elif a.t_points < 1:
+        raise ValueError("--t-points must be at least 1")
+    else:
+        t_grid = list(np.linspace(a.t_min_mk, a.t_max_mk, a.t_points) * 1e-3)
+    if min(t_grid) <= 0:
+        raise ValueError("temperature grid must be positive")
+    return {
+        "fr_hz_list": fr_hz,
+        "t_grid_k": t_grid,
+        "pdelta": a.pdelta,
+        "lambda0_m": a.lambda0_um * 1e-6 if a.lambda0_um else None,
+        "tc_k": a.tc_k,
+        "film_d_m": a.film_d_nm * 1e-9,
+        "film_w_m": a.film_w_nm * 1e-9,
+        "film_l_m": a.film_l_mm * 1e-3,
+        "ltl_h_per_m": a.ltl,
+    }
+
+
+def run_temp_model(cfg, names):
     temps = np.asarray(cfg["t_grid_k"], dtype=float)
-    rows = {"temp_k": [], "fr_ghz": [], "dfrac_tls": [], "dfrac_qp": [],
-            "dfrac_total": []}
     sc = geom = None
     if cfg.get("lambda0_m"):
         geom = superconductor.FilmGeometry(cfg["film_d_m"], cfg["film_w_m"],
@@ -291,6 +260,7 @@ def run_temp_model(cfg):
             sc = superconductor.SuperconductorParams.with_kinetic_total(
                 cfg["lambda0_m"], cfg["tc_k"], geom, t_ref=temps[0])
     # participation is folded into the pdelta product
+    rows = []
     for fr_hz in cfg["fr_hz_list"]:
         for t_k in temps:
             tls_term = (cfg["pdelta"] / np.pi
@@ -299,98 +269,56 @@ def run_temp_model(cfg):
             if sc is not None:
                 qp_term = float(superconductor.freq_shift_from_temperature(
                     sc, geom, t_k, temps[0]))
-            rows["temp_k"].append(t_k)
-            rows["fr_ghz"].append(fr_hz / 1e9)
-            rows["dfrac_tls"].append(tls_term)
-            rows["dfrac_qp"].append(qp_term)
-            rows["dfrac_total"].append(tls_term + qp_term)
-    return rows
-
-
-def cmd_temp_model(args):
-    if args.t_grid_mk:
-        t_grid = [v * 1e-3 for v in _float_list(args.t_grid_mk)]
-    else:
-        t_grid = list(np.linspace(args.t_min_mk, args.t_max_mk,
-                                  args.t_points) * 1e-3)
-    if min(t_grid) <= 0:
-        raise ValueError("temperature grid must be positive")
-    cfg = {
-        "fr_hz_list": [v * 1e9 for v in _float_list(args.fr_ghz)],
-        "t_grid_k": t_grid,
-        "pdelta": args.pdelta,
-        "lambda0_m": args.lambda0_um * 1e-6 if args.lambda0_um else None,
-        "tc_k": args.tc_k,
-        "film_d_m": args.film_d_nm * 1e-9,
-        "film_w_m": args.film_w_nm * 1e-9,
-        "film_l_m": args.film_l_mm * 1e-3,
-        "ltl_h_per_m": args.ltl,
-    }
-    with io.Timer() as t:
-        rows = run_temp_model(cfg)
-    path, csv = _prepare_outputs(args)
-    io.write_table(csv, TEMP_MODEL_HEADER,
-                   [np.array(rows[k]) for k in
-                    ("temp_k", "fr_ghz", "dfrac_tls", "dfrac_qp",
-                     "dfrac_total")])
-    env = io.result_envelope("temp-model", cfg,
-                             {"csv": csv.name,
-                              "n_rows": len(rows["temp_k"])}, t.elapsed)
-    io.write_envelope(path, env)
-    print(f"wrote {csv} ({len(rows['temp_k'])} rows)")
-    return 0
+            rows.append((t_k, fr_hz / 1e9, tls_term, qp_term,
+                         tls_term + qp_term))
+    columns = np.array(rows).T
+    return {"csv": names[0], "n_rows": len(rows)}, [
+        lambda path: io.write_table(path, TEMP_MODEL_HEADER, columns)]
 
 
 # --- synth ------------------------------------------------------------------
 
-def run_synth_trace(cfg):
-    mode = ResonatorMode.from_asymmetry_angle(cfg["fr_hz"], cfg["q_int"],
-                                              cfg["q_ext"], cfg["phi"])
-    line = LineCalibration(cfg["amplitude"], cfg["tau_s"], cfg["alpha"])
-    grid = np.linspace(cfg["f_start_hz"], cfg["f_stop_hz"], cfg["points"])
-    return fitsynth.synth_trace(mode, line, grid, noise_std=cfg["noise"],
-                                seed=cfg["seed"])
+def _synth_config(a):
+    if a.points < 1:
+        raise ValueError("--points must be at least 1")
+    if a.kind == "trace":
+        return {"fr_hz": a.fr_ghz * 1e9, "q_int": a.q_int,
+                "q_ext": a.q_ext, "phi": a.phi,
+                "amplitude": a.amp, "tau_s": a.tau_ns * 1e-9,
+                "alpha": a.alpha,
+                "f_start_hz": a.f_start_ghz * 1e9,
+                "f_stop_hz": a.f_stop_ghz * 1e9,
+                "points": a.points, "noise": a.noise, "seed": a.seed}
+    return {"p_max_w": a.p_max_nw * 1e-9, "points": a.points,
+            "gamma_per_w": a.gamma_per_nw * 1e9,
+            "inv_q0": a.inv_q0,
+            "delta1_per_w": a.delta1_per_nw * 1e9,
+            "delta2": a.delta2,
+            "delta3_per_w": a.delta3_per_nw * 1e9,
+            "noise": a.noise, "seed": a.seed}
 
 
-def run_synth_power(cfg):
-    p = np.linspace(0.0, cfg["p_max_w"], cfg["points"])
-    return fitsynth.synth_power_series(
-        p, gamma=cfg["gamma_per_w"], inv_q0=cfg["inv_q0"],
+def run_synth(cfg, names):
+    """A trace when cfg is a trace config (it has a mode frequency), else a
+    power series; the CSV's one comment line echoes the generator config."""
+    comments = [f"generator {json.dumps(cfg)}"]
+    if "fr_hz" in cfg:
+        mode = ResonatorMode.from_asymmetry_angle(cfg["fr_hz"], cfg["q_int"],
+                                                  cfg["q_ext"], cfg["phi"])
+        line = LineCalibration(cfg["amplitude"], cfg["tau_s"], cfg["alpha"])
+        grid = np.linspace(cfg["f_start_hz"], cfg["f_stop_hz"], cfg["points"])
+        trace = fitsynth.synth_trace(mode, line, grid, noise_std=cfg["noise"],
+                                     seed=cfg["seed"])
+        return {"file": names[0]}, [
+            lambda path: io.write_trace(path, trace, comments)]
+    s = fitsynth.synth_power_series(
+        np.linspace(0.0, cfg["p_max_w"], cfg["points"]),
+        gamma=cfg["gamma_per_w"], inv_q0=cfg["inv_q0"],
         delta1=cfg["delta1_per_w"], delta2=cfg["delta2"],
         delta3=cfg["delta3_per_w"], noise_rel=cfg["noise"], seed=cfg["seed"])
-
-
-def cmd_synth(args):
-    env_path, path = _prepare_outputs(args)
-    if args.kind == "trace":
-        cfg = {"fr_hz": args.fr_ghz * 1e9, "q_int": args.q_int,
-               "q_ext": args.q_ext, "phi": args.phi,
-               "amplitude": args.amp, "tau_s": args.tau_ns * 1e-9,
-               "alpha": args.alpha,
-               "f_start_hz": args.f_start_ghz * 1e9,
-               "f_stop_hz": args.f_stop_ghz * 1e9,
-               "points": args.points, "noise": args.noise, "seed": args.seed}
-        with io.Timer() as t:
-            trace = run_synth_trace(cfg)
-        io.write_trace(path, trace,
-                       comments=[f"generator {json.dumps(cfg)}"])
-    else:
-        cfg = {"p_max_w": args.p_max_nw * 1e-9, "points": args.points,
-               "gamma_per_w": args.gamma_per_nw * 1e9,
-               "inv_q0": args.inv_q0,
-               "delta1_per_w": args.delta1_per_nw * 1e9,
-               "delta2": args.delta2,
-               "delta3_per_w": args.delta3_per_nw * 1e9,
-               "noise": args.noise, "seed": args.seed}
-        with io.Timer() as t:
-            series = run_synth_power(cfg)
-        io.write_power_series(path, series,
-                              comments=[f"generator {json.dumps(cfg)}"])
-    env = io.result_envelope(f"synth-{args.kind}", cfg,
-                             {"file": path.name}, t.elapsed)
-    io.write_envelope(env_path, env)
-    print(f"wrote {path}")
-    return 0
+    columns = [s.p_opt, s.inv_q, s.dfrac]
+    return {"file": names[0]}, [
+        lambda path: io.write_table(path, io.POWER_HEADER, columns, comments)]
 
 
 # --- fit-spectrum -----------------------------------------------------------
@@ -404,12 +332,14 @@ def _fit_report(fit):
             "uncertainties": {n: fit.uncertainty(n) for n in fit.names}}
 
 
-def run_fit_spectrum(trace, which):
-    """Payload and full-model curve of the chosen fits.  Under "both", a
-    trace with no resolved dip records the Lorentzian failure in the payload
-    and still gets the full fit."""
+def run_fit_spectrum(cfg, names):
+    """Payload of the chosen fits, and the full-model curve when the full fit
+    ran.  Under "both", a trace with no resolved dip records the Lorentzian
+    failure in the payload and still gets the full fit."""
+    trace = io.read_trace(cfg["input"])
+    which = cfg["model"]
     payload = {}
-    model_curve = None
+    writers = [None]
     if which in ("lorentzian", "both"):
         try:
             lor = fitmodels.fit_lorentzian_dip(trace)
@@ -434,202 +364,315 @@ def run_fit_spectrum(trace, which):
             "phase_offset_rad": full.phase_offset,
             **_fit_report(full.fit),
         }
-        model_curve = fitmodels._s21_model(full.fit.values, trace.frequencies)
+        model = fitmodels._s21_model(full.fit.values, trace.frequencies)
+        columns = [trace.frequencies, trace.values.real, trace.values.imag,
+                   model.real, model.imag]
+        writers = [lambda path: io.write_table(path, FIT_CURVE_HEADER,
+                                               columns)]
     qi_l = payload.get("lorentzian", {}).get("q_int", np.nan)
     if which == "both" and np.isfinite(qi_l):
         qi_f = payload["full"]["q_int"]
         payload["q_int_discrepancy_rel"] = abs(qi_l - qi_f) / qi_f
-    return payload, model_curve
+    return payload, writers
 
 
-def cmd_fit_spectrum(args):
-    trace = io.read_trace(args.input)
-    cfg = {"input": str(args.input), "model": args.model}
-    with io.Timer() as t:
-        payload, model_curve = run_fit_spectrum(trace, args.model)
-    path, curve_csv = _prepare_outputs(args)
-    env = io.result_envelope("fit-spectrum", cfg, payload, t.elapsed)
-    io.write_envelope(path, env)
-    if model_curve is not None:
-        io.write_table(curve_csv, FIT_CURVE_HEADER,
-                       [trace.frequencies, trace.values.real,
-                        trace.values.imag, model_curve.real,
-                        model_curve.imag])
+def _fit_spectrum_summary(payload, paths):
+    lines = []
     for name, fit in payload.items():
         if name == "q_int_discrepancy_rel":
-            print(f"Q_int discrepancy (lorentzian vs full): {fit:.2%}")
+            lines.append(f"Q_int discrepancy (lorentzian vs full): {fit:.2%}")
         elif "error" in fit:
-            print(f"{name}: {fit['error']}")
+            lines.append(f"{name}: {fit['error']}")
         else:
-            print(f"{name}: f_r = {fit['f_r_hz']:.6g} Hz, "
-                  f"Q_int = {fit['q_int']:.6g}")
-    print(f"wrote {path}")
-    return 0
+            lines.append(f"{name}: f_r = {fit['f_r_hz']:.6g} Hz, "
+                         f"Q_int = {fit['q_int']:.6g}")
+    return lines + [f"wrote {paths[0]}"]
 
 
-# --- parser -----------------------------------------------------------------
+# --- command table ----------------------------------------------------------
 
-def _float_list(text):
-    if not text:
-        return []
-    return [float(v) for v in str(text).split(",") if v.strip()]
+@dataclass(frozen=True)
+class Arg:
+    """One flag.  type=bool declares a store_true switch."""
+    flag: str
+    type: Callable = str
+    default: object = None
+    help: str = None
+    choices: tuple = None
+    required: bool = False
+
+    @property
+    def dest(self):
+        return self.flag[2:].replace("-", "_")
+
+    def convert(self, text):
+        """The value of this flag written as text in a config file."""
+        if self.type is not bool:
+            return self.type(text)
+        word = text.strip().lower()
+        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError(f"not a switch value: {text!r}")
+        return word in ("1", "true", "yes", "on")
 
 
-def _add_common(sp):
-    sp.add_argument("--out-dir", default=None,
-                    help="output directory (default: $OPTORESP_OUTDIR or .)")
-    sp.add_argument("--config", default=None,
-                    help="key=value or JSON file with defaults for this command")
+@dataclass(frozen=True)
+class Command:
+    name: str
+    help: str
+    args: tuple           # Arg rows after the common --out-dir and --config
+    config: Callable      # resolved flags -> config echo
+    run: Callable         # (config, CSV names) -> (payload, writers)
+    envelope: str         # file names may use {flag} fields, e.g. {kind}
+    outputs: tuple        # declared CSVs, in the order of the writers
+    summary: Callable     # (payload, [envelope, *CSV paths]) -> lines
 
+
+COMMON = (
+    Arg("--out-dir", help="output directory (default: $OPTORESP_OUTDIR or .)"),
+    Arg("--config",
+        help="key=value or JSON file with defaults for this command"),
+)
+
+COMMANDS = {c.name: c for c in (
+    Command(
+        "photon-number", "intracavity photon number",
+        # required values may come from --config, so enforcement happens
+        # after the file merge rather than in argparse
+        (Arg("--fr-ghz", float), Arg("--q-int", float),
+         Arg("--q-ext", float), Arg("--power-dbm", float),
+         Arg("--detuning-hz", float, 0.0)),
+        _photon_number_config, run_photon_number, "photon_number.json", (),
+        _photon_number_summary),
+    Command(
+        "slopes", "analytic optical-response slopes",
+        (Arg("--fr-ghz", float, 7.0),
+         Arg("--rho", float, 1e45, "TLS density of states [1/(J m^3)]"),
+         Arg("--thickness-nm", float, 2.0),
+         Arg("--width-nm", float, 500.0),
+         Arg("--xi", float, 50.0, "m/W"),
+         Arg("--fmax-ghz", float, 1000.0),
+         Arg("--s", float, 0.0, "bath population imbalance S in [-1, 0]"),
+         Arg("--ds", float, 1.0 / 400.0,
+             "population slope dS*2pi in 1/MHz"),
+         Arg("--gamma1-mhz", float, 16.0),
+         Arg("--g-mhz", float, 5.0),
+         Arg("--g-grid-mhz", float_list, (),
+             "comma list; sweeps the coupling"),
+         Arg("--xi-grid", float_list, (), "comma list; sweeps xi")),
+        _slopes_config, run_slopes, "slopes.json", ("slopes_sweep.csv",),
+        _slopes_summary),
+    Command(
+        "mc", "Monte Carlo ensemble simulation",
+        (Arg("--seed", int, 0),
+         Arg("--trials", int, 100),
+         Arg("--fr-ghz", float, 7.0),
+         Arg("--fmax-ghz", float, 1000.0),
+         Arg("--window-ghz", float_list, (),
+             "detuning window 'lo,hi' in GHz (default: (fr - fmax, fr), "
+             "TLS frequencies in (0, fmax])"),
+         Arg("--exclusion-mhz", float, 100.0),
+         Arg("--half-length-um", float, 250.0),
+         Arg("--l-edge-um", float, 10.0),
+         Arg("--xi", float, 50.0),
+         Arg("--rho", float, 1e45),
+         Arg("--area-nm2", float, 1000.0),
+         Arg("--g-mhz", float, 5.0),
+         Arg("--gamma1-mhz", float, 16.0),
+         Arg("--s-std", float, 0.35),
+         Arg("--ds", float, 1.0 / 400.0,
+             "population slope dS*2pi in 1/MHz"),
+         Arg("--p-max-nw", float, 200.0),
+         Arg("--p-points", int, 11),
+         Arg("--raw-moments", bool, False,
+             "skip the <g^2>/<Gamma_1> moment normalization"),
+         Arg("--workers", int, 1)),
+        _mc_config, run_mc, "mc.json", ("mc_curves.csv", "mc_aggregate.csv"),
+        _mc_summary),
+    Command(
+        "temp-model", "temperature dependence of the frequency shift",
+        (Arg("--fr-ghz", float_list, (7.0,), "comma list of mode frequencies"),
+         Arg("--t-min-mk", float, 10.0),
+         Arg("--t-max-mk", float, 1000.0),
+         Arg("--t-points", int, 100),
+         Arg("--t-grid-mk", float_list, (),
+             "explicit comma list of temperatures [mK]"),
+         Arg("--pdelta", float, 0.0,
+             "participation * intrinsic TLS loss tangent"),
+         Arg("--lambda0-um", float, None,
+             "penetration depth at T=0 [um]; enables the quasiparticle term"),
+         Arg("--tc-k", float, 14.0),
+         Arg("--film-d-nm", float, 10.0),
+         Arg("--film-w-nm", float, 150.0),
+         Arg("--film-l-mm", float, 1.5),
+         Arg("--ltl", float, None,
+             "total inductance per length [H/m]; default kinetic-dominated")),
+        _temp_model_config, run_temp_model, "temp_model.json",
+        ("temp_model.csv",),
+        lambda r, paths: [f"wrote {paths[1]} ({r['n_rows']} rows)"]),
+    Command(
+        "synth", "synthetic traces and power series",
+        (Arg("--kind", str, "trace", choices=("trace", "power")),
+         Arg("--seed", int, 0),
+         Arg("--noise", float, 0.0),
+         Arg("--points", int, 4001),
+         # trace parameters; default span ~3 linewidths, dense enough for
+         # the from-the-bottom Q_int reading
+         Arg("--fr-ghz", float, 7.061),
+         Arg("--q-int", float, 34477.0),
+         Arg("--q-ext", float, 480.0),
+         Arg("--phi", float, 0.0),
+         Arg("--amp", float, 1.0),
+         Arg("--tau-ns", float, 0.0),
+         Arg("--alpha", float, 0.0),
+         Arg("--f-start-ghz", float, 7.0386),
+         Arg("--f-stop-ghz", float, 7.0834),
+         # power-series parameters
+         Arg("--p-max-nw", float, 200.0),
+         Arg("--gamma-per-nw", float, 1.35e-6),
+         Arg("--inv-q0", float, 2.9e-5),
+         Arg("--delta1-per-nw", float, 5.9e-7),
+         Arg("--delta2", float, 0.0),
+         Arg("--delta3-per-nw", float, 0.0)),
+        _synth_config, run_synth, "synth_{kind}.json", ("synth_{kind}.csv",),
+        lambda r, paths: [f"wrote {paths[1]}"]),
+    Command(
+        "fit-spectrum", "fit a measured/synthetic trace",
+        (Arg("--input", required=True),
+         Arg("--model", str, "both", choices=("lorentzian", "full", "both"))),
+        lambda a: {"input": str(a.input), "model": a.model},
+        run_fit_spectrum, "fit_spectrum.json", ("fit_spectrum_curve.csv",),
+        _fit_spectrum_summary),
+)}
+
+
+# --- driver -----------------------------------------------------------------
 
 def build_parser():
+    """The parser of every row.  Unset flags stay off the namespace, so the
+    driver can tell an explicit flag from a default."""
     p = argparse.ArgumentParser(
         prog="optoresp",
         description="Optical-response toolkit for superconducting nanowire "
                     "microwave resonators")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("photon-number", help="intracavity photon number")
-    _add_common(sp)
-    # required values may come from --config, so enforcement happens after
-    # the file merge rather than in argparse
-    sp.add_argument("--fr-ghz", type=float, default=None)
-    sp.add_argument("--q-int", type=float, default=None)
-    sp.add_argument("--q-ext", type=float, default=None)
-    sp.add_argument("--power-dbm", type=float, default=None)
-    sp.add_argument("--detuning-hz", type=float, default=0.0)
-    sp.set_defaults(func=cmd_photon_number, envelope="photon_number.json",
-                    outputs=())
-
-    sp = sub.add_parser("slopes", help="analytic optical-response slopes")
-    _add_common(sp)
-    sp.add_argument("--fr-ghz", type=float, default=7.0)
-    sp.add_argument("--rho", type=float, default=1e45,
-                    help="TLS density of states [1/(J m^3)]")
-    sp.add_argument("--thickness-nm", type=float, default=2.0)
-    sp.add_argument("--width-nm", type=float, default=500.0)
-    sp.add_argument("--xi", type=float, default=50.0, help="m/W")
-    sp.add_argument("--fmax-ghz", type=float, default=1000.0)
-    sp.add_argument("--s", type=float, default=0.0,
-                    help="bath population imbalance S in [-1, 0]")
-    sp.add_argument("--ds", type=float, default=1.0 / 400.0,
-                    help="population slope dS*2pi in 1/MHz")
-    sp.add_argument("--gamma1-mhz", type=float, default=16.0)
-    sp.add_argument("--g-mhz", type=float, default=5.0)
-    sp.add_argument("--g-grid-mhz", default="",
-                    help="comma list; sweeps the coupling")
-    sp.add_argument("--xi-grid", default="", help="comma list; sweeps xi")
-    sp.set_defaults(func=cmd_slopes, envelope="slopes.json",
-                    outputs=("slopes_sweep.csv",))
-
-    sp = sub.add_parser("mc", help="Monte Carlo ensemble simulation")
-    _add_common(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--fr-ghz", type=float, default=7.0)
-    sp.add_argument("--fmax-ghz", type=float, default=1000.0)
-    sp.add_argument("--window-ghz", default="",
-                    help="detuning window 'lo,hi' in GHz (default: "
-                         "(fr - fmax, fr), TLS frequencies in (0, fmax])")
-    sp.add_argument("--exclusion-mhz", type=float, default=100.0)
-    sp.add_argument("--half-length-um", type=float, default=250.0)
-    sp.add_argument("--l-edge-um", type=float, default=10.0)
-    sp.add_argument("--xi", type=float, default=50.0)
-    sp.add_argument("--rho", type=float, default=1e45)
-    sp.add_argument("--area-nm2", type=float, default=1000.0)
-    sp.add_argument("--g-mhz", type=float, default=5.0)
-    sp.add_argument("--gamma1-mhz", type=float, default=16.0)
-    sp.add_argument("--s-std", type=float, default=0.35)
-    sp.add_argument("--ds", type=float, default=1.0 / 400.0,
-                    help="population slope dS*2pi in 1/MHz")
-    sp.add_argument("--p-max-nw", type=float, default=200.0)
-    sp.add_argument("--p-points", type=int, default=11)
-    sp.add_argument("--raw-moments", action="store_true",
-                    help="skip the <g^2>/<Gamma_1> moment normalization")
-    sp.add_argument("--workers", type=int, default=1)
-    sp.set_defaults(func=cmd_mc, envelope="mc.json",
-                    outputs=("mc_curves.csv", "mc_aggregate.csv"))
-
-    sp = sub.add_parser("temp-model",
-                        help="temperature dependence of the frequency shift")
-    _add_common(sp)
-    sp.add_argument("--fr-ghz", default="7.0",
-                    help="comma list of mode frequencies")
-    sp.add_argument("--t-min-mk", type=float, default=10.0)
-    sp.add_argument("--t-max-mk", type=float, default=1000.0)
-    sp.add_argument("--t-points", type=int, default=100)
-    sp.add_argument("--t-grid-mk", default="",
-                    help="explicit comma list of temperatures [mK]")
-    sp.add_argument("--pdelta", type=float, default=0.0,
-                    help="participation * intrinsic TLS loss tangent")
-    sp.add_argument("--lambda0-um", type=float, default=None,
-                    help="penetration depth at T=0 [um]; enables the "
-                         "quasiparticle term")
-    sp.add_argument("--tc-k", type=float, default=14.0)
-    sp.add_argument("--film-d-nm", type=float, default=10.0)
-    sp.add_argument("--film-w-nm", type=float, default=150.0)
-    sp.add_argument("--film-l-mm", type=float, default=1.5)
-    sp.add_argument("--ltl", type=float, default=None,
-                    help="total inductance per length [H/m]; default "
-                         "kinetic-dominated")
-    sp.set_defaults(func=cmd_temp_model, envelope="temp_model.json",
-                    outputs=("temp_model.csv",))
-
-    sp = sub.add_parser("synth", help="synthetic traces and power series")
-    _add_common(sp)
-    sp.add_argument("--kind", choices=("trace", "power"), default="trace")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--noise", type=float, default=0.0)
-    sp.add_argument("--points", type=int, default=4001)
-    # trace parameters; default span ~3 linewidths, dense enough for the
-    # from-the-bottom Q_int reading
-    sp.add_argument("--fr-ghz", type=float, default=7.061)
-    sp.add_argument("--q-int", type=float, default=34477.0)
-    sp.add_argument("--q-ext", type=float, default=480.0)
-    sp.add_argument("--phi", type=float, default=0.0)
-    sp.add_argument("--amp", type=float, default=1.0)
-    sp.add_argument("--tau-ns", type=float, default=0.0)
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--f-start-ghz", type=float, default=7.0386)
-    sp.add_argument("--f-stop-ghz", type=float, default=7.0834)
-    # power-series parameters
-    sp.add_argument("--p-max-nw", type=float, default=200.0)
-    sp.add_argument("--gamma-per-nw", type=float, default=1.35e-6)
-    sp.add_argument("--inv-q0", type=float, default=2.9e-5)
-    sp.add_argument("--delta1-per-nw", type=float, default=5.9e-7)
-    sp.add_argument("--delta2", type=float, default=0.0)
-    sp.add_argument("--delta3-per-nw", type=float, default=0.0)
-    sp.set_defaults(func=cmd_synth, envelope="synth_{kind}.json",
-                    outputs=("synth_{kind}.csv",))
-
-    sp = sub.add_parser("fit-spectrum", help="fit a measured/synthetic trace")
-    _add_common(sp)
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--model", choices=("lorentzian", "full", "both"),
-                    default="both")
-    sp.set_defaults(func=cmd_fit_spectrum, envelope="fit_spectrum.json",
-                    outputs=("fit_spectrum_curve.csv",))
+    for cmd in COMMANDS.values():
+        sp = sub.add_parser(cmd.name, help=cmd.help)
+        for a in COMMON + cmd.args:
+            kw = ({"action": "store_true"} if a.type is bool else
+                  {"type": a.type, "choices": a.choices,
+                   "required": a.required})
+            sp.add_argument(a.flag, help=a.help, default=argparse.SUPPRESS,
+                            **kw)
     return p
+
+
+_WS = re.compile(r"\s*")
+
+
+def _json_entries(path, text):
+    """(lineno, key, value) of each member of the JSON object in text."""
+    decoder = json.JSONDecoder()
+    try:
+        data = decoder.decode(text)
+    except json.JSONDecodeError as exc:
+        raise io.ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    # text is a valid object: walk its members for their line numbers
+    entries = []
+    pos = _WS.match(text).end()                 # at '{'
+    while data and text[pos] != "}":
+        pos = _WS.match(text, pos + 1).end()    # the key, past '{' or ','
+        key, end = json.decoder.scanstring(text, pos + 1)
+        colon = _WS.match(text, end).end()
+        value, end = decoder.raw_decode(text, _WS.match(text, colon + 1).end())
+        entries.append((text.count("\n", 0, pos) + 1, key, value))
+        pos = _WS.match(text, end).end()        # at ',' or the closing '}'
+    return entries
+
+
+def load_config_file(path):
+    """(lineno, key, value) entries of a JSON object or of flat key=value
+    lines (# comments allowed)."""
+    text = Path(path).read_text()
+    if text.lstrip().startswith("{"):
+        return _json_entries(path, text)
+    entries = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise io.ParseError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        entries.append((lineno, key.strip(), value.strip()))
+    return entries
+
+
+def _config_values(cmd, path):
+    """The config file's values by flag dest, each parsed like its flag."""
+    args = {a.dest: a for a in COMMON + cmd.args}
+    values = {}
+    for lineno, key, value in load_config_file(path):
+        arg = args.get(key.replace("-", "_"))
+        if arg is None:
+            raise io.ParseError(f"{path}:{lineno}: config key '{key}' is "
+                                f"not a flag of this command")
+        try:
+            values[arg.dest] = arg.convert(str(value))
+        except ValueError as exc:
+            raise io.ParseError(f"{path}:{lineno}: config key '{key}': "
+                                f"invalid value {str(value)!r}") from exc
+    return values
+
+
+def _output_paths(cmd, args):
+    """The command's result envelope, then the CSVs it declares, in
+    --out-dir, $OPTORESP_OUTDIR or '.'."""
+    d = Path(args.out_dir or os.environ.get("OPTORESP_OUTDIR", "."))
+    return [d / name.format_map(vars(args))
+            for name in (cmd.envelope, *cmd.outputs)]
+
+
+def _execute(cmd, args):
+    cfg = cmd.config(args)
+    paths = _output_paths(cmd, args)
+    with io.Timer() as t:
+        payload, writers = cmd.run(cfg, [p.name for p in paths[1:]])
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    # an envelope is named after its command tag: synth-trace writes
+    # synth_trace.json
+    tag = paths[0].stem.replace("_", "-")
+    io.write_envelope(paths[0],
+                      io.result_envelope(tag, cfg, payload, t.elapsed))
+    for path, write in zip(paths[1:], writers):
+        if write is None:
+            path.unlink(missing_ok=True)
+        else:
+            write(path)
+    for line in cmd.summary(payload, paths):
+        print(line)
+    return 0
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    subparser = sub.choices[args.command]
+    explicit = vars(build_parser().parse_args(argv))
+    cmd = COMMANDS[explicit["command"]]
+    # defaults, then the config file, then the explicit flags
+    args = argparse.Namespace(
+        **{**{a.dest: a.default for a in COMMON + cmd.args}, **explicit})
     try:
-        args = _apply_config_file(subparser, args,
-                                  argv[argv.index(args.command) + 1:])
-        return args.func(args)
+        if args.config:
+            args = argparse.Namespace(**{**vars(args),
+                                         **_config_values(cmd, args.config),
+                                         **explicit})
+        return _execute(cmd, args)
     except (io.ParseError, fitmodels.NoDipError, ValueError, OSError,
             OdeConvergenceError, QuadratureError, SingularJacobianError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a failed run leaves none of its outputs, so no envelope or CSV
         # from an earlier run passes for its result
-        for path in _output_paths(args):
+        for path in _output_paths(cmd, args):
             try:
                 path.unlink(missing_ok=True)
             except OSError as err:

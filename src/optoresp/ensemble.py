@@ -105,31 +105,6 @@ def total_loss_rate(p: EnsembleParams, v_eff, split=False):
     return resonant + debye
 
 
-def total_frequency_shift(p: EnsembleParams, v_eff, population="equilibrium",
-                          split=False):
-    """Bath-induced frequency pull [rad/s] in the effective volume v_eff.
-
-    population="equilibrium" weighs the dispersive term by S (the static
-    bath); population="optical" weighs it by (1 + S), the change relative to
-    the ground-state bath that an illumination measurement sees.  The choice
-    is explicit because both conventions are meaningful and differ by the
-    full baseline.
-    """
-    if v_eff < 0:
-        raise ValueError("v_eff must be >= 0")
-    if population not in ("equilibrium", "optical"):
-        raise ValueError(f"unknown population convention {population!r}")
-    weight = p.s_tilde if population == "equilibrium" else 1.0 + p.s_tilde
-    rho_v = HBAR * p.rho_tls * v_eff
-    transverse = rho_v * p.g_perp_t**2 * np.log(p.delta_max / p.delta_min) * weight
-    longitudinal = -(rho_v * p.g_par_t**2
-                     * p.gamma1_t**2 / (p.gamma1_t**2 + p.omega_r**2)
-                     * p.omega_max * p.ds_tilde)
-    if split:
-        return transverse, longitudinal
-    return transverse + longitudinal
-
-
 def coupling_prefactor(p: EnsembleParams) -> float:
     """C = hbar rho_tls A xi / omega_r  [s^2/W]."""
     return HBAR * p.rho_tls * p.area * p.xi / p.omega_r

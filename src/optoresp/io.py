@@ -11,8 +11,7 @@ import time
 
 import numpy as np
 
-from .fitkit.models import ComplexTrace, PowerSeries
-from .montecarlo import McResult
+from .fitkit.models import ComplexTrace
 
 SCHEMA_TAG = "optoresp/result/v1"
 
@@ -65,67 +64,28 @@ def _parse_table(path, expected_header):
     return np.array(rows, dtype=float)
 
 
-def write_trace(path, trace: ComplexTrace, comments=()):
+def write_table(path, header, columns, comments=()):
+    """Unit-labeled CSV: '# ' comment lines, the header, then one row per
+    index of the equal-length columns.  Floats are written as repr, so a
+    read gives back the same bits; integers as integers."""
+    columns = [np.asarray(c).tolist() for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("column length mismatch")
     with open(path, "w") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        fh.write(TRACE_HEADER + "\n")
-        for f, z in zip(trace.frequencies, trace.values):
-            fh.write(f"{float(f)!r},{float(z.real)!r},{float(z.imag)!r}\n")
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+
+
+def write_trace(path, trace: ComplexTrace, comments=()):
+    write_table(path, TRACE_HEADER, [trace.frequencies, trace.values.real,
+                                     trace.values.imag], comments)
 
 
 def read_trace(path) -> ComplexTrace:
     table = _parse_table(path, TRACE_HEADER)
     return ComplexTrace(frequencies=table[:, 0],
                         values=table[:, 1] + 1j * table[:, 2])
-
-
-def write_power_series(path, series: PowerSeries, comments=()):
-    with open(path, "w") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        fh.write(POWER_HEADER + "\n")
-        for p, q, d in zip(series.p_opt, series.inv_q, series.dfrac):
-            fh.write(f"{float(p)!r},{float(q)!r},{float(d)!r}\n")
-
-
-def read_power_series(path) -> PowerSeries:
-    table = _parse_table(path, POWER_HEADER)
-    return PowerSeries(p_opt=table[:, 0], inv_q=table[:, 1], dfrac=table[:, 2])
-
-
-def write_mc_curves(path, result: McResult):
-    """Per-trial curves, one row per (power, trial)."""
-    with open(path, "w") as fh:
-        fh.write(MC_CURVES_HEADER + "\n")
-        for k in range(result.dinv_q.shape[0]):
-            for i, p in enumerate(result.p_grid):
-                fh.write(f"{float(p)!r},{k},{float(result.dinv_q[k, i])!r},"
-                         f"{float(result.dfrac[k, i])!r}\n")
-
-
-def write_mc_aggregate(path, result: McResult):
-    with open(path, "w") as fh:
-        fh.write(MC_AGGREGATE_HEADER + "\n")
-        for i, p in enumerate(result.p_grid):
-            fh.write(f"{float(p)!r},{float(result.mean_dinv_q[i])!r},"
-                     f"{float(result.std_dinv_q[i])!r},{float(result.mean_dfrac[i])!r},"
-                     f"{float(result.std_dfrac[i])!r}\n")
-
-
-def write_table(path, header, columns, comments=()):
-    """Generic unit-labeled CSV: header string plus equal-length columns."""
-    columns = [np.asarray(c) for c in columns]
-    n = columns[0].size
-    if any(c.size != n for c in columns):
-        raise ValueError("column length mismatch")
-    with open(path, "w") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        fh.write(header + "\n")
-        for i in range(n):
-            fh.write(",".join(repr(float(c[i])) if np.issubdtype(c.dtype, np.floating)
-                              else str(c[i]) for c in columns) + "\n")
 
 
 def result_envelope(command, config, result, duration_s):

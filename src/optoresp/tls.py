@@ -77,19 +77,13 @@ class SaturationDrive:
     """Microwave drive state for TLS saturation.
 
     n_cav : mean intracavity photon number (>= 0)
-    n_c : critical photon number of the empirical saturation law (> 0)
-    beta : empirical saturation exponent (> 0), 0.5 by default
     """
 
     n_cav: float = 0.0
-    n_c: float = 1.0
-    beta: float = 0.5
 
     def __post_init__(self):
         if self.n_cav < 0:
             raise ValueError("n_cav must be >= 0")
-        if self.n_c <= 0 or self.beta <= 0:
-            raise ValueError("n_c and beta must be positive")
 
 
 @dataclass(frozen=True)
@@ -220,17 +214,6 @@ def longitudinal_complex_shift(tls, omega_r):
 def intrinsic_loss_tangent(host: TlsHostMaterial):
     """delta_TLS = pi rho_TLS d0^2 / (3 epsilon_host)."""
     return np.pi * host.rho_tls * host.dipole**2 / (3.0 * host.epsilon_host)
-
-
-def tls_loss_tangent(f, env: ThermalEnvironment, host: TlsHostMaterial,
-                     drive: SaturationDrive):
-    """Saturable dielectric loss of the TLS bath at frequency f [Hz].
-
-    delta_TLS tanh(h f / 2 k_B T) / sqrt(1 + (n_cav/n_c)^beta)
-    """
-    f = np.asarray(f, dtype=float)
-    thermal = np.tanh(PLANCK * f / (2.0 * K_B * env.temperature))
-    return host.delta_tls * thermal / np.sqrt(1.0 + (drive.n_cav / drive.n_c) ** drive.beta)
 
 
 def permittivity_bracket(f_r, env: ThermalEnvironment):

@@ -10,11 +10,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import optoresp
-from optoresp import cli, io
+from optoresp import cli, ensemble, io, montecarlo
 from optoresp.cli import main
 from optoresp.ensemble import slope_fractional_frequency, slope_inverse_q
-from optoresp.fitkit import (ComplexTrace, PowerSeries, SingularJacobianError,
-                             synth_trace)
+from optoresp.fitkit import ComplexTrace, SingularJacobianError, synth_trace
 from optoresp.meanfield import OdeConvergenceError
 from optoresp.resonator import LineCalibration, ResonatorMode
 from optoresp.tls import QuadratureError
@@ -32,14 +31,24 @@ def test_trace_csv_roundtrip(tmp_path):
 
 
 def test_power_csv_roundtrip(tmp_path):
-    series = PowerSeries(p_opt=np.array([0.0, 1e-9, 2e-9]),
-                         inv_q=np.array([1e-5, 2e-5, 3e-5]),
-                         dfrac=np.array([0.0, -1e-6, 1e-6]))
+    columns = [np.array([0.0, 1e-9, 2e-9]), np.array([1e-5, 2e-5, 3e-5]),
+               np.array([0.0, -1e-6, 1e-6 / 3])]
     path = tmp_path / "power.csv"
-    io.write_power_series(path, series)
-    back = io.read_power_series(path)
-    assert np.array_equal(back.p_opt, series.p_opt)
-    assert np.array_equal(back.dfrac, series.dfrac)
+    io.write_table(path, io.POWER_HEADER, columns, comments=["synthetic"])
+    back = io._parse_table(path, io.POWER_HEADER)
+    assert np.array_equal(back, np.column_stack(columns))  # repr: exact
+
+
+def test_write_table_exact_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    io.write_table(path, "x_m,n,y", [np.array([0.1, 1e-300, -2.5]),
+                                     np.arange(3), [1.0, 2.0, 1 / 3]],
+                   comments=["first", "second"])
+    assert path.read_bytes() == (b"# first\n# second\nx_m,n,y\n"
+                                 b"0.1,0,1.0\n1e-300,1,2.0\n"
+                                 b"-2.5,2,0.3333333333333333\n")
+    with pytest.raises(ValueError, match="column length mismatch"):
+        io.write_table(path, "a,b", [np.zeros(3), np.zeros(2)])
 
 
 def test_parse_error_names_line(tmp_path):
@@ -132,13 +141,12 @@ def test_cli_mc_deterministic_replay(tmp_path):
 
 
 def test_cli_mc_envelope_replays(tmp_path):
-    from optoresp.cli import run_mc
     out = tmp_path / "o"
     run_cli("mc", "--trials", "2", "--seed", "3", "--p-points", "4",
             "--fmax-ghz", "100", "--half-length-um", "60",
             "--out-dir", str(out))
     env = json.loads((out / "mc.json").read_text())
-    result, payload = run_mc(env["config"])
+    payload, _ = cli.run_mc(env["config"], cli.COMMANDS["mc"].outputs)
     assert payload["slope_inv_q_mean_per_w"] == env["result"]["slope_inv_q_mean_per_w"]
     assert payload["slope_dfrac_std_per_w"] == env["result"]["slope_dfrac_std_per_w"]
 
@@ -212,13 +220,13 @@ def test_cli_synth_power_shape(tmp_path):
             "--gamma-per-nw", "1.35e-6", "--delta1-per-nw", "5.9e-7",
             "--delta2", "2e-5", "--delta3-per-nw", "0.05",
             "--p-max-nw", "300", "--out-dir", str(tmp_path))
-    series = io.read_power_series(tmp_path / "synth_power.csv")
-    d = series.dfrac
+    _, inv_q, d = io._parse_table(tmp_path / "synth_power.csv",
+                                  io.POWER_HEADER).T
     assert d[1] < 0
     i_min = int(np.argmin(d))
     assert 0 < i_min < d.size - 1
     assert d[-1] > 0
-    assert np.all(np.diff(series.inv_q) > 0)
+    assert np.all(np.diff(inv_q) > 0)
 
 
 def test_cli_fit_spectrum_parse_error(tmp_path):
@@ -260,6 +268,18 @@ def test_failed_run_leaves_no_stale_csv(tmp_path):
                    "--out-dir", str(tmp_path)) == 1
     assert not (tmp_path / "fit_spectrum.json").exists()
     assert not (tmp_path / "fit_spectrum_curve.csv").exists()
+    # a successful run also removes the declared outputs it does not write:
+    # a Lorentzian fit draws no model curve
+    assert run_cli("synth", "--noise", "1e-3", "--out-dir", str(tmp_path)) == 0
+    trace = str(tmp_path / "synth_trace.csv")
+    assert run_cli("fit-spectrum", "--input", trace, "--model", "full",
+                   "--out-dir", str(tmp_path)) == 0
+    assert (tmp_path / "fit_spectrum_curve.csv").exists()
+    assert run_cli("fit-spectrum", "--input", trace, "--model", "lorentzian",
+                   "--out-dir", str(tmp_path)) == 0
+    assert not (tmp_path / "fit_spectrum_curve.csv").exists()
+    env = json.loads((tmp_path / "fit_spectrum.json").read_text())
+    assert list(env["result"]) == ["lorentzian"]
 
 
 def test_fit_spectrum_both_reports_missing_dip_in_band(tmp_path, capsys):
@@ -353,6 +373,46 @@ def test_cli_explicit_flag_at_default_beats_config(tmp_path):
     assert json.loads((tmp_path / "mc.json").read_text())["config"]["seed"] == 5
 
 
+@pytest.mark.parametrize("command, name, text, error", [
+    ("photon-number", "c.json", '{"fr-ghz": 4.884,\n  "q-int": ,\n}',
+     "c.json:2: Expecting value"),
+    ("photon-number", "c.json", '{"fr-ghz": 4.884,\n  "qint": 76771}',
+     "c.json:2: config key 'qint' is not a flag of this command"),
+    ("photon-number", "c.txt", "# q\n\nqint = 76771\n",
+     "c.txt:3: config key 'qint' is not a flag of this command"),
+    ("mc", "c.json", '{\n  "trials": 2.5\n}',
+     "c.json:2: config key 'trials': invalid value '2.5'"),
+    ("mc", "c.txt", "seed = 1\ntrials = two\n",
+     "c.txt:2: config key 'trials': invalid value 'two'"),
+    ("mc", "c.txt", "raw-moments = ture\n",
+     "c.txt:1: config key 'raw-moments': invalid value 'ture'"),
+    ("slopes", "c.json", '{"xi-grid": "20,fifty"}',
+     "c.json:1: config key 'xi-grid': invalid value '20,fifty'"),
+])
+def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
+                                              name, text, error):
+    # JSON values go through the same text parsing as key=value ones, so
+    # trials = 2.5 fails in both formats instead of running 2 trials
+    cfgfile = tmp_path / name
+    cfgfile.write_text(text)
+    assert run_cli(command, "--config", str(cfgfile),
+                   "--out-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / error}\n"
+    assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--points", "0"], "--points"),
+    (["temp-model", "--t-points", "0"], "--t-points"),
+    (["temp-model", "--fr-ghz", ""], "--fr-ghz"),
+])
+def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("exc", [
     OdeConvergenceError("decay fit residual too large"),
     QuadratureError("quadrature failed"),
@@ -360,10 +420,10 @@ def test_cli_explicit_flag_at_default_beats_config(tmp_path):
     np.linalg.LinAlgError("Singular matrix"),
 ])
 def test_cli_numerical_errors_exit_cleanly(tmp_path, monkeypatch, capsys, exc):
-    def failing_command(args):
+    def failing_slope(p):
         raise exc
 
-    monkeypatch.setattr(cli, "cmd_slopes", failing_command)
+    monkeypatch.setattr(ensemble, "slope_inverse_q", failing_slope)
     code = run_cli("slopes", "--out-dir", str(tmp_path))
     assert code == 1
     err = capsys.readouterr().err
@@ -371,17 +431,23 @@ def test_cli_numerical_errors_exit_cleanly(tmp_path, monkeypatch, capsys, exc):
 
 
 def test_mc_csv_schemas(tmp_path):
-    from optoresp.montecarlo import McConfig, run
-    cfg = McConfig(seed=1, trials=2, omega_max=2 * np.pi * 50e9,
-                   half_length=50e-6, p_grid=np.linspace(0, 50e-9, 4))
-    res = run(cfg)
-    io.write_mc_curves(tmp_path / "curves.csv", res)
-    io.write_mc_aggregate(tmp_path / "agg.csv", res)
-    lines = (tmp_path / "curves.csv").read_text().splitlines()
-    assert lines[0] == "p_opt_w,trial,dinv_q,dfrac_freq"
-    assert len(lines) == 1 + 2 * 4
-    agg = (tmp_path / "agg.csv").read_text().splitlines()
+    assert run_cli("mc", "--seed", "1", "--trials", "2", "--fmax-ghz", "50",
+                   "--half-length-um", "50", "--p-max-nw", "50",
+                   "--p-points", "4", "--out-dir", str(tmp_path)) == 0
+    env = json.loads((tmp_path / "mc.json").read_text())
+    res = montecarlo.run(cli.mc_config_from_dict(env["config"]))
+    dq, df = res.dinv_q.tolist(), res.dfrac.tolist()
+    # one row per (trial, power), trial-major, the trial as an integer
+    lines = (tmp_path / "mc_curves.csv").read_text().splitlines()
+    assert lines == ["p_opt_w,trial,dinv_q,dfrac_freq"] + [
+        f"{p!r},{k},{dq[k][i]!r},{df[k][i]!r}"
+        for k in range(2) for i, p in enumerate(res.p_grid.tolist())]
+    agg = (tmp_path / "mc_aggregate.csv").read_text().splitlines()
     assert agg[0] == "p_opt_w,mean_dinv_q,std_dinv_q,mean_dfrac,std_dfrac"
+    assert np.array_equal(
+        np.loadtxt(tmp_path / "mc_aggregate.csv", delimiter=",", skiprows=1),
+        np.column_stack((res.p_grid, res.mean_dinv_q, res.std_dinv_q,
+                         res.mean_dfrac, res.std_dfrac)))
 
 
 def test_cli_synth_default_roundtrip(tmp_path):

@@ -11,7 +11,7 @@ from optoresp.tls import (SaturationDrive, ThermalEnvironment, TlsHostMaterial,
                           permittivity_bracket, saturated_population,
                           spectral_diffusion_loss,
                           spectral_diffusion_loss_closed_form,
-                          temperature_permittivity_shift, tls_loss_tangent,
+                          temperature_permittivity_shift,
                           transverse_complex_shift)
 
 MHZ = TWO_PI * 1e6
@@ -159,20 +159,6 @@ def test_intrinsic_loss_tangent():
     assert_allclose(intrinsic_loss_tangent(doubled) /
                     intrinsic_loss_tangent(host), 4.0, rtol=1e-12)
     assert intrinsic_loss_tangent(TlsHostMaterial(rho_tls=0.0)) == 0.0
-
-
-def test_loss_tangent_limits():
-    host = TlsHostMaterial(intrinsic_loss=2e-5)
-    cold = ThermalEnvironment(1e-5)
-    assert_allclose(tls_loss_tangent(5e9, cold, host, SaturationDrive(0.0)),
-                    2e-5, rtol=1e-9)
-    drive = SaturationDrive(n_cav=1.0, n_c=1.0, beta=1.0)
-    assert_allclose(tls_loss_tangent(5e9, cold, host, drive),
-                    2e-5 / np.sqrt(2), rtol=1e-9)
-    env = ThermalEnvironment(0.05)
-    f_half = 2 * K_B * env.temperature * np.arctanh(0.5) / PLANCK
-    assert_allclose(tls_loss_tangent(f_half, env, host, SaturationDrive(0.0)),
-                    1e-5, rtol=1e-9)
 
 
 def test_permittivity_shift_small_argument_limit():
