@@ -3,7 +3,8 @@
 Modules
 -------
 resonator       hanger-type S21/S11 models, bandwidths, photon number
-tls             single-TLS physics, loss tangent, permittivity, saturation
+tls             single-TLS physics, loss tangent, permittivity (scipy's
+                complex digamma), saturation
 meanfield       ODE steady-state oracle for the TLS-cavity closed forms
 ensemble        analytic bath integrals and the optical-response slopes
 montecarlo      stochastic TLS-ensemble simulation of the response curves
@@ -16,9 +17,8 @@ __version__ = "0.1.0"
 
 # cli is imported on first use: importing it here would make
 # ``python -m optoresp.cli`` find it in sys.modules before running it
-from . import (constants, digamma, ensemble, fitkit, io, meanfield,
-               montecarlo, resonator, superconductor, tls)
+from . import (constants, ensemble, fitkit, io, meanfield, montecarlo,
+               resonator, superconductor, tls)
 
-__all__ = ["cli", "constants", "digamma", "ensemble", "fitkit", "io",
-           "meanfield", "montecarlo", "resonator", "superconductor", "tls",
-           "__version__"]
+__all__ = ["cli", "constants", "ensemble", "fitkit", "io", "meanfield",
+           "montecarlo", "resonator", "superconductor", "tls", "__version__"]

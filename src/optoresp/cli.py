@@ -10,9 +10,11 @@ one ``error:`` line; statistical non-convergence is reported in-band.
 
 A flat key=value or JSON config file can seed any subcommand via --config;
 explicit flags override file values.  A malformed file, an unknown key or
-an unparseable value is reported as ``path:lineno``.  The OPTORESP_OUTDIR
-environment variable selects the default output directory (and nothing
-else).
+an unparseable value is reported as ``path:lineno``.  Flag values are read
+as text and parsed by the same conversion inside main's error handling, so
+a bad flag value is named by its flag and fails like any other bad input.
+The OPTORESP_OUTDIR environment variable selects the default output
+directory (and nothing else).
 
 Each subcommand is one row of ``COMMANDS``: its flags, the builder of its
 config echo, its ``run_*`` function, its envelope and declared CSVs, and its
@@ -97,6 +99,8 @@ def _photon_number_summary(r, paths):
 # --- slopes -----------------------------------------------------------------
 
 def _slopes_config(a):
+    if not -1.0 <= a.s <= 0.0:
+        raise ValueError("--s must lie in [-1, 0]")
     return {
         "fr_hz": a.fr_ghz * 1e9,
         "rho_tls": a.rho,
@@ -159,6 +163,16 @@ def _slopes_summary(r, paths):
 # --- mc ---------------------------------------------------------------------
 
 def _mc_config(a):
+    for flag, value, least in (("--trials", a.trials, 1),
+                               ("--p-points", a.p_points, 2),
+                               ("--workers", a.workers, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}")
+    if not a.p_max_nw > 0:
+        raise ValueError("--p-max-nw must be positive")
+    if a.window_ghz and (len(a.window_ghz) != 2
+                         or not a.window_ghz[0] < a.window_ghz[1]):
+        raise ValueError("--window-ghz takes two increasing values 'lo,hi'")
     return {
         "seed": a.seed, "trials": a.trials,
         "fr_hz": a.fr_ghz * 1e9, "fmax_hz": a.fmax_ghz * 1e9,
@@ -249,7 +263,8 @@ def _temp_model_config(a):
 
 def run_temp_model(cfg, names):
     temps = np.asarray(cfg["t_grid_k"], dtype=float)
-    sc = geom = None
+    fr_hz = np.asarray(cfg["fr_hz_list"], dtype=float)
+    qp_term = np.zeros(temps.size)
     if cfg.get("lambda0_m"):
         geom = superconductor.FilmGeometry(cfg["film_d_m"], cfg["film_w_m"],
                                            cfg["film_l_m"])
@@ -259,20 +274,16 @@ def run_temp_model(cfg, names):
         else:
             sc = superconductor.SuperconductorParams.with_kinetic_total(
                 cfg["lambda0_m"], cfg["tc_k"], geom, t_ref=temps[0])
-    # participation is folded into the pdelta product
-    rows = []
-    for fr_hz in cfg["fr_hz_list"]:
-        for t_k in temps:
-            tls_term = (cfg["pdelta"] / np.pi
-                        * permittivity_bracket(fr_hz, ThermalEnvironment(t_k)))
-            qp_term = 0.0
-            if sc is not None:
-                qp_term = float(superconductor.freq_shift_from_temperature(
-                    sc, geom, t_k, temps[0]))
-            rows.append((t_k, fr_hz / 1e9, tls_term, qp_term,
-                         tls_term + qp_term))
-    columns = np.array(rows).T
-    return {"csv": names[0], "n_rows": len(rows)}, [
+        qp_term = superconductor.freq_shift_from_temperature(
+            sc, geom, temps, temps[0])
+    # one row per (mode, temperature), mode-major; participation is folded
+    # into the pdelta product
+    tls_term = (cfg["pdelta"] / np.pi * permittivity_bracket(
+        fr_hz[:, None], ThermalEnvironment(temps))).ravel()
+    qp_term = np.tile(qp_term, fr_hz.size)
+    columns = [np.tile(temps, fr_hz.size), np.repeat(fr_hz / 1e9, temps.size),
+               tls_term, qp_term, tls_term + qp_term]
+    return {"csv": names[0], "n_rows": tls_term.size}, [
         lambda path: io.write_table(path, TEMP_MODEL_HEADER, columns)]
 
 
@@ -393,7 +404,7 @@ def _fit_spectrum_summary(payload, paths):
 
 @dataclass(frozen=True)
 class Arg:
-    """One flag.  type=bool declares a store_true switch."""
+    """One flag.  type=bool declares a switch, which sets the text 'true'."""
     flag: str
     type: Callable = str
     default: object = None
@@ -406,13 +417,18 @@ class Arg:
         return self.flag[2:].replace("-", "_")
 
     def convert(self, text):
-        """The value of this flag written as text in a config file."""
-        if self.type is not bool:
-            return self.type(text)
-        word = text.strip().lower()
-        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-            raise ValueError(f"not a switch value: {text!r}")
-        return word in ("1", "true", "yes", "on")
+        """The value of this flag written as text, on the command line or in
+        a config file."""
+        if self.type is bool:
+            word = text.strip().lower()
+            if word not in ("1", "true", "yes", "on", "0", "false", "no",
+                            "off"):
+                raise ValueError(f"not a switch value: {text!r}")
+            return word in ("1", "true", "yes", "on")
+        value = self.type(text)
+        if self.choices and value not in self.choices:
+            raise ValueError(f"not one of {self.choices}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -548,7 +564,8 @@ COMMANDS = {c.name: c for c in (
 # --- driver -----------------------------------------------------------------
 
 def build_parser():
-    """The parser of every row.  Unset flags stay off the namespace, so the
+    """The parser of every row.  Flags are read as text, converted by main
+    like config values; unset flags stay off the namespace, so the
     driver can tell an explicit flag from a default."""
     p = argparse.ArgumentParser(
         prog="optoresp",
@@ -558,9 +575,10 @@ def build_parser():
     for cmd in COMMANDS.values():
         sp = sub.add_parser(cmd.name, help=cmd.help)
         for a in COMMON + cmd.args:
-            kw = ({"action": "store_true"} if a.type is bool else
-                  {"type": a.type, "choices": a.choices,
-                   "required": a.required})
+            kw = ({"action": "store_const", "const": "true"}
+                  if a.type is bool else {"required": a.required})
+            if a.choices:
+                kw["metavar"] = "{" + ",".join(a.choices) + "}"
             sp.add_argument(a.flag, help=a.help, default=argparse.SUPPRESS,
                             **kw)
     return p
@@ -653,18 +671,31 @@ def _execute(cmd, args):
     return 0
 
 
+def _flag_values(cmd, explicit):
+    """The explicit flags' text, each parsed like its flag."""
+    args = {a.dest: a for a in COMMON + cmd.args}
+    values = {}
+    for dest, text in explicit.items():
+        try:
+            values[dest] = args[dest].convert(text)
+        except ValueError as exc:
+            raise ValueError(f"{args[dest].flag}: invalid value "
+                             f"{text!r}") from exc
+    return values
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     explicit = vars(build_parser().parse_args(argv))
-    cmd = COMMANDS[explicit["command"]]
-    # defaults, then the config file, then the explicit flags
-    args = argparse.Namespace(
-        **{**{a.dest: a.default for a in COMMON + cmd.args}, **explicit})
+    cmd = COMMANDS[explicit.pop("command")]
+    defaults = {a.dest: a.default for a in COMMON + cmd.args}
+    # the flags as text name the outputs a failed conversion removes
+    args = argparse.Namespace(**{**defaults, **explicit})
     try:
-        if args.config:
-            args = argparse.Namespace(**{**vars(args),
-                                         **_config_values(cmd, args.config),
-                                         **explicit})
+        explicit = _flag_values(cmd, explicit)
+        from_file = _config_values(cmd, args.config) if args.config else {}
+        # defaults, then the config file, then the explicit flags
+        args = argparse.Namespace(**{**defaults, **from_file, **explicit})
         return _execute(cmd, args)
     except (io.ParseError, fitmodels.NoDipError, ValueError, OSError,
             OdeConvergenceError, QuadratureError, SingularJacobianError,

@@ -6,9 +6,8 @@ handled by the model layer (real and imaginary residuals stacked), so the
 engine only ever sees real vectors.
 
 Internal coordinates: parameter bounds are enforced by smooth
-reparameterizations (log for positive quantities, logistic for two-sided
-intervals, a fixed scale for unbounded quantities far from O(1)) rather
-than clipping, which keeps the descent surface differentiable.  MINPACK
+reparameterizations (log for positive quantities, a fixed scale for
+unbounded quantities far from O(1)) rather than clipping, which keeps the descent surface differentiable.  MINPACK
 works on the internal coordinates u, x = t(u) per parameter; the Jacobian
 is mapped by the chain rule, dr/du = dr/dx * t'(u), and MINPACK scales each
 coordinate by the norm of its Jacobian column (``x_scale="jac"``).
@@ -84,28 +83,6 @@ class Log(Identity):
         return float(np.exp(u))
 
 
-class Logistic(Identity):
-    """Parameter confined to (lo, hi) via a logistic map."""
-
-    def __init__(self, lo, hi):
-        if not (hi > lo):
-            raise ValueError("need hi > lo")
-        self.lo, self.hi = float(lo), float(hi)
-
-    def to_internal(self, x):
-        if not (self.lo < x < self.hi):
-            raise ValueError(f"{x} outside ({self.lo}, {self.hi})")
-        z = (x - self.lo) / (self.hi - self.lo)
-        return float(np.log(z / (1.0 - z)))
-
-    def to_external(self, u):
-        return float(self.lo + (self.hi - self.lo) / (1.0 + np.exp(-u)))
-
-    def jacobian_factor(self, u):
-        s = 1.0 / (1.0 + np.exp(-u))
-        return float((self.hi - self.lo) * s * (1.0 - s))
-
-
 @dataclass
 class FitResult:
     names: list
@@ -137,7 +114,7 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     residual : callable(x) -> 1-D array of residuals (external coordinates).
     jac : callable(x) -> (m, n) Jacobian of the residual in external
         coordinates.
-    transforms : per-parameter Identity/Scaled/Log/Logistic instances, or
+    transforms : per-parameter Identity/Scaled/Log instances, or
         None for Identity throughout.
 
     Returns

@@ -4,12 +4,12 @@ and TLS microwave-saturation curves.
 Complex traces are fitted with stacked real/imaginary residuals so that the
 line phase (tau, alpha) and the asymmetry rotation stay separable;
 magnitude-only fitting is reserved for the Lorentzian dip estimator.  Each
-model carries its documented initial-guess policy and an analytic Jacobian;
-bounds are smooth transforms, never clips.
+fit passes its residual, analytic Jacobian, parameter names, bound
+transforms and documented initial guess straight to the engine; bounds are
+smooth transforms, never clips.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -89,31 +89,6 @@ def _weights_from_sigma(sigma, n):
     return 1.0 / np.maximum(sigma, floor)
 
 
-@dataclass(frozen=True)
-class FitModelSpec:
-    """A named residual model: parameters, transforms, initial-guess policy."""
-
-    name: str
-    param_names: tuple
-    residual: Callable
-    jacobian: Callable
-    transforms: tuple | None = None
-    initial_guess: Callable | None = None
-
-
-def solve_least_squares(model: FitModelSpec, data, initial=None) -> FitResult:
-    """Run the Levenberg-Marquardt engine on a model/data pair."""
-    if initial is None:
-        if model.initial_guess is None:
-            raise ValueError(f"model {model.name} has no initial-guess policy")
-        initial = model.initial_guess(data)
-    return levenberg_marquardt(lambda x: model.residual(x, data),
-                               np.asarray(initial, dtype=float),
-                               jac=lambda x: model.jacobian(x, data),
-                               names=list(model.param_names),
-                               transforms=model.transforms)
-
-
 # --- Lorentzian dip in |S21|^2 ---------------------------------------------
 
 def _lorentzian(x, f):
@@ -180,15 +155,12 @@ def fit_lorentzian_dip(trace: ComplexTrace) -> LorentzianDipResult:
         raise NoDipError("fewer than 5 points inside the fit window")
     fw, pw = f[window], power[window]
 
-    model = FitModelSpec(
-        name="lorentzian_dip",
-        param_names=("baseline", "depth", "f_r", "width"),
-        residual=lambda x, d: _lorentzian(x, d[0]) - d[1],
-        jacobian=lambda x, d: _lorentzian_jac(x, d[0]),
-        transforms=(Identity(), Log(), Log(), Log()),
-    )
-    start = [baseline, depth, f[i_min], 2.0 * half_width]
-    fit = solve_least_squares(model, (fw, pw), initial=start)
+    fit = levenberg_marquardt(
+        lambda x: _lorentzian(x, fw) - pw,
+        [baseline, depth, f[i_min], 2.0 * half_width],
+        jac=lambda x: _lorentzian_jac(x, fw),
+        names=("baseline", "depth", "f_r", "width"),
+        transforms=(Identity(), Log(), Log(), Log()))
     c0, c1, f0, w = fit.values
 
     sigma = None
@@ -389,16 +361,12 @@ def fit_full_s21(trace: ComplexTrace, initial=None) -> FullS21Result:
         weight = 1.0 / np.maximum(trace.noise_std, 1e-300)
     data = (f, z, weight)
 
-    model = FitModelSpec(
-        name="s21_full",
-        param_names=_S21_PARAMS,
-        residual=_s21_residual,
-        jacobian=_s21_jacobian,
+    fit = levenberg_marquardt(
+        lambda x: _s21_residual(x, data),
+        _s21_initial_guess(data) if initial is None else initial,
+        jac=lambda x: _s21_jacobian(x, data), names=_S21_PARAMS,
         transforms=(Log(), Log(), Log(), Identity(), Log(), Scaled(1e-9),
-                    Identity()),
-        initial_guess=_s21_initial_guess,
-    )
-    fit = solve_least_squares(model, data, initial=initial)
+                    Identity()))
 
     span = f[-1] - f[0]
     if TWO_PI * span * abs(fit["delay"]) < 0.05:
@@ -426,38 +394,33 @@ def fit_power_inverse_q(series: PowerSeries, model="linear") -> FitResult:
     if model == "linear":
         if p.size < 3:
             raise ValueError("linear fit needs at least 3 points")
-        spec = FitModelSpec(
-            name="inv_q_linear", param_names=("gamma", "inv_q0"),
-            residual=lambda x, d: (x[0] * d[0] + x[1] - d[1]) * d[2],
-            jacobian=lambda x, d: np.column_stack([d[0] * d[2], d[2]]),
-        )
-        g0, c0 = np.polyfit(p, y, 1)
-        return solve_least_squares(spec, (p, y, wts), initial=[g0, c0])
+        return levenberg_marquardt(
+            lambda x: (x[0] * p + x[1] - y) * wts, np.polyfit(p, y, 1),
+            jac=lambda x: np.column_stack([p * wts, wts]),
+            names=("gamma", "inv_q0"))
 
     if model != "linear_plus_saturation":
         raise ValueError(f"unknown model {model!r}")
     if p.size < 5:
         raise ValueError("saturating fit needs at least 5 points")
 
-    def resid(x, d):
+    def resid(x):
         g1, g2, g3, c = x
-        return (g1 * d[0] + g2 * (1.0 - np.exp(-g3 * d[0])) + c - d[1]) * d[2]
+        return (g1 * p + g2 * (1.0 - np.exp(-g3 * p)) + c - y) * wts
 
-    def jac(x, d):
+    def jac(x):
         g1, g2, g3, c = x
-        e = np.exp(-g3 * d[0])
-        return np.column_stack([d[0], 1.0 - e, g2 * d[0] * e,
-                                np.ones_like(d[0])]) * d[2][:, None]
+        e = np.exp(-g3 * p)
+        return np.column_stack([p, 1.0 - e, g2 * p * e,
+                                np.ones_like(p)]) * wts[:, None]
 
-    spec = FitModelSpec(name="inv_q_linear_saturation",
-                        param_names=("gamma1", "gamma2", "gamma3", "inv_q0"),
-                        residual=resid, jacobian=jac,
-                        transforms=(Identity(), Log(), Log(), Identity()))
     tail = max(2, p.size // 3)
     g1_0 = max(np.polyfit(p[-tail:], y[-tail:], 1)[0], 0.0)
     scale = max(y.max() - y.min(), 1e-12)
     start = [g1_0, 0.1 * scale, 2.0 / max(np.median(p[p > 0]), 1e-30), y[0]]
-    fit = solve_least_squares(spec, (p, y, wts), initial=start)
+    fit = levenberg_marquardt(
+        resid, start, jac=jac, names=("gamma1", "gamma2", "gamma3", "inv_q0"),
+        transforms=(Identity(), Log(), Log(), Identity()))
     if fit["gamma2"] < 1e-6 * scale:
         fit.flags.append("gamma3_unidentifiable")
     return fit
@@ -474,24 +437,21 @@ def fit_power_frequency(series: PowerSeries) -> FitResult:
         raise ValueError("frequency-shift fit needs at least 5 points")
     wts = _weights_from_sigma(series.sigma_dfrac, p.size)
 
-    def resid(x, d):
+    def resid(x):
         d1, d2, d3 = x
-        return (d1 * d[0] - d2 * (1.0 - np.exp(-d3 * d[0])) - d[1]) * d[2]
+        return (d1 * p - d2 * (1.0 - np.exp(-d3 * p)) - y) * wts
 
-    def jac(x, d):
+    def jac(x):
         d1, d2, d3 = x
-        e = np.exp(-d3 * d[0])
-        return np.column_stack([d[0], -(1.0 - e),
-                                -d2 * d[0] * e]) * d[2][:, None]
+        e = np.exp(-d3 * p)
+        return np.column_stack([p, -(1.0 - e), -d2 * p * e]) * wts[:, None]
 
-    spec = FitModelSpec(name="dfrac_linear_red",
-                        param_names=("delta1", "delta2", "delta3"),
-                        residual=resid, jacobian=jac,
-                        transforms=(Identity(), Log(), Log()))
     scale = max(np.max(np.abs(y)), 1e-15)
     d1_0 = np.polyfit(p, y, 1)[0]
     start = [d1_0, 0.5 * scale, 2.0 / max(np.median(p[p > 0]), 1e-30)]
-    fit = solve_least_squares(spec, (p, y, wts), initial=start)
+    fit = levenberg_marquardt(resid, start, jac=jac,
+                              names=("delta1", "delta2", "delta3"),
+                              transforms=(Identity(), Log(), Log()))
     if fit["delta2"] < 1e-5 * scale:
         fit.flags.append("delta2_pinned")
     return fit
@@ -512,31 +472,28 @@ def fit_tls_saturation(n_cav, inv_q_int, sigma=None) -> FitResult:
     narrow = pos.size == 0 or pos.max() / pos.min() < 100.0
     wts = _weights_from_sigma(sigma, n.size)
 
-    def resid(x, d):
+    def resid(x):
         fdelta, n_c, beta, floor = x
-        return (fdelta / np.sqrt(1.0 + (d[0] / n_c) ** beta) + floor
-                - d[1]) * d[2]
+        return (fdelta / np.sqrt(1.0 + (n / n_c) ** beta) + floor - y) * wts
 
-    def jac(x, d):
+    def jac(x):
         fdelta, n_c, beta, floor = x
-        q = (d[0] / n_c) ** beta
+        q = (n / n_c) ** beta
         s = 1.0 / np.sqrt(1.0 + q)
         dsdq = -0.5 * fdelta * s**3
         with np.errstate(divide="ignore", invalid="ignore"):
-            logterm = np.where(d[0] > 0, np.log(d[0] / n_c), 0.0)
+            logterm = np.where(n > 0, np.log(n / n_c), 0.0)
         return np.column_stack([s, dsdq * (-beta * q / n_c),
                                 dsdq * q * logterm,
-                                np.ones_like(d[0])]) * d[2][:, None]
+                                np.ones_like(n)]) * wts[:, None]
 
-    spec = FitModelSpec(name="tls_saturation",
-                        param_names=("f_delta", "n_c", "beta", "floor"),
-                        residual=resid, jacobian=jac,
-                        transforms=(Log(), Log(), Log(), Identity()))
     floor0 = float(np.min(y))
     fdelta0 = max(float(y[np.argmin(n)] - floor0), 1e-12)
     n_c0 = float(np.median(pos)) if pos.size else 1.0
-    fit = solve_least_squares(spec, (n, y, wts),
-                              initial=[fdelta0, n_c0, 1.0, floor0 - 1e-3 * fdelta0])
+    fit = levenberg_marquardt(
+        resid, [fdelta0, n_c0, 1.0, floor0 - 1e-3 * fdelta0], jac=jac,
+        names=("f_delta", "n_c", "beta", "floor"),
+        transforms=(Log(), Log(), Log(), Identity()))
     if narrow:
         fit.flags.append("insufficient_span")
     return fit

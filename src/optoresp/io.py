@@ -2,7 +2,9 @@
 
 All numeric columns carry unit-labeled headers; comment lines start with
 ``#``.  The JSON result envelope has a fixed key order and a schema tag that
-changes whenever column semantics change.
+changes whenever column semantics change.  Every CSV reader here, the
+EM-solver map columns of :func:`read_columns` included, names a malformed
+or non-finite cell by ``path:lineno``.
 """
 
 import json
@@ -34,20 +36,14 @@ def _data_lines(path):
             yield lineno, stripped
 
 
-def _parse_table(path, expected_header):
-    expected = expected_header.split(",")
+def _rows(path, lines, width):
+    """The remaining data lines as a table of finite floats, `width` cells
+    a row; a bad row is named by its line in the file."""
     rows = []
-    header_seen = False
-    for lineno, line in _data_lines(path):
-        cells = [c.strip() for c in line.split(",")]
-        if not header_seen:
-            if cells != expected:
-                raise ParseError(f"{path}:{lineno}: expected header "
-                                 f"'{expected_header}', got '{line}'")
-            header_seen = True
-            continue
-        if len(cells) != len(expected):
-            raise ParseError(f"{path}:{lineno}: expected {len(expected)} "
+    for lineno, line in lines:
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} "
                              f"columns, got {len(cells)}")
         try:
             row = [float(c) for c in cells]
@@ -57,11 +53,38 @@ def _parse_table(path, expected_header):
         if not all(map(math.isfinite, row)):
             raise ParseError(f"{path}:{lineno}: non-finite cell in '{line}'")
         rows.append(row)
-    if not header_seen:
-        raise ParseError(f"{path}: missing header '{expected_header}'")
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.array(rows, dtype=float)
+
+
+def _parse_table(path, expected_header):
+    expected = expected_header.split(",")
+    lines = _data_lines(path)
+    lineno, line = next(lines, (None, None))
+    if line is None:
+        raise ParseError(f"{path}: missing header '{expected_header}'")
+    if [c.strip() for c in line.split(",")] != expected:
+        raise ParseError(f"{path}:{lineno}: expected header "
+                         f"'{expected_header}', got '{line}'")
+    return _rows(path, lines, len(expected))
+
+
+def read_columns(path, names):
+    """The named columns of a CSV whose header holds them in any order,
+    among others; a '(...)' suffix on a header token is ignored, so
+    'in_local(0|1)' names in_local."""
+    lines = _data_lines(path)
+    lineno, line = next(lines, (None, None))
+    if line is None:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip().split("(")[0] for h in line.split(",")]
+    missing = [n for n in names if n not in header]
+    if missing:
+        raise ParseError(f"{path}:{lineno}: missing columns {missing}; "
+                         f"header {header}")
+    table = _rows(path, lines, len(header))
+    return {n: table[:, header.index(n)] for n in names}
 
 
 def write_table(path, header, columns, comments=()):

@@ -4,14 +4,16 @@ current-density -> local-potential map.
 
 Field and current maps come from external electromagnetic solvers as CSV
 files (see :func:`load_current_density_map` / :func:`load_field_energy_maps`
-for the schemas); this module only consumes them.
+for the schemas); this module only consumes them, through the table reader
+of :mod:`optoresp.io`, which names a malformed or non-finite cell by
+``path:lineno``.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
 from .constants import MU_0
 
 
@@ -37,27 +39,21 @@ class SuperconductorParams:
     l_total_per_length : total inductance per unit length [H/m]; when the
         kinetic fraction is ~1 use :meth:`with_kinetic_total` to set it from
         the kinetic inductance itself.
-    pair_density : superfluid pair density [m^-3] (optional alternative
-        parameterization; unrelated to the TLS saturation photon number
-        despite the shared n_s symbol in the literature).
     """
 
     lambda0: float
     t_c: float
     l_total_per_length: float | None = None
-    pair_density: float | None = None
 
     def __post_init__(self):
         if self.lambda0 <= 0 or self.t_c <= 0:
             raise ValueError("lambda0 and t_c must be positive")
 
     @classmethod
-    def with_kinetic_total(cls, lambda0, t_c, geom: FilmGeometry, t_ref=0.0,
-                           pair_density=None):
+    def with_kinetic_total(cls, lambda0, t_c, geom: FilmGeometry, t_ref=0.0):
         """L_t,l set to L_k,l(t_ref): the kinetic-inductance-dominated limit."""
-        sc = cls(lambda0, t_c, None, pair_density)
-        ltl = kinetic_inductance_per_length(sc, geom, t_ref)
-        return cls(lambda0, t_c, ltl, pair_density)
+        sc = cls(lambda0, t_c)
+        return cls(lambda0, t_c, kinetic_inductance_per_length(sc, geom, t_ref))
 
 
 def penetration_depth(sc: SuperconductorParams, temperature):
@@ -82,6 +78,7 @@ def freq_shift_from_temperature(sc: SuperconductorParams, geom: FilmGeometry,
     -(1/L_t,l) * (mu_0/(d w)) * lambda(T_ref) * (lambda(T) - lambda(T_ref)),
     the linearized form of -(L_k,l(T) - L_k,l(T_ref)) / (2 L_t,l).
     Negative for T > T_ref (the resonance softens as the film warms).
+    temperature may be an array; the result has its shape.
     """
     if sc.l_total_per_length is None:
         raise ValueError("l_total_per_length not set; use with_kinetic_total "
@@ -174,31 +171,6 @@ def perturbation_frequency_shift(participation, d_eps_real):
 
 # --- file ingestion -------------------------------------------------------
 
-def _read_csv_columns(path, required):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.lstrip().startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        header = [h.strip().split("(")[0] for h in header]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}; header {header}")
-        idx = {c: header.index(c) for c in required}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                rows.append([float(row[idx[c]]) for c in required])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: bad row {lineno}: {row}") from exc
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    cols = np.array(rows, dtype=float).T
-    return dict(zip(required, cols))
-
-
 def load_current_density_map(path) -> CurrentDensityMap:
     """CSV schema: header ``x_m,y_m,j_norm``; ``#`` comment lines allowed.
 
@@ -206,7 +178,7 @@ def load_current_density_map(path) -> CurrentDensityMap:
     particular, corner cells averaged over a small neighborhood so that
     current crowding does not leak into the normalization).
     """
-    cols = _read_csv_columns(path, ["x_m", "y_m", "j_norm"])
+    cols = io.read_columns(path, ["x_m", "y_m", "j_norm"])
     return CurrentDensityMap(x=cols["x_m"], y=cols["y_m"], j_norm=cols["j_norm"])
 
 
@@ -216,9 +188,8 @@ def load_field_energy_maps(path) -> FieldEnergyMaps:
     in_local holds 0/1 flags; a ``(0|1)`` suffix on the header token is
     tolerated.
     """
-    cols = _read_csv_columns(path, ["x_m", "y_m", "z_m", "e2", "h2",
-                                    "eps_re", "mu_re", "in_local",
-                                    "cell_vol_m3"])
+    cols = io.read_columns(path, ["x_m", "y_m", "z_m", "e2", "h2", "eps_re",
+                                  "mu_re", "in_local", "cell_vol_m3"])
     return FieldEnergyMaps(e2=cols["e2"], h2=cols["h2"], eps_re=cols["eps_re"],
                            mu_re=cols["mu_re"],
                            in_local=cols["in_local"] > 0.5,

@@ -9,7 +9,8 @@ that nonequilibrium (phonon-driven) values decouple from the thermodynamic
 temperature; equilibrium values are provided as a convenience map.
 
 Also here: dielectric loss tangent of a TLS bath, its temperature-dependent
-permittivity (complex-digamma closed form), the Kramers-Kronig quadrature
+permittivity (a closed form in scipy's complex digamma, which broadcasts
+over mode frequencies and temperatures), the Kramers-Kronig quadrature
 oracle for that closed form, and the Gaussian spectral-diffusion loss
 integral with its saturated closed form.
 """
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import digamma
 
 from .constants import EPS_0, HBAR, K_B, PLANCK, TWO_PI
-from .digamma import digamma
 
 
 class QuadratureError(RuntimeError):
@@ -30,12 +31,16 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThermalEnvironment:
-    """Phonon bath at temperature [K] > 0."""
+    """Phonon bath at temperature [K] > 0.
+
+    temperature may be a numpy array of temperatures; validation rejects
+    the whole array if any element is not positive.
+    """
 
     temperature: float
 
     def __post_init__(self):
-        if not (self.temperature > 0):
+        if not np.all(self.temperature > 0):
             raise ValueError("temperature must be positive")
 
 
@@ -218,9 +223,13 @@ def intrinsic_loss_tangent(host: TlsHostMaterial):
 
 def permittivity_bracket(f_r, env: ThermalEnvironment):
     """Re psi(1/2 - h f/(2 i pi k T)) - ln(h f/(2 pi k T)); the temperature
-    dependence of the TLS permittivity up to the -delta/pi prefactor."""
+    dependence of the TLS permittivity up to the -delta/pi prefactor.
+
+    f_r broadcasts against env.temperature: f_r[:, None] with an array of
+    temperatures gives one row per mode.
+    """
     x = PLANCK * f_r / (TWO_PI * K_B * env.temperature)
-    return digamma(complex(0.5, x)).real - np.log(x)
+    return digamma(0.5 + 1j * x).real - np.log(x)
 
 
 def temperature_permittivity_shift(f_r, env: ThermalEnvironment,
@@ -231,7 +240,7 @@ def temperature_permittivity_shift(f_r, env: ThermalEnvironment,
                                             - ln(h f/(2 pi k T))]
 
     Negative-going below k_B T ~ h f_r (digamma term), positive-going above
-    (logarithmic term).
+    (logarithmic term).  Broadcasts like :func:`permittivity_bracket`.
     """
     return (host.participation * host.delta_tls / np.pi
             * permittivity_bracket(f_r, env))
@@ -257,8 +266,8 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
 
     The absolute value depends on the high-frequency cutoff (the tail is
     logarithmically divergent) and is therefore only meaningful in
-    temperature differences.  Verification oracle only; the closed form is
-    the production path.
+    temperature differences.  Verification oracle only, for one frequency
+    and one temperature; the closed form is the production path.
     """
     f = float(f)
     if f <= 0:

@@ -13,7 +13,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from optoresp.constants import HBAR, TWO_PI, dbm_to_watts
-from optoresp.digamma import digamma
 from optoresp.ensemble import (EnsembleParams, parameter_sweep,
                                slope_fractional_frequency, slope_inverse_q)
 from optoresp.fitkit import (fit_full_s21, fit_lorentzian_dip,
@@ -25,7 +24,7 @@ from optoresp.montecarlo import McConfig, run
 from optoresp.resonator import (DriveCondition, LineCalibration,
                                 ResonatorMode, photon_number)
 from optoresp.tls import (SaturationDrive, ThermalEnvironment,
-                          TlsHostMaterial, TlsUnit,
+                          TlsHostMaterial, TlsUnit, digamma,
                           kramers_kronig_real_part,
                           longitudinal_complex_shift, permittivity_bracket,
                           spectral_diffusion_loss,

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from optoresp.fitkit import (ComplexTrace, FitModelSpec, Identity, Log,
-                             NoDipError, PowerSeries, fit_full_s21,
-                             fit_lorentzian_dip, fit_power_frequency,
-                             fit_power_inverse_q, fit_tls_saturation,
-                             levenberg_marquardt, solve_least_squares,
+from optoresp.fitkit import (ComplexTrace, Identity, Log, NoDipError,
+                             PowerSeries, fit_full_s21, fit_lorentzian_dip,
+                             fit_power_frequency, fit_power_inverse_q,
+                             fit_tls_saturation, levenberg_marquardt,
                              synth_power_series, synth_tls_saturation,
                              synth_trace)
 from optoresp.fitkit.models import (_lorentzian, _lorentzian_jac,
@@ -460,10 +459,3 @@ def test_synth_trace_noise_statistics():
     assert abs(np.std(resid.real) / 2e-3 - 1.0) < 0.1
     assert abs(np.std(resid.imag) / 2e-3 - 1.0) < 0.1
 
-
-def test_solve_least_squares_requires_guess_policy():
-    spec = FitModelSpec(name="bare", param_names=("a",),
-                        residual=lambda x, d: x[0] - d,
-                        jacobian=lambda x, d: np.ones((1, 1)))
-    with pytest.raises(ValueError):
-        solve_least_squares(spec, np.array([1.0]))

@@ -259,7 +259,7 @@ def _flat_noise_trace(path):
     return str(path)
 
 
-def test_failed_run_leaves_no_stale_csv(tmp_path):
+def test_failed_run_leaves_no_stale_csv(tmp_path, capsys):
     flat = _flat_noise_trace(tmp_path / "flat.csv")
     assert run_cli("fit-spectrum", "--input", flat, "--model", "full",
                    "--out-dir", str(tmp_path)) == 0
@@ -280,6 +280,15 @@ def test_failed_run_leaves_no_stale_csv(tmp_path):
     assert not (tmp_path / "fit_spectrum_curve.csv").exists()
     env = json.loads((tmp_path / "fit_spectrum.json").read_text())
     assert list(env["result"]) == ["lorentzian"]
+    # a flag value that does not parse fails like any other bad input: the
+    # outputs of the command's earlier run are removed
+    assert run_cli("slopes", "--out-dir", str(tmp_path)) == 0
+    assert (tmp_path / "slopes_sweep.csv").exists()
+    capsys.readouterr()
+    assert run_cli("slopes", "--xi", "x", "--out-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: --xi: invalid value 'x'\n"
+    assert not (tmp_path / "slopes.json").exists()
+    assert not (tmp_path / "slopes_sweep.csv").exists()
 
 
 def test_fit_spectrum_both_reports_missing_dip_in_band(tmp_path, capsys):
@@ -388,6 +397,8 @@ def test_cli_explicit_flag_at_default_beats_config(tmp_path):
      "c.txt:1: config key 'raw-moments': invalid value 'ture'"),
     ("slopes", "c.json", '{"xi-grid": "20,fifty"}',
      "c.json:1: config key 'xi-grid': invalid value '20,fifty'"),
+    ("synth", "c.txt", "kind = sine\n",
+     "c.txt:1: config key 'kind': invalid value 'sine'"),
 ])
 def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
                                               name, text, error):
@@ -405,6 +416,13 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["synth", "--points", "0"], "--points"),
     (["temp-model", "--t-points", "0"], "--t-points"),
     (["temp-model", "--fr-ghz", ""], "--fr-ghz"),
+    (["mc", "--trials", "0"], "--trials"),
+    (["mc", "--p-points", "1"], "--p-points"),
+    (["mc", "--p-max-nw", "0"], "--p-max-nw"),
+    (["mc", "--workers", "0"], "--workers"),
+    (["mc", "--window-ghz", "1"], "--window-ghz"),
+    (["mc", "--window-ghz", "2,1"], "--window-ghz"),
+    (["slopes", "--s", "0.5"], "--s"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1

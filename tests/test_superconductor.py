@@ -160,7 +160,15 @@ def test_current_map_csv_roundtrip(tmp_path):
 def test_current_map_csv_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x_m,y_m,j_norm\n0.0,oops,0.1\n")
-    with pytest.raises(ValueError, match="row 2"):
+    with pytest.raises(ValueError, match="bad.csv:2: non-numeric"):
+        load_current_density_map(bad)
+    bad.write_text("x_m,y_m,j_norm\n0.0,0.0,nan\n")
+    with pytest.raises(ValueError, match="bad.csv:2: non-finite"):
+        load_current_density_map(bad)
+    # comment lines count: the bad cell is on the file's 6th line
+    bad.write_text("# export\n# units: m\nx_m,y_m,j_norm\n0.0,0.0,0.1\n"
+                   "\n1e-6,0.0,bad\n")
+    with pytest.raises(ValueError, match="bad.csv:6: non-numeric"):
         load_current_density_map(bad)
     missing = tmp_path / "missing.csv"
     missing.write_text("x_m,j_norm\n0.0,0.1\n")

@@ -191,6 +191,24 @@ def test_permittivity_shift_slope_sign_change():
     assert sign_changes == 1
 
 
+def test_permittivity_broadcasts_bitwise_like_scalar_calls():
+    host = TlsHostMaterial(intrinsic_loss=1e-5, participation=0.1)
+    f_r = np.array([2.418e9, 4.884e9, 7.061e9, 11.63e9])
+    temps = np.linspace(0.010, 1.0, 100)
+    env = ThermalEnvironment(temps)
+    bracket = permittivity_bracket(f_r[:, None], env)
+    shift = temperature_permittivity_shift(f_r[:, None], env, host)
+    assert bracket.shape == shift.shape == (4, 100)
+    for i, f in enumerate(f_r):
+        for j, t in enumerate(temps):
+            scalar_env = ThermalEnvironment(float(t))
+            assert bracket[i, j] == permittivity_bracket(float(f), scalar_env)
+            assert shift[i, j] == temperature_permittivity_shift(
+                float(f), scalar_env, host)
+    with pytest.raises(ValueError):
+        ThermalEnvironment(np.array([0.1, 0.0]))
+
+
 # --- Kramers-Kronig oracle ----------------------------------------------------
 
 def test_kk_zero_loss_and_equal_temperature():
