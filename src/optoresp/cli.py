@@ -13,22 +13,26 @@ explicit flags override file values.  A malformed file, an unknown key or
 an unparseable value is reported as ``path:lineno``.  Flag values are read
 as text and parsed by the same conversion inside main's error handling, so
 a bad flag value is named by its flag and fails like any other bad input.
+A range error the library raises on one of its fields is reported under
+the flag that sets that field.
 The OPTORESP_OUTDIR environment variable selects the default output
 directory (and nothing else).
 
 Each subcommand is one row of ``COMMANDS``: its flags, the builder of its
-config echo, its ``run_*`` function, its envelope and declared CSVs, and its
-summary lines.  One driver runs every row.  A failed run removes all of the
-command's declared outputs; a successful run removes any declared output it
-did not write, so no file from an earlier run passes for its result.
+config echo, its ``run_*`` function, its envelope and declared CSVs, its
+summary lines and the flags of the library fields it sets.  One driver runs
+every row, on one parser built per process.  A failed run removes all of
+the command's declared outputs; a successful run removes any declared output
+it did not write, so no file from an earlier run passes for its result.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -99,8 +103,6 @@ def _photon_number_summary(r, paths):
 # --- slopes -----------------------------------------------------------------
 
 def _slopes_config(a):
-    if not -1.0 <= a.s <= 0.0:
-        raise ValueError("--s must lie in [-1, 0]")
     return {
         "fr_hz": a.fr_ghz * 1e9,
         "rho_tls": a.rho,
@@ -136,12 +138,17 @@ def _ensemble_from_cfg(cfg, g_mhz, xi):
 
 
 def run_slopes(cfg, names):
+    single = _ensemble_from_cfg(cfg, cfg["g_mhz"], cfg["xi"])
     g_grid = cfg["g_grid_mhz"] or [cfg["g_mhz"]]
     xi_grid = cfg["xi_grid"] or [cfg["xi"]]
     # g-major rows: every xi for the first g, then the next g
     g_mhz, xi = (a.ravel() for a in np.meshgrid(g_grid, xi_grid, indexing="ij"))
-    sweep = _ensemble_from_cfg(cfg, g_mhz, xi)
-    single = _ensemble_from_cfg(cfg, cfg["g_mhz"], cfg["xi"])
+    try:
+        sweep = _ensemble_from_cfg(cfg, g_mhz, xi)
+    except ValueError as exc:
+        # the scalar flags passed in single, so a grid value is out of range
+        raise ValueError(_flag_message(
+            exc, {"xi": "--xi-grid", "couplings": "--g-grid-mhz"})) from exc
     columns = [g_mhz, xi, ensemble.slope_inverse_q(sweep),
                ensemble.slope_fractional_frequency(sweep)]
     return {
@@ -163,11 +170,10 @@ def _slopes_summary(r, paths):
 # --- mc ---------------------------------------------------------------------
 
 def _mc_config(a):
-    for flag, value, least in (("--trials", a.trials, 1),
-                               ("--p-points", a.p_points, 2),
-                               ("--workers", a.workers, 1)):
-        if value < least:
-            raise ValueError(f"{flag} must be at least {least}")
+    # the power grid is built from both flags, so McConfig's p_grid errors
+    # could not name either
+    if a.p_points < 2:
+        raise ValueError("--p-points must be at least 2")
     if not a.p_max_nw > 0:
         raise ValueError("--p-max-nw must be positive")
     if a.window_ghz and (len(a.window_ghz) != 2
@@ -441,6 +447,18 @@ class Command:
     envelope: str         # file names may use {flag} fields, e.g. {kind}
     outputs: tuple        # declared CSVs, in the order of the writers
     summary: Callable     # (payload, [envelope, *CSV paths]) -> lines
+    # library field (first word of its range error) -> the flag that sets it
+    flags: dict = field(default_factory=dict)
+
+
+def _flag_message(exc, flags):
+    """exc's message, with a leading library field name replaced by the flag
+    that sets it.  The value a library message quotes after ', got' is in
+    library units, so it is dropped."""
+    name, sep, rest = str(exc).partition(" ")
+    if not sep or name not in flags:
+        return str(exc)
+    return f"{flags[name]} {rest.split(', got ')[0]}"
 
 
 COMMON = (
@@ -458,7 +476,8 @@ COMMANDS = {c.name: c for c in (
          Arg("--q-ext", float), Arg("--power-dbm", float),
          Arg("--detuning-hz", float, 0.0)),
         _photon_number_config, run_photon_number, "photon_number.json", (),
-        _photon_number_summary),
+        _photon_number_summary,
+        {"f_r": "--fr-ghz", "q_int": "--q-int", "q_ext": "--q-ext"}),
     Command(
         "slopes", "analytic optical-response slopes",
         (Arg("--fr-ghz", float, 7.0),
@@ -476,7 +495,11 @@ COMMANDS = {c.name: c for c in (
              "comma list; sweeps the coupling"),
          Arg("--xi-grid", float_list, (), "comma list; sweeps xi")),
         _slopes_config, run_slopes, "slopes.json", ("slopes_sweep.csv",),
-        _slopes_summary),
+        _slopes_summary,
+        {"omega_r": "--fr-ghz", "rho_tls": "--rho",
+         "thickness": "--thickness-nm", "width": "--width-nm", "xi": "--xi",
+         "omega_max": "--fmax-ghz", "gamma1_t": "--gamma1-mhz",
+         "couplings": "--g-mhz", "s_tilde": "--s", "ds_tilde": "--ds"}),
     Command(
         "mc", "Monte Carlo ensemble simulation",
         (Arg("--seed", int, 0),
@@ -503,7 +526,13 @@ COMMANDS = {c.name: c for c in (
              "skip the <g^2>/<Gamma_1> moment normalization"),
          Arg("--workers", int, 1)),
         _mc_config, run_mc, "mc.json", ("mc_curves.csv", "mc_aggregate.csv"),
-        _mc_summary),
+        _mc_summary,
+        {"trials": "--trials", "omega_r": "--fr-ghz",
+         "omega_max": "--fmax-ghz", "exclusion": "--exclusion-mhz",
+         "half_length": "--half-length-um", "l_edge": "--l-edge-um",
+         "xi": "--xi", "area": "--area-nm2", "g_mean": "--g-mhz",
+         "gamma1_mean": "--gamma1-mhz", "rho_tls": "--rho",
+         "s_std": "--s-std", "workers": "--workers"}),
     Command(
         "temp-model", "temperature dependence of the frequency shift",
         (Arg("--fr-ghz", float_list, (7.0,), "comma list of mode frequencies"),
@@ -550,7 +579,9 @@ COMMANDS = {c.name: c for c in (
          Arg("--delta2", float, 0.0),
          Arg("--delta3-per-nw", float, 0.0)),
         _synth_config, run_synth, "synth_{kind}.json", ("synth_{kind}.csv",),
-        lambda r, paths: [f"wrote {paths[1]}"]),
+        lambda r, paths: [f"wrote {paths[1]}"],
+        # q_ext is |Q_ext| cos(phi), set by two flags
+        {"f_r": "--fr-ghz", "q_int": "--q-int"}),
     Command(
         "fit-spectrum", "fit a measured/synthetic trace",
         (Arg("--input", required=True),
@@ -563,6 +594,7 @@ COMMANDS = {c.name: c for c in (
 
 # --- driver -----------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     """The parser of every row.  Flags are read as text, converted by main
     like config values; unset flags stay off the namespace, so the
@@ -700,7 +732,7 @@ def main(argv=None):
     except (io.ParseError, fitmodels.NoDipError, ValueError, OSError,
             OdeConvergenceError, QuadratureError, SingularJacobianError,
             np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_flag_message(exc, cmd.flags)}", file=sys.stderr)
         # a failed run leaves none of its outputs, so no envelope or CSV
         # from an earlier run passes for its result
         for path in _output_paths(cmd, args):

@@ -24,6 +24,17 @@ exact Poisson thinning of the bath on [-L, L]: the Poisson mean scales with
 the window and positions are uniform on it, so the drawn bath has the
 distribution of the full bath's TLSs inside the reach.
 
+response_curves walks the bath in blocks of _BLOCK TLSs.  For each block
+it evaluates the tls forms on column views and the (powers x block)
+kernel, and adds the product of the two weight rows with the kernel into
+one (2, powers) accumulator, so no bath-length kernel matrix or weight
+temporaries are built.  kernel picks its tanh fallback per call, so per block: a block
+holding a TLS with 2|x|/l_edge > _COSH_ARG_MAX takes the tanh form while
+the other blocks keep the cosh ratio.
+The sums run block by block, so the curves can differ from one bath-wide
+matrix-vector product by about 1e-15 relative (summation order); the bath
+draws themselves are bit for bit those of rng.normal.
+
 Determinism: (seed, config) -> result is a pure function.  Trials get
 independent sub-streams spawned from the master seed, so parallel and
 sequential execution agree bit for bit.
@@ -95,6 +106,10 @@ class McConfig:
                                (self.omega_r - self.omega_max, self.omega_r))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name in ("omega_r", "omega_max", "half_length", "l_edge", "xi",
+                     "area", "g_mean", "gamma1_mean"):
+            if not (getattr(self, name) > 0):
+                raise ValueError(f"{name} must be positive")
         lo, hi = self.freq_window
         if not (hi > lo):
             raise ValueError("freq_window must be an increasing pair")
@@ -104,11 +119,10 @@ class McConfig:
             raise ValueError("p_grid needs at least two points")
         if np.any(np.diff(self.p_grid) <= 0) or self.p_grid[0] < 0:
             raise ValueError("p_grid must be strictly increasing and nonnegative")
-        for name in ("half_length", "l_edge", "xi", "area", "g_mean", "gamma1_mean"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
         if self.rho_tls < 0:
             raise ValueError("rho_tls must be >= 0")
+        if not (self.s_std >= 0):
+            raise ValueError("s_std must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -154,6 +168,11 @@ class TlsBath:
     def __len__(self):
         return self.detuning.size
 
+    def select(self, index):
+        """The TLSs at index: a slice, a boolean mask or an index array."""
+        return TlsBath(**{f.name: getattr(self, f.name)[index]
+                          for f in fields(self)})
+
 
 @dataclass(frozen=True)
 class McResult:
@@ -190,6 +209,10 @@ class McResult:
                 (float(self.slopes_dfrac.mean()), float(self.slopes_dfrac.std(ddof=ddof))))
 
 
+# TLSs per block of response_curves: a block's columns, weights and
+# (powers x TLS) kernel stay cache-sized (16k TLS x 11 powers: 1.4 MB)
+_BLOCK = 16384
+
 # cosh overflows past 710; beyond this argument use the tanh form
 _COSH_ARG_MAX = 700.0
 
@@ -222,9 +245,21 @@ def kernel(x, p_opt, xi, l_edge):
     return np.divide(np.tanh(2.0 * v), k, out=k)[()]
 
 
+def _normal(rng, n, loc, scale):
+    """rng.normal(loc, scale, n) bit for bit, in one buffer: normal computes
+    loc + scale * z on the same standard-normal stream."""
+    z = rng.standard_normal(n)
+    z *= scale
+    z += loc
+    return z
+
+
 def _clamped_normal(rng, n, mean):
     """mean * max(N(1, FWHM_REL_STD), 0) draws."""
-    return mean * np.maximum(rng.normal(1.0, FWHM_REL_STD, n), 0.0)
+    z = _normal(rng, n, 1.0, FWHM_REL_STD)
+    np.maximum(z, 0.0, out=z)
+    z *= mean
+    return z
 
 
 def _clamp_moments(rel_std):
@@ -273,7 +308,8 @@ def generate_ensemble(config: McConfig, rng=None) -> TlsBath:
         g /= np.sqrt(m2)
         gamma1 /= m1
 
-    s = np.clip(rng.normal(0.0, config.s_std, n), -1.0, 0.0)
+    s = _normal(rng, n, 0.0, config.s_std)
+    np.clip(s, -1.0, 0.0, out=s)
     ds = np.full(n, config.ds_value)
 
     return TlsBath(detuning=detuning, g_perp=g, g_par=g,
@@ -289,18 +325,21 @@ def response_curves(config: McConfig, bath: TlsBath) -> McResult:
     # drawn by run() lies inside the reach already
     reach = config.reach
     if bath.x.min(initial=0.0) < -reach or bath.x.max(initial=0.0) > reach:
-        keep = np.abs(bath.x) <= reach
-        bath = TlsBath(**{f.name: getattr(bath, f.name)[keep]
-                          for f in fields(bath)})
+        bath = bath.select(np.abs(bath.x) <= reach)
 
-    loss_par, shift_par = longitudinal_complex_shift(bath, w_r)
-    # optical convention: illumination is measured against the ground-state
-    # bath, so the dispersive pull enters as the change S - (-1) = 1 + S
-    _, shift_perp = transverse_complex_shift(replace(bath, s=1.0 + bath.s))
-
-    k_mat = kernel(bath.x, p[:, None], config.xi, config.l_edge)
-    dq = (k_mat @ loss_par) / w_r
-    df = (k_mat @ (shift_perp + shift_par)) / w_r
+    # (dinv_q, dfrac) * w_r at each power, summed block by block
+    acc = np.zeros((2, p.size))
+    for start in range(0, len(bath), _BLOCK):
+        blk = bath.select(slice(start, start + _BLOCK))
+        loss_par, shift_par = longitudinal_complex_shift(blk, w_r)
+        # optical convention: illumination is measured against the
+        # ground-state bath, so the dispersive pull enters as the change
+        # S - (-1) = 1 + S
+        _, shift_perp = transverse_complex_shift(replace(blk, s=1.0 + blk.s))
+        shift_perp += shift_par
+        acc += np.stack((loss_par, shift_perp)) @ kernel(
+            blk.x, p[:, None], config.xi, config.l_edge).T
+    dq, df = acc / w_r
     sq, sf = _fit_slopes(p, dq, df)
     return McResult(p_grid=p, dinv_q=dq[None, :], dfrac=df[None, :],
                     slopes_inv_q=np.array([sq]), slopes_dfrac=np.array([sf]),

@@ -92,6 +92,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+PHOTON_NUMBER = ["photon-number", "--fr-ghz", "2.418", "--q-int", "70134",
+                 "--q-ext", "3226", "--power-dbm", "-77"]
+
+
 def test_cli_photon_number(tmp_path):
     code = run_cli("photon-number", "--fr-ghz", "2.418", "--q-int", "70134",
                    "--q-ext", "3226", "--power-dbm", "-77",
@@ -335,6 +339,60 @@ def test_module_entry_point_writes_no_warning(tmp_path):
     assert proc.stderr == ""
 
 
+def _outputs(directory):
+    """Each file's bytes, envelopes without their duration_s."""
+    out = {}
+    for path in sorted(directory.iterdir()):
+        if path.suffix == ".json":
+            env = json.loads(path.read_text())
+            del env["duration_s"]
+            out[path.name] = env
+        else:
+            out[path.name] = path.read_bytes()
+    return out
+
+
+def test_parser_built_once_serves_every_run(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process: commands run one after
+    # another on it write what runs on fresh parsers write, and --help
+    # reads the same before and after
+    monkeypatch.setenv("COLUMNS", "100")
+    helps = [["--help"], ["slopes", "--help"], ["mc", "--help"]]
+    runs = [["slopes", "--g-grid-mhz", "2,4", "--xi-grid", "20,50"],
+            PHOTON_NUMBER, ["slopes", "--xi", "0"], ["slopes", "--s", "-0.5"],
+            ["synth", "--kind", "power", "--points", "5"]]
+
+    def help_texts():
+        texts = []
+        for argv in helps:
+            with pytest.raises(SystemExit) as done:
+                main(argv)
+            assert done.value.code == 0
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    def run_all(out, fresh):
+        codes = []
+        for argv in runs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            codes.append(main(argv + ["--out-dir", str(out)]))
+        streams = capsys.readouterr()
+        return codes, streams.out.replace(str(out), "OUT"), streams.err
+
+    cli.build_parser.cache_clear()
+    before = help_texts()
+    shared = run_all(tmp_path / "shared", fresh=False)
+    assert help_texts() == before
+    assert cli.build_parser() is cli.build_parser()
+    assert run_all(tmp_path / "fresh", fresh=True) == shared
+    assert shared[0] == [0, 0, 1, 0, 0]
+    assert shared[2] == "error: --xi must be positive\n"
+    assert _outputs(tmp_path / "shared") == _outputs(tmp_path / "fresh")
+    cli.build_parser.cache_clear()
+    assert help_texts() == before
+
+
 def test_cli_missing_file_nonzero(tmp_path):
     code = run_cli("fit-spectrum", "--input", str(tmp_path / "nope.csv"),
                    "--out-dir", str(tmp_path))
@@ -423,6 +481,35 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["mc", "--window-ghz", "1"], "--window-ghz"),
     (["mc", "--window-ghz", "2,1"], "--window-ghz"),
     (["slopes", "--s", "0.5"], "--s"),
+    # range errors the library raises, named through each command's flags
+    (["mc", "--xi", "0"], "--xi"),
+    (["mc", "--fr-ghz", "0"], "--fr-ghz"),
+    (["mc", "--fmax-ghz", "0"], "--fmax-ghz"),
+    (["mc", "--exclusion-mhz", "-1"], "--exclusion-mhz"),
+    (["mc", "--half-length-um", "0"], "--half-length-um"),
+    (["mc", "--l-edge-um", "0"], "--l-edge-um"),
+    (["mc", "--area-nm2", "0"], "--area-nm2"),
+    (["mc", "--g-mhz", "0"], "--g-mhz"),
+    (["mc", "--gamma1-mhz", "0"], "--gamma1-mhz"),
+    (["mc", "--rho", "-1"], "--rho"),
+    (["mc", "--s-std", "-0.1"], "--s-std"),
+    (["mc", "--s-std", "nan"], "--s-std"),
+    (["slopes", "--thickness-nm", "0"], "--thickness-nm"),
+    (["slopes", "--width-nm", "0"], "--width-nm"),
+    (["slopes", "--xi", "0"], "--xi"),
+    (["slopes", "--rho", "0"], "--rho"),
+    (["slopes", "--fr-ghz", "0"], "--fr-ghz"),
+    (["slopes", "--fmax-ghz", "0"], "--fmax-ghz"),
+    (["slopes", "--gamma1-mhz", "0"], "--gamma1-mhz"),
+    (["slopes", "--g-mhz", "-1"], "--g-mhz"),
+    (["slopes", "--ds", "-1"], "--ds"),
+    (["slopes", "--xi-grid", "20,-5"], "--xi-grid"),
+    (["slopes", "--g-grid-mhz", "2,-1"], "--g-grid-mhz"),
+    (PHOTON_NUMBER[:3] + ["--q-int", "0"] + PHOTON_NUMBER[5:], "--q-int"),
+    (PHOTON_NUMBER[:5] + ["--q-ext", "0"] + PHOTON_NUMBER[7:], "--q-ext"),
+    (["photon-number", "--fr-ghz", "-2"] + PHOTON_NUMBER[3:], "--fr-ghz"),
+    (["synth", "--q-int", "0"], "--q-int"),
+    (["synth", "--fr-ghz", "0"], "--fr-ghz"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1

@@ -235,15 +235,102 @@ def test_multi_tls_bath_matches_closed_forms():
     bath = generate_ensemble(cfg)
     assert len(bath) > 1000
     res = response_curves(cfg, bath)
+    want_q, want_f = dense_reference(cfg, bath)
+    assert_allclose(res.dinv_q[0], want_q, rtol=1e-12, atol=0)
+    assert_allclose(res.dfrac[0], want_f, rtol=1e-12, atol=0)
+
+
+def dense_reference(cfg, bath):
+    """(dinv_q, dfrac) from one bath-wide tanh-form kernel matrix."""
     k = tanh_kernel(bath.x[None, :], cfg.p_grid[:, None], cfg.xi, cfg.l_edge)
     loss_par, shift_par = longitudinal_complex_shift(bath, cfg.omega_r)
     now = transverse_complex_shift(bath)[1]
     ground = transverse_complex_shift(
         dataclasses.replace(bath, s=np.full(len(bath), -1.0)))[1]
-    assert_allclose(res.dinv_q[0], k @ loss_par / cfg.omega_r,
-                    rtol=1e-12, atol=0)
-    assert_allclose(res.dfrac[0], k @ (now - ground + shift_par) / cfg.omega_r,
-                    rtol=1e-12, atol=0)
+    return (k @ loss_par / cfg.omega_r,
+            k @ (now - ground + shift_par) / cfg.omega_r)
+
+
+@pytest.mark.parametrize("n", [2 * montecarlo._BLOCK + 1234, 5000, 0])
+def test_response_curves_across_blocks(n):
+    # more than two blocks with a ragged last one, less than one block, and
+    # no TLS at all: each the dense tanh-form sums
+    cfg = small_config(omega_max=TWO_PI * 200e9, half_length=140e-6)
+    bath = generate_ensemble(cfg).select(slice(n))
+    assert len(bath) == n
+    res = response_curves(cfg, bath)
+    want_q, want_f = dense_reference(cfg, bath)
+    assert_allclose(res.dinv_q[0], want_q, rtol=1e-12, atol=0)
+    assert_allclose(res.dfrac[0], want_f, rtol=1e-12, atol=0)
+    if n == 0:
+        assert np.all(res.dinv_q == 0.0) and np.all(res.dfrac == 0.0)
+
+
+def test_tanh_fallback_chosen_per_block():
+    # 2|x|/l_edge passes _COSH_ARG_MAX only for |x| > 350 um, inside the
+    # reach of 354 um; with the bath ordered by |x| only the last block
+    # holds such TLSs and takes the tanh form
+    l_edge = 1e-6
+    cfg = small_config(l_edge=l_edge, half_length=354e-6,
+                       p_grid=np.linspace(0.0, 340e-6 * 2 / 50.0, 11))
+    assert cfg.reach >= cfg.half_length
+    bath = generate_ensemble(cfg)
+    bath = bath.select(np.argsort(np.abs(bath.x)))
+    far = [2.0 * np.max(np.abs(bath.x[i:i + montecarlo._BLOCK])) / l_edge
+           > montecarlo._COSH_ARG_MAX
+           for i in range(0, len(bath), montecarlo._BLOCK)]
+    assert any(far) and not all(far)
+    assert 2.0 * 50.0 * cfg.p_grid[-1] / (2.0 * l_edge) < montecarlo._COSH_ARG_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = response_curves(cfg, bath)
+    want_q, want_f = dense_reference(cfg, bath)
+    assert_allclose(res.dinv_q[0], want_q, rtol=1e-12, atol=0)
+    assert_allclose(res.dfrac[0], want_f, rtol=1e-12, atol=0)
+
+
+def test_workers_bitwise_on_multi_block_baths():
+    cfg = small_config(trials=4, seed=8, omega_max=TWO_PI * 200e9,
+                       half_length=250e-6)
+    # each trial draws on the reach, about 37k TLSs: three blocks
+    assert cfg.expected_count * cfg.reach / cfg.half_length > 2 * montecarlo._BLOCK
+    r_seq = run(cfg)
+    r_par = run(dataclasses.replace(cfg, workers=3))
+    for name in ("dinv_q", "dfrac", "slopes_inv_q", "slopes_dfrac"):
+        assert getattr(r_seq, name).tobytes() == getattr(r_par, name).tobytes()
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_bath_draw_bitwise_like_rng_normal(normalize):
+    # the in-place draws reproduce rng.normal's, bit for bit, and leave the
+    # stream where rng.normal leaves it
+    from optoresp.montecarlo import FWHM_REL_STD, _clamp_moments
+    for seed in (0, 1, 17, 2024):
+        cfg = small_config(seed=seed, normalize_moments=normalize)
+        bath = generate_ensemble(cfg)
+        rng = np.random.default_rng(seed)
+        n = int(rng.poisson(cfg.expected_count))
+        segs = cfg.window_segments
+        detuning = segs[0][0] + rng.random(n) * sum(b - a for a, b in segs)
+        for (_, end), (start, _) in zip(segs, segs[1:]):
+            detuning[detuning >= end] += start - end
+        x = rng.uniform(-cfg.half_length, cfg.half_length, n)
+        g = cfg.g_mean * np.maximum(rng.normal(1.0, FWHM_REL_STD, n), 0.0)
+        gamma1 = cfg.gamma1_mean * np.maximum(
+            rng.normal(1.0, FWHM_REL_STD, n), 0.0)
+        if normalize:
+            m1, m2 = _clamp_moments(FWHM_REL_STD)
+            g /= np.sqrt(m2)
+            gamma1 /= m1
+        s = np.clip(rng.normal(0.0, cfg.s_std, n), -1.0, 0.0)
+        want = dict(detuning=detuning, g_perp=g, g_par=g, gamma1=gamma1,
+                    gamma2=gamma1, s=s, ds=np.full(n, cfg.ds_value), x=x)
+        for name, column in want.items():
+            assert getattr(bath, name).tobytes() == column.tobytes(), name
+        # the next variate of both streams agrees too
+        follow = np.random.default_rng(seed)
+        generate_ensemble(cfg, follow)
+        assert follow.random() == rng.random()
 
 
 def test_ground_state_bath_is_silent():
@@ -319,3 +406,9 @@ def test_config_validation():
         small_config(freq_window=(1.0, -1.0))
     with pytest.raises(ValueError):
         small_config(workers=0)
+    # omega_r = 0 would put TLSs with Gamma_1 = 0 at 0/0 in the Debye terms
+    with pytest.raises(ValueError, match="omega_r"):
+        small_config(omega_r=0.0)
+    for s_std in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="s_std"):
+            small_config(s_std=s_std)
