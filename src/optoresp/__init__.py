@@ -3,8 +3,8 @@
 Modules
 -------
 resonator       hanger-type S21/S11 models, bandwidths, photon number
-tls             single-TLS physics, loss tangent, permittivity (scipy's
-                complex digamma), saturation
+tls             TLS physics on one TLS or a bath (TlsUnit), loss tangent,
+                permittivity (scipy's complex digamma), saturation
 meanfield       ODE steady-state oracle for the TLS-cavity closed forms
 ensemble        analytic bath integrals and the optical-response slopes
 montecarlo      stochastic TLS-ensemble simulation of the response curves

@@ -452,13 +452,12 @@ class Command:
 
 
 def _flag_message(exc, flags):
-    """exc's message, with a leading library field name replaced by the flag
-    that sets it.  The value a library message quotes after ', got' is in
-    library units, so it is dropped."""
-    name, sep, rest = str(exc).partition(" ")
-    if not sep or name not in flags:
-        return str(exc)
-    return f"{flags[name]} {rest.split(', got ')[0]}"
+    """exc's message, with each word that is a library field name replaced
+    by the flag that sets it.  The value a library message quotes after
+    ', got' is in library units, so it is dropped from a renamed message."""
+    text = str(exc)
+    named = " ".join(flags.get(word, word) for word in text.split(" "))
+    return text if named == text else named.split(", got ")[0]
 
 
 COMMON = (
@@ -499,7 +498,9 @@ COMMANDS = {c.name: c for c in (
         {"omega_r": "--fr-ghz", "rho_tls": "--rho",
          "thickness": "--thickness-nm", "width": "--width-nm", "xi": "--xi",
          "omega_max": "--fmax-ghz", "gamma1_t": "--gamma1-mhz",
-         "couplings": "--g-mhz", "s_tilde": "--s", "ds_tilde": "--ds"}),
+         "couplings": "--g-mhz", "s_tilde": "--s", "ds_tilde": "--ds",
+         "delta_max": "--fmax-ghz", "delta_min": "--fr-ghz",
+         "gamma2_t": "--gamma1-mhz"}),
     Command(
         "mc", "Monte Carlo ensemble simulation",
         (Arg("--seed", int, 0),
@@ -553,7 +554,8 @@ COMMANDS = {c.name: c for c in (
              "total inductance per length [H/m]; default kinetic-dominated")),
         _temp_model_config, run_temp_model, "temp_model.json",
         ("temp_model.csv",),
-        lambda r, paths: [f"wrote {paths[1]} ({r['n_rows']} rows)"]),
+        lambda r, paths: [f"wrote {paths[1]} ({r['n_rows']} rows)"],
+        {"lambda0": "--lambda0-um", "t_c": "--tc-k"}),
     Command(
         "synth", "synthetic traces and power series",
         (Arg("--kind", str, "trace", choices=("trace", "power")),
@@ -580,8 +582,8 @@ COMMANDS = {c.name: c for c in (
          Arg("--delta3-per-nw", float, 0.0)),
         _synth_config, run_synth, "synth_{kind}.json", ("synth_{kind}.csv",),
         lambda r, paths: [f"wrote {paths[1]}"],
-        # q_ext is |Q_ext| cos(phi), set by two flags
-        {"f_r": "--fr-ghz", "q_int": "--q-int"}),
+        {"f_r": "--fr-ghz", "q_int": "--q-int", "q_ext_mag": "--q-ext",
+         "phi": "--phi"}),
     Command(
         "fit-spectrum", "fit a measured/synthetic trace",
         (Arg("--input", required=True),

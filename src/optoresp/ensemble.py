@@ -79,7 +79,7 @@ class EnsembleParams:
             raise ValueError("ds_tilde must be >= 0")
         if not np.all((self.delta_max >= self.delta_min)
                       & (self.delta_min >= self.gamma2_t)):
-            raise ValueError("need delta_max >= delta_min >= gamma2_t")
+            raise ValueError("delta_max must be >= delta_min >= gamma2_t")
 
     @property
     def area(self) -> float:
@@ -90,16 +90,14 @@ def total_loss_rate(p: EnsembleParams, v_eff, split=False):
     """Bath-induced cavity loss [rad/s] in the effective volume v_eff [m^3].
 
     resonant = -2 pi hbar rho V g_perp^2 S; debye = 2 hbar rho V g_par^2
-    * Gamma_1 omega_r/(Gamma_1^2 + omega_r^2) * omega_max * dS.
+    omega_r K_par.  v_eff broadcasts against the fields of p.
     With split=True returns (resonant, debye) instead of the sum.
     """
-    if v_eff < 0:
+    if not np.all(v_eff >= 0):
         raise ValueError("v_eff must be >= 0")
     rho_v = HBAR * p.rho_tls * v_eff
     resonant = -TWO_PI * rho_v * p.g_perp_t**2 * p.s_tilde
-    debye = (2.0 * rho_v * p.g_par_t**2
-             * p.gamma1_t * p.omega_r / (p.gamma1_t**2 + p.omega_r**2)
-             * p.omega_max * p.ds_tilde)
+    debye = 2.0 * rho_v * p.g_par_t**2 * p.omega_r * k_parallel(p)
     if split:
         return resonant, debye
     return resonant + debye

@@ -35,7 +35,7 @@ from scipy.integrate import ode
 from scipy.linalg import expm
 
 from .constants import TWO_PI
-from .tls import TlsUnit
+from .tls import TlsUnit, _one_tls
 
 
 class OdeConvergenceError(RuntimeError):
@@ -61,6 +61,7 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
     Parameters
     ----------
     tls : TlsUnit
+        One TLS, with gamma1 > 0.
     omega_r : float
         Resonator angular frequency [rad/s] (enters the longitudinal
         dynamics; the transverse equations are written in its frame).
@@ -84,6 +85,7 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
     -------
     SteadyStateResult
     """
+    _one_tls(tls)
     if mode not in ("transverse", "longitudinal"):
         raise ValueError(f"unknown mode {mode!r}")
     if not (kappa_tot > 0):

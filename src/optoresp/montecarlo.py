@@ -5,18 +5,16 @@ and positions, Gaussian couplings/rates/populations) and accumulates the
 power-dependent response
 
     Delta(1/Q)(P) = (1/w_r) sum_i K(x_i, P) * loss_par_i
-    Df/f(P)       = (1/w_r) sum_i K(x_i, P) * [shift_perp_i(1 + S_i) + shift_par_i]
+    Df/f(P)       = (1/w_r) sum_i K(x_i, P) * [pull_i(1 + S_i) + shift_par_i]
 
-where loss_par, shift_par are tls.longitudinal_complex_shift and shift_perp
-is tls.transverse_complex_shift, evaluated on the bath's columns, and
-K(x, P) = [tanh((x + xi P/2)/l_edge) - tanh((x - xi P/2)/l_edge)]/2 is
-the phonon-window kernel around the laser spot, evaluated as
-tanh 2v / (1 + cosh 2u / cosh 2v) with u = x/l_edge, v = xi P/(2 l_edge): one
-cosh per TLS and a few per power.  Both sums are the
-illumination-induced *change*: the transverse term carries the sign of
-omega_TLS - omega_r, so exciting the (more numerous) high-frequency TLSs
-cancels part of the downward dispersive baseline and shows up as a blue
-shift, exactly as in the analytic K_perp coefficient.
+where loss_par, shift_par are tls.longitudinal_complex_shift and pull_i(s)
+is tls.dispersive_pull, evaluated on the bath, a tls.TlsUnit of columns
+(dS one scalar) validated once when drawn.  K is the phonon-window kernel
+around the laser spot (see kernel).  Both sums are the illumination-induced
+*change*: the transverse term carries the sign of omega_TLS - omega_r, so
+exciting the (more numerous) high-frequency TLSs cancels part of the
+downward dispersive baseline and shows up as a blue shift, exactly as in
+the analytic K_perp coefficient.
 
 TLSs beyond McConfig.reach see a kernel below exp(-28) ~ 7e-13 at every
 power, so a trial draws its bath on |x| <= reach only.  This is
@@ -25,15 +23,15 @@ the window and positions are uniform on it, so the drawn bath has the
 distribution of the full bath's TLSs inside the reach.
 
 response_curves walks the bath in blocks of _BLOCK TLSs.  For each block
-it evaluates the tls forms on column views and the (powers x block)
-kernel, and adds the product of the two weight rows with the kernel into
-one (2, powers) accumulator, so no bath-length kernel matrix or weight
-temporaries are built.  kernel picks its tanh fallback per call, so per block: a block
-holding a TLS with 2|x|/l_edge > _COSH_ARG_MAX takes the tanh form while
-the other blocks keep the cosh ratio.
-The sums run block by block, so the curves can differ from one bath-wide
-matrix-vector product by about 1e-15 relative (summation order); the bath
-draws themselves are bit for bit those of rng.normal.
+it evaluates the tls forms on TlsUnit.select's column views (not validated
+again) and the (powers x block) kernel, and adds the product of the two
+weight rows with the kernel into one (2, powers) accumulator, so no
+bath-length kernel matrix or weight temporaries are built.  kernel picks
+its tanh fallback per call, so per block: a block holding a TLS with
+2|x|/l_edge > _COSH_ARG_MAX takes the tanh form while the other blocks keep
+the cosh ratio.  The sums run block by block, so the curves can differ from
+one bath-wide matrix-vector product by about 1e-15 relative (summation
+order); the bath draws themselves are bit for bit those of rng.normal.
 
 Determinism: (seed, config) -> result is a pure function.  Trials get
 independent sub-streams spawned from the master seed, so parallel and
@@ -42,12 +40,12 @@ sequential execution agree bit for bit.
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .tls import longitudinal_complex_shift, transverse_complex_shift
+from .tls import TlsUnit, dispersive_pull, longitudinal_complex_shift
 
 # relative spread of the coupling/rate draws: FWHM equal to the mean
 FWHM_REL_STD = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -104,8 +102,9 @@ class McConfig:
         if self.freq_window is None:
             object.__setattr__(self, "freq_window",
                                (self.omega_r - self.omega_max, self.omega_r))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("trials", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in ("omega_r", "omega_max", "half_length", "l_edge", "xi",
                      "area", "g_mean", "gamma1_mean"):
             if not (getattr(self, name) > 0):
@@ -119,22 +118,16 @@ class McConfig:
             raise ValueError("p_grid needs at least two points")
         if np.any(np.diff(self.p_grid) <= 0) or self.p_grid[0] < 0:
             raise ValueError("p_grid must be strictly increasing and nonnegative")
-        if self.rho_tls < 0:
-            raise ValueError("rho_tls must be >= 0")
-        if not (self.s_std >= 0):
-            raise ValueError("s_std must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in ("rho_tls", "s_std"):
+            if not (getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def window_segments(self):
         """Detuning segments of the draw window with the exclusion band removed."""
         lo, hi = self.freq_window
-        segs = []
-        for a, b in ((lo, min(hi, -self.exclusion)), (max(lo, self.exclusion), hi)):
-            if b > a:
-                segs.append((a, b))
-        return segs
+        segs = ((lo, min(hi, -self.exclusion)), (max(lo, self.exclusion), hi))
+        return [(a, b) for a, b in segs if b > a]
 
     @property
     def expected_count(self) -> float:
@@ -149,48 +142,20 @@ class McConfig:
 
 
 @dataclass(frozen=True)
-class TlsBath:
-    """Column store of TLS draws.
-
-    The columns carry TlsUnit's attribute names, so the tls closed forms
-    take a bath directly and return one value per TLS.
-    """
-
-    detuning: np.ndarray
-    g_perp: np.ndarray
-    g_par: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    s: np.ndarray
-    ds: np.ndarray
-    x: np.ndarray
-
-    def __len__(self):
-        return self.detuning.size
-
-    def select(self, index):
-        """The TLSs at index: a slice, a boolean mask or an index array."""
-        return TlsBath(**{f.name: getattr(self, f.name)[index]
-                          for f in fields(self)})
-
-
-@dataclass(frozen=True)
 class McResult:
     p_grid: np.ndarray
     dinv_q: np.ndarray        # (trials, n_p)
     dfrac: np.ndarray         # (trials, n_p)
     slopes_inv_q: np.ndarray  # per-trial fitted slope [1/W]
     slopes_dfrac: np.ndarray
-    seed: int
 
     @property
     def mean_dinv_q(self):
         return self.dinv_q.mean(axis=0)
 
     @property
-    def std_dinv_q(self):
-        return self.dinv_q.std(axis=0, ddof=1) if self.dinv_q.shape[0] > 1 \
-            else np.zeros(self.p_grid.size)
+    def std_dinv_q(self):  # one trial has no spread: ddof 0 gives zeros
+        return self.dinv_q.std(axis=0, ddof=min(1, len(self.dinv_q) - 1))
 
     @property
     def mean_dfrac(self):
@@ -198,15 +163,13 @@ class McResult:
 
     @property
     def std_dfrac(self):
-        return self.dfrac.std(axis=0, ddof=1) if self.dfrac.shape[0] > 1 \
-            else np.zeros(self.p_grid.size)
+        return self.dfrac.std(axis=0, ddof=min(1, len(self.dfrac) - 1))
 
     def slope_stats(self):
         """((mean, std) of the 1/Q slope, (mean, std) of the df/f slope)."""
-        n = self.slopes_inv_q.size
-        ddof = 1 if n > 1 else 0
-        return ((float(self.slopes_inv_q.mean()), float(self.slopes_inv_q.std(ddof=ddof))),
-                (float(self.slopes_dfrac.mean()), float(self.slopes_dfrac.std(ddof=ddof))))
+        ddof = min(1, self.slopes_inv_q.size - 1)
+        return tuple((float(a.mean()), float(a.std(ddof=ddof)))
+                     for a in (self.slopes_inv_q, self.slopes_dfrac))
 
 
 # TLSs per block of response_curves: a block's columns, weights and
@@ -272,27 +235,22 @@ def _clamp_moments(rel_std):
     return m1, m2
 
 
-def generate_ensemble(config: McConfig, rng=None) -> TlsBath:
+def generate_ensemble(config: McConfig, rng=None) -> TlsUnit:
     """Draw one random bath.
 
     Count ~ Poisson(rho hbar dW A 2L); detunings uniform on the window minus
     the exclusion band, from one uniform variate over the total width mapped
-    across the band; positions uniform on [-L, L]; g and Gamma_1 Gaussian
-    around their means with FWHM-rule spread, clamped at zero (Gamma_2 =
-    Gamma_1 and g_perp = g_par share one array); S Gaussian(0, s_std)
-    clamped into [-1, 0]; dS shared.
-
-    run() calls this with half_length cut to config.reach, which draws the
-    full bath's TLSs inside the reach (Poisson thinning) and no others.
+    across the band; positions uniform on [-L, L]; g, Gamma_1 and S as
+    McConfig states, with Gamma_2 = Gamma_1 and g_perp = g_par sharing one
+    array each and dS one scalar.  About 1 % of the TLSs get Gamma_1 = 0.
+    run() draws with half_length cut to the reach (Poisson thinning).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n = int(rng.poisson(config.expected_count))
-    if n == 0:
+    if n == 0:  # the draws below are then empty and take no variates
         warnings.warn("empty TLS ensemble (expected count "
                       f"{config.expected_count:.3g})", stacklevel=2)
-        empty = np.empty(0)
-        return TlsBath(*(empty.copy() for _ in range(8)))
 
     segs = config.window_segments
     detuning = segs[0][0] + rng.random(n) * sum(b - a for a, b in segs)
@@ -310,13 +268,12 @@ def generate_ensemble(config: McConfig, rng=None) -> TlsBath:
 
     s = _normal(rng, n, 0.0, config.s_std)
     np.clip(s, -1.0, 0.0, out=s)
-    ds = np.full(n, config.ds_value)
 
-    return TlsBath(detuning=detuning, g_perp=g, g_par=g,
-                   gamma1=gamma1, gamma2=gamma1, s=s, ds=ds, x=x)
+    return TlsUnit(detuning=detuning, g_perp=g, g_par=g, gamma1=gamma1,
+                   gamma2=gamma1, s=s, ds=config.ds_value, x=x)
 
 
-def response_curves(config: McConfig, bath: TlsBath) -> McResult:
+def response_curves(config: McConfig, bath: TlsUnit) -> McResult:
     """Single-trial response of a given bath over the configured power grid."""
     p = config.p_grid
     w_r = config.omega_r
@@ -335,15 +292,14 @@ def response_curves(config: McConfig, bath: TlsBath) -> McResult:
         # optical convention: illumination is measured against the
         # ground-state bath, so the dispersive pull enters as the change
         # S - (-1) = 1 + S
-        _, shift_perp = transverse_complex_shift(replace(blk, s=1.0 + blk.s))
+        shift_perp = dispersive_pull(blk, 1.0 + blk.s)
         shift_perp += shift_par
         acc += np.stack((loss_par, shift_perp)) @ kernel(
             blk.x, p[:, None], config.xi, config.l_edge).T
     dq, df = acc / w_r
     sq, sf = _fit_slopes(p, dq, df)
     return McResult(p_grid=p, dinv_q=dq[None, :], dfrac=df[None, :],
-                    slopes_inv_q=np.array([sq]), slopes_dfrac=np.array([sf]),
-                    seed=config.seed)
+                    slopes_inv_q=np.array([sq]), slopes_dfrac=np.array([sf]))
 
 
 def _fit_slopes(p, dq, df):
@@ -386,4 +342,4 @@ def run(config: McConfig) -> McResult:
 
     return McResult(p_grid=config.p_grid, dinv_q=stack("dinv_q"),
                     dfrac=stack("dfrac"), slopes_inv_q=stack("slopes_inv_q"),
-                    slopes_dfrac=stack("slopes_dfrac"), seed=config.seed)
+                    slopes_dfrac=stack("slopes_dfrac"))

@@ -64,6 +64,10 @@ class ResonatorMode:
         The complex external Q is Q_ext_mag * exp(-i*phi), so phi = 0
         recovers the symmetric dip.
         """
+        if not (q_ext_mag > 0):
+            raise ValueError(f"q_ext_mag must be positive, got {q_ext_mag}")
+        if not (np.cos(phi) > 0):
+            raise ValueError(f"phi must lie within pi/2 of 0 (mod 2 pi), got {phi}")
         return cls(f_r, q_int, q_ext_mag * np.cos(phi), -q_ext_mag * np.sin(phi))
 
     @property

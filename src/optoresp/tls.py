@@ -1,4 +1,4 @@
-"""Single two-level-system (TLS) microphysics.
+"""Two-level-system (TLS) microphysics, for one TLS or a bath of them.
 
 A TLS at detuning Delta = omega_r - omega_TLS couples to the resonator
 transversely (exchange, g_perp) and longitudinally (sigma_z, g_par).  Its
@@ -7,6 +7,8 @@ the population slope dS (seconds), the frequency derivative of the imbalance
 that drives the Debye-type longitudinal response.  Both are stored per TLS so
 that nonequilibrium (phonon-driven) values decouple from the thermodynamic
 temperature; equilibrium values are provided as a convenience map.
+TlsUnit holds one TLS or a bath (the Monte Carlo's draw): the closed forms
+take either, the quadrature and mean-field oracles one TLS only.
 
 Also here: dielectric loss tangent of a TLS bath, its temperature-dependent
 permittivity (a closed form in scipy's complex digamma, which broadcasts
@@ -93,12 +95,15 @@ class SaturationDrive:
 
 @dataclass(frozen=True)
 class TlsUnit:
-    """One TLS: detuning, couplings, rates, populations, position.
+    """One TLS, or a bath of them in columns (a scalar field is shared by
+    every TLS): detuning, couplings, rates, populations, position.
 
-    detuning = omega_r - omega_TLS [rad/s], signed.  gamma2 >= gamma1/2 is
-    enforced (Gamma_2 = Gamma_1/2 + gamma_phi).  s is <sigma_z> in [-1, 0];
-    ds [s] is the population-slope parameter of the longitudinal response
-    (equal to hbar*(1 - tanh^2(hbar w/2 k T))/(k T) at equilibrium).
+    detuning = omega_r - omega_TLS [rad/s], signed.  gamma1 >= 0 and
+    gamma2 >= gamma1/2 (Gamma_2 = Gamma_1/2 + gamma_phi); gamma2 > 0 or
+    detuning != 0 keeps every Lorentzian finite when a rate is zero.
+    s is <sigma_z> in [-1, 0]; ds [s] is the population-slope parameter of
+    the longitudinal response (equal to hbar*(1 - tanh^2(hbar w/2 k T))/(k T)
+    at equilibrium).
     """
 
     detuning: float
@@ -111,36 +116,51 @@ class TlsUnit:
     x: float = 0.0
 
     def __post_init__(self):
-        if self.g_perp < 0 or self.g_par < 0:
-            raise ValueError("couplings must be >= 0")
-        if not (self.gamma1 > 0):
-            raise ValueError("gamma1 must be positive")
-        if self.gamma2 < 0.5 * self.gamma1:
-            raise ValueError("gamma2 must be >= gamma1/2")
-        if not (-1.0 <= self.s <= 0.0):
-            raise ValueError(f"s (= <sigma_z>) must lie in [-1, 0], got {self.s}")
-        if self.ds < 0:
-            raise ValueError("ds must be >= 0")
+        # bath-wide reductions with one float temporary at a time (a second
+        # faults in fresh pages on every draw); a NaN fails every comparison
+        def lo(a, bound=0.0): return np.min(a, initial=bound)
+        def hi(a, bound=0.0): return np.max(a, initial=bound)
+        for ok, message in (
+                (lo(self.g_perp) >= 0 and lo(self.g_par) >= 0,
+                 "couplings must be >= 0"),
+                (lo(self.gamma1) >= 0, "gamma1 must be >= 0"),
+                (np.all(self.gamma2 >= 0.5 * self.gamma1),
+                 "gamma2 must be >= gamma1/2"),
+                (np.isfinite([lo(self.detuning), hi(self.detuning),
+                              hi(self.gamma2), lo(self.x), hi(self.x)]).all(),
+                 "detuning, gamma2 and x must be finite"),
+                (np.all((self.gamma2 > 0) | (self.detuning != 0)),
+                 "gamma2 and detuning must not both vanish"),
+                (lo(self.s, -1.0) >= -1.0 and hi(self.s) <= 0.0,
+                 "s (= <sigma_z>) must lie in [-1, 0]"),
+                (lo(self.ds) >= 0, "ds must be >= 0")):
+            if not ok:
+                raise ValueError(message)
+        len(self)  # the columns must broadcast together
 
-    @classmethod
-    def equilibrium(cls, omega_tls, omega_r, env: ThermalEnvironment,
-                    g_perp, g_par, gamma1, gamma2, x=0.0):
-        """TLS thermalized with the phonon bath: S and dS from the temperature."""
-        return cls(detuning=omega_r - omega_tls, g_perp=g_perp, g_par=g_par,
-                   gamma1=gamma1, gamma2=gamma2,
-                   s=equilibrium_population(omega_tls, env),
-                   ds=equilibrium_ds(omega_tls, env), x=x)
+    def __len__(self):
+        """Number of TLSs: the broadcast length of the columns, 1 for one TLS."""
+        return int(np.prod(np.broadcast_shapes(*map(np.shape, vars(self).values()))))
+
+    def select(self, index):
+        """The TLSs at index (a slice, a boolean mask or an index array) of
+        each column, not validated again: TLSs of a valid bath are valid."""
+        sub = object.__new__(TlsUnit)
+        vars(sub).update((k, v[index] if np.ndim(v) else v)
+                         for k, v in vars(self).items())
+        return sub
 
     @property
-    def saturation_photon_number(self) -> float:
+    def saturation_photon_number(self):
         """n_s = Gamma_1 Gamma_2 / (4 g_perp^2); inf for a decoupled TLS.
 
         Distinct from the superfluid pair density (also written n_s in the
         superconductor module) — unrelated quantities sharing a symbol.
         """
-        if self.g_perp == 0.0:
-            return np.inf
-        return self.gamma1 * self.gamma2 / (4.0 * self.g_perp**2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.g_perp == 0.0, np.inf,
+                            np.divide(self.gamma1 * self.gamma2,
+                                      4.0 * self.g_perp**2))[()]
 
 
 def equilibrium_population(omega_tls, env: ThermalEnvironment):
@@ -165,11 +185,10 @@ def equilibrium_ds(omega_tls, env: ThermalEnvironment):
     return 2.0 * equilibrium_population_slope(omega_tls, env)
 
 
-def transverse_complex_shift(tls):
+def transverse_complex_shift(tls: TlsUnit):
     """Loss and frequency pull of the resonator from the exchange coupling.
 
-    tls is a TlsUnit, or a montecarlo.TlsBath whose columns give one value
-    per TLS.  Returns (delta_kappa, delta_omega) in rad/s:
+    Returns (delta_kappa, delta_omega) in rad/s, one value per TLS of tls:
 
         delta_kappa = -2 g_perp^2 Gamma_2 S / (Gamma_2^2 + Delta^2)
         delta_omega = -  g_perp^2 Delta  S / (Gamma_2^2 + Delta^2)
@@ -177,10 +196,15 @@ def transverse_complex_shift(tls):
     For S < 0 the loss is positive and the pull has the sign of -Delta*S:
     a TLS below the resonator (Delta > 0) pushes the frequency up.
     """
-    denom = tls.gamma2**2 + tls.detuning**2
-    loss = -2.0 * tls.g_perp**2 * tls.gamma2 * tls.s / denom
-    shift = -tls.g_perp**2 * tls.detuning * tls.s / denom
-    return loss, shift
+    loss = (-2.0 * tls.g_perp**2 * tls.gamma2 * tls.s
+            / (tls.gamma2**2 + tls.detuning**2))
+    return loss, dispersive_pull(tls, tls.s)
+
+
+def dispersive_pull(tls: TlsUnit, s):
+    """-g_perp^2 Delta s / (Gamma_2^2 + Delta^2) [rad/s], the pull of tls at
+    population s: S in transverse_complex_shift, 1 + S in the Monte Carlo."""
+    return -tls.g_perp**2 * tls.detuning * s / (tls.gamma2**2 + tls.detuning**2)
 
 
 def saturated_population(tls: TlsUnit, drive: SaturationDrive):
@@ -188,20 +212,25 @@ def saturated_population(tls: TlsUnit, drive: SaturationDrive):
 
     <sigma_z> = S / (1 + (n_cav/n_s) Gamma_2^2/(Gamma_2^2 + Delta^2)),
     n_s = Gamma_1 Gamma_2 / 4 g_perp^2.  A decoupled TLS (g_perp = 0)
-    cannot be saturated and keeps S.
+    cannot be saturated and keeps S; a coupled one with Gamma_1 = 0 has
+    n_s = 0, and the call raises ValueError.
     """
-    if tls.g_perp == 0.0:
-        return tls.s
-    n_s = tls.saturation_photon_number
     lorentz = tls.gamma2**2 / (tls.gamma2**2 + tls.detuning**2)
-    return tls.s / (1.0 + (drive.n_cav / n_s) * lorentz)
+    return tls.s / (1.0 + _drive_ratio(tls, drive) * lorentz)
 
 
-def longitudinal_complex_shift(tls, omega_r):
+def _drive_ratio(tls: TlsUnit, drive: SaturationDrive):
+    """n_cav/n_s; a coupled TLS with gamma1 = 0 has n_s = 0 and no ratio."""
+    n_s = tls.saturation_photon_number
+    if not np.min(n_s, initial=np.inf) > 0:
+        raise ValueError("gamma1 must be positive for a coupled TLS (n_s = 0)")
+    return drive.n_cav / n_s
+
+
+def longitudinal_complex_shift(tls: TlsUnit, omega_r):
     """Debye loss and down-shift from the sigma_z coupling.
 
-    tls is a TlsUnit, or a montecarlo.TlsBath whose columns give one value
-    per TLS.  Returns (loss, shift) in rad/s:
+    Returns (loss, shift) in rad/s, one value per TLS of tls:
 
         loss  = +2 g_par^2 dS Gamma_1 omega_r / (Gamma_1^2 + omega_r^2)
         shift = -  g_par^2 dS Gamma_1^2     / (Gamma_1^2 + omega_r^2)
@@ -305,9 +334,8 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
 def spectral_diffusion_loss_closed_form(tls: TlsUnit, drive: SaturationDrive,
                                         rho_v):
     """-2 pi hbar rho V g_perp^2 S / sqrt(1 + n_cav/n_s)  [rad/s]."""
-    n_ratio = 0.0 if tls.g_perp == 0.0 else drive.n_cav / tls.saturation_photon_number
     return (-TWO_PI * HBAR * rho_v * tls.g_perp**2 * tls.s
-            / np.sqrt(1.0 + n_ratio))
+            / np.sqrt(1.0 + _drive_ratio(tls, drive)))
 
 
 def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
@@ -328,13 +356,13 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
 
     rho_v is the rho_TLS * V_eff prefactor [J^-1].  Returns rad/s.
     """
+    _one_tls(tls)
     if not (sigma_sd > 0):
         raise ValueError("sigma_sd must be positive")
     if tls.s == 0.0 or tls.g_perp == 0.0:
         return 0.0
-    g2 = tls.gamma2
-    n_ratio = float(drive.n_cav / tls.saturation_photon_number)
-    s_dimless = float(sigma_sd / g2)     # everything below in units of Gamma_2
+    n_ratio = float(_drive_ratio(tls, drive))
+    s_dimless = float(sigma_sd / tls.gamma2)  # below in units of Gamma_2
     w = math.sqrt(1.0 + n_ratio)         # saturated half-width
     sqrt_two_pi = math.sqrt(TWO_PI)
 
@@ -379,3 +407,12 @@ def _piecewise_quad(f, knots, limit=80):
 def _check_quad(val, err, label):
     if not np.isfinite(val) or err > 1e-5 * max(1.0, abs(val)):
         raise QuadratureError(f"quadrature failed on {label}: value {val:g}, error {err:g}")
+
+
+def _one_tls(tls: TlsUnit):
+    """Entry check of the oracles here and in meanfield: one relaxing TLS."""
+    for name, value in vars(tls).items():
+        if np.ndim(value):
+            raise ValueError(f"{name} must be a scalar: the oracles take one TLS")
+    if not tls.gamma1 > 0:
+        raise ValueError("gamma1 must be positive in the oracles")

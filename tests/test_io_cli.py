@@ -510,11 +510,18 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["photon-number", "--fr-ghz", "-2"] + PHOTON_NUMBER[3:], "--fr-ghz"),
     (["synth", "--q-int", "0"], "--q-int"),
     (["synth", "--fr-ghz", "0"], "--fr-ghz"),
+    # library messages that name more than one field, or a field that two
+    # flags set
+    (["slopes", "--fmax-ghz", "1"], "--fmax-ghz"),
+    (["synth", "--phi", "2"], "--phi"),
+    (["temp-model", "--lambda0-um", "-1"], "--lambda0-um"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    # no word of the line is a library field the command maps to a flag
+    assert not set(err.split()) & set(cli.COMMANDS[argv[0]].flags)
     assert list(tmp_path.iterdir()) == []
 
 

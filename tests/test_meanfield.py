@@ -21,6 +21,17 @@ def _tls(**kw):
     return TlsUnit(**base)
 
 
+@pytest.mark.parametrize("mode", ["transverse", "longitudinal"])
+def test_oracle_takes_one_relaxing_tls(mode):
+    # a bath and a TLS that does not relax (gamma1 = 0) are refused by name
+    bath = _tls(detuning=np.array([0.0, G2]), s=np.array([-1.0, -0.5]))
+    with pytest.raises(ValueError, match="^detuning must be a scalar"):
+        steady_state_by_integration(bath, TWO_PI * 7e9, G2 / 100, mode)
+    with pytest.raises(ValueError, match="^gamma1 must be positive"):
+        steady_state_by_integration(_tls(gamma1=0.0), TWO_PI * 7e9, G2 / 100,
+                                    mode)
+
+
 def test_decoupled_tls_leaves_cavity_alone():
     t = _tls(g_perp=0.0, g_par=0.0, s=-0.8)
     res = steady_state_by_integration(t, omega_r=TWO_PI * 7e9,

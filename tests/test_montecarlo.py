@@ -9,9 +9,9 @@ from numpy.testing import assert_allclose
 
 from optoresp import montecarlo
 from optoresp.constants import HBAR, TWO_PI
-from optoresp.montecarlo import (McConfig, TlsBath, _fit_slopes,
-                                 generate_ensemble, kernel, response_curves,
-                                 run)
+from optoresp import tls
+from optoresp.montecarlo import (McConfig, _fit_slopes, generate_ensemble,
+                                 kernel, response_curves, run)
 from optoresp.tls import (TlsUnit, longitudinal_complex_shift,
                           transverse_complex_shift)
 
@@ -139,7 +139,7 @@ def test_ensemble_draw_properties():
     assert np.all(bath.gamma1 == bath.gamma2)
     assert np.all(bath.g_perp >= 0) and np.all(bath.gamma1 >= 0)
     assert np.all((bath.s >= -1.0) & (bath.s <= 0.0))
-    assert np.all(bath.ds == cfg.ds_value)
+    assert bath.ds == cfg.ds_value  # one scalar, broadcast by the tls forms
     # moment normalization holds to sampling accuracy on a large bath
     assert abs((bath.g_perp**2).mean() / cfg.g_mean**2 - 1.0) < 0.02
     assert abs(bath.gamma1.mean() / cfg.gamma1_mean - 1.0) < 0.02
@@ -171,7 +171,7 @@ def test_thinned_draw(monkeypatch):
     (_, bath), = drawn
     child, = np.random.SeedSequence(small.seed).spawn(1)
     full = generate_ensemble(small, np.random.default_rng(child))
-    for f in dataclasses.fields(TlsBath):
+    for f in dataclasses.fields(TlsUnit):
         assert np.array_equal(getattr(bath, f.name), getattr(full, f.name))
 
 
@@ -200,11 +200,12 @@ def test_single_tls_matches_closed_forms():
     # single-TLS rates divided by omega_r
     cfg = McConfig(l_edge=1e-7, xi=50.0, p_grid=np.array([0.0, 100e-9]),
                    omega_r=TWO_PI * 7e9)
-    t = TlsUnit(detuning=-TWO_PI * 3e9, g_perp=5 * MHZ, g_par=5 * MHZ,
-                gamma1=16 * MHZ, gamma2=16 * MHZ, s=-0.25,
-                ds=1.0 / (TWO_PI * 400e6), x=0.0)
-    bath = TlsBath(**{f.name: np.array([getattr(t, f.name)])
-                      for f in dataclasses.fields(TlsBath)})
+    bath = TlsUnit(detuning=np.array([-TWO_PI * 3e9]),
+                   g_perp=np.array([5 * MHZ]), g_par=np.array([5 * MHZ]),
+                   gamma1=np.array([16 * MHZ]), gamma2=np.array([16 * MHZ]),
+                   s=np.array([-0.25]), ds=1.0 / (TWO_PI * 400e6),
+                   x=np.zeros(1))
+    t = bath.select(0)
     res = response_curves(cfg, bath)
     long_loss, long_shift = longitudinal_complex_shift(t, cfg.omega_r)
     assert_allclose(res.dinv_q[0, 1], long_loss / cfg.omega_r, rtol=1e-9)
@@ -245,8 +246,7 @@ def dense_reference(cfg, bath):
     k = tanh_kernel(bath.x[None, :], cfg.p_grid[:, None], cfg.xi, cfg.l_edge)
     loss_par, shift_par = longitudinal_complex_shift(bath, cfg.omega_r)
     now = transverse_complex_shift(bath)[1]
-    ground = transverse_complex_shift(
-        dataclasses.replace(bath, s=np.full(len(bath), -1.0)))[1]
+    ground = transverse_complex_shift(dataclasses.replace(bath, s=-1.0))[1]
     return (k @ loss_par / cfg.omega_r,
             k @ (now - ground + shift_par) / cfg.omega_r)
 
@@ -264,6 +264,27 @@ def test_response_curves_across_blocks(n):
     assert_allclose(res.dfrac[0], want_f, rtol=1e-12, atol=0)
     if n == 0:
         assert np.all(res.dinv_q == 0.0) and np.all(res.dfrac == 0.0)
+
+
+def test_bath_validated_once_per_draw(monkeypatch):
+    # response_curves neither re-validates its blocks nor builds a TlsUnit:
+    # the draw's one validation covers the whole trial
+    cfg = small_config(omega_max=TWO_PI * 200e9, half_length=140e-6)
+    bath = generate_ensemble(cfg)
+    assert len(bath) > 2 * montecarlo._BLOCK and np.ndim(bath.ds) == 0
+    calls = []
+    real = tls.TlsUnit.__post_init__
+    monkeypatch.setattr(tls.TlsUnit, "__post_init__",
+                        lambda self: calls.append(1) or real(self))
+    res = response_curves(cfg, bath)
+    # a narrow window: the TLSs beyond its reach are masked out first
+    narrow = dataclasses.replace(cfg, l_edge=1e-6)
+    assert narrow.reach < np.max(np.abs(bath.x))
+    res_narrow = response_curves(narrow, bath)
+    assert calls == []
+    want_q, _ = dense_reference(cfg, bath)
+    assert_allclose(res.dinv_q[0], want_q, rtol=1e-12, atol=0)
+    assert np.all(np.isfinite(res_narrow.dinv_q))
 
 
 def test_tanh_fallback_chosen_per_block():
@@ -324,9 +345,10 @@ def test_bath_draw_bitwise_like_rng_normal(normalize):
             gamma1 /= m1
         s = np.clip(rng.normal(0.0, cfg.s_std, n), -1.0, 0.0)
         want = dict(detuning=detuning, g_perp=g, g_par=g, gamma1=gamma1,
-                    gamma2=gamma1, s=s, ds=np.full(n, cfg.ds_value), x=x)
+                    gamma2=gamma1, s=s, x=x)
         for name, column in want.items():
             assert getattr(bath, name).tobytes() == column.tobytes(), name
+        assert bath.ds == cfg.ds_value
         # the next variate of both streams agrees too
         follow = np.random.default_rng(seed)
         generate_ensemble(cfg, follow)
@@ -335,11 +357,7 @@ def test_bath_draw_bitwise_like_rng_normal(normalize):
 
 def test_ground_state_bath_is_silent():
     cfg = small_config(s_std=1e-12, ds_value=0.0)
-    bath = generate_ensemble(cfg)
-    bath = TlsBath(detuning=bath.detuning, g_perp=bath.g_perp,
-                   g_par=bath.g_par, gamma1=bath.gamma1, gamma2=bath.gamma2,
-                   s=np.full(len(bath), -1.0), ds=np.zeros(len(bath)),
-                   x=bath.x)
+    bath = dataclasses.replace(generate_ensemble(cfg), s=-1.0, ds=0.0)
     res = response_curves(cfg, bath)
     assert np.all(res.dinv_q == 0.0)
     assert np.all(res.dfrac == 0.0)
@@ -374,10 +392,8 @@ def test_loss_channel_detuning_independent():
     cfg = small_config(seed=10)
     bath = generate_ensemble(cfg)
     rng = np.random.default_rng(0)
-    permuted = TlsBath(detuning=rng.permutation(bath.detuning),
-                       g_perp=bath.g_perp, g_par=bath.g_par,
-                       gamma1=bath.gamma1, gamma2=bath.gamma2, s=bath.s,
-                       ds=bath.ds, x=bath.x)
+    permuted = dataclasses.replace(bath,
+                                   detuning=rng.permutation(bath.detuning))
     r0 = response_curves(cfg, bath)
     r1 = response_curves(cfg, permuted)
     assert_allclose(r1.dinv_q, r0.dinv_q, rtol=1e-12)

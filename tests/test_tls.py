@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,8 @@ from scipy.integrate import quad
 
 from optoresp.constants import EPS_0, HBAR, K_B, PLANCK, TWO_PI
 from optoresp.tls import (SaturationDrive, ThermalEnvironment, TlsHostMaterial,
-                          TlsUnit, equilibrium_ds, equilibrium_population,
+                          TlsUnit, dispersive_pull, equilibrium_ds,
+                          equilibrium_population,
                           equilibrium_population_slope, intrinsic_loss_tangent,
                           kramers_kronig_real_part, longitudinal_complex_shift,
                           permittivity_bracket, saturated_population,
@@ -56,15 +59,6 @@ def test_population_slope_matches_finite_difference():
                     2 * equilibrium_population_slope(omega, env), rtol=1e-14)
 
 
-def test_equilibrium_constructor():
-    env = ThermalEnvironment(0.02)
-    t = TlsUnit.equilibrium(TWO_PI * 5e9, TWO_PI * 7e9, env,
-                            g_perp=5 * MHZ, g_par=5 * MHZ,
-                            gamma1=16 * MHZ, gamma2=16 * MHZ)
-    assert_allclose(t.detuning, TWO_PI * 2e9)
-    assert -1 <= t.s <= 0 and t.ds >= 0
-
-
 def test_tls_unit_invariants():
     with pytest.raises(ValueError):
         _tls(s=0.5)
@@ -74,6 +68,108 @@ def test_tls_unit_invariants():
         _tls(gamma2=1 * MHZ, gamma1=16 * MHZ)  # gamma2 < gamma1/2
     with pytest.raises(ValueError):
         _tls(ds=-1e-9)
+
+
+def test_tls_unit_accepts_zero_rates_off_resonance():
+    # the Monte Carlo's clamped draw: Gamma_1 = Gamma_2 = 0 away from Delta = 0
+    t = _tls(detuning=3 * MHZ, gamma1=0.0, gamma2=0.0)
+    assert t.saturation_photon_number == 0.0
+    assert np.isfinite(transverse_complex_shift(t)).all()
+    with pytest.raises(ValueError, match="detuning"):
+        _tls(detuning=0.0, gamma1=0.0, gamma2=0.0)
+    with pytest.raises(ValueError, match="gamma1"):
+        _tls(gamma1=-1.0)
+
+
+# A seeded bath with the rows the Monte Carlo draws at its clamps: g = 0,
+# Gamma_1 = Gamma_2 = 0 off resonance, both, and S at -1 and 0
+def _grid_bath():
+    rng = np.random.default_rng(2024)
+    n = 96
+    g = rng.uniform(0.0, 10.0, n) * MHZ
+    gamma1 = rng.uniform(0.0, 40.0, n) * MHZ
+    gamma2 = gamma1 * rng.uniform(0.5, 3.0, n)
+    detuning = rng.uniform(-200.0, 200.0, n) * MHZ
+    s = rng.uniform(-1.0, 0.0, n)
+    g[::6] = 0.0
+    gamma1[1::4] = gamma2[1::4] = 0.0
+    detuning[2::8] = 0.0                 # on resonance, with gamma2 > 0
+    s[5::16], s[9::16] = -1.0, 0.0
+    return TlsUnit(detuning=detuning, g_perp=g, g_par=g[::-1].copy(),
+                   gamma1=gamma1, gamma2=gamma2, s=s,
+                   ds=rng.uniform(0.0, 1e-9, n), x=rng.uniform(-1e-4, 1e-4, n))
+
+
+def _scalar_rows(bath):
+    """One TlsUnit of Python floats per TLS of bath."""
+    names = [f.name for f in dataclasses.fields(TlsUnit)]
+    return [TlsUnit(**{k: float(getattr(bath, k)[i]) for k in names})
+            for i in range(len(bath))]
+
+
+def _bitwise(array_result, scalar_results):
+    got = np.asarray(array_result, dtype=float)
+    want = np.array(scalar_results, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_closed_forms_on_a_bath_equal_scalar_calls_bitwise():
+    bath = _grid_bath()
+    assert (bath.gamma1 == 0.0).any() and (bath.g_perp == 0.0).any()
+    rows = _scalar_rows(bath)
+    w_r = TWO_PI * 7e9
+    assert _bitwise(np.stack(transverse_complex_shift(bath), axis=1),
+                    [transverse_complex_shift(t) for t in rows])
+    assert _bitwise(np.stack(longitudinal_complex_shift(bath, w_r), axis=1),
+                    [longitudinal_complex_shift(t, w_r) for t in rows])
+    assert _bitwise(dispersive_pull(bath, 1.0 + bath.s),
+                    [dispersive_pull(t, 1.0 + t.s) for t in rows])
+    assert _bitwise(bath.saturation_photon_number,
+                    [t.saturation_photon_number for t in rows])
+    # the saturated forms divide by n_s: a coupled TLS with Gamma_1 = 0 has
+    # none, so they take the rows without one and refuse the rest
+    drive = SaturationDrive(n_cav=30.0)
+    ok = (bath.g_perp == 0.0) | (bath.gamma1 > 0.0)
+    assert ok.sum() < len(bath) and (~ok & (bath.g_perp == 0.0)).sum() == 0
+    good = bath.select(ok)
+    good_rows = [t for t, keep in zip(rows, ok) if keep]
+    assert _bitwise(saturated_population(good, drive),
+                    [saturated_population(t, drive) for t in good_rows])
+    assert _bitwise(spectral_diffusion_loss_closed_form(good, drive, RHO_V),
+                    [spectral_diffusion_loss_closed_form(t, drive, RHO_V)
+                     for t in good_rows])
+    bad = rows[int(np.flatnonzero(~ok)[0])]
+    for tls_ in (bath, bad):
+        with pytest.raises(ValueError, match="^gamma1 must be positive"):
+            saturated_population(tls_, drive)
+        with pytest.raises(ValueError, match="^gamma1 must be positive"):
+            spectral_diffusion_loss_closed_form(tls_, drive, RHO_V)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TlsUnit)])
+def test_tls_unit_rejects_nan_in_any_column(name):
+    bath = _grid_bath()
+    column = getattr(bath, name).copy()
+    column[7] = np.nan
+    with pytest.raises(ValueError):
+        dataclasses.replace(bath, **{name: column})
+    with pytest.raises(ValueError):
+        dataclasses.replace(bath.select(7), **{name: np.nan})
+
+
+def test_tls_unit_rejects_one_bad_element():
+    bath = _grid_bath()
+    for name, value in (("gamma1", -1.0), ("gamma2", 0.0), ("s", 0.5),
+                        ("ds", -1e-12), ("g_par", -1.0)):
+        column = getattr(bath, name).copy()
+        column[-1] = value  # row 95: gamma1 > 0, detuning != 0
+        with pytest.raises(ValueError):
+            dataclasses.replace(bath, **{name: column})
+    # Gamma_1 = Gamma_2 = 0 on resonance: that row's Lorentzian is 0/0
+    on_res = bath.detuning == 0.0
+    with pytest.raises(ValueError, match="detuning"):
+        dataclasses.replace(bath, gamma1=np.where(on_res, 0.0, bath.gamma1),
+                            gamma2=np.where(on_res, 0.0, bath.gamma2))
 
 
 # --- transverse -------------------------------------------------------------
@@ -257,6 +353,17 @@ def test_spectral_diffusion_saturated_zero_population():
     t = _tls(s=0.0)
     assert spectral_diffusion_loss(t, SaturationDrive(n_cav=10.0),
                                    t.gamma2, RHO_V) == 0.0
+
+
+def test_spectral_diffusion_oracle_takes_one_relaxing_tls():
+    # a bath and a coupled TLS with Gamma_1 = 0 are refused by name, before
+    # any quadrature
+    drive = SaturationDrive(n_cav=1.0)
+    with pytest.raises(ValueError, match="^detuning must be a scalar"):
+        spectral_diffusion_loss(_grid_bath(), drive, 16 * MHZ, RHO_V)
+    frozen = _tls(detuning=3 * MHZ, gamma1=0.0, gamma2=0.0)
+    with pytest.raises(ValueError, match="^gamma1 must be positive"):
+        spectral_diffusion_loss(frozen, drive, 16 * MHZ, RHO_V)
 
 
 def test_spectral_diffusion_strong_drive():
