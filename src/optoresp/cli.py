@@ -66,11 +66,6 @@ def float_list(text):
 # --- photon-number ----------------------------------------------------------
 
 def _photon_number_config(a):
-    missing = [n for n in ("fr_ghz", "q_int", "q_ext", "power_dbm")
-               if getattr(a, n) is None]
-    if missing:
-        raise ValueError("missing required values (flag or config): "
-                         + ", ".join(n.replace('_', '-') for n in missing))
     return {"fr_hz": a.fr_ghz * 1e9, "q_int": a.q_int, "q_ext": a.q_ext,
             "power_dbm": a.power_dbm, "detuning_hz": a.detuning_hz}
 
@@ -247,13 +242,15 @@ def _temp_model_config(a):
     if not fr_hz:
         raise ValueError("--fr-ghz lists no mode frequency")
     if a.t_grid_mk:
+        if not all(v > 0 for v in a.t_grid_mk):
+            raise ValueError("--t-grid-mk must be positive")
         t_grid = [v * 1e-3 for v in a.t_grid_mk]
     elif a.t_points < 1:
         raise ValueError("--t-points must be at least 1")
+    elif not (a.t_min_mk > 0 and a.t_max_mk > 0):
+        raise ValueError("--t-min-mk and --t-max-mk must be positive")
     else:
         t_grid = list(np.linspace(a.t_min_mk, a.t_max_mk, a.t_points) * 1e-3)
-    if min(t_grid) <= 0:
-        raise ValueError("temperature grid must be positive")
     return {
         "fr_hz_list": fr_hz,
         "t_grid_k": t_grid,
@@ -298,6 +295,8 @@ def run_temp_model(cfg, names):
 def _synth_config(a):
     if a.points < 1:
         raise ValueError("--points must be at least 1")
+    if a.seed < 0:
+        raise ValueError("--seed must be nonnegative")
     if a.kind == "trace":
         return {"fr_hz": a.fr_ghz * 1e9, "q_int": a.q_int,
                 "q_ext": a.q_ext, "phi": a.phi,
@@ -381,7 +380,7 @@ def run_fit_spectrum(cfg, names):
             "phase_offset_rad": full.phase_offset,
             **_fit_report(full.fit),
         }
-        model = fitmodels._s21_model(full.fit.values, trace.frequencies)
+        model = fitmodels.s21_model(full.fit.values, trace.frequencies)
         columns = [trace.frequencies, trace.values.real, trace.values.imag,
                    model.real, model.imag]
         writers = [lambda path: io.write_table(path, FIT_CURVE_HEADER,
@@ -410,7 +409,8 @@ def _fit_spectrum_summary(payload, paths):
 
 @dataclass(frozen=True)
 class Arg:
-    """One flag.  type=bool declares a switch, which sets the text 'true'."""
+    """One flag.  type=bool declares a switch, which sets the text 'true';
+    required=True is checked after the config file merge."""
     flag: str
     type: Callable = str
     default: object = None
@@ -469,14 +469,15 @@ COMMON = (
 COMMANDS = {c.name: c for c in (
     Command(
         "photon-number", "intracavity photon number",
-        # required values may come from --config, so enforcement happens
-        # after the file merge rather than in argparse
-        (Arg("--fr-ghz", float), Arg("--q-int", float),
-         Arg("--q-ext", float), Arg("--power-dbm", float),
+        (Arg("--fr-ghz", float, required=True),
+         Arg("--q-int", float, required=True),
+         Arg("--q-ext", float, required=True),
+         Arg("--power-dbm", float, required=True),
          Arg("--detuning-hz", float, 0.0)),
         _photon_number_config, run_photon_number, "photon_number.json", (),
         _photon_number_summary,
-        {"f_r": "--fr-ghz", "q_int": "--q-int", "q_ext": "--q-ext"}),
+        {"f_r": "--fr-ghz", "q_int": "--q-int", "q_ext": "--q-ext",
+         "input_power": "--power-dbm"}),
     Command(
         "slopes", "analytic optical-response slopes",
         (Arg("--fr-ghz", float, 7.0),
@@ -533,7 +534,7 @@ COMMANDS = {c.name: c for c in (
          "half_length": "--half-length-um", "l_edge": "--l-edge-um",
          "xi": "--xi", "area": "--area-nm2", "g_mean": "--g-mhz",
          "gamma1_mean": "--gamma1-mhz", "rho_tls": "--rho",
-         "s_std": "--s-std", "workers": "--workers"}),
+         "s_std": "--s-std", "workers": "--workers", "seed": "--seed"}),
     Command(
         "temp-model", "temperature dependence of the frequency shift",
         (Arg("--fr-ghz", float_list, (7.0,), "comma list of mode frequencies"),
@@ -555,7 +556,7 @@ COMMANDS = {c.name: c for c in (
         _temp_model_config, run_temp_model, "temp_model.json",
         ("temp_model.csv",),
         lambda r, paths: [f"wrote {paths[1]} ({r['n_rows']} rows)"],
-        {"lambda0": "--lambda0-um", "t_c": "--tc-k"}),
+        {"f_r": "--fr-ghz", "lambda0": "--lambda0-um", "t_c": "--tc-k"}),
     Command(
         "synth", "synthetic traces and power series",
         (Arg("--kind", str, "trace", choices=("trace", "power")),
@@ -583,7 +584,7 @@ COMMANDS = {c.name: c for c in (
         _synth_config, run_synth, "synth_{kind}.json", ("synth_{kind}.csv",),
         lambda r, paths: [f"wrote {paths[1]}"],
         {"f_r": "--fr-ghz", "q_int": "--q-int", "q_ext_mag": "--q-ext",
-         "phi": "--phi"}),
+         "phi": "--phi", "noise_std": "--noise", "noise_rel": "--noise"}),
     Command(
         "fit-spectrum", "fit a measured/synthetic trace",
         (Arg("--input", required=True),
@@ -610,11 +611,12 @@ def build_parser():
         sp = sub.add_parser(cmd.name, help=cmd.help)
         for a in COMMON + cmd.args:
             kw = ({"action": "store_const", "const": "true"}
-                  if a.type is bool else {"required": a.required})
+                  if a.type is bool else {})
             if a.choices:
                 kw["metavar"] = "{" + ",".join(a.choices) + "}"
-            sp.add_argument(a.flag, help=a.help, default=argparse.SUPPRESS,
-                            **kw)
+            sp.add_argument(a.flag, default=argparse.SUPPRESS,
+                            help=a.help or ("required (flag or config)"
+                                            if a.required else None), **kw)
     return p
 
 
@@ -685,6 +687,11 @@ def _output_paths(cmd, args):
 
 
 def _execute(cmd, args):
+    missing = [a.flag for a in cmd.args
+               if a.required and getattr(args, a.dest) is None]
+    if missing:
+        raise ValueError("missing required values (flag or config): "
+                         + ", ".join(missing))
     cfg = cmd.config(args)
     paths = _output_paths(cmd, args)
     with io.Timer() as t:

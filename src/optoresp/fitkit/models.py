@@ -1,20 +1,22 @@
 """Fit models: Lorentzian dip, full asymmetric S21, optical power series,
 and TLS microwave-saturation curves.
 
-Complex traces are fitted with stacked real/imaginary residuals so that the
-line phase (tau, alpha) and the asymmetry rotation stay separable;
-magnitude-only fitting is reserved for the Lorentzian dip estimator.  Each
-fit passes its residual, analytic Jacobian, parameter names, bound
-transforms and documented initial guess straight to the engine; bounds are
-smooth transforms, never clips.
+Each fit declares an unweighted model and its analytic Jacobian, and
+:func:`_fit` hands the engine their weighted residual pair.  Complex traces
+are fitted with stacked real/imaginary residuals so that the line phase
+(tau, alpha) and the asymmetry rotation stay separable; magnitude-only
+fitting is reserved for the Lorentzian dip estimator.  The full-S21 model is
+:func:`optoresp.resonator.notch`, the notch formula's one implementation.
+Bounds are smooth transforms, never clips.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..constants import TWO_PI
-from ..resonator import LineCalibration, ResonatorMode
+from ..resonator import notch
 from .engine import FitResult, Identity, Log, Scaled, levenberg_marquardt
 
 
@@ -80,10 +82,25 @@ class PowerSeries:
                 object.__setattr__(self, name, val)
 
 
-def _weights_from_sigma(sigma, n):
-    """1/sigma weights with a floor so exact points do not blow up."""
+def _fit(model, jac, y, weight, start, names, transforms=None):
+    """Fit the unweighted model(x), with Jacobian jac(x), to the data y: the
+    engine sees (model(x) - y) * weight and jac(x) * weight[:, None], complex
+    ones stacked real over imaginary.  weight None fits unweighted."""
+    def stack(v, w):
+        v = v if w is None else v * w
+        return np.concatenate([v.real, v.imag]) if np.iscomplexobj(v) else v
+
+    column = None if weight is None else weight[:, None]
+    return levenberg_marquardt(
+        lambda x: stack(model(x) - y, weight), start,
+        jac=lambda x: stack(jac(x), column), names=names,
+        transforms=transforms)
+
+
+def _weights_from_sigma(sigma):
+    """1/sigma weights, floored so exact points do not blow up, or None."""
     if sigma is None:
-        return np.ones(n)
+        return None
     sigma = np.asarray(sigma, dtype=float)
     floor = 1e-3 * max(sigma.max(), 1e-300)
     return 1.0 / np.maximum(sigma, floor)
@@ -137,30 +154,21 @@ def fit_lorentzian_dip(trace: ComplexTrace) -> LorentzianDipResult:
     if i_min in (0, power.size - 1):
         raise NoDipError("minimum of |S21| sits at the trace edge")
 
-    baseline, depth, resolved = _dip_significance(f, power, i_min)
-    if not resolved:
+    dip = _read_dip(f, power, i_min)
+    if not dip.resolved:
         raise NoDipError("no dip resolved above the baseline scatter")
-    half_level = baseline - 0.5 * depth
-    lo = np.where(power[:i_min] >= half_level)[0]
-    hi = np.where(power[i_min:] >= half_level)[0]
-    if lo.size == 0 or hi.size == 0:
+    if dip.width is None:
         raise NoDipError("half-depth crossings not found")
-    f_lo, f_hi = f[lo[-1]], f[i_min + hi[0]]
-    half_width = 0.5 * (f_hi - f_lo)
-    if half_width <= 0:
-        raise NoDipError("degenerate dip width")
-
-    window = np.abs(f - f[i_min]) <= 3.0 * half_width
+    window = np.abs(f - f[i_min]) <= 1.5 * dip.width
     if window.sum() < 5:
         raise NoDipError("fewer than 5 points inside the fit window")
     fw, pw = f[window], power[window]
 
-    fit = levenberg_marquardt(
-        lambda x: _lorentzian(x, fw) - pw,
-        [baseline, depth, f[i_min], 2.0 * half_width],
-        jac=lambda x: _lorentzian_jac(x, fw),
-        names=("baseline", "depth", "f_r", "width"),
-        transforms=(Identity(), Log(), Log(), Log()))
+    fit = _fit(lambda x: _lorentzian(x, fw), lambda x: _lorentzian_jac(x, fw),
+               pw, None,
+               [dip.baseline, dip.depth, f[i_min], dip.width],
+               ("baseline", "depth", "f_r", "width"),
+               (Identity(), Log(), Log(), Log()))
     c0, c1, f0, w = fit.values
 
     sigma = None
@@ -217,28 +225,35 @@ def _from_bottom_q_int(f, power, noise_std=None):
     return f_min / width_bottom, None
 
 
-def _dip_significance(f, power, i_min):
-    """(baseline, depth, resolved) of the |S21|^2 dip at index i_min.
+class _Dip(NamedTuple):
+    baseline: float       # median power of the outer points
+    depth: float          # baseline - power[i_min]
+    resolved: bool        # depth >= 8x the outer points' MAD scatter
+    width: float | None   # between the half-depth crossings, if both exist
+    outer: np.ndarray     # mask of the outer points
 
-    baseline is the median of the outer points, depth the baseline minus
-    power[i_min]; the dip is resolved when its depth is at least 8 times
-    the robust (MAD) scatter of the outer points.
-    """
-    outer_power = power[_outer_mask(f, f[i_min])]
+
+def _read_dip(f, power, i_min):
+    """(baseline, depth, resolved, width) of the |S21|^2 dip at i_min, with
+    the mask of the outer points they are read against: the 20% farthest
+    from f[i_min], or the farther half when that is under 3 points."""
+    dist = np.abs(f - f[i_min])
+    outer = dist >= np.quantile(dist, 0.8)
+    if outer.sum() < 3:
+        outer = dist >= np.median(dist)
+    outer_power = power[outer]
     baseline = float(np.median(outer_power))
     depth = baseline - power[i_min]
     noise_scale = 1.4826 * float(np.median(np.abs(outer_power - baseline)))
-    return baseline, depth, bool(depth > 0 and depth >= 8.0 * noise_scale)
-
-
-def _outer_mask(f, f_center):
-    """Outer 20% of points by distance from the dip, for baseline estimates."""
-    dist = np.abs(f - f_center)
-    cut = np.quantile(dist, 0.8)
-    mask = dist >= cut
-    if mask.sum() < 3:
-        mask = dist >= np.median(dist)
-    return mask
+    resolved = bool(depth > 0 and depth >= 8.0 * noise_scale)
+    width = None
+    if depth > 0:
+        half_level = baseline - 0.5 * depth
+        lo = np.flatnonzero(power[:i_min] >= half_level)
+        hi = np.flatnonzero(power[i_min:] >= half_level)
+        if lo.size and hi.size:
+            width = f[i_min + hi[0]] - f[lo[-1]]
+    return _Dip(baseline, depth, resolved, width, outer)
 
 
 # --- full asymmetric S21 ----------------------------------------------------
@@ -247,34 +262,26 @@ _S21_PARAMS = ("f_r", "q_tot", "q_ext_re", "q_ext_im", "amplitude", "delay",
                "phase_offset")
 
 
-def _s21_model(x, f):
+def s21_model(x, f):
+    """The notch model at the fit parameters x (in _S21_PARAMS order)."""
     f_r, q_tot, qer, qei, amp, tau, alpha = x
-    dip = 1.0 - (q_tot / (qer + 1j * qei)) / (1.0 + 2j * q_tot * (f - f_r) / f_r)
-    return amp * np.exp(-1j * (TWO_PI * f * tau + alpha)) * dip
+    return notch(f, f_r, q_tot, qer + 1j * qei, amp, tau, alpha)
 
 
-def _s21_residual(x, data):
-    f, z, weight = data
-    r = (_s21_model(x, f) - z) * weight
-    return np.concatenate([r.real, r.imag])
-
-
-def _s21_jacobian(x, data):
-    """d _s21_residual / dx: the seven complex columns of the model, weighted
-    and stacked real over imaginary like the residual.
+def _s21_jacobian(x, f):
+    """d s21_model / dx: the seven complex columns of the model.
 
     With the line factor L = amp e^{-i(2 pi f tau + alpha)},
     D = 1 + 2i Q (f - f_r)/f_r and K = L Q/(Q_e D), the model is L - K and
     dK/dQ = K/(Q D), dK/dQ_e = -K/Q_e, dK/df_r = 2i Q f K/(f_r^2 D).
     """
-    f, _, weight = data
     f_r, q_tot, qer, qei, amp, tau, alpha = x
     qe = qer + 1j * qei
     d = 1.0 + 2j * q_tot * (f - f_r) / f_r
     line = amp * np.exp(-1j * (TWO_PI * f * tau + alpha))
     k = line * q_tot / (qe * d)
     s = line - k
-    cols = np.column_stack([
+    return np.column_stack([
         -2j * q_tot * f / (f_r**2 * d) * k,   # f_r
         -k / (q_tot * d),                     # q_tot
         k / qe,                               # q_ext_re
@@ -282,20 +289,15 @@ def _s21_jacobian(x, data):
         s / amp,                              # amplitude
         -1j * TWO_PI * f * s,                 # delay
         -1j * s,                              # phase_offset
-    ]) * weight[:, None]
-    return np.concatenate([cols.real, cols.imag])
+    ])
 
 
-def _s21_initial_guess(data):
+def _s21_initial_guess(f, z, power, i_min, dip):
     """Documented policy: f_r at min |S21|; width from the half-depth
     crossings of |S21|^2; amplitude from the off-resonant median; delay from
     the local phase slope on each band edge (averaged), phase offset from
     the delay-corrected off-resonant phase."""
-    f, z, _ = data
-    mag2 = np.abs(z) ** 2
-    i_min = int(np.argmin(mag2))
-    outer = _outer_mask(f, f[i_min])
-    amp = float(np.sqrt(np.median(mag2[outer])))
+    amp = float(np.sqrt(dip.baseline))
 
     # phase slope per contiguous edge block; a single unwrap across the
     # resonance gap cannot bridge multi-2pi delay jumps
@@ -306,19 +308,13 @@ def _s21_initial_guess(data):
             slopes.append(np.polyfit(f[sl], np.unwrap(np.angle(z[sl])), 1)[0])
     slope = float(np.mean(slopes)) if slopes else 0.0
     tau = -slope / TWO_PI
+    outer = dip.outer
     line_phase = np.angle(z[outer] * np.exp(1j * TWO_PI * f[outer] * tau))
     alpha = -float(np.angle(np.mean(np.exp(1j * line_phase))))
 
-    depth = np.median(mag2[outer]) - mag2[i_min]
-    half_level = np.median(mag2[outer]) - 0.5 * max(depth, 1e-12)
-    lo = np.where(mag2[:i_min] >= half_level)[0]
-    hi = np.where(mag2[i_min:] >= half_level)[0]
-    if lo.size and hi.size and f[i_min + hi[0]] > f[lo[-1]]:
-        width = f[i_min + hi[0]] - f[lo[-1]]
-    else:
-        width = (f[-1] - f[0]) / 10.0
+    width = dip.width if dip.width is not None else (f[-1] - f[0]) / 10.0
     q_tot = f[i_min] / width
-    dip_rel = np.sqrt(mag2[i_min]) / amp
+    dip_rel = np.sqrt(power[i_min]) / amp
     q_int = q_tot / max(dip_rel, 1e-3)
     inv_qe = max(1.0 / q_tot - 1.0 / q_int, 0.1 / q_tot)
     return [f[i_min], q_tot, 1.0 / inv_qe, 0.0, amp, tau, alpha]
@@ -336,15 +332,6 @@ class FullS21Result:
     phase_offset: float
     fit: FitResult
 
-    @property
-    def mode(self) -> ResonatorMode:
-        return ResonatorMode(self.f_r, self.q_int, self.q_ext_complex.real,
-                             self.q_ext_complex.imag)
-
-    @property
-    def line(self) -> LineCalibration:
-        return LineCalibration(self.amplitude, self.delay, self.phase_offset)
-
 
 def fit_full_s21(trace: ComplexTrace, initial=None) -> FullS21Result:
     """Fit the asymmetric notch model to a complex trace.
@@ -356,23 +343,24 @@ def fit_full_s21(trace: ComplexTrace, initial=None) -> FullS21Result:
     by the Lorentzian-dip significance test (flag "no_resonance").
     """
     f, z = trace.frequencies, trace.values
-    weight = np.ones_like(f)
+    weight = None
     if trace.noise_std is not None:
         weight = 1.0 / np.maximum(trace.noise_std, 1e-300)
-    data = (f, z, weight)
+    power = np.abs(z) ** 2
+    i_min = int(np.argmin(power))
+    dip = _read_dip(f, power, i_min)
+    if initial is None:
+        initial = _s21_initial_guess(f, z, power, i_min, dip)
 
-    fit = levenberg_marquardt(
-        lambda x: _s21_residual(x, data),
-        _s21_initial_guess(data) if initial is None else initial,
-        jac=lambda x: _s21_jacobian(x, data), names=_S21_PARAMS,
-        transforms=(Log(), Log(), Log(), Identity(), Log(), Scaled(1e-9),
-                    Identity()))
+    fit = _fit(lambda x: s21_model(x, f), lambda x: _s21_jacobian(x, f), z,
+               weight, initial, _S21_PARAMS,
+               (Log(), Log(), Log(), Identity(), Log(), Scaled(1e-9),
+                Identity()))
 
     span = f[-1] - f[0]
     if TWO_PI * span * abs(fit["delay"]) < 0.05:
         fit.flags.append("delay_phase_degenerate")
-    power = np.abs(z) ** 2
-    if not _dip_significance(f, power, int(np.argmin(power)))[2]:
+    if not dip.resolved:
         fit.flags.append("no_resonance")
 
     qe = complex(fit["q_ext_re"], fit["q_ext_im"])
@@ -390,37 +378,35 @@ def fit_power_inverse_q(series: PowerSeries, model="linear") -> FitResult:
     """Fit 1/Q(P): gamma*P + 1/Q0, or the linear-plus-saturation form
     gamma1*P + gamma2*(1 - exp(-gamma3*P)) + 1/Q0."""
     p, y = series.p_opt, series.inv_q
-    wts = _weights_from_sigma(series.sigma_inv_q, p.size)
+    wts = _weights_from_sigma(series.sigma_inv_q)
     if model == "linear":
         if p.size < 3:
             raise ValueError("linear fit needs at least 3 points")
-        return levenberg_marquardt(
-            lambda x: (x[0] * p + x[1] - y) * wts, np.polyfit(p, y, 1),
-            jac=lambda x: np.column_stack([p * wts, wts]),
-            names=("gamma", "inv_q0"))
+        return _fit(lambda x: x[0] * p + x[1],
+                    lambda x: np.column_stack([p, np.ones_like(p)]), y, wts,
+                    np.polyfit(p, y, 1), ("gamma", "inv_q0"))
 
     if model != "linear_plus_saturation":
         raise ValueError(f"unknown model {model!r}")
     if p.size < 5:
         raise ValueError("saturating fit needs at least 5 points")
 
-    def resid(x):
+    def curve(x):
         g1, g2, g3, c = x
-        return (g1 * p + g2 * (1.0 - np.exp(-g3 * p)) + c - y) * wts
+        return g1 * p + g2 * (1.0 - np.exp(-g3 * p)) + c
 
     def jac(x):
         g1, g2, g3, c = x
         e = np.exp(-g3 * p)
-        return np.column_stack([p, 1.0 - e, g2 * p * e,
-                                np.ones_like(p)]) * wts[:, None]
+        return np.column_stack([p, 1.0 - e, g2 * p * e, np.ones_like(p)])
 
     tail = max(2, p.size // 3)
     g1_0 = max(np.polyfit(p[-tail:], y[-tail:], 1)[0], 0.0)
     scale = max(y.max() - y.min(), 1e-12)
     start = [g1_0, 0.1 * scale, 2.0 / max(np.median(p[p > 0]), 1e-30), y[0]]
-    fit = levenberg_marquardt(
-        resid, start, jac=jac, names=("gamma1", "gamma2", "gamma3", "inv_q0"),
-        transforms=(Identity(), Log(), Log(), Identity()))
+    fit = _fit(curve, jac, y, wts, start,
+               ("gamma1", "gamma2", "gamma3", "inv_q0"),
+               (Identity(), Log(), Log(), Identity()))
     if fit["gamma2"] < 1e-6 * scale:
         fit.flags.append("gamma3_unidentifiable")
     return fit
@@ -435,23 +421,22 @@ def fit_power_frequency(series: PowerSeries) -> FitResult:
     p, y = series.p_opt, series.dfrac
     if p.size < 5:
         raise ValueError("frequency-shift fit needs at least 5 points")
-    wts = _weights_from_sigma(series.sigma_dfrac, p.size)
+    wts = _weights_from_sigma(series.sigma_dfrac)
 
-    def resid(x):
+    def model(x):
         d1, d2, d3 = x
-        return (d1 * p - d2 * (1.0 - np.exp(-d3 * p)) - y) * wts
+        return d1 * p - d2 * (1.0 - np.exp(-d3 * p))
 
     def jac(x):
         d1, d2, d3 = x
         e = np.exp(-d3 * p)
-        return np.column_stack([p, -(1.0 - e), -d2 * p * e]) * wts[:, None]
+        return np.column_stack([p, -(1.0 - e), -d2 * p * e])
 
     scale = max(np.max(np.abs(y)), 1e-15)
     d1_0 = np.polyfit(p, y, 1)[0]
     start = [d1_0, 0.5 * scale, 2.0 / max(np.median(p[p > 0]), 1e-30)]
-    fit = levenberg_marquardt(resid, start, jac=jac,
-                              names=("delta1", "delta2", "delta3"),
-                              transforms=(Identity(), Log(), Log()))
+    fit = _fit(model, jac, y, wts, start, ("delta1", "delta2", "delta3"),
+               (Identity(), Log(), Log()))
     if fit["delta2"] < 1e-5 * scale:
         fit.flags.append("delta2_pinned")
     return fit
@@ -470,11 +455,11 @@ def fit_tls_saturation(n_cav, inv_q_int, sigma=None) -> FitResult:
         raise ValueError("saturation fit needs at least 6 points")
     pos = n[n > 0]
     narrow = pos.size == 0 or pos.max() / pos.min() < 100.0
-    wts = _weights_from_sigma(sigma, n.size)
+    wts = _weights_from_sigma(sigma)
 
-    def resid(x):
+    def model(x):
         fdelta, n_c, beta, floor = x
-        return (fdelta / np.sqrt(1.0 + (n / n_c) ** beta) + floor - y) * wts
+        return fdelta / np.sqrt(1.0 + (n / n_c) ** beta) + floor
 
     def jac(x):
         fdelta, n_c, beta, floor = x
@@ -484,16 +469,14 @@ def fit_tls_saturation(n_cav, inv_q_int, sigma=None) -> FitResult:
         with np.errstate(divide="ignore", invalid="ignore"):
             logterm = np.where(n > 0, np.log(n / n_c), 0.0)
         return np.column_stack([s, dsdq * (-beta * q / n_c),
-                                dsdq * q * logterm,
-                                np.ones_like(n)]) * wts[:, None]
+                                dsdq * q * logterm, np.ones_like(n)])
 
     floor0 = float(np.min(y))
     fdelta0 = max(float(y[np.argmin(n)] - floor0), 1e-12)
     n_c0 = float(np.median(pos)) if pos.size else 1.0
-    fit = levenberg_marquardt(
-        resid, [fdelta0, n_c0, 1.0, floor0 - 1e-3 * fdelta0], jac=jac,
-        names=("f_delta", "n_c", "beta", "floor"),
-        transforms=(Log(), Log(), Log(), Identity()))
+    start = [fdelta0, n_c0, 1.0, floor0 - 1e-3 * fdelta0]
+    fit = _fit(model, jac, y, wts, start, ("f_delta", "n_c", "beta", "floor"),
+               (Log(), Log(), Log(), Identity()))
     if narrow:
         fit.flags.append("insufficient_span")
     return fit

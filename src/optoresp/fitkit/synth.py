@@ -13,6 +13,8 @@ def synth_trace(mode: ResonatorMode, line: LineCalibration, grid,
     Deterministic for a given seed; noise_std is the per-quadrature standard
     deviation in absolute transmission units.
     """
+    if not noise_std >= 0:
+        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly ascending")
@@ -35,6 +37,8 @@ def synth_power_series(p_grid, gamma=0.0, inv_q0=0.0, delta1=0.0, delta2=0.0,
     noise_rel applies per-point multiplicative Gaussian noise, the natural
     model for spectroscopy-extracted points.
     """
+    if not noise_rel >= 0:
+        raise ValueError(f"noise_rel must be nonnegative, got {noise_rel}")
     p = np.asarray(p_grid, dtype=float)
     inv_q = gamma * p + inv_q0
     dfrac = delta1 * p - delta2 * (1.0 - np.exp(-delta3 * p))
@@ -52,6 +56,8 @@ def synth_power_series(p_grid, gamma=0.0, inv_q0=0.0, delta1=0.0, delta2=0.0,
 def synth_tls_saturation(n_grid, f_delta, n_c, beta, floor, noise_rel=0.0,
                          seed=0):
     """(n_cav, 1/Q_int) points from the saturable TLS loss law."""
+    if not noise_rel >= 0:
+        raise ValueError(f"noise_rel must be nonnegative, got {noise_rel}")
     n = np.asarray(n_grid, dtype=float)
     y = f_delta / np.sqrt(1.0 + (n / n_c) ** beta) + floor
     sigma = None

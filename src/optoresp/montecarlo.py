@@ -118,7 +118,7 @@ class McConfig:
             raise ValueError("p_grid needs at least two points")
         if np.any(np.diff(self.p_grid) <= 0) or self.p_grid[0] < 0:
             raise ValueError("p_grid must be strictly increasing and nonnegative")
-        for name in ("rho_tls", "s_std"):
+        for name in ("seed", "rho_tls", "s_std"):
             if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be >= 0")
 

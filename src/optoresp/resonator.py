@@ -6,7 +6,10 @@ A resonator side-coupled to a feedline produces a dip in S21:
 
 with 1/Q_tot = 1/Q_int + 1/Q_ext.  The full line model multiplies this by an
 amplitude/delay/phase prefactor and allows a complex external Q that encodes
-the circuit-asymmetry rotation of the resonance circle.
+the circuit-asymmetry rotation of the resonance circle (Khalil et al.,
+J. Appl. Phys. 111, 054510 (2012)).  :func:`notch` is this model's one
+implementation; the mode-level forms, the synthetic traces and the full-S21
+fit all evaluate it.
 
 Decay rates are angular throughout: kappa_x = omega_r / Q_x in rad/s.  Note
 that device tables are often labeled "kappa/2pi (MHz)" while carrying values
@@ -126,10 +129,6 @@ class LineCalibration:
         if not (np.isfinite(self.delay) and np.isfinite(self.phase_offset)):
             raise ValueError("delay and phase_offset must be finite")
 
-    def factor(self, f):
-        return self.amplitude * np.exp(-1j * (TWO_PI * np.asarray(f, dtype=float) * self.delay
-                                              + self.phase_offset))
-
 
 @dataclass(frozen=True)
 class DriveCondition:
@@ -139,27 +138,28 @@ class DriveCondition:
     probe_frequency: float
 
     def __post_init__(self):
-        if not (self.input_power > 0):
-            raise ValueError("input_power must be positive")
+        if not (0 < self.input_power < np.inf):
+            raise ValueError("input_power must be a finite positive power")
+
+
+def notch(f, f_r, q_tot, q_ext, amplitude=1.0, delay=0.0, phase_offset=0.0):
+    """S21 at f [Hz]: the dip above behind the line prefactor
+    A exp(-i(2 pi f tau + alpha)), with amplitude A, delay tau [s] and phase
+    offset alpha [rad].  q_ext may be real or complex (Q_e,r + i Q_e,i)."""
+    f = np.asarray(f, dtype=float)
+    dip = 1.0 - (q_tot / q_ext) / (1.0 + 2j * q_tot * ((f - f_r) / f_r))
+    return amplitude * np.exp(-1j * (TWO_PI * f * delay + phase_offset)) * dip
 
 
 def s21_ideal(mode: ResonatorMode, f):
-    """Ideal notch transmission 1 - (Q_tot/Q_ext)/(1 + 2i Q_tot x), x = (f-f_r)/f_r."""
-    f = np.asarray(f, dtype=float)
-    x = (f - mode.f_r) / mode.f_r
-    return 1.0 - (mode.q_tot / mode.q_ext) / (1.0 + 2j * mode.q_tot * x)
+    """The dip on an ideal line: real Q_ext, A = 1, tau = alpha = 0."""
+    return notch(f, mode.f_r, mode.q_tot, mode.q_ext)
 
 
 def s21_full(mode: ResonatorMode, line: LineCalibration, f):
-    """Full line model with asymmetry and feedline calibration.
-
-    A exp(-i(2 pi f tau + alpha)) * (1 - [Q_tot/(Q_e,r + i Q_e,i)]/(1 + 2i Q_tot x)).
-    Reduces exactly to :func:`s21_ideal` for A=1, tau=alpha=0, Q_e,i=0.
-    """
-    f = np.asarray(f, dtype=float)
-    x = (f - mode.f_r) / mode.f_r
-    dip = 1.0 - (mode.q_tot / mode.q_ext_complex) / (1.0 + 2j * mode.q_tot * x)
-    return line.factor(f) * dip
+    """The mode's dip, complex Q_ext included, behind the line's prefactor."""
+    return notch(f, mode.f_r, mode.q_tot, mode.q_ext_complex, line.amplitude,
+                 line.delay, line.phase_offset)
 
 
 def s11_magnitude_sq(mode: ResonatorMode, f):

@@ -10,8 +10,7 @@ from optoresp.fitkit import (ComplexTrace, Identity, Log, NoDipError,
                              fit_tls_saturation, levenberg_marquardt,
                              synth_power_series, synth_tls_saturation,
                              synth_trace)
-from optoresp.fitkit.models import (_lorentzian, _lorentzian_jac,
-                                    _s21_jacobian, _s21_model, _s21_residual)
+from optoresp.fitkit import models
 from optoresp.resonator import LineCalibration, ResonatorMode, s21_ideal
 
 # --- engine ------------------------------------------------------------------
@@ -133,8 +132,8 @@ def test_model_jacobians_match_finite_differences():
     for _ in range(20):
         x = np.array([rng.uniform(0.5, 2.0), rng.uniform(0.1, 1.0),
                       rng.uniform(-0.3, 0.3), rng.uniform(0.2, 1.5)])
-        jac = _lorentzian_jac(x, f)
-        fd = _centered_fd(lambda xx: _lorentzian(xx, f), x, f.size)
+        jac = models._lorentzian_jac(x, f)
+        fd = _centered_fd(lambda xx: models._lorentzian(xx, f), x, f.size)
         assert_allclose(jac, fd, rtol=1e-6, atol=1e-8)
 
 
@@ -194,9 +193,20 @@ LW = 7.061e9 / MODE.q_tot
 GRID = np.linspace(7.061e9 - 5 * LW, 7.061e9 + 5 * LW, 801)
 
 
-def test_s21_jacobian_matches_central_differences():
-    # each column's step is 1e-5 of the scale the model varies on: the
-    # linewidth for f_r, a radian of line phase at f_r for the delay
+def _engine_pair(monkeypatch, model, jac, y, weight):
+    """The residual and Jacobian that models._fit hands the engine."""
+    pair = []
+    monkeypatch.setattr(models, "levenberg_marquardt",
+                        lambda residual, x0, **kw: pair.extend(
+                            (residual, kw["jac"])))
+    models._fit(model, jac, y, weight, [1.0], None)
+    return pair
+
+
+def test_s21_jacobian_matches_central_differences(monkeypatch):
+    # the weighted, stacked pair the engine sees; each column's step is
+    # 1e-5 of the scale the model varies on: the linewidth for f_r, a
+    # radian of line phase at f_r for the delay
     rng = np.random.default_rng(10)
     for _ in range(20):
         x = np.array([7.061e9 + rng.uniform(-1, 1) * LW,
@@ -204,16 +214,19 @@ def test_s21_jacobian_matches_central_differences():
                       rng.choice([-1, 1]) * rng.uniform(20, 300),
                       rng.uniform(0.5, 1.5), 30e-9, rng.uniform(-np.pi, np.pi)])
         weight = 1.0 / rng.uniform(5e-4, 2e-3, GRID.size)
-        data = (GRID, np.zeros(GRID.size, complex), weight)
-        jac = _s21_jacobian(x, data)
+        residual, jacobian = _engine_pair(
+            monkeypatch, lambda xx: models.s21_model(xx, GRID),
+            lambda xx: models._s21_jacobian(xx, GRID),
+            np.zeros(GRID.size, complex), weight)
+        jac = jacobian(x)
+        assert jac.shape == (2 * GRID.size, 7)
         steps = 1e-5 * np.array([LW, x[1], x[2], abs(x[3]), x[4],
                                  1.0 / (2 * np.pi * x[0]), 1.0])
         for j, h in enumerate(steps):
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fd = ((_s21_residual(xp, data) - _s21_residual(xm, data))
-                  / (xp[j] - xm[j]))
+            fd = (residual(xp) - residual(xm)) / (xp[j] - xm[j])
             assert_allclose(jac[:, j], fd, rtol=0,
                             atol=1e-6 * np.max(np.abs(jac[:, j])))
 
@@ -226,7 +239,7 @@ def test_s21_model_reduces_to_ideal_notch(f_r, q_int, q_ext, offset):
     mode = ResonatorMode(f_r, q_int, q_ext)
     f = f_r + (offset + np.linspace(-3.0, 3.0, 41)) * f_r / mode.q_tot
     x = [f_r, mode.q_tot, q_ext, 0.0, 1.0, 0.0, 0.0]
-    assert_allclose(_s21_model(x, f), s21_ideal(mode, f), rtol=1e-12,
+    assert_allclose(models.s21_model(x, f), s21_ideal(mode, f), rtol=1e-12,
                     atol=1e-12)
 
 
@@ -459,3 +472,16 @@ def test_synth_trace_noise_statistics():
     assert abs(np.std(resid.real) / 2e-3 - 1.0) < 0.1
     assert abs(np.std(resid.imag) / 2e-3 - 1.0) < 0.1
 
+
+
+@pytest.mark.parametrize("noise", [-1e-3, np.nan])
+def test_synth_refuses_negative_or_nan_noise(noise):
+    mode = ResonatorMode(5e9, 1e4, 1e3)
+    grid = np.linspace(4.99e9, 5.01e9, 11)
+    with pytest.raises(ValueError, match="noise_std must be nonnegative"):
+        synth_trace(mode, LineCalibration(), grid, noise_std=noise)
+    with pytest.raises(ValueError, match="noise_rel must be nonnegative"):
+        synth_power_series(np.linspace(0, 1, 5), noise_rel=noise)
+    with pytest.raises(ValueError, match="noise_rel must be nonnegative"):
+        synth_tls_saturation(np.logspace(0, 3, 6), 1.0, 10.0, 1.0, 0.0,
+                             noise_rel=noise)

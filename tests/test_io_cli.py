@@ -1,8 +1,10 @@
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -515,9 +517,24 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["slopes", "--fmax-ghz", "1"], "--fmax-ghz"),
     (["synth", "--phi", "2"], "--phi"),
     (["temp-model", "--lambda0-um", "-1"], "--lambda0-um"),
+    # values that ran to nan or noise-free output, or failed inside numpy
+    (["temp-model", "--fr-ghz", "0"], "--fr-ghz"),
+    (["temp-model", "--fr-ghz", "-1"], "--fr-ghz"),
+    (["temp-model", "--fr-ghz", "7,nan"], "--fr-ghz"),
+    (["temp-model", "--t-grid-mk", "-5"], "--t-grid-mk"),
+    (["synth", "--noise", "-1"], "--noise"),
+    (["synth", "--noise", "nan"], "--noise"),
+    (["synth", "--kind", "power", "--noise", "-1"], "--noise"),
+    (["synth", "--kind", "power", "--noise", "nan"], "--noise"),
+    (["mc", "--seed", "-1"], "--seed"),
+    (["synth", "--seed", "-1", "--noise", "1e-3"], "--seed"),
+    (PHOTON_NUMBER[:7] + ["--power-dbm", "nan"], "--power-dbm"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
-    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1
+    assert caught == []
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
     # no word of the line is a library field the command maps to a flag
@@ -571,3 +588,69 @@ def test_cli_synth_default_roundtrip(tmp_path):
     env = json.loads((tmp_path / "fit_spectrum.json").read_text())
     assert abs(env["result"]["full"]["q_int"] - 34477) / 34477 < 0.05
     assert abs(env["result"]["lorentzian"]["q_int"] - 34477) / 34477 < 0.10
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["fit-spectrum"], "--input"),
+    (["fit-spectrum", "--model", "full"], "--input"),
+    (PHOTON_NUMBER[:3], "--q-int, --q-ext, --power-dbm"),
+])
+def test_cli_missing_required_values(tmp_path, capsys, argv, missing):
+    # a required value may come from the flag or the config file, so it is
+    # checked after both are merged; the command's earlier outputs go
+    stale = tmp_path / cli.COMMANDS[argv[0]].envelope
+    stale.write_text("{}")
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        f"error: missing required values (flag or config): {missing}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _readme_commands():
+    """argv of each command of the README's command-line session."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```sh")[1]
+    lines = block.split("```")[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("optoresp ")]
+
+
+def _config_value(text):
+    """A flag's text as a JSON config value: a number where it reads as one."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def test_readme_commands_read_the_same_from_config_files(tmp_path,
+                                                         monkeypatch):
+    # each README command run with its flags, then with the same values
+    # from only a JSON and only a key=value --config file, writes the same
+    # CSVs and envelopes; mc runs 2 of its 100 trials to keep the suite fast
+    monkeypatch.delenv("OPTORESP_OUTDIR", raising=False)
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "photon-number", "slopes", "slopes", "mc", "temp-model", "synth",
+        "fit-spectrum"]
+    runs = {how: tmp_path / how for how in ("flags", "json", "keyvalue")}
+    for i, (command, *flags) in enumerate(commands):
+        values = dict(zip(flags[::2], flags[1::2]))
+        assert list(values) == flags[::2] and len(flags) % 2 == 0
+        if command == "mc":
+            values["--trials"] = "2"
+        json_file = tmp_path / f"{i}.json"
+        json_file.write_text(json.dumps(
+            {k[2:]: _config_value(v) for k, v in values.items()}))
+        kv_file = tmp_path / f"{i}.cfg"
+        kv_file.write_text("".join(f"{k[2:]} = {v}\n"
+                                   for k, v in values.items()))
+        argvs = {"flags": [command, *itertools.chain(*values.items())],
+                 "json": [command, "--config", str(json_file)],
+                 "keyvalue": [command, "--config", str(kv_file)]}
+        for how, directory in runs.items():
+            directory.mkdir(exist_ok=True)
+            monkeypatch.chdir(directory)
+            assert main(argvs[how]) == 0, (how, argvs[how])
+        outputs = [_outputs(directory) for directory in runs.values()]
+        assert outputs[0] and outputs[1] == outputs[0] == outputs[2], command
