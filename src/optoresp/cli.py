@@ -32,6 +32,7 @@ import json
 import os
 import re
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -169,8 +170,8 @@ def _mc_config(a):
     # could not name either
     if a.p_points < 2:
         raise ValueError("--p-points must be at least 2")
-    if not a.p_max_nw > 0:
-        raise ValueError("--p-max-nw must be positive")
+    if not 0 < a.p_max_nw < np.inf:
+        raise ValueError("--p-max-nw must be positive and finite")
     if a.window_ghz and (len(a.window_ghz) != 2
                          or not a.window_ghz[0] < a.window_ghz[1]):
         raise ValueError("--window-ghz takes two increasing values 'lo,hi'")
@@ -251,6 +252,8 @@ def _temp_model_config(a):
         raise ValueError("--t-min-mk and --t-max-mk must be positive")
     else:
         t_grid = list(np.linspace(a.t_min_mk, a.t_max_mk, a.t_points) * 1e-3)
+    if not np.isfinite(a.pdelta):
+        raise ValueError("--pdelta must be finite")
     return {
         "fr_hz_list": fr_hz,
         "t_grid_k": t_grid,
@@ -298,6 +301,10 @@ def _synth_config(a):
     if a.seed < 0:
         raise ValueError("--seed must be nonnegative")
     if a.kind == "trace":
+        # the grid is built from both flags, so its errors could name neither
+        if not (np.isfinite([a.f_start_ghz, a.f_stop_ghz]).all()
+                and a.f_start_ghz < a.f_stop_ghz):
+            raise ValueError("--f-start-ghz must be below --f-stop-ghz")
         return {"fr_hz": a.fr_ghz * 1e9, "q_int": a.q_int,
                 "q_ext": a.q_ext, "phi": a.phi,
                 "amplitude": a.amp, "tau_s": a.tau_ns * 1e-9,
@@ -305,6 +312,8 @@ def _synth_config(a):
                 "f_start_hz": a.f_start_ghz * 1e9,
                 "f_stop_hz": a.f_stop_ghz * 1e9,
                 "points": a.points, "noise": a.noise, "seed": a.seed}
+    if not 0 < a.p_max_nw < np.inf:
+        raise ValueError("--p-max-nw must be positive and finite")
     return {"p_max_w": a.p_max_nw * 1e-9, "points": a.points,
             "gamma_per_w": a.gamma_per_nw * 1e9,
             "inv_q0": a.inv_q0,
@@ -477,7 +486,7 @@ COMMANDS = {c.name: c for c in (
         _photon_number_config, run_photon_number, "photon_number.json", (),
         _photon_number_summary,
         {"f_r": "--fr-ghz", "q_int": "--q-int", "q_ext": "--q-ext",
-         "input_power": "--power-dbm"}),
+         "input_power": "--power-dbm", "probe_frequency": "--detuning-hz"}),
     Command(
         "slopes", "analytic optical-response slopes",
         (Arg("--fr-ghz", float, 7.0),
@@ -534,7 +543,8 @@ COMMANDS = {c.name: c for c in (
          "half_length": "--half-length-um", "l_edge": "--l-edge-um",
          "xi": "--xi", "area": "--area-nm2", "g_mean": "--g-mhz",
          "gamma1_mean": "--gamma1-mhz", "rho_tls": "--rho",
-         "s_std": "--s-std", "workers": "--workers", "seed": "--seed"}),
+         "s_std": "--s-std", "workers": "--workers", "seed": "--seed",
+         "ds": "--ds"}),
     Command(
         "temp-model", "temperature dependence of the frequency shift",
         (Arg("--fr-ghz", float_list, (7.0,), "comma list of mode frequencies"),
@@ -584,7 +594,11 @@ COMMANDS = {c.name: c for c in (
         _synth_config, run_synth, "synth_{kind}.json", ("synth_{kind}.csv",),
         lambda r, paths: [f"wrote {paths[1]}"],
         {"f_r": "--fr-ghz", "q_int": "--q-int", "q_ext_mag": "--q-ext",
-         "phi": "--phi", "noise_std": "--noise", "noise_rel": "--noise"}),
+         "phi": "--phi", "noise_std": "--noise", "noise_rel": "--noise",
+         "amplitude": "--amp", "delay": "--tau-ns", "phase_offset": "--alpha",
+         "gamma": "--gamma-per-nw", "inv_q0": "--inv-q0",
+         "delta1": "--delta1-per-nw", "delta2": "--delta2",
+         "delta3": "--delta3-per-nw"}),
     Command(
         "fit-spectrum", "fit a measured/synthetic trace",
         (Arg("--input", required=True),
@@ -661,20 +675,21 @@ def load_config_file(path):
     return entries
 
 
-def _config_values(cmd, path):
-    """The config file's values by flag dest, each parsed like its flag."""
+def _convert(cmd, entries):
+    """Values by flag dest of (where, key, value) entries, each value parsed
+    as text like the flag key names.  where names a bad entry: "path:lineno:
+    config key 'key'" for a config file, None for a flag (named by itself)."""
     args = {a.dest: a for a in COMMON + cmd.args}
     values = {}
-    for lineno, key, value in load_config_file(path):
+    for where, key, value in entries:
         arg = args.get(key.replace("-", "_"))
         if arg is None:
-            raise io.ParseError(f"{path}:{lineno}: config key '{key}' is "
-                                f"not a flag of this command")
+            raise ValueError(f"{where} is not a flag of this command")
         try:
             values[arg.dest] = arg.convert(str(value))
         except ValueError as exc:
-            raise io.ParseError(f"{path}:{lineno}: config key '{key}': "
-                                f"invalid value {str(value)!r}") from exc
+            raise ValueError(f"{where or arg.flag}: invalid value "
+                             f"{str(value)!r}") from exc
     return values
 
 
@@ -694,14 +709,15 @@ def _execute(cmd, args):
                          + ", ".join(missing))
     cfg = cmd.config(args)
     paths = _output_paths(cmd, args)
-    with io.Timer() as t:
-        payload, writers = cmd.run(cfg, [p.name for p in paths[1:]])
+    start = time.perf_counter()
+    payload, writers = cmd.run(cfg, [p.name for p in paths[1:]])
+    duration_s = time.perf_counter() - start
     paths[0].parent.mkdir(parents=True, exist_ok=True)
     # an envelope is named after its command tag: synth-trace writes
     # synth_trace.json
     tag = paths[0].stem.replace("_", "-")
     io.write_envelope(paths[0],
-                      io.result_envelope(tag, cfg, payload, t.elapsed))
+                      io.result_envelope(tag, cfg, payload, duration_s))
     for path, write in zip(paths[1:], writers):
         if write is None:
             path.unlink(missing_ok=True)
@@ -712,19 +728,6 @@ def _execute(cmd, args):
     return 0
 
 
-def _flag_values(cmd, explicit):
-    """The explicit flags' text, each parsed like its flag."""
-    args = {a.dest: a for a in COMMON + cmd.args}
-    values = {}
-    for dest, text in explicit.items():
-        try:
-            values[dest] = args[dest].convert(text)
-        except ValueError as exc:
-            raise ValueError(f"{args[dest].flag}: invalid value "
-                             f"{text!r}") from exc
-    return values
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     explicit = vars(build_parser().parse_args(argv))
@@ -733,14 +736,15 @@ def main(argv=None):
     # the flags as text name the outputs a failed conversion removes
     args = argparse.Namespace(**{**defaults, **explicit})
     try:
-        explicit = _flag_values(cmd, explicit)
-        from_file = _config_values(cmd, args.config) if args.config else {}
+        explicit = _convert(cmd, [(None, k, v) for k, v in explicit.items()])
+        lines = load_config_file(args.config) if args.config else []
+        from_file = _convert(cmd, [(f"{args.config}:{n}: config key '{k}'",
+                                    k, v) for n, k, v in lines])
         # defaults, then the config file, then the explicit flags
         args = argparse.Namespace(**{**defaults, **from_file, **explicit})
         return _execute(cmd, args)
-    except (io.ParseError, fitmodels.NoDipError, ValueError, OSError,
-            OdeConvergenceError, QuadratureError, SingularJacobianError,
-            np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, OdeConvergenceError, QuadratureError,
+            SingularJacobianError) as exc:
         print(f"error: {_flag_message(exc, cmd.flags)}", file=sys.stderr)
         # a failed run leaves none of its outputs, so no envelope or CSV
         # from an earlier run passes for its result

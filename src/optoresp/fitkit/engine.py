@@ -88,7 +88,6 @@ class FitResult:
     names: list
     values: np.ndarray
     covariance: np.ndarray | None
-    residual_norm: float
     cost: float
     converged: bool
     iterations: int     # Jacobian evaluations
@@ -163,9 +162,8 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     cost = 0.5 * float(r @ r)
     cov, flags = _covariance(j_internal, r, transforms, u, cost)
     return FitResult(names=names, values=external(u), covariance=cov,
-                     residual_norm=float(np.linalg.norm(r)), cost=cost,
-                     converged=converged, iterations=iterations, nfev=nfev,
-                     message=message, flags=flags)
+                     cost=cost, converged=converged, iterations=iterations,
+                     nfev=nfev, message=message, flags=flags)
 
 
 def _covariance(j_internal, r, transforms, u, cost):

@@ -333,7 +333,7 @@ class FullS21Result:
     fit: FitResult
 
 
-def fit_full_s21(trace: ComplexTrace, initial=None) -> FullS21Result:
+def fit_full_s21(trace: ComplexTrace) -> FullS21Result:
     """Fit the asymmetric notch model to a complex trace.
 
     Reports the diameter-corrected external Q and the internal Q via
@@ -343,17 +343,13 @@ def fit_full_s21(trace: ComplexTrace, initial=None) -> FullS21Result:
     by the Lorentzian-dip significance test (flag "no_resonance").
     """
     f, z = trace.frequencies, trace.values
-    weight = None
-    if trace.noise_std is not None:
-        weight = 1.0 / np.maximum(trace.noise_std, 1e-300)
     power = np.abs(z) ** 2
     i_min = int(np.argmin(power))
     dip = _read_dip(f, power, i_min)
-    if initial is None:
-        initial = _s21_initial_guess(f, z, power, i_min, dip)
 
     fit = _fit(lambda x: s21_model(x, f), lambda x: _s21_jacobian(x, f), z,
-               weight, initial, _S21_PARAMS,
+               _weights_from_sigma(trace.noise_std),
+               _s21_initial_guess(f, z, power, i_min, dip), _S21_PARAMS,
                (Log(), Log(), Log(), Identity(), Log(), Scaled(1e-9),
                 Identity()))
 

@@ -16,8 +16,8 @@ def synth_trace(mode: ResonatorMode, line: LineCalibration, grid,
     if not noise_std >= 0:
         raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
     grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly ascending")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise ValueError("grid must be finite and strictly ascending")
     z = s21_full(mode, line, grid)
     if noise_std > 0:
         rng = np.random.default_rng(seed)
@@ -39,6 +39,10 @@ def synth_power_series(p_grid, gamma=0.0, inv_q0=0.0, delta1=0.0, delta2=0.0,
     """
     if not noise_rel >= 0:
         raise ValueError(f"noise_rel must be nonnegative, got {noise_rel}")
+    for name, value in zip(("gamma", "inv_q0", "delta1", "delta2", "delta3"),
+                           (gamma, inv_q0, delta1, delta2, delta3)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     p = np.asarray(p_grid, dtype=float)
     inv_q = gamma * p + inv_q0
     dfrac = delta1 * p - delta2 * (1.0 - np.exp(-delta3 * p))

@@ -9,7 +9,6 @@ or non-finite cell by ``path:lineno``.
 
 import json
 import math
-import time
 
 import numpy as np
 
@@ -145,13 +144,3 @@ def _jsonable(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return obj
-
-
-class Timer:
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self._t0
-        return False

@@ -42,6 +42,12 @@ class OdeConvergenceError(RuntimeError):
     """DOP853 stopped, or the cavity decay did not settle within the window."""
 
 
+HORIZON = 14.0          # integration window, in units of 1/kappa_tot
+N_SAMPLES = 400         # transverse sample times over the window
+RESIDUAL_TOL = 1e-3     # max |residual| of the log-amplitude decay fit
+RTOL = 1e-10            # transverse DOP853 relative tolerance
+
+
 @dataclass(frozen=True)
 class SteadyStateResult:
     extra_loss: float        # added energy decay rate [rad/s]
@@ -53,10 +59,11 @@ class SteadyStateResult:
 
 
 def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
-                                seed_amplitude=1e-4, horizon=14.0,
-                                n_samples=400, residual_tol=1e-3,
-                                rtol=1e-10, sz0=None):
-    """Extra loss and shift of the cavity mode, extracted by integration.
+                                seed_amplitude=1e-4, sz0=None):
+    """Extra loss and shift of the cavity mode, extracted by integration
+    over HORIZON/kappa_tot: the transverse solve at N_SAMPLES times, to RTOL
+    (absolute: 1e-12 * seed_amplitude), the longitudinal one exactly.  A
+    decay fit residual above RESIDUAL_TOL raises OdeConvergenceError.
 
     Parameters
     ----------
@@ -70,13 +77,6 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
     mode : {"transverse", "longitudinal"}
     seed_amplitude : float
         Initial coherent amplitude; keep small so the TLS stays unsaturated.
-    horizon : float
-        Integration time in units of 1/kappa_tot.
-    residual_tol : float
-        Maximum tolerated residual of the exponential-decay fit.
-    rtol : float
-        Relative tolerance of the transverse Fortran DOP853 (absolute:
-        1e-12 * seed_amplitude); the longitudinal propagation is exact.
     sz0 : float, optional
         Initial population; defaults to the TLS's own s, so the population
         starts relaxed.
@@ -92,10 +92,10 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
         raise ValueError("kappa_tot must be positive")
     sz_init = tls.s if sz0 is None else float(sz0)
 
-    t_end = horizon / kappa_tot
+    t_end = HORIZON / kappa_tot
     if mode == "transverse":
         t, c, sz = _integrate_transverse(tls, kappa_tot, t_end, seed_amplitude,
-                                         n_samples, rtol, sz_init)
+                                         sz_init)
     else:
         t, c, sz = _integrate_longitudinal(tls, omega_r, kappa_tot, t_end,
                                            seed_amplitude, sz_init)
@@ -107,9 +107,9 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
     coef_amp, *_ = np.linalg.lstsq(design, log_amp, rcond=None)
     coef_ph, *_ = np.linalg.lstsq(design, np.unwrap(np.angle(c[m])), rcond=None)
     resid = np.max(np.abs(log_amp - design @ coef_amp))
-    if resid > residual_tol:
+    if resid > RESIDUAL_TOL:
         raise OdeConvergenceError(
-            f"decay fit residual {resid:.2e} exceeds {residual_tol:.2e}; "
+            f"decay fit residual {resid:.2e} exceeds {RESIDUAL_TOL:.2e}; "
             "mode structure not settled within the horizon")
 
     return SteadyStateResult(extra_loss=float(-2.0 * coef_amp[0] - kappa_tot),
@@ -117,8 +117,7 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
                              fit_residual=float(resid), sigma_z=sz)
 
 
-def _integrate_transverse(tls, kappa_tot, t_end, seed, n_samples, rtol,
-                          sz_init):
+def _integrate_transverse(tls, kappa_tot, t_end, seed, sz_init):
     g, g1, g2 = tls.g_perp, tls.gamma1, tls.gamma2
     delta, s0, half_kappa = tls.detuning, tls.s, 0.5 * kappa_tot
 
@@ -129,15 +128,15 @@ def _integrate_transverse(tls, kappa_tot, t_end, seed, n_samples, rtol,
                 -half_kappa * cr + g * si, -half_kappa * ci - g * sr,
                 -4.0 * g * (si * cr - sr * ci) - g1 * (sz - s0)]
 
-    t = np.linspace(0.0, t_end, n_samples)
-    y = np.empty((n_samples, 5))
+    t = np.linspace(0.0, t_end, N_SAMPLES)
+    y = np.empty((N_SAMPLES, 5))
     y[0] = [0.0, 0.0, seed, 0.0, sz_init]
-    solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=1e-12 * seed)
+    solver = ode(rhs).set_integrator("dop853", rtol=RTOL, atol=1e-12 * seed)
     solver.set_initial_value(y[0])
     with warnings.catch_warnings():  # the return code below reports failure
         warnings.filterwarnings("ignore", category=UserWarning,
                                 module="scipy.integrate._ode")
-        for k in range(1, n_samples):
+        for k in range(1, N_SAMPLES):
             y[k] = solver.integrate(t[k])
             if (code := solver.get_return_code()) < 0:
                 raise OdeConvergenceError(f"DOP853 return code {code} at t = "

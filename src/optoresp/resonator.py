@@ -53,8 +53,8 @@ class ResonatorMode:
     q_ext_imag: float = 0.0
 
     def __post_init__(self):
-        if not (self.f_r > 0):
-            raise ValueError(f"f_r must be positive, got {self.f_r}")
+        if not 0 < self.f_r < np.inf:
+            raise ValueError(f"f_r must be positive and finite, got {self.f_r}")
         if not (self.q_int > 0):
             raise ValueError(f"q_int must be positive, got {self.q_int}")
         if not (self.q_ext > 0):
@@ -124,10 +124,11 @@ class LineCalibration:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        if not (self.amplitude > 0):
-            raise ValueError("line amplitude must be positive")
-        if not (np.isfinite(self.delay) and np.isfinite(self.phase_offset)):
-            raise ValueError("delay and phase_offset must be finite")
+        if not 0 < self.amplitude < np.inf:
+            raise ValueError("amplitude must be positive and finite")
+        for name in ("delay", "phase_offset"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,8 @@ class DriveCondition:
     def __post_init__(self):
         if not (0 < self.input_power < np.inf):
             raise ValueError("input_power must be a finite positive power")
+        if not np.isfinite(self.probe_frequency):
+            raise ValueError("probe_frequency must be finite")
 
 
 def notch(f, f_r, q_tot, q_ext, amplitude=1.0, delay=0.0, phase_offset=0.0):

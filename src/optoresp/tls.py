@@ -277,12 +277,16 @@ def temperature_permittivity_shift(f_r, env: ThermalEnvironment,
             * permittivity_bracket(f_r, env))
 
 
+KK_EXCISION_REL = 1e-6      # pole excision half-width, relative to f
+SD_N_SIGMA = 50.0           # inner spectral-diffusion window, in Gaussians
+
+
 def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
-                             f_cutoff=None, excision_rel=1e-6):
+                             f_cutoff=None):
     """Dispersive counterpart of the tanh dielectric loss, by quadrature.
 
     Evaluates (delta_TLS/pi) PV int_0^cutoff f' tanh(h f'/2 k T)/(f'^2 - f^2) df'
-    with symmetric excision of half-width ``excision_rel * f`` around the pole
+    with symmetric excision of half-width KK_EXCISION_REL * f around the pole
     and two-point Richardson extrapolation of the excision width toward zero.
 
     The transform carries coefficient 1/pi rather than the textbook one-sided
@@ -325,7 +329,7 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
             total += val
         return total
 
-    eps0 = excision_rel * f
+    eps0 = KK_EXCISION_REL * f
     i_full = excised(eps0)
     i_half = excised(0.5 * eps0)
     # symmetric excision misses -2 eps h'(f) + O(eps^3); Richardson removes it
@@ -341,7 +345,7 @@ def spectral_diffusion_loss_closed_form(tls: TlsUnit, drive: SaturationDrive,
 
 
 def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
-                            rho_v, n_sigma_cutoff=50.0):
+                            rho_v):
     """Bath loss with Gaussian spectral diffusion, by double quadrature.
 
     Integrates the saturated Lorentzian response, convolved in detuning with
@@ -351,7 +355,7 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
             * S / (1 + (n/n_s) Gamma_2^2/(Gamma_2^2 + mu^2))
             * N(mu; Delta, sigma_sd)
 
-    The inner window spans ``n_sigma_cutoff`` Gaussians around each center.
+    The inner window spans SD_N_SIGMA Gaussians around each center.
     The result coincides with :func:`spectral_diffusion_loss_closed_form` for
     any sigma_sd: Gaussian wandering alone does not lift the loss above the
     saturated-Lorentzian value.
@@ -376,13 +380,13 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
             return (2.0 * core / (1.0 + n_ratio * core)
                     * math.exp(-0.5 * u * u) / sqrt_two_pi)
         feats = sorted((x - d) / s_dimless for x in (-30 * w, -w, 0.0, w, 30 * w))
-        knots = ([-n_sigma_cutoff]
-                 + [u for u in feats if -n_sigma_cutoff < u < n_sigma_cutoff]
-                 + [n_sigma_cutoff])
+        knots = ([-SD_N_SIGMA]
+                 + [u for u in feats if -SD_N_SIGMA < u < SD_N_SIGMA]
+                 + [SD_N_SIGMA])
         return _piecewise_quad(f, knots, limit=60)
 
     b_core = 10.0 * max(s_dimless, w)
-    b_far = max(4000.0 * w, 1.2 * n_sigma_cutoff * s_dimless, 4.0 * b_core)
+    b_far = max(4000.0 * w, 1.2 * SD_N_SIGMA * s_dimless, 4.0 * b_core)
     total = _piecewise_quad(smeared, [-b_core, -w, 0.0, w, b_core], limit=100)
     # far tails fall off like the Lorentzian; integrate in t = 1/Delta
     for sign in (1.0, -1.0):
@@ -395,7 +399,7 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     return -HBAR * rho_v * tls.g_perp**2 * tls.s * total
 
 
-def _piecewise_quad(f, knots, limit=80):
+def _piecewise_quad(f, knots, limit):
     total = 0.0
     for a, b in zip(knots[:-1], knots[1:]):
         if b <= a:

@@ -529,6 +529,32 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["mc", "--seed", "-1"], "--seed"),
     (["synth", "--seed", "-1", "--noise", "1e-3"], "--seed"),
     (PHOTON_NUMBER[:7] + ["--power-dbm", "nan"], "--power-dbm"),
+    # non-finite model parameters that ran to nan output
+    (PHOTON_NUMBER + ["--detuning-hz", "nan"], "--detuning-hz"),
+    (["synth", "--kind", "power", "--gamma-per-nw", "nan"], "--gamma-per-nw"),
+    (["synth", "--kind", "power", "--inv-q0", "inf"], "--inv-q0"),
+    (["synth", "--kind", "power", "--delta1-per-nw", "nan"],
+     "--delta1-per-nw"),
+    (["synth", "--kind", "power", "--delta2", "inf"], "--delta2"),
+    (["synth", "--kind", "power", "--delta3-per-nw", "nan"],
+     "--delta3-per-nw"),
+    (["temp-model", "--pdelta", "nan"], "--pdelta"),
+    # synth's line, grid and power-grid errors, named by flag
+    (["synth", "--amp", "nan"], "--amp"),
+    (["synth", "--amp", "0"], "--amp"),
+    (["synth", "--tau-ns", "nan"], "--tau-ns"),
+    (["synth", "--alpha", "inf"], "--alpha"),
+    (["synth", "--f-start-ghz", "7.1"], "--f-start-ghz"),
+    (["synth", "--f-start-ghz", "nan"], "--f-start-ghz"),
+    (["synth", "--f-stop-ghz", "inf"], "--f-start-ghz"),
+    (["synth", "--kind", "power", "--p-max-nw", "-5"], "--p-max-nw"),
+    (["synth", "--kind", "power", "--p-max-nw", "nan"], "--p-max-nw"),
+    # infinite values that ran into numpy warnings or LAPACK errors
+    (["photon-number", "--fr-ghz", "inf"] + PHOTON_NUMBER[3:], "--fr-ghz"),
+    (["synth", "--fr-ghz", "inf"], "--fr-ghz"),
+    (["synth", "--amp", "inf"], "--amp"),
+    (["mc", "--p-max-nw", "inf"], "--p-max-nw"),
+    (["mc", "--ds", "nan"], "--ds"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:
@@ -540,6 +566,13 @@ def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     # no word of the line is a library field the command maps to a flag
     assert not set(err.split()) & set(cli.COMMANDS[argv[0]].flags)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_library_fields_map_to_flags_of_their_own_row(name):
+    cmd = cli.COMMANDS[name]
+    flags = {a.flag for a in cli.COMMON + cmd.args}
+    assert set(cmd.flags.values()) <= flags
 
 
 @pytest.mark.parametrize("exc", [

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
+from optoresp import meanfield
 from optoresp.constants import TWO_PI
 from optoresp.meanfield import OdeConvergenceError, steady_state_by_integration
 from optoresp.tls import (TlsUnit, longitudinal_complex_shift,
@@ -183,13 +184,14 @@ def test_invalid_mode_and_kappa():
         steady_state_by_integration(t, TWO_PI * 7e9, 0.0, "transverse")
 
 
-def test_unsettled_decay_raises():
+def test_unsettled_decay_raises(monkeypatch):
     # a horizon too short to outlive the TLS transient leaves a bent trace
+    monkeypatch.setattr(meanfield, "HORIZON", 1.0)
+    monkeypatch.setattr(meanfield, "RESIDUAL_TOL", 1e-9)
     t = _tls(g_perp=G2 / 4, gamma1=G2 / 50, gamma2=G2 / 2, detuning=0.2 * G2)
     with pytest.raises(OdeConvergenceError):
         steady_state_by_integration(t, TWO_PI * 7e9, kappa_tot=G2 * 2.0,
-                                    mode="transverse", horizon=1.0,
-                                    residual_tol=1e-9)
+                                    mode="transverse")
 
 
 def test_integrator_failure_names_return_code_and_time():

@@ -217,6 +217,13 @@ def test_single_tls_matches_closed_forms():
     assert res.dinv_q[0, 0] == 0.0
 
 
+def test_reach_formula_is_pinned():
+    # perfbench/workloads.py (McReference.patches) repeats this formula to
+    # count kept TLSs and kernel evaluations; change both copies together
+    for cfg in (McConfig(), small_config(xi=20.0, l_edge=3e-6)):
+        assert cfg.reach == cfg.xi * cfg.p_grid[-1] / 2 + 14 * cfg.l_edge
+
+
 def test_tls_beyond_reach_are_dropped():
     cfg = small_config(l_edge=1e-6)
     bath = generate_ensemble(cfg)
