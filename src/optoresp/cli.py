@@ -188,8 +188,17 @@ def _mc_config(a):
         "g_mhz": a.g_mhz, "gamma1_mhz": a.gamma1_mhz,
         "s_std": a.s_std, "ds_2pi_inv_mhz": a.ds,
         "p_max_w": a.p_max_nw * 1e-9, "p_points": a.p_points,
-        "normalize_moments": not a.raw_moments, "workers": a.workers,
+        "normalize_moments": not a.raw_moments,
+        "workers": usable_cores() if a.workers is None else a.workers,
     }
+
+
+def usable_cores():
+    """The cores this process may run on: mc's default --workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def mc_config_from_dict(cfg) -> montecarlo.McConfig:
@@ -254,6 +263,10 @@ def _temp_model_config(a):
         t_grid = list(np.linspace(a.t_min_mk, a.t_max_mk, a.t_points) * 1e-3)
     if not np.isfinite(a.pdelta):
         raise ValueError("--pdelta must be finite")
+    if a.lambda0_um is not None and not np.isfinite(a.lambda0_um):
+        raise ValueError("--lambda0-um must be finite")
+    if a.ltl is not None and not 0 < a.ltl < np.inf:
+        raise ValueError("--ltl must be positive and finite")
     return {
         "fr_hz_list": fr_hz,
         "t_grid_k": t_grid,
@@ -274,7 +287,7 @@ def run_temp_model(cfg, names):
     if cfg.get("lambda0_m"):
         geom = superconductor.FilmGeometry(cfg["film_d_m"], cfg["film_w_m"],
                                            cfg["film_l_m"])
-        if cfg.get("ltl_h_per_m"):
+        if cfg.get("ltl_h_per_m") is not None:
             sc = superconductor.SuperconductorParams(
                 cfg["lambda0_m"], cfg["tc_k"], cfg["ltl_h_per_m"])
         else:
@@ -305,6 +318,12 @@ def _synth_config(a):
         if not (np.isfinite([a.f_start_ghz, a.f_stop_ghz]).all()
                 and a.f_start_ghz < a.f_stop_ghz):
             raise ValueError("--f-start-ghz must be below --f-stop-ghz")
+        # the grid run_synth builds: neighbours closer than a float's
+        # spacing round to the same frequency
+        grid = np.linspace(a.f_start_ghz * 1e9, a.f_stop_ghz * 1e9, a.points)
+        if not np.all(np.diff(grid) > 0):
+            raise ValueError("--f-start-ghz and --f-stop-ghz are too close "
+                             "for --points: the grid repeats a frequency")
         return {"fr_hz": a.fr_ghz * 1e9, "q_int": a.q_int,
                 "q_ext": a.q_ext, "phi": a.phi,
                 "amplitude": a.amp, "tau_s": a.tau_ns * 1e-9,
@@ -535,7 +554,8 @@ COMMANDS = {c.name: c for c in (
          Arg("--p-points", int, 11),
          Arg("--raw-moments", bool, False,
              "skip the <g^2>/<Gamma_1> moment normalization"),
-         Arg("--workers", int, 1)),
+         Arg("--workers", int, None,
+             "trial threads (default: the usable cores)")),
         _mc_config, run_mc, "mc.json", ("mc_curves.csv", "mc_aggregate.csv"),
         _mc_summary,
         {"trials": "--trials", "omega_r": "--fr-ghz",
@@ -566,7 +586,9 @@ COMMANDS = {c.name: c for c in (
         _temp_model_config, run_temp_model, "temp_model.json",
         ("temp_model.csv",),
         lambda r, paths: [f"wrote {paths[1]} ({r['n_rows']} rows)"],
-        {"f_r": "--fr-ghz", "lambda0": "--lambda0-um", "t_c": "--tc-k"}),
+        {"f_r": "--fr-ghz", "lambda0": "--lambda0-um", "t_c": "--tc-k",
+         "thickness": "--film-d-nm", "width": "--film-w-nm",
+         "length": "--film-l-mm", "l_total_per_length": "--ltl"}),
     Command(
         "synth", "synthetic traces and power series",
         (Arg("--kind", str, "trace", choices=("trace", "power")),

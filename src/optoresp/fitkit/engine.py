@@ -20,12 +20,14 @@ non-finite point, is reported as a flag on the result, not an exception;
 SingularJacobianError is reserved for a Jacobian that vanishes identically
 at a nonzero-residual stop (rank deficiency is flagged, with a
 pseudoinverse covariance).
+
+scipy loads on first use: ``least_squares`` is imported inside
+:func:`levenberg_marquardt`, so importing this module loads numpy only.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 
 class SingularJacobianError(RuntimeError):
@@ -121,6 +123,8 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     FitResult: ``converged`` is MINPACK's success at a finite point,
     ``message`` its stop reason.
     """
+    from scipy.optimize import least_squares
+
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     names = list(names) if names is not None else [f"p{i}" for i in range(n)]

@@ -25,14 +25,15 @@ demodulating at omega_r.  Validity of the closed forms requires weak coupling
 (g <~ Gamma_2/4) and kappa well below the TLS rates; the rotating-wave step
 behind the longitudinal closed form costs O(kappa/omega_r), so keep
 kappa/omega_r small when using this as a tight oracle.
+
+scipy loads on first use: ``ode`` inside the transverse solve and ``expm``
+inside the longitudinal one, so importing this module loads numpy only.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode
-from scipy.linalg import expm
 
 from .constants import TWO_PI
 from .tls import TlsUnit, _one_tls
@@ -118,6 +119,8 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
 
 
 def _integrate_transverse(tls, kappa_tot, t_end, seed, sz_init):
+    from scipy.integrate import ode
+
     g, g1, g2 = tls.g_perp, tls.gamma1, tls.gamma2
     delta, s0, half_kappa = tls.detuning, tls.s, 0.5 * kappa_tot
 
@@ -145,6 +148,8 @@ def _integrate_transverse(tls, kappa_tot, t_end, seed, sz_init):
 
 
 def _integrate_longitudinal(tls, omega_r, kappa_tot, t_end, seed, sz_init):
+    from scipy.linalg import expm
+
     g, g1, s0 = tls.g_par, tls.gamma1, tls.s
     # y = (Re c, Im c, sz) obeys dy/dt = mat y + (0, 0, Gamma_1 S); its fixed
     # point is the static displacement sourced by S

@@ -26,8 +26,8 @@ class FilmGeometry:
     length: float
 
     def __post_init__(self):
-        if min(self.thickness, self.width, self.length) <= 0:
-            raise ValueError("all geometry dimensions must be positive")
+        for name in ("thickness", "width", "length"):
+            _check_positive(self, name)
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,21 @@ class SuperconductorParams:
     l_total_per_length: float | None = None
 
     def __post_init__(self):
-        if self.lambda0 <= 0 or self.t_c <= 0:
-            raise ValueError("lambda0 and t_c must be positive")
+        for name in ("lambda0", "t_c"):
+            _check_positive(self, name)
+        if self.l_total_per_length is not None:
+            _check_positive(self, "l_total_per_length")
 
     @classmethod
     def with_kinetic_total(cls, lambda0, t_c, geom: FilmGeometry, t_ref=0.0):
         """L_t,l set to L_k,l(t_ref): the kinetic-inductance-dominated limit."""
         sc = cls(lambda0, t_c)
         return cls(lambda0, t_c, kinetic_inductance_per_length(sc, geom, t_ref))
+
+
+def _check_positive(obj, name):
+    if not 0 < getattr(obj, name) < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def penetration_depth(sc: SuperconductorParams, temperature):

@@ -15,16 +15,24 @@ permittivity (a closed form in scipy's complex digamma, which broadcasts
 over mode frequencies and temperatures), the Kramers-Kronig quadrature
 oracle for that closed form, and the Gaussian spectral-diffusion loss
 integral with its saturated closed form.
+
+scipy loads on first use: ``quad`` inside the two quadrature oracles, and
+``scipy.special.digamma`` inside :func:`digamma`.  Importing this module,
+or using the closed forms the Monte Carlo runs on, loads numpy only.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import digamma
 
 from .constants import EPS_0, HBAR, K_B, PLANCK, TWO_PI
+
+
+def digamma(z):
+    """scipy's digamma psi(z), complex z included, elementwise."""
+    from scipy.special import digamma
+    return digamma(z)
 
 
 class QuadratureError(RuntimeError):
@@ -304,6 +312,8 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
     temperature differences.  Verification oracle only, for one frequency
     and one temperature; the closed form is the production path.
     """
+    from scipy.integrate import quad
+
     f = float(f)
     if f <= 0:
         raise ValueError("f must be positive")
@@ -362,6 +372,8 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
 
     rho_v is the rho_TLS * V_eff prefactor [J^-1].  Returns rad/s.
     """
+    from scipy.integrate import quad
+
     _one_tls(tls)
     if not (sigma_sd > 0):
         raise ValueError("sigma_sd must be positive")
@@ -400,6 +412,8 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
 
 
 def _piecewise_quad(f, knots, limit):
+    from scipy.integrate import quad
+
     total = 0.0
     for a, b in zip(knots[:-1], knots[1:]):
         if b <= a:

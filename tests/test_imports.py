@@ -1,0 +1,92 @@
+"""scipy stays out of a process until a function that needs it runs."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import optoresp
+
+SRC = Path(optoresp.__file__).resolve().parent
+
+# each command runs through cli.main in one fresh process; after each, the
+# scipy subpackages it has loaded (private modules such as scipy._lib
+# excepted)
+SCRIPT = """
+import json, sys
+from optoresp import cli
+commands = [
+    ["photon-number", "--fr-ghz", "2.418", "--q-int", "70134",
+     "--q-ext", "3226", "--power-dbm", "-77"],
+    ["slopes", "--g-mhz", "5", "--xi", "50"],
+    ["synth", "--kind", "trace", "--noise", "1e-3", "--seed", "7"],
+    ["mc", "--trials", "2", "--seed", "0", "--p-points", "4",
+     "--fmax-ghz", "100", "--half-length-um", "60"],
+    ["temp-model", "--fr-ghz", "2.418,4.884", "--pdelta", "1e-5",
+     "--lambda0-um", "0.72", "--tc-k", "14"],
+]
+loaded = {}
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = sorted({m.split(".")[1] for m in sys.modules
+                              if m.startswith("scipy.")
+                              and not m.split(".")[1].startswith("_")})
+    loaded[argv[0] + " scipy"] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_only_the_scipy_they_call(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    env.pop("OPTORESP_OUTDIR", None)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    for command in ("photon-number", "slopes", "synth", "mc"):
+        assert loaded[command + " scipy"] is False, command
+    # scipy.version is a module of scipy's top level, not a subpackage
+    assert set(loaded["temp-model"]) - {"version"} == {"special"}
+
+
+def _module_level_scipy_imports(tree):
+    """Line numbers of scipy imports outside any function body."""
+    found = []
+    stack = list(ast.iter_child_nodes(tree))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            found.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_no_module_level_scipy_import():
+    # importing any optoresp module loads numpy only: scipy is imported
+    # inside the functions that call it
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.relative_to(SRC.parent)}:{n}"
+                      for n in _module_level_scipy_imports(tree)]
+    assert offenders == []
+
+
+def test_import_guard_sees_nested_module_level_imports():
+    tree = ast.parse("import numpy\n"
+                     "try:\n    from scipy.special import digamma\n"
+                     "except ImportError:\n    pass\n"
+                     "class A:\n    import scipy.linalg as la\n"
+                     "def f():\n    from scipy.integrate import quad\n")
+    assert _module_level_scipy_imports(tree) == [3, 7]

@@ -146,6 +146,21 @@ def test_cli_mc_deterministic_replay(tmp_path):
     assert (a / "mc_aggregate.csv").read_bytes() == (b / "mc_aggregate.csv").read_bytes()
 
 
+def test_cli_mc_workers_default_to_usable_cores(tmp_path):
+    if hasattr(os, "sched_getaffinity"):
+        assert cli.usable_cores() == len(os.sched_getaffinity(0))
+    runs = {"default": [], "one": ["--workers", "1"]}
+    for name, extra in runs.items():
+        assert run_cli("mc", "--trials", "3", "--seed", "4", "--p-points",
+                       "4", "--fmax-ghz", "100", "--half-length-um", "60",
+                       *extra, "--out-dir", str(tmp_path / name)) == 0
+    env = json.loads((tmp_path / "default" / "mc.json").read_text())
+    assert env["config"]["workers"] == cli.usable_cores()
+    for csv in ("mc_curves.csv", "mc_aggregate.csv"):
+        assert ((tmp_path / "default" / csv).read_bytes()
+                == (tmp_path / "one" / csv).read_bytes())
+
+
 def test_cli_mc_envelope_replays(tmp_path):
     out = tmp_path / "o"
     run_cli("mc", "--trials", "2", "--seed", "3", "--p-points", "4",
@@ -555,6 +570,20 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["synth", "--amp", "inf"], "--amp"),
     (["mc", "--p-max-nw", "inf"], "--p-max-nw"),
     (["mc", "--ds", "nan"], "--ds"),
+    # non-finite temp-model inputs that ran to nan rows, and a synth grid
+    # whose neighbours round to one frequency
+    (["temp-model", "--lambda0-um", "0.7", "--tc-k", "nan"], "--tc-k"),
+    (["temp-model", "--lambda0-um", "0.7", "--film-d-nm", "nan"],
+     "--film-d-nm"),
+    (["temp-model", "--lambda0-um", "0.7", "--film-w-nm", "inf"],
+     "--film-w-nm"),
+    (["temp-model", "--lambda0-um", "0.7", "--film-l-mm", "nan"],
+     "--film-l-mm"),
+    (["temp-model", "--lambda0-um", "0.7", "--ltl", "nan"], "--ltl"),
+    (["temp-model", "--lambda0-um", "0.7", "--ltl", "0"], "--ltl"),
+    (["temp-model", "--lambda0-um", "nan"], "--lambda0-um"),
+    (["synth", "--f-start-ghz", "7", "--f-stop-ghz", "7.0000000000001"],
+     "--f-start-ghz"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:
