@@ -263,15 +263,18 @@ def _temp_model_config(a):
         t_grid = list(np.linspace(a.t_min_mk, a.t_max_mk, a.t_points) * 1e-3)
     if not np.isfinite(a.pdelta):
         raise ValueError("--pdelta must be finite")
-    if a.lambda0_um is not None and not np.isfinite(a.lambda0_um):
-        raise ValueError("--lambda0-um must be finite")
-    if a.ltl is not None and not 0 < a.ltl < np.inf:
-        raise ValueError("--ltl must be positive and finite")
+    for flag, value in (("--lambda0-um", a.lambda0_um), ("--tc-k", a.tc_k),
+                        ("--film-d-nm", a.film_d_nm),
+                        ("--film-w-nm", a.film_w_nm),
+                        ("--film-l-mm", a.film_l_mm), ("--ltl", a.ltl)):
+        if value is not None and not 0 < value < np.inf:
+            raise ValueError(f"{flag} must be positive and finite")
     return {
         "fr_hz_list": fr_hz,
         "t_grid_k": t_grid,
         "pdelta": a.pdelta,
-        "lambda0_m": a.lambda0_um * 1e-6 if a.lambda0_um else None,
+        "lambda0_m": (a.lambda0_um * 1e-6 if a.lambda0_um is not None
+                      else None),
         "tc_k": a.tc_k,
         "film_d_m": a.film_d_nm * 1e-9,
         "film_w_m": a.film_w_nm * 1e-9,
@@ -284,7 +287,7 @@ def run_temp_model(cfg, names):
     temps = np.asarray(cfg["t_grid_k"], dtype=float)
     fr_hz = np.asarray(cfg["fr_hz_list"], dtype=float)
     qp_term = np.zeros(temps.size)
-    if cfg.get("lambda0_m"):
+    if cfg.get("lambda0_m") is not None:
         geom = superconductor.FilmGeometry(cfg["film_d_m"], cfg["film_w_m"],
                                            cfg["film_l_m"])
         if cfg.get("ltl_h_per_m") is not None:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -71,6 +72,97 @@ def test_non_finite_cell_names_line(tmp_path, cell):
                     f"1.1e9,0.4,{cell}\n1.2e9,0.3,0.2\n")
     with pytest.raises(io.ParseError, match="nonfinite.csv:4: non-finite"):
         io.read_trace(path)
+
+
+def _trace_table(path):
+    return io._parse_table(path, io.TRACE_HEADER)
+
+
+def _em_map_table(path):
+    cols = io.read_columns(path, ["x_m", "y_m", "j_norm"])
+    return np.column_stack([cols["x_m"], cols["y_m"], cols["j_norm"]])
+
+
+def _cell_case(cell):
+    """A trace whose third line holds `cell`, and what float() makes of
+    it: the table, or the error that names the line."""
+    text = f"freq_hz,re,im\n1e9,0.5,0.1\n1.1e9,{cell},0.2\n1.2e9,0.3,0.4\n"
+    try:
+        value = float(cell)
+    except ValueError:
+        return text, f":3: non-numeric cell in '1.1e9,{cell},0.2'"
+    if not math.isfinite(value):
+        return text, f":3: non-finite cell in '1.1e9,{cell},0.2'"
+    return text, [[1e9, 0.5, 0.1], [1.1e9, value, 0.2], [1.2e9, 0.3, 0.4]]
+
+
+_CELLS = ["1_0", "\u0661\u0662", " 1.5", "1.5 ", "+.5", "5.", "-0", "1E5",
+          "0x1", "1e", "", "1 2", "1d5", "nan", "inf", "1\x1c"]
+_SHAPES = {
+    "crlf": (_trace_table, "freq_hz,re,im\r\n1,2,3\r\n4,5,6\r\n",
+             [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "cr": (_trace_table, "# c\rfreq_hz,re,im\r1,2,3\r4,5,x\r",
+           ":4: non-numeric cell in '4,5,x'"),
+    "blank-between": (_trace_table, "freq_hz,re,im\n1,2,3\n\n \n4,5,6\n",
+                      [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "comment-between": (_trace_table, "freq_hz,re,im\n1,2,3\n# mid\n4,5,6\n",
+                        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "inline-comment": (_trace_table, "freq_hz,re,im\n1,2,3 # note\n",
+                       ":2: non-numeric cell in '1,2,3 # note'"),
+    "trailing-comma": (_trace_table, "freq_hz,re,im\n1,2,3,\n",
+                       ":2: expected 3 columns, got 4"),
+    "ragged": (_trace_table, "freq_hz,re,im\n1,2,3\n4,5\n",
+               ":3: expected 3 columns, got 2"),
+    "one-row": (_trace_table, "freq_hz,re,im\n1,2,3", [[1.0, 2.0, 3.0]]),
+    "no-rows": (_trace_table, "freq_hz,re,im\n", ": no data rows"),
+    "blank-rows": (_trace_table, "freq_hz,re,im\n\n \t\n", ": no data rows"),
+    "em-map-bad-cell": (_em_map_table,
+                        "# export\nj_norm,y_m,x_m\n0.1,0,0\n0.5,0,1e-6\n"
+                        "1.0,1e-6,zap\n", ":5: non-numeric cell in "
+                        "'1.0,1e-6,zap'"),
+}
+
+
+@pytest.mark.parametrize("read, text, expected", [
+    *((_trace_table, *_cell_case(c)) for c in _CELLS),
+    *_SHAPES.values()], ids=[*(f"cell-{c!r}" for c in _CELLS), *_SHAPES])
+def test_table_reader_matches_float(tmp_path, read, text, expected):
+    """Every table reads as float() reads each cell, bit for bit, or fails
+    with the line named; no cell loadtxt takes differently gets through."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(io.ParseError) as info:
+            read(path)
+        assert str(info.value) == f"{path}{expected}"
+    else:
+        table = read(path)
+        assert table.shape == (len(expected), 3)
+        assert table.tobytes() == np.array(expected, dtype=float).tobytes()
+
+
+def test_written_tables_read_in_one_call(tmp_path, monkeypatch):
+    """Files the writers make never fall back to the row-by-row reader."""
+    def row_loop(*args):
+        raise AssertionError("canonical file fell back to _rows")
+
+    monkeypatch.setattr(io, "_rows", row_loop)
+    mode = ResonatorMode(7.061e9, 4e4, 2e3)
+    grid = np.linspace(7.0605e9, 7.0615e9, 4001)
+    trace = synth_trace(mode, LineCalibration(), grid, noise_std=1e-3, seed=3)
+    io.write_trace(tmp_path / "trace.csv", trace, comments=["synth", "seed 3"])
+    back = io.read_trace(tmp_path / "trace.csv")
+    assert back.frequencies.tobytes() == trace.frequencies.tobytes()
+    assert back.values.tobytes() == trace.values.tobytes()
+    columns = [np.array([0.0, 1e-9, 2e-9]), np.arange(3),
+               np.array([-0.0, 1e-300, 1 / 3]), np.array([5e-324, -2.5, 1e300])]
+    io.write_table(tmp_path / "curves.csv", io.MC_CURVES_HEADER, columns,
+                   comments=["trials 3"])
+    table = io._parse_table(tmp_path / "curves.csv", io.MC_CURVES_HEADER)
+    assert table.tobytes() == np.column_stack(columns).astype(float).tobytes()
+    cols = io.read_columns(tmp_path / "curves.csv", ["dfrac_freq", "trial"])
+    assert cols["dfrac_freq"].tobytes() == columns[3].tobytes()
+    assert cols["trial"].tolist() == [0.0, 1.0, 2.0]
 
 
 def test_complex_trace_rejects_non_finite():
@@ -584,6 +676,14 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["temp-model", "--lambda0-um", "nan"], "--lambda0-um"),
     (["synth", "--f-start-ghz", "7", "--f-stop-ghz", "7.0000000000001"],
      "--f-start-ghz"),
+    # a zero penetration depth that dropped the quasiparticle term, and
+    # superconductor flags left unchecked without --lambda0-um
+    (["temp-model", "--lambda0-um", "0"], "--lambda0-um"),
+    (["temp-model", "--lambda0-um", "-0.0"], "--lambda0-um"),
+    (["temp-model", "--tc-k", "nan"], "--tc-k"),
+    (["temp-model", "--film-d-nm", "nan"], "--film-d-nm"),
+    (["temp-model", "--film-w-nm", "inf"], "--film-w-nm"),
+    (["temp-model", "--film-l-mm", "0"], "--film-l-mm"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:
