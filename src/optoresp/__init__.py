@@ -2,13 +2,14 @@
 
 Modules
 -------
-resonator       hanger-type S21/S11 models, bandwidths, photon number
-tls             TLS physics on one TLS or a bath (TlsUnit), loss tangent,
-                permittivity (scipy's complex digamma), saturation
+resonator       hanger-type S21 model and photon number
+tls             TLS physics on one TLS or a bath (TlsUnit), permittivity
+                (scipy's complex digamma), saturated spectral diffusion
 meanfield       ODE steady-state oracle for the TLS-cavity closed forms
 ensemble        analytic bath integrals and the optical-response slopes
 montecarlo      stochastic TLS-ensemble simulation of the response curves
-superconductor  penetration depth, kinetic inductance, quasiparticle shifts
+superconductor  penetration depth, kinetic inductance, thermal frequency shift,
+                current-density map
 fitkit          Levenberg-Marquardt engine and the spectroscopy fit models
 cli             command-line entry point (``optoresp ...``)
 """

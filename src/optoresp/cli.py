@@ -5,8 +5,9 @@ Every run writes a JSON result envelope whose config echo contains the fully
 resolved parameters, so any run can be replayed exactly; numeric tables go
 to unit-labeled CSV next to it.  Exit status is nonzero only for I/O, parse
 or validation failures and for numerical failures (an unsettled ODE, a
-failed quadrature, a singular Jacobian or linear system), each reported as
-one ``error:`` line; statistical non-convergence is reported in-band.
+failed quadrature, a singular Jacobian or linear system, an arithmetic
+error such as a division by zero), each reported as one ``error:`` line;
+statistical non-convergence is reported in-band.
 
 A flat key=value or JSON config file can seed any subcommand via --config;
 explicit flags override file values.  A malformed file, an unknown key or
@@ -298,8 +299,8 @@ def run_temp_model(cfg, names):
                 cfg["lambda0_m"], cfg["tc_k"], geom, t_ref=temps[0])
         qp_term = superconductor.freq_shift_from_temperature(
             sc, geom, temps, temps[0])
-    # one row per (mode, temperature), mode-major; participation is folded
-    # into the pdelta product
+    # one row per (mode, temperature), mode-major; the filling factor is
+    # folded into the pdelta product
     tls_term = (cfg["pdelta"] / np.pi * permittivity_bracket(
         fr_hz[:, None], ThermalEnvironment(temps))).ravel()
     qp_term = np.tile(qp_term, fr_hz.size)
@@ -577,7 +578,7 @@ COMMANDS = {c.name: c for c in (
          Arg("--t-grid-mk", float_list, (),
              "explicit comma list of temperatures [mK]"),
          Arg("--pdelta", float, 0.0,
-             "participation * intrinsic TLS loss tangent"),
+             "filling factor * intrinsic TLS loss tangent"),
          Arg("--lambda0-um", float, None,
              "penetration depth at T=0 [um]; enables the quasiparticle term"),
          Arg("--tc-k", float, 14.0),
@@ -768,8 +769,8 @@ def main(argv=None):
         # defaults, then the config file, then the explicit flags
         args = argparse.Namespace(**{**defaults, **from_file, **explicit})
         return _execute(cmd, args)
-    except (ValueError, OSError, OdeConvergenceError, QuadratureError,
-            SingularJacobianError) as exc:
+    except (ValueError, OSError, ArithmeticError, OdeConvergenceError,
+            QuadratureError, SingularJacobianError) as exc:
         print(f"error: {_flag_message(exc, cmd.flags)}", file=sys.stderr)
         # a failed run leaves none of its outputs, so no envelope or CSV
         # from an earlier run passes for its result

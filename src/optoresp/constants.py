@@ -10,7 +10,6 @@ HBAR = 1.054571817e-34   # J s
 K_B = 1.380649e-23       # J/K
 PLANCK = 6.62607015e-34  # J s
 MU_0 = 1.25663706212e-6  # H/m
-EPS_0 = 8.8541878128e-12  # F/m
 
 TWO_PI = 2.0 * np.pi
 

@@ -69,8 +69,9 @@ class EnsembleParams:
             object.__setattr__(self, "gamma2_t", self.gamma1_t)
         for name in ("omega_r", "rho_tls", "thickness", "width", "xi",
                      "omega_max", "gamma1_t", "gamma2_t"):
-            if not np.all(getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not np.all((value > 0) & (value < np.inf)):
+                raise ValueError(f"{name} must be positive and finite")
         if not np.all((self.g_perp_t >= 0) & (self.g_par_t >= 0)):
             raise ValueError("couplings must be >= 0")
         if not np.all((-1.0 <= self.s_tilde) & (self.s_tilde <= 0.0)):
@@ -84,23 +85,6 @@ class EnsembleParams:
     @property
     def area(self) -> float:
         return self.thickness * self.width
-
-
-def total_loss_rate(p: EnsembleParams, v_eff, split=False):
-    """Bath-induced cavity loss [rad/s] in the effective volume v_eff [m^3].
-
-    resonant = -2 pi hbar rho V g_perp^2 S; debye = 2 hbar rho V g_par^2
-    omega_r K_par.  v_eff broadcasts against the fields of p.
-    With split=True returns (resonant, debye) instead of the sum.
-    """
-    if not np.all(v_eff >= 0):
-        raise ValueError("v_eff must be >= 0")
-    rho_v = HBAR * p.rho_tls * v_eff
-    resonant = -TWO_PI * rho_v * p.g_perp_t**2 * p.s_tilde
-    debye = 2.0 * rho_v * p.g_par_t**2 * p.omega_r * k_parallel(p)
-    if split:
-        return resonant, debye
-    return resonant + debye
 
 
 def coupling_prefactor(p: EnsembleParams) -> float:

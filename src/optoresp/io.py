@@ -118,12 +118,11 @@ def _parse_table(path, expected_header):
 
 def read_columns(path, names):
     """The named columns of a CSV whose header holds them in any order,
-    among others; a '(...)' suffix on a header token is ignored, so
-    'in_local(0|1)' names in_local."""
+    among others."""
     lines, lineno, line = _read_table(path)
     if line is None:
         raise ParseError(f"{path}: empty file")
-    header = [h.strip().split("(")[0] for h in line.split(",")]
+    header = [h.strip() for h in line.split(",")]
     missing = [n for n in names if n not in header]
     if missing:
         raise ParseError(f"{path}:{lineno}: missing columns {missing}; "

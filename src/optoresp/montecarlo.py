@@ -50,6 +50,11 @@ from .tls import TlsUnit, dispersive_pull, longitudinal_complex_shift
 # relative spread of the coupling/rate draws: FWHM equal to the mean
 FWHM_REL_STD = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
+# the largest mean numpy's Generator.poisson takes ("lam value too large"
+# above it)
+_POISSON_LAM_MAX = (np.iinfo(np.int64).max
+                    - np.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 def _default_p_grid():
     return np.linspace(0.0, 200e-9, 11)
@@ -99,14 +104,19 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p_grid", np.asarray(self.p_grid, dtype=float))
+        # the field that sets the window's width, named by the count check
+        window = "omega_max" if self.freq_window is None else "freq_window"
         if self.freq_window is None:
             object.__setattr__(self, "freq_window",
                                (self.omega_r - self.omega_max, self.omega_r))
         for name in ("trials", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("omega_r", "omega_max", "half_length", "l_edge", "xi",
-                     "area", "g_mean", "gamma1_mean"):
+        for name in ("omega_r", "omega_max"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("half_length", "l_edge", "xi", "area", "g_mean",
+                     "gamma1_mean"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
         lo, hi = self.freq_window
@@ -121,6 +131,13 @@ class McConfig:
         for name in ("seed", "rho_tls", "s_std"):
             if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be >= 0")
+        # run() draws each bath on |x| <= min(half_length, reach)
+        count = self._poisson_mean(min(self.half_length, self.reach))
+        if not count <= _POISSON_LAM_MAX:
+            raise ValueError(
+                f"{window} times rho_tls times area times half_length is "
+                f"too large: {count:.3g} TLSs expected in a trial's bath, "
+                f"above the {_POISSON_LAM_MAX:.3g} that rng.poisson draws")
 
     @property
     def window_segments(self):
@@ -132,8 +149,11 @@ class McConfig:
     @property
     def expected_count(self) -> float:
         """Poisson mean: rho hbar * (window width minus exclusion) * A * 2L."""
+        return self._poisson_mean(self.half_length)
+
+    def _poisson_mean(self, half_length):
         width = sum(b - a for a, b in self.window_segments)
-        return self.rho_tls * HBAR * width * self.area * 2.0 * self.half_length
+        return self.rho_tls * HBAR * width * self.area * 2.0 * half_length
 
     @property
     def reach(self) -> float:

@@ -8,8 +8,8 @@ with 1/Q_tot = 1/Q_int + 1/Q_ext.  The full line model multiplies this by an
 amplitude/delay/phase prefactor and allows a complex external Q that encodes
 the circuit-asymmetry rotation of the resonance circle (Khalil et al.,
 J. Appl. Phys. 111, 054510 (2012)).  :func:`notch` is this model's one
-implementation; the mode-level forms, the synthetic traces and the full-S21
-fit all evaluate it.
+implementation; the synthetic traces, through :func:`s21_full`, and the
+full-S21 fit evaluate it.
 
 Decay rates are angular throughout: kappa_x = omega_r / Q_x in rad/s.  Note
 that device tables are often labeled "kappa/2pi (MHz)" while carrying values
@@ -23,10 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-
-
-class UndercoupledBandwidthError(ValueError):
-    """Internal half-power bandwidth undefined: 2 kappa_int^2 >= kappa_tot^2."""
 
 
 @dataclass(frozen=True)
@@ -154,72 +150,25 @@ def notch(f, f_r, q_tot, q_ext, amplitude=1.0, delay=0.0, phase_offset=0.0):
     return amplitude * np.exp(-1j * (TWO_PI * f * delay + phase_offset)) * dip
 
 
-def s21_ideal(mode: ResonatorMode, f):
-    """The dip on an ideal line: real Q_ext, A = 1, tau = alpha = 0."""
-    return notch(f, mode.f_r, mode.q_tot, mode.q_ext)
-
-
 def s21_full(mode: ResonatorMode, line: LineCalibration, f):
     """The mode's dip, complex Q_ext included, behind the line's prefactor."""
     return notch(f, mode.f_r, mode.q_tot, mode.q_ext_complex, line.amplitude,
                  line.delay, line.phase_offset)
 
 
-def s11_magnitude_sq(mode: ResonatorMode, f):
-    """|S11|^2 = (Q_tot/Q_ext)^2 / (1 + 4 Q_tot^2 (f-f_r)^2/f_r^2)."""
-    f = np.asarray(f, dtype=float)
-    x = (f - mode.f_r) / mode.f_r
-    return (mode.q_tot / mode.q_ext) ** 2 / (1.0 + 4.0 * mode.q_tot**2 * x**2)
-
-
-def dissipated_fraction(mode: ResonatorMode, f):
-    """Fraction of the input power dissipated in the resonator.
-
-    P_loss/P_in = 2 kappa_int kappa_ext / (kappa_tot^2 + 4 (omega - omega_r)^2),
-    which equals 1 - |S11|^2 - |S21|^2 for the symmetric (q_ext_imag = 0) model.
-    """
-    w = TWO_PI * np.asarray(f, dtype=float)
-    det = w - mode.omega_r
-    return (2.0 * mode.kappa_int * mode.kappa_ext
-            / (mode.kappa_tot**2 + 4.0 * det**2))
-
-
 def photon_number(mode: ResonatorMode, drive: DriveCondition):
     """Mean intracavity photon number for a hanger-type resonator.
 
     n_cav = [2 kappa_ext / (kappa_tot^2 + 4 (omega - omega_r)^2)] * P_in/(hbar omega_r)
+
+    Raises ZeroDivisionError when that denominator underflows to 0, as it
+    does on resonance for kappa_tot below about 1e-162 rad/s.
     """
     w = TWO_PI * drive.probe_frequency
     det = w - mode.omega_r
-    lorentz = 2.0 * mode.kappa_ext / (mode.kappa_tot**2 + 4.0 * det**2)
+    denominator = mode.kappa_tot**2 + 4.0 * det**2
+    if denominator == 0.0:
+        raise ZeroDivisionError("f_r is too small for q_int and q_ext to "
+                                "give a linewidth whose square is nonzero")
+    lorentz = 2.0 * mode.kappa_ext / denominator
     return lorentz * drive.input_power / (HBAR * mode.omega_r)
-
-
-def half_power_bandwidth_internal(mode: ResonatorMode):
-    """Half-power bandwidth 2*df' [Hz] measured from the bottom of the dip.
-
-    2 pi * 2 df' = kappa_int / sqrt(1 - 2 kappa_int^2/kappa_tot^2); for an
-    overcoupled resonator this reduces to kappa_int, so the from-the-bottom
-    3 dB width reads off the internal loss rate.
-
-    Raises
-    ------
-    UndercoupledBandwidthError
-        If 2 kappa_int^2 >= kappa_tot^2 (the doubling point does not exist).
-    """
-    ratio = mode.kappa_int / mode.kappa_tot
-    arg = 1.0 - 2.0 * ratio**2
-    if arg <= 0.0:
-        raise UndercoupledBandwidthError(
-            f"kappa_int/kappa_tot = {ratio:.4f} >= 1/sqrt(2); dip too shallow")
-    return mode.kappa_int / np.sqrt(arg) / TWO_PI
-
-
-def half_power_bandwidth_external(mode: ResonatorMode):
-    """Half-power bandwidth 2*df'' [Hz] at |S21|^2 = 1/2.
-
-    2 pi * 2 df'' = kappa_ext sqrt(1 + 2 kappa_int/kappa_ext); reduces to
-    kappa_ext when kappa_ext >> kappa_int.
-    """
-    return (mode.kappa_ext
-            * np.sqrt(1.0 + 2.0 * mode.kappa_int / mode.kappa_ext) / TWO_PI)

@@ -1,12 +1,11 @@
 """Thin-film superconductor kinetics: penetration depth, kinetic inductance,
-quasiparticle and cavity-perturbation frequency shifts, and the
-current-density -> local-potential map.
+the frequency shift of a warming film, and the current-density ->
+local-potential map.
 
-Field and current maps come from external electromagnetic solvers as CSV
-files (see :func:`load_current_density_map` / :func:`load_field_energy_maps`
-for the schemas); this module only consumes them, through the table reader
-of :mod:`optoresp.io`, which names a malformed or non-finite cell by
-``path:lineno``.
+Current maps come from external electromagnetic solvers as CSV files (see
+:func:`load_current_density_map` for the schema); this module only consumes
+them, through the table reader of :mod:`optoresp.io`, which names a
+malformed or non-finite cell by ``path:lineno``.
 """
 
 from dataclasses import dataclass
@@ -96,16 +95,6 @@ def freq_shift_from_temperature(sc: SuperconductorParams, geom: FilmGeometry,
             * (lam - lam_ref) / sc.l_total_per_length)
 
 
-def freq_shift_from_quasiparticles(delta_n_qp, n_s_pair):
-    """Delta f_r/f_r = -Delta n_qp / (2 n_s): pair breaking red-shifts."""
-    if not (n_s_pair > 0):
-        raise ValueError("pair density must be positive")
-    delta_n_qp = np.asarray(delta_n_qp, dtype=float)
-    if np.any(np.abs(delta_n_qp) >= n_s_pair):
-        raise ValueError("|delta_n_qp| must stay below the pair density")
-    return -delta_n_qp / (2.0 * n_s_pair)
-
-
 @dataclass(frozen=True)
 class CurrentDensityMap:
     """Normalized current density J(x, y) in [0, 1] on scattered sample points."""
@@ -129,53 +118,6 @@ def local_potential(current_map: CurrentDensityMap):
     return np.sqrt(1.0 - np.asarray(current_map.j_norm, dtype=float) ** 2)
 
 
-@dataclass(frozen=True)
-class FieldEnergyMaps:
-    """Sampled |E0|^2 / |H0|^2 with region mask and per-cell volumes.
-
-    e2, h2 : field energy densities on the sample grid
-    eps_re, mu_re : real permittivity/permeability weights per sample
-    in_local : bool mask of the region whose permittivity changes
-    cell_vol : integration volume per sample [m^3]
-    """
-
-    e2: np.ndarray
-    h2: np.ndarray
-    eps_re: np.ndarray
-    mu_re: np.ndarray
-    in_local: np.ndarray
-    cell_vol: np.ndarray
-
-    def __post_init__(self):
-        if np.asarray(self.cell_vol).size == 0:
-            raise ValueError("field map is empty")
-        if np.any(np.asarray(self.cell_vol) <= 0):
-            raise ValueError("cell volumes must be positive")
-
-
-def participation_ratio(fields: FieldEnergyMaps):
-    """Electric-field filling factor of the local region.
-
-    p = sum_local |E0|^2 dV / sum_all (Re eps |E0|^2 + Re mu |H0|^2) dV
-    """
-    mask = np.asarray(fields.in_local, dtype=bool)
-    if not mask.any():
-        return 0.0
-    num = float(np.sum(fields.e2[mask] * fields.cell_vol[mask]))
-    den = float(np.sum((fields.eps_re * fields.e2 + fields.mu_re * fields.h2)
-                       * fields.cell_vol))
-    if den <= 0:
-        raise ValueError("total field energy must be positive")
-    return num / den
-
-
-def perturbation_frequency_shift(participation, d_eps_real):
-    """Cavity perturbation: Delta f/f = -p * Re(Delta eps)."""
-    if not (0.0 <= participation <= 1.0):
-        raise ValueError("participation must lie in [0, 1]")
-    return -participation * d_eps_real
-
-
 # --- file ingestion -------------------------------------------------------
 
 def load_current_density_map(path) -> CurrentDensityMap:
@@ -187,17 +129,3 @@ def load_current_density_map(path) -> CurrentDensityMap:
     """
     cols = io.read_columns(path, ["x_m", "y_m", "j_norm"])
     return CurrentDensityMap(x=cols["x_m"], y=cols["y_m"], j_norm=cols["j_norm"])
-
-
-def load_field_energy_maps(path) -> FieldEnergyMaps:
-    """CSV schema: ``x_m,y_m,z_m,e2,h2,eps_re,mu_re,in_local,cell_vol_m3``.
-
-    in_local holds 0/1 flags; a ``(0|1)`` suffix on the header token is
-    tolerated.
-    """
-    cols = io.read_columns(path, ["x_m", "y_m", "z_m", "e2", "h2", "eps_re",
-                                  "mu_re", "in_local", "cell_vol_m3"])
-    return FieldEnergyMaps(e2=cols["e2"], h2=cols["h2"], eps_re=cols["eps_re"],
-                           mu_re=cols["mu_re"],
-                           in_local=cols["in_local"] > 0.5,
-                           cell_vol=cols["cell_vol_m3"])

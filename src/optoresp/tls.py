@@ -6,14 +6,13 @@ state enters through the population imbalance S = <sigma_z> in [-1, 0] and
 the population slope dS (seconds), the frequency derivative of the imbalance
 that drives the Debye-type longitudinal response.  Both are stored per TLS so
 that nonequilibrium (phonon-driven) values decouple from the thermodynamic
-temperature; equilibrium values are provided as a convenience map.
-TlsUnit holds one TLS or a bath (the Monte Carlo's draw): the closed forms
-take either, the quadrature and mean-field oracles one TLS only.
+temperature.  TlsUnit holds one TLS or a bath (the Monte Carlo's draw): the
+closed forms take either, the quadrature and mean-field oracles one TLS only.
 
-Also here: dielectric loss tangent of a TLS bath, its temperature-dependent
-permittivity (a closed form in scipy's complex digamma, which broadcasts
-over mode frequencies and temperatures), the Kramers-Kronig quadrature
-oracle for that closed form, and the Gaussian spectral-diffusion loss
+Also here: the temperature dependence of the TLS permittivity (a closed
+form in scipy's complex digamma, which broadcasts over mode frequencies and
+temperatures), the Kramers-Kronig quadrature oracle for that closed form
+on a host of given loss tangent, and the Gaussian spectral-diffusion loss
 integral with its saturated closed form.
 
 scipy loads on first use: ``quad`` inside the two quadrature oracles, and
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPS_0, HBAR, K_B, PLANCK, TWO_PI
+from .constants import HBAR, K_B, PLANCK, TWO_PI
 
 
 def digamma(z):
@@ -58,33 +57,18 @@ class ThermalEnvironment:
 class TlsHostMaterial:
     """Dielectric host holding the TLS bath.
 
-    rho_tls : TLS density of states [J^-1 m^-3]
-    dipole : TLS dipole moment [C m]
-    epsilon_host : host permittivity [F/m]
-    participation : filling factor of the TLS-bearing region, in [0, 1]
-    intrinsic_loss : loss tangent delta_TLS; if None it is computed from
-        the microscopic parameters via :func:`intrinsic_loss_tangent`.
+    intrinsic_loss : loss tangent delta_TLS of the bath, >= 0 and finite
     """
 
-    rho_tls: float = 1e45
-    dipole: float = 1e-30
-    epsilon_host: float = EPS_0
-    participation: float = 1.0
-    intrinsic_loss: float | None = None
+    intrinsic_loss: float
 
     def __post_init__(self):
-        if self.rho_tls < 0 or self.dipole <= 0 or self.epsilon_host <= 0:
-            raise ValueError("rho_tls must be >= 0; dipole, epsilon_host > 0")
-        if not (0.0 <= self.participation <= 1.0):
-            raise ValueError("participation must lie in [0, 1]")
-        if self.intrinsic_loss is not None and self.intrinsic_loss < 0:
-            raise ValueError("intrinsic_loss must be >= 0")
+        if not 0.0 <= self.intrinsic_loss < np.inf:
+            raise ValueError("intrinsic_loss must be >= 0 and finite")
 
     @property
     def delta_tls(self) -> float:
-        if self.intrinsic_loss is not None:
-            return self.intrinsic_loss
-        return intrinsic_loss_tangent(self)
+        return self.intrinsic_loss
 
 
 @dataclass(frozen=True)
@@ -160,37 +144,11 @@ class TlsUnit:
 
     @property
     def saturation_photon_number(self):
-        """n_s = Gamma_1 Gamma_2 / (4 g_perp^2); inf for a decoupled TLS.
-
-        Distinct from the superfluid pair density (also written n_s in the
-        superconductor module) — unrelated quantities sharing a symbol.
-        """
+        """n_s = Gamma_1 Gamma_2 / (4 g_perp^2); inf for a decoupled TLS."""
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(self.g_perp == 0.0, np.inf,
                             np.divide(self.gamma1 * self.gamma2,
                                       4.0 * self.g_perp**2))[()]
-
-
-def equilibrium_population(omega_tls, env: ThermalEnvironment):
-    """<sigma_z>_0 = -tanh(hbar omega / 2 k_B T)."""
-    return -np.tanh(HBAR * np.asarray(omega_tls, dtype=float)
-                    / (2.0 * K_B * env.temperature))
-
-
-def equilibrium_population_slope(omega_tls, env: ThermalEnvironment):
-    """|d<sigma_z>_0/d omega| = hbar/(2 k_B T) sech^2(hbar omega/2 k_B T)."""
-    x = HBAR * np.asarray(omega_tls, dtype=float) / (2.0 * K_B * env.temperature)
-    return HBAR / (2.0 * K_B * env.temperature) / np.cosh(x) ** 2
-
-
-def equilibrium_ds(omega_tls, env: ThermalEnvironment):
-    """Equilibrium population-slope parameter for the longitudinal response.
-
-    dS = hbar (1 - tanh^2(hbar w/2 k T))/(k T), i.e. twice the bare
-    derivative magnitude: the sigma_z coupling modulates the TLS frequency
-    by 2 g_par Re<c> while the response formulas carry a single g_par.
-    """
-    return 2.0 * equilibrium_population_slope(omega_tls, env)
 
 
 def transverse_complex_shift(tls: TlsUnit):
@@ -213,18 +171,6 @@ def dispersive_pull(tls: TlsUnit, s):
     """-g_perp^2 Delta s / (Gamma_2^2 + Delta^2) [rad/s], the pull of tls at
     population s: S in transverse_complex_shift, 1 + S in the Monte Carlo."""
     return -tls.g_perp**2 * tls.detuning * s / (tls.gamma2**2 + tls.detuning**2)
-
-
-def saturated_population(tls: TlsUnit, drive: SaturationDrive):
-    """Steady-state <sigma_z> under a coherent microwave drive.
-
-    <sigma_z> = S / (1 + (n_cav/n_s) Gamma_2^2/(Gamma_2^2 + Delta^2)),
-    n_s = Gamma_1 Gamma_2 / 4 g_perp^2.  A decoupled TLS (g_perp = 0)
-    cannot be saturated and keeps S; a coupled one with Gamma_1 = 0 has
-    n_s = 0, and the call raises ValueError.
-    """
-    lorentz = tls.gamma2**2 / (tls.gamma2**2 + tls.detuning**2)
-    return tls.s / (1.0 + _drive_ratio(tls, drive) * lorentz)
 
 
 def _drive_ratio(tls: TlsUnit, drive: SaturationDrive):
@@ -253,11 +199,6 @@ def longitudinal_complex_shift(tls: TlsUnit, omega_r):
     return loss, shift
 
 
-def intrinsic_loss_tangent(host: TlsHostMaterial):
-    """delta_TLS = pi rho_TLS d0^2 / (3 epsilon_host)."""
-    return np.pi * host.rho_tls * host.dipole**2 / (3.0 * host.epsilon_host)
-
-
 def permittivity_bracket(f_r, env: ThermalEnvironment):
     """Re psi(1/2 - h f/(2 i pi k T)) - ln(h f/(2 pi k T)); the temperature
     dependence of the TLS permittivity up to the -delta/pi prefactor.
@@ -269,20 +210,6 @@ def permittivity_bracket(f_r, env: ThermalEnvironment):
         raise ValueError("f_r must be positive")
     x = PLANCK * f_r / (TWO_PI * K_B * env.temperature)
     return digamma(0.5 + 1j * x).real - np.log(x)
-
-
-def temperature_permittivity_shift(f_r, env: ThermalEnvironment,
-                                   host: TlsHostMaterial):
-    """Fractional frequency shift from the TLS permittivity at temperature T.
-
-    Delta f_r / f_r = p * (delta_TLS/pi) * [Re psi(1/2 - h f/(2 i pi k T))
-                                            - ln(h f/(2 pi k T))]
-
-    Negative-going below k_B T ~ h f_r (digamma term), positive-going above
-    (logarithmic term).  Broadcasts like :func:`permittivity_bracket`.
-    """
-    return (host.participation * host.delta_tls / np.pi
-            * permittivity_bracket(f_r, env))
 
 
 KK_EXCISION_REL = 1e-6      # pole excision half-width, relative to f
@@ -302,8 +229,8 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
     positive-frequency axis, so the standard form would double-count it.  With
     this normalization, differences of the returned value between two
     temperatures reproduce the digamma closed form of
-    :func:`temperature_permittivity_shift` (up to the participation factor and
-    overall sign of the permittivity-vs-frequency conventions):
+    :func:`permittivity_bracket` (up to the overall sign of the
+    permittivity-vs-frequency conventions):
 
         kk(T2) - kk(T1) = -(delta_TLS/pi) [bracket(T2) - bracket(T1)]
 

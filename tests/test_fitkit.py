@@ -11,7 +11,7 @@ from optoresp.fitkit import (ComplexTrace, Identity, Log, NoDipError,
                              synth_power_series, synth_tls_saturation,
                              synth_trace)
 from optoresp.fitkit import models
-from optoresp.resonator import LineCalibration, ResonatorMode, s21_ideal
+from optoresp.resonator import LineCalibration, ResonatorMode, notch
 
 # --- engine ------------------------------------------------------------------
 
@@ -239,7 +239,8 @@ def test_s21_model_reduces_to_ideal_notch(f_r, q_int, q_ext, offset):
     mode = ResonatorMode(f_r, q_int, q_ext)
     f = f_r + (offset + np.linspace(-3.0, 3.0, 41)) * f_r / mode.q_tot
     x = [f_r, mode.q_tot, q_ext, 0.0, 1.0, 0.0, 0.0]
-    assert_allclose(models.s21_model(x, f), s21_ideal(mode, f), rtol=1e-12,
+    assert_allclose(models.s21_model(x, f),
+                    notch(f, mode.f_r, mode.q_tot, mode.q_ext), rtol=1e-12,
                     atol=1e-12)
 
 
@@ -456,8 +457,8 @@ def test_synth_trace_deterministic_and_exact():
     mode = ResonatorMode(5e9, 1e4, 1e3)
     grid = np.linspace(4.99e9, 5.01e9, 101)
     clean = synth_trace(mode, LineCalibration(), grid, noise_std=0.0)
-    from optoresp.resonator import s21_ideal
-    assert_allclose(clean.values, s21_ideal(mode, grid), rtol=1e-14)
+    assert_allclose(clean.values,
+                    notch(grid, mode.f_r, mode.q_tot, mode.q_ext), rtol=1e-14)
     a = synth_trace(mode, LineCalibration(), grid, noise_std=1e-3, seed=9)
     b = synth_trace(mode, LineCalibration(), grid, noise_std=1e-3, seed=9)
     assert np.array_equal(a.values, b.values)
@@ -467,8 +468,7 @@ def test_synth_trace_noise_statistics():
     mode = ResonatorMode(5e9, 1e4, 1e3)
     grid = np.linspace(4.9e9, 5.1e9, 20000)
     tr = synth_trace(mode, LineCalibration(), grid, noise_std=2e-3, seed=0)
-    from optoresp.resonator import s21_ideal
-    resid = tr.values - s21_ideal(mode, grid)
+    resid = tr.values - notch(grid, mode.f_r, mode.q_tot, mode.q_ext)
     assert abs(np.std(resid.real) / 2e-3 - 1.0) < 0.1
     assert abs(np.std(resid.imag) / 2e-3 - 1.0) < 0.1
 

@@ -1,4 +1,5 @@
-"""scipy stays out of a process until a function that needs it runs."""
+"""scipy stays out of a process until a function that needs it runs, and
+every public name of the package has a caller outside the tests."""
 
 import ast
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 import optoresp
 
 SRC = Path(optoresp.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # each command runs through cli.main in one fresh process; after each, the
 # scipy subpackages it has loaded (private modules such as scipy._lib
@@ -90,3 +92,38 @@ def test_import_guard_sees_nested_module_level_imports():
                      "class A:\n    import scipy.linalg as la\n"
                      "def f():\n    from scipy.integrate import quad\n")
     assert _module_level_scipy_imports(tree) == [3, 7]
+
+
+# public names with no caller in the package or the benchmark, and why each
+# stays
+NO_CALLER = {
+    "parameter_sweep": "acceptance criterion 7 sweeps the slopes with it",
+    "local_potential": "the spatial path, for slopes --current-map",
+    "load_current_density_map": "the spatial path, for slopes --current-map",
+}
+
+
+def test_every_public_name_has_a_caller():
+    # a public top-level def or class of src/optoresp counts as called when
+    # a Name or an Attribute outside its own body names it, in a package
+    # module (the __init__ re-exports aside) or in perfbench
+    package = ROOT / "src" / "optoresp"
+    defined, callers = [], {}
+    paths = [p for p in sorted(package.rglob("*.py"))
+             if p.name != "__init__.py"]
+    for path in paths + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)   # a def or a class
+            if package in path.parents and own and not own.startswith("_"):
+                defined.append((path, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    callers.setdefault(node.id, set()).add((path, own))
+                elif isinstance(node, ast.Attribute):
+                    callers.setdefault(node.attr, set()).add((path, own))
+    uncalled = {name for path, name in defined
+                if not callers.get(name, set()) - {(path, name)}}
+    assert sorted(uncalled - set(NO_CALLER)) == []
+    # an allowed name that gains a caller leaves the list
+    assert sorted(set(NO_CALLER) - uncalled) == []

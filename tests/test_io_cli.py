@@ -496,7 +496,7 @@ def test_parser_built_once_serves_every_run(tmp_path, capsys, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     assert run_all(tmp_path / "fresh", fresh=True) == shared
     assert shared[0] == [0, 0, 1, 0, 0]
-    assert shared[2] == "error: --xi must be positive\n"
+    assert shared[2] == "error: --xi must be positive and finite\n"
     assert _outputs(tmp_path / "shared") == _outputs(tmp_path / "fresh")
     cli.build_parser.cache_clear()
     assert help_texts() == before
@@ -684,6 +684,14 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["temp-model", "--film-d-nm", "nan"], "--film-d-nm"),
     (["temp-model", "--film-w-nm", "inf"], "--film-w-nm"),
     (["temp-model", "--film-l-mm", "0"], "--film-l-mm"),
+    # a linewidth whose square underflows, slopes that ran to inf, and
+    # Monte Carlo windows that named no flag or failed inside rng.poisson
+    (["photon-number", "--fr-ghz=1e-308", "--q-int", "1", "--q-ext", "1",
+      "--power-dbm", "-77"], "--fr-ghz"),
+    (["slopes", "--rho=inf"], "--rho"),
+    (["slopes", "--xi-grid=inf"], "--xi-grid"),
+    (["mc", "--fr-ghz=inf"], "--fr-ghz"),
+    (["mc", "--fmax-ghz=1e30"], "--fmax-ghz"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:

@@ -163,6 +163,12 @@ def test_thinned_draw(monkeypatch):
                     cfg.expected_count * cfg.reach / cfg.half_length, rtol=1e-14)
     assert np.max(np.abs(bath.x)) <= cfg.reach
 
+    # an endless wire is drawn on the reach too, so its count is drawable
+    drawn.clear()
+    run(dataclasses.replace(cfg, half_length=np.inf))
+    (thin, _), = drawn
+    assert thin.half_length == cfg.reach
+
     # a wire shorter than the reach is drawn whole, bit for bit
     drawn.clear()
     small = small_config(trials=1)

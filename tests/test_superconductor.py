@@ -3,15 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from optoresp.constants import MU_0
-from optoresp.superconductor import (CurrentDensityMap, FieldEnergyMaps,
-                                     FilmGeometry, SuperconductorParams,
-                                     freq_shift_from_quasiparticles,
+from optoresp.superconductor import (CurrentDensityMap, FilmGeometry,
+                                     SuperconductorParams,
                                      freq_shift_from_temperature,
                                      kinetic_inductance_per_length,
-                                     load_current_density_map,
-                                     load_field_energy_maps, local_potential,
-                                     participation_ratio, penetration_depth,
-                                     perturbation_frequency_shift)
+                                     load_current_density_map, local_potential,
+                                     penetration_depth)
 
 GEOM = FilmGeometry(thickness=10e-9, width=150e-9, length=1.5e-3)
 SC = SuperconductorParams(lambda0=0.72e-6, t_c=14.0)
@@ -77,17 +74,6 @@ def test_freq_shift_linearized_vs_exact():
     assert abs(approx - exact) < 0.01 * abs(exact)
 
 
-def test_freq_shift_from_quasiparticles():
-    assert freq_shift_from_quasiparticles(0.0, 1e24) == 0.0
-    assert_allclose(freq_shift_from_quasiparticles(0.01e24, 1e24), -0.005,
-                    rtol=1e-12)
-    assert freq_shift_from_quasiparticles(5e22, 1e24) < 0  # generation red-shifts
-    with pytest.raises(ValueError):
-        freq_shift_from_quasiparticles(1e24, 1e24)
-    with pytest.raises(ValueError):
-        freq_shift_from_quasiparticles(0.0, 0.0)
-
-
 def test_local_potential():
     m = CurrentDensityMap(x=np.zeros(3), y=np.zeros(3),
                           j_norm=np.array([0.0, 1.0, 0.6]))
@@ -97,55 +83,6 @@ def test_local_potential():
     with pytest.raises(ValueError):
         CurrentDensityMap(x=np.zeros(1), y=np.zeros(1),
                           j_norm=np.array([1.2]))
-
-
-def test_participation_ratio():
-    n = 10
-    ones = np.ones(n)
-    fields = FieldEnergyMaps(e2=ones, h2=np.zeros(n), eps_re=ones,
-                             mu_re=ones, in_local=np.ones(n, bool),
-                             cell_vol=ones * 1e-18)
-    assert_allclose(participation_ratio(fields), 1.0, rtol=1e-14)
-    empty = FieldEnergyMaps(e2=ones, h2=ones, eps_re=ones, mu_re=ones,
-                            in_local=np.zeros(n, bool), cell_vol=ones)
-    assert participation_ratio(empty) == 0.0
-    # halving |E0|^2 in the local region halves the numerator exactly
-    mask = np.zeros(n, bool)
-    mask[:3] = True
-    e2 = np.full(n, 2.0)
-    f1 = FieldEnergyMaps(e2=e2, h2=np.zeros(n), eps_re=ones, mu_re=ones,
-                         in_local=mask, cell_vol=ones)
-    e2_half = e2.copy()
-    e2_half[mask] /= 2
-    f2 = FieldEnergyMaps(e2=e2_half, h2=np.zeros(n), eps_re=ones, mu_re=ones,
-                         in_local=mask, cell_vol=ones)
-    num1 = participation_ratio(f1) * np.sum(e2)
-    num2 = participation_ratio(f2) * np.sum(e2_half)
-    assert_allclose(num2, num1 / 2, rtol=1e-12)
-
-
-def test_participation_rescaling_invariance():
-    rng = np.random.default_rng(2)
-    n = 20
-    fields = FieldEnergyMaps(e2=rng.uniform(0, 1, n), h2=rng.uniform(0, 1, n),
-                             eps_re=rng.uniform(1, 10, n),
-                             mu_re=np.ones(n),
-                             in_local=rng.random(n) < 0.3,
-                             cell_vol=rng.uniform(1e-19, 1e-18, n))
-    p1 = participation_ratio(fields)
-    scaled = FieldEnergyMaps(e2=7.3 * fields.e2, h2=7.3 * fields.h2,
-                             eps_re=fields.eps_re, mu_re=fields.mu_re,
-                             in_local=fields.in_local,
-                             cell_vol=fields.cell_vol)
-    assert_allclose(participation_ratio(scaled), p1, rtol=1e-14)
-
-
-def test_perturbation_frequency_shift():
-    assert perturbation_frequency_shift(0.1, 0.0) == 0.0
-    assert_allclose(perturbation_frequency_shift(0.1, 4e-4), -4e-5, rtol=1e-14)
-    assert perturbation_frequency_shift(0.1, -4e-4) > 0
-    with pytest.raises(ValueError):
-        perturbation_frequency_shift(1.5, 1e-4)
 
 
 def test_current_map_csv_roundtrip(tmp_path):
@@ -174,15 +111,3 @@ def test_current_map_csv_errors(tmp_path):
     missing.write_text("x_m,j_norm\n0.0,0.1\n")
     with pytest.raises(ValueError, match="missing columns"):
         load_current_density_map(missing)
-
-
-def test_field_map_csv(tmp_path):
-    path = tmp_path / "fields.csv"
-    header = "x_m,y_m,z_m,e2,h2,eps_re,mu_re,in_local(0|1),cell_vol_m3"
-    rows = ["0,0,0,1.0,0.0,1.0,1.0,1,1e-18",
-            "1e-6,0,0,1.0,0.5,2.0,1.0,0,1e-18"]
-    path.write_text(header + "\n" + "\n".join(rows) + "\n")
-    fields = load_field_energy_maps(path)
-    assert fields.in_local.tolist() == [True, False]
-    p = participation_ratio(fields)
-    assert_allclose(p, 1.0 / (1.0 + 2.0 + 0.5), rtol=1e-12)

@@ -5,16 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from optoresp.constants import EPS_0, HBAR, K_B, PLANCK, TWO_PI
+from optoresp.constants import HBAR, K_B, PLANCK, TWO_PI
 from optoresp.tls import (SaturationDrive, ThermalEnvironment, TlsHostMaterial,
-                          TlsUnit, dispersive_pull, equilibrium_ds,
-                          equilibrium_population,
-                          equilibrium_population_slope, intrinsic_loss_tangent,
-                          kramers_kronig_real_part, longitudinal_complex_shift,
-                          permittivity_bracket, saturated_population,
+                          TlsUnit, dispersive_pull, kramers_kronig_real_part,
+                          longitudinal_complex_shift, permittivity_bracket,
                           spectral_diffusion_loss,
                           spectral_diffusion_loss_closed_form,
-                          temperature_permittivity_shift,
                           transverse_complex_shift)
 
 MHZ = TWO_PI * 1e6
@@ -24,39 +20,6 @@ def _tls(detuning=0.0, g_perp=5 * MHZ, g_par=5 * MHZ, gamma1=16 * MHZ,
          gamma2=16 * MHZ, s=-1.0, ds=0.0, x=0.0):
     return TlsUnit(detuning=detuning, g_perp=g_perp, g_par=g_par,
                    gamma1=gamma1, gamma2=gamma2, s=s, ds=ds, x=x)
-
-
-# --- populations ------------------------------------------------------------
-
-def test_equilibrium_population_ground_state_limit():
-    env = ThermalEnvironment(1e-6)
-    assert abs(equilibrium_population(TWO_PI * 7e9, env) + 1.0) < 1e-12
-
-
-def test_equilibrium_population_inverse_construction():
-    env = ThermalEnvironment(0.05)
-    omega = 2 * K_B * env.temperature * np.arctanh(0.5) / HBAR
-    assert_allclose(equilibrium_population(omega, env), -0.5, rtol=1e-12)
-
-
-def test_equilibrium_population_7ghz_20mk():
-    # hbar w / 2 k T = 8.3987 -> tanh = 0.99999990
-    env = ThermalEnvironment(0.020)
-    assert_allclose(equilibrium_population(TWO_PI * 7e9, env),
-                    -0.9999998986011023, rtol=1e-12)
-
-
-def test_population_slope_matches_finite_difference():
-    env = ThermalEnvironment(0.035)
-    omega = TWO_PI * 5e9
-    h = omega * 1e-6
-    fd = (equilibrium_population(omega + h, env)
-          - equilibrium_population(omega - h, env)) / (2 * h)
-    assert_allclose(abs(fd), equilibrium_population_slope(omega, env),
-                    rtol=1e-6)
-    # the longitudinal-response parameter carries the factor 2
-    assert_allclose(equilibrium_ds(omega, env),
-                    2 * equilibrium_population_slope(omega, env), rtol=1e-14)
 
 
 def test_tls_unit_invariants():
@@ -74,6 +37,8 @@ def test_tls_unit_accepts_zero_rates_off_resonance():
     # the Monte Carlo's clamped draw: Gamma_1 = Gamma_2 = 0 away from Delta = 0
     t = _tls(detuning=3 * MHZ, gamma1=0.0, gamma2=0.0)
     assert t.saturation_photon_number == 0.0
+    # a decoupled TLS cannot be saturated
+    assert _tls(g_perp=0.0).saturation_photon_number == np.inf
     assert np.isfinite(transverse_complex_shift(t)).all()
     with pytest.raises(ValueError, match="detuning"):
         _tls(detuning=0.0, gamma1=0.0, gamma2=0.0)
@@ -126,22 +91,18 @@ def test_closed_forms_on_a_bath_equal_scalar_calls_bitwise():
                     [dispersive_pull(t, 1.0 + t.s) for t in rows])
     assert _bitwise(bath.saturation_photon_number,
                     [t.saturation_photon_number for t in rows])
-    # the saturated forms divide by n_s: a coupled TLS with Gamma_1 = 0 has
-    # none, so they take the rows without one and refuse the rest
+    # the saturated form divides by n_s: a coupled TLS with Gamma_1 = 0 has
+    # none, so it takes the rows without one and refuses the rest
     drive = SaturationDrive(n_cav=30.0)
     ok = (bath.g_perp == 0.0) | (bath.gamma1 > 0.0)
     assert ok.sum() < len(bath) and (~ok & (bath.g_perp == 0.0)).sum() == 0
     good = bath.select(ok)
     good_rows = [t for t, keep in zip(rows, ok) if keep]
-    assert _bitwise(saturated_population(good, drive),
-                    [saturated_population(t, drive) for t in good_rows])
     assert _bitwise(spectral_diffusion_loss_closed_form(good, drive, RHO_V),
                     [spectral_diffusion_loss_closed_form(t, drive, RHO_V)
                      for t in good_rows])
     bad = rows[int(np.flatnonzero(~ok)[0])]
     for tls_ in (bath, bad):
-        with pytest.raises(ValueError, match="^gamma1 must be positive"):
-            saturated_population(tls_, drive)
         with pytest.raises(ValueError, match="^gamma1 must be positive"):
             spectral_diffusion_loss_closed_form(tls_, drive, RHO_V)
 
@@ -201,26 +162,6 @@ def test_transverse_sign_structure():
             assert np.sign(shift) == np.sign(-t.detuning * t.s)
 
 
-# --- saturation -------------------------------------------------------------
-
-def test_saturated_population():
-    t = _tls(s=-0.8)
-    assert saturated_population(t, SaturationDrive(n_cav=0.0)) == -0.8
-    n_s = t.saturation_photon_number
-    assert_allclose(saturated_population(t, SaturationDrive(n_cav=n_s)),
-                    -0.4, rtol=1e-12)
-    far = _tls(s=-0.8, detuning=100 * t.gamma2)
-    val = saturated_population(far, SaturationDrive(n_cav=far.saturation_photon_number))
-    assert_allclose(val, -0.8 / (1 + 1 / 10001), rtol=1e-12)
-    assert abs(val - (-0.8)) < 1e-4  # off-resonant TLS stays unsaturated
-
-
-def test_saturated_population_decoupled():
-    t = _tls(s=-0.6, g_perp=0.0)
-    assert saturated_population(t, SaturationDrive(n_cav=1e9)) == -0.6
-    assert t.saturation_photon_number == np.inf
-
-
 # --- longitudinal -----------------------------------------------------------
 
 def test_longitudinal_frozen_population():
@@ -243,19 +184,7 @@ def test_longitudinal_reference_values():
     assert loss >= 0 and shift <= 0
 
 
-# --- loss tangent and permittivity -------------------------------------------
-
-def test_intrinsic_loss_tangent():
-    host = TlsHostMaterial(rho_tls=1e45, dipole=3.33564e-30,
-                           epsilon_host=10 * EPS_0)
-    assert_allclose(intrinsic_loss_tangent(host), 1.3159465030606338e-4,
-                    rtol=1e-10)
-    doubled = TlsHostMaterial(rho_tls=1e45, dipole=2 * 3.33564e-30,
-                              epsilon_host=10 * EPS_0)
-    assert_allclose(intrinsic_loss_tangent(doubled) /
-                    intrinsic_loss_tangent(host), 4.0, rtol=1e-12)
-    assert intrinsic_loss_tangent(TlsHostMaterial(rho_tls=0.0)) == 0.0
-
+# --- permittivity -----------------------------------------------------------
 
 def test_permittivity_shift_small_argument_limit():
     # bracket -> psi(1/2) - ln(x) as x -> 0; check the digamma piece alone
@@ -265,20 +194,12 @@ def test_permittivity_shift_small_argument_limit():
     assert abs((bracket + np.log(x)) - (-1.9635100260214235)) < 1e-4
 
 
-def test_permittivity_shift_zero_loss():
-    host = TlsHostMaterial(intrinsic_loss=0.0, participation=0.5)
-    for t_k in (0.01, 0.1, 1.0):
-        assert temperature_permittivity_shift(
-            2.418e9, ThermalEnvironment(t_k), host) == 0.0
-
-
 def test_permittivity_shift_slope_sign_change():
     # negative-going below ~h f/k_B, positive-going above
-    host = TlsHostMaterial(intrinsic_loss=1e-5, participation=0.1)
     f_r = 2.418e9
     temps = np.linspace(0.010, 1.0, 300)
-    vals = np.array([temperature_permittivity_shift(
-        f_r, ThermalEnvironment(t), host) for t in temps])
+    vals = np.array([permittivity_bracket(f_r, ThermalEnvironment(t))
+                     for t in temps])
     slopes = np.diff(vals)
     t_cross = PLANCK * f_r / K_B   # 116 mK
     assert np.all(slopes[temps[:-1] < 0.3 * t_cross] < 0)
@@ -288,19 +209,14 @@ def test_permittivity_shift_slope_sign_change():
 
 
 def test_permittivity_broadcasts_bitwise_like_scalar_calls():
-    host = TlsHostMaterial(intrinsic_loss=1e-5, participation=0.1)
     f_r = np.array([2.418e9, 4.884e9, 7.061e9, 11.63e9])
     temps = np.linspace(0.010, 1.0, 100)
-    env = ThermalEnvironment(temps)
-    bracket = permittivity_bracket(f_r[:, None], env)
-    shift = temperature_permittivity_shift(f_r[:, None], env, host)
-    assert bracket.shape == shift.shape == (4, 100)
+    bracket = permittivity_bracket(f_r[:, None], ThermalEnvironment(temps))
+    assert bracket.shape == (4, 100)
     for i, f in enumerate(f_r):
         for j, t in enumerate(temps):
-            scalar_env = ThermalEnvironment(float(t))
-            assert bracket[i, j] == permittivity_bracket(float(f), scalar_env)
-            assert shift[i, j] == temperature_permittivity_shift(
-                float(f), scalar_env, host)
+            assert bracket[i, j] == permittivity_bracket(
+                float(f), ThermalEnvironment(float(t)))
     with pytest.raises(ValueError):
         ThermalEnvironment(np.array([0.1, 0.0]))
 
@@ -312,6 +228,14 @@ def test_permittivity_broadcasts_bitwise_like_scalar_calls():
 def test_permittivity_bracket_refuses_nonpositive_frequency(f_r):
     with pytest.raises(ValueError, match="f_r must be positive"):
         permittivity_bracket(f_r, ThermalEnvironment(np.array([0.01, 0.1])))
+
+
+@pytest.mark.parametrize("loss", [-1e-5, np.nan, np.inf])
+def test_host_refuses_negative_or_non_finite_loss(loss):
+    with pytest.raises(ValueError, match="^intrinsic_loss must be >= 0 and "
+                                         "finite"):
+        TlsHostMaterial(intrinsic_loss=loss)
+
 
 def test_kk_zero_loss_and_equal_temperature():
     host0 = TlsHostMaterial(intrinsic_loss=0.0)
