@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from optoresp.constants import HBAR, TWO_PI
-from optoresp.ensemble import (EnsembleParams, k_perp, parameter_sweep,
-                               slope_fractional_frequency, slope_inverse_q)
+from optoresp.ensemble import (EnsembleParams, k_parallel, k_perp,
+                               parameter_sweep, slope_fractional_frequency,
+                               slope_inverse_q)
 
 # reference bath: 7 GHz mode, g/2pi = 5 MHz, xi = 50 m/W
 P_REF = EnsembleParams()
@@ -40,6 +41,29 @@ def test_log_window_quadrature_oracle():
     num, _ = quad(lambda d: d / (p.gamma2_t**2 + d**2), p.delta_min,
                   p.delta_max, limit=200)
     assert_allclose(num, np.log(p.delta_max / p.delta_min), rtol=1e-6)
+
+
+def test_closed_forms_against_quadrature():
+    # resonant Lorentzian -> pi and flat band, to 1e-4
+    p = EnsembleParams(s_tilde=-0.4, ds_tilde=1.0 / (TWO_PI * 400e6))
+    v = 1e-22
+    rho_v = HBAR * p.rho_tls * v
+    # the closed form is the full-line Lorentzian integral (pi); cover the
+    # line far beyond the physical cutoffs so truncation is negligible
+    lor = sum(quad(lambda d: p.gamma2_t / (p.gamma2_t**2 + d**2), a, b,
+                   limit=400)[0]
+              for a, b in [(-1e4 * p.omega_r, -100 * p.gamma2_t),
+                           (-100 * p.gamma2_t, 100 * p.gamma2_t),
+                           (100 * p.gamma2_t, 1e2 * p.omega_max)])
+    flat = quad(lambda w: 1.0, 0.0, p.omega_max)[0]
+    loss_quad = (-2.0 * rho_v * p.g_perp_t**2 * p.s_tilde * lor
+                 + 2.0 * rho_v * p.g_par_t**2 * p.gamma1_t * p.omega_r
+                 / (p.gamma1_t**2 + p.omega_r**2) * flat * p.ds_tilde)
+    # module docstring: -2 pi hbar rho V g_perp^2 S + 2 hbar rho V g_par^2
+    # K1 omega_max dS, where K1 omega_max dS = omega_r K_par
+    loss_closed = (-2.0 * np.pi * rho_v * p.g_perp_t**2 * p.s_tilde
+                   + 2.0 * rho_v * p.g_par_t**2 * p.omega_r * k_parallel(p))
+    assert_allclose(loss_quad, loss_closed, rtol=1e-4)
 
 
 def test_slopes_quadratic_in_coupling():
