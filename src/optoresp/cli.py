@@ -568,7 +568,7 @@ COMMANDS = {c.name: c for c in (
          "xi": "--xi", "area": "--area-nm2", "g_mean": "--g-mhz",
          "gamma1_mean": "--gamma1-mhz", "rho_tls": "--rho",
          "s_std": "--s-std", "workers": "--workers", "seed": "--seed",
-         "ds": "--ds"}),
+         "ds": "--ds", "freq_window": "--window-ghz"}),
     Command(
         "temp-model", "temperature dependence of the frequency shift",
         (Arg("--fr-ghz", float_list, (7.0,), "comma list of mode frequencies"),

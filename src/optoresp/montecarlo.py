@@ -50,10 +50,10 @@ from .tls import TlsUnit, dispersive_pull, longitudinal_complex_shift
 # relative spread of the coupling/rate draws: FWHM equal to the mean
 FWHM_REL_STD = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
-# the largest mean numpy's Generator.poisson takes ("lam value too large"
-# above it)
-_POISSON_LAM_MAX = (np.iinfo(np.int64).max
-                    - np.sqrt(np.iinfo(np.int64).max) * 10)
+# the largest expected TLS count of a trial's bath: about 50 times the
+# reference bath's 1.9e5, or 0.4 GB of float64 columns, and far below the
+# largest mean numpy's Generator.poisson takes (about 9.2e18)
+_BATH_TLS_MAX = 1e7
 
 
 def _default_p_grid():
@@ -104,7 +104,7 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p_grid", np.asarray(self.p_grid, dtype=float))
-        # the field that sets the window's width, named by the count check
+        # the field that sets the window, named by its checks below
         window = "omega_max" if self.freq_window is None else "freq_window"
         if self.freq_window is None:
             object.__setattr__(self, "freq_window",
@@ -112,16 +112,19 @@ class McConfig:
         for name in ("trials", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("omega_r", "omega_max"):
+        for name in ("omega_r", "omega_max", "l_edge", "xi", "area",
+                     "g_mean", "gamma1_mean"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("half_length", "l_edge", "xi", "area", "g_mean",
-                     "gamma1_mean"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
+        # an infinite wire is fine: run() cuts the bath to the reach
+        if not self.half_length > 0:
+            raise ValueError("half_length must be positive")
         lo, hi = self.freq_window
         if not (hi > lo):
-            raise ValueError("freq_window must be an increasing pair")
+            raise ValueError(
+                "freq_window must be an increasing pair" if window == "freq_window"
+                else "omega_max is below the float spacing of omega_r and "
+                     "leaves the default window empty")
         if self.exclusion < 0 or self.exclusion >= max(abs(lo), abs(hi)):
             raise ValueError("exclusion must be >= 0 and inside the window")
         if self.p_grid.ndim != 1 or self.p_grid.size < 2:
@@ -133,11 +136,11 @@ class McConfig:
                 raise ValueError(f"{name} must be >= 0")
         # run() draws each bath on |x| <= min(half_length, reach)
         count = self._poisson_mean(min(self.half_length, self.reach))
-        if not count <= _POISSON_LAM_MAX:
+        if not count <= _BATH_TLS_MAX:
             raise ValueError(
                 f"{window} times rho_tls times area times half_length is "
                 f"too large: {count:.3g} TLSs expected in a trial's bath, "
-                f"above the {_POISSON_LAM_MAX:.3g} that rng.poisson draws")
+                f"above the {_BATH_TLS_MAX:.3g} a trial holds")
 
     @property
     def window_segments(self):

@@ -692,6 +692,17 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["slopes", "--xi-grid=inf"], "--xi-grid"),
     (["mc", "--fr-ghz=inf"], "--fr-ghz"),
     (["mc", "--fmax-ghz=1e30"], "--fmax-ghz"),
+    # infinite Monte Carlo parameters that ran to nan or zero slopes or named
+    # no flag, a bath too large to allocate, and windows named freq_window
+    (["mc", "--xi=inf"], "--xi"),
+    (["mc", "--l-edge-um=inf"], "--l-edge-um"),
+    (["mc", "--area-nm2=inf"], "--area-nm2"),
+    (["mc", "--g-mhz=inf"], "--g-mhz"),
+    (["mc", "--gamma1-mhz=inf"], "--gamma1-mhz"),
+    (["mc", "--trials", "1", "--workers", "1", "--p-points", "3",
+      "--fmax-ghz=1e15"], "--fmax-ghz"),
+    (["mc", "--fr-ghz", "1e10", "--fmax-ghz", "1e-10"], "--fmax-ghz"),
+    (["mc", "--window-ghz=-1e30,1e30"], "--window-ghz"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:

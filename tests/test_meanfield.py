@@ -55,6 +55,18 @@ def test_transverse_resonant_example():
     assert abs(res.shift) < 0.01 * res.extra_loss
 
 
+def test_transverse_bitwise_for_numpy_and_python_float_fields():
+    fields = dict(detuning=1.3 * G2, g_perp=G2 / 11, g_par=0.0,
+                  gamma1=0.7 * G2, gamma2=G2, s=-0.45)
+    runs = [steady_state_by_integration(
+                TlsUnit(**{k: conv(v) for k, v in fields.items()}),
+                omega_r=TWO_PI * 7e9, kappa_tot=G2 / 150, mode="transverse")
+            for conv in (np.float64, float)]
+    for name in ("t", "cavity_field", "sigma_z", "extra_loss", "shift"):
+        a, b = (np.asarray(getattr(r, name)) for r in runs)
+        assert a.tobytes() == b.tobytes(), name
+
+
 def test_transverse_detuned_matches_closed_form():
     t = _tls(detuning=1.7 * G2, s=-0.6, g_perp=G2 / 12)
     res = steady_state_by_integration(t, omega_r=TWO_PI * 7e9,

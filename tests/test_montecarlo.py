@@ -443,3 +443,16 @@ def test_config_validation():
             small_config(s_std=s_std)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         small_config(seed=-1)
+
+
+def test_bath_bound_counts_the_drawn_length():
+    # construction only: none of these configs draws a bath
+    cfg = McConfig()
+    assert cfg.reach < cfg.half_length
+    drawn = dataclasses.replace(cfg, half_length=cfg.reach).expected_count
+    # the draw cuts an infinite wire to the reach, so only the reach counts
+    McConfig(half_length=np.inf)
+    scale = montecarlo._BATH_TLS_MAX / drawn
+    McConfig(rho_tls=0.99 * scale * cfg.rho_tls)
+    with pytest.raises(ValueError, match="^omega_max times rho_tls .* too large"):
+        McConfig(rho_tls=1.01 * scale * cfg.rho_tls)

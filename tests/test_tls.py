@@ -317,6 +317,20 @@ def test_flat_band_saturation_independent_of_sigma():
         assert abs(num / unsat - 1.0 / np.sqrt(5.0)) < 1e-3 / np.sqrt(5.0)
 
 
+def test_spectral_diffusion_pinned_on_criterion_4_grid():
+    # recorded from a quadrature over both signs of Delta; the integrand is
+    # even, so the doubled half-line value agrees to rounding
+    pinned = [32693.141433937926, 32693.14143361626, 32694.875175467125,
+              23117.542006228374, 23117.542006114287, 23117.751500432092,
+              3253.088993300017, 3253.0889932044142, 3253.0889782587037]
+    t = _tls(s=-1.0)
+    got = [spectral_diffusion_loss(
+               t, SaturationDrive(n_cav=n_ratio * t.saturation_photon_number),
+               sigma_rel * t.gamma2, RHO_V)
+           for n_ratio in (0.0, 1.0, 100.0) for sigma_rel in (0.01, 1.0, 100.0)]
+    assert_allclose(got, pinned, rtol=1e-13)
+
+
 def test_quadrature_oracle_against_scipy_direct():
     # independent single-integral route: Fubini collapses the Gaussian
     t = _tls(s=-1.0)
