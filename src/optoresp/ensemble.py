@@ -81,6 +81,15 @@ class EnsembleParams:
         if not np.all((self.delta_max >= self.delta_min)
                       & (self.delta_min >= self.gamma2_t)):
             raise ValueError("delta_max must be >= delta_min >= gamma2_t")
+        # every field is finite, but the slopes are products of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = (np.isfinite(slope_inverse_q(self))
+                      & np.isfinite(slope_fractional_frequency(self)))
+        if not np.all(finite):
+            raise ValueError(
+                "ds_tilde times omega_max times rho_tls times thickness times "
+                "width times xi times couplings squared is too large: the "
+                "slopes overflow")
 
     @property
     def area(self) -> float:

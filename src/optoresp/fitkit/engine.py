@@ -1,27 +1,33 @@
 """Levenberg-Marquardt least squares over MINPACK's ``lmder``.
 
 Minimizes 0.5 * ||r(x)||^2 for a user residual and its analytic Jacobian
-with ``scipy.optimize.least_squares(method="lm")``.  Complex-valued data is
-handled by the model layer (real and imaginary residuals stacked), so the
-engine only ever sees real vectors.
+with ``scipy.optimize.leastsq``, which hands both to MINPACK's ``lmder``.
+Complex-valued data is handled by the model layer (real and imaginary
+residuals stacked), so the engine only ever sees real vectors.
 
 Internal coordinates: parameter bounds are enforced by smooth
 reparameterizations (log for positive quantities, a fixed scale for
 unbounded quantities far from O(1)) rather than clipping, which keeps the descent surface differentiable.  MINPACK
 works on the internal coordinates u, x = t(u) per parameter; the Jacobian
 is mapped by the chain rule, dr/du = dr/dx * t'(u), and MINPACK scales each
-coordinate by the norm of its Jacobian column (``x_scale="jac"``).
+coordinate by the norm of its Jacobian column (``diag=None``).
 
 Termination is MINPACK's: relative cost reduction below ftol, relative step
 below xtol, or every Jacobian column nearly orthogonal to the residual
-(cosine below gtol), all at scipy's default 1e-8; or 100 residual
-evaluations per parameter.  Non-convergence, including a stop at a
+(cosine below gtol), all at 1e-8; or 100 residual evaluations per
+parameter.  The stop message is scipy's least-squares text for MINPACK's
+stop code.  Non-convergence, including a stop at a
 non-finite point, is reported as a flag on the result, not an exception;
 SingularJacobianError is reserved for a Jacobian that vanishes identically
 at a nonzero-residual stop (rank deficiency is flagged, with a
 pseudoinverse covariance).
 
-scipy loads on first use: ``least_squares`` is imported inside
+The residual and the Jacobian each remember their last point: leastsq
+evaluates both at the start point to check their shapes, and lmder then
+asks for them there again, so ``nfev`` counts distinct residual
+evaluations.
+
+scipy loads on first use: ``leastsq`` is imported inside
 :func:`levenberg_marquardt`, so importing this module loads numpy only.
 """
 
@@ -107,6 +113,19 @@ class FitResult:
         return float(np.sqrt(max(self.covariance[i, i], 0.0)))
 
 
+# MINPACK's stop code (ier) -> scipy's least-squares message: ier 1-4 are
+# its successes.  ier 6-8 (a tolerance below machine precision) cannot
+# occur, as each test is met by ier 1, 2 or 4 first at tolerances of 1e-8.
+_STOP_MESSAGES = {
+    0: "Improper input parameters status returned from `leastsq`",
+    1: "`ftol` termination condition is satisfied.",
+    2: "`xtol` termination condition is satisfied.",
+    3: "Both `ftol` and `xtol` termination conditions are satisfied.",
+    4: "`gtol` termination condition is satisfied.",
+    5: "The maximum number of function evaluations is exceeded.",
+}
+
+
 def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     """Minimize 0.5 ||residual(x)||^2 from x0.
 
@@ -123,7 +142,7 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     FitResult: ``converged`` is MINPACK's success at a finite point,
     ``message`` its stop reason.
     """
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -135,15 +154,25 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     def external(uv):
         return np.array([t.to_external(ui) for t, ui in zip(transforms, uv)])
 
-    nfev, known = 0, []     # known: r at the start u, for least_squares
+    def memo(f):
+        """f with its last point and value remembered."""
+        last = [np.empty(0), None]
 
+        def g(uv):
+            if not np.array_equal(uv, last[0]):
+                last[:] = uv.copy(), f(uv)
+            return last[1].copy()
+        return g
+
+    nfev = 0
+
+    @memo
     def res_u(uv):
         nonlocal nfev
-        if known and np.array_equal(uv, u):
-            return known.pop().copy()
         nfev += 1
         return np.asarray(residual(external(uv)), dtype=float)
 
+    @memo
     def jac_u(uv):
         factors = np.array([t.jacobian_factor(ui)
                             for t, ui in zip(transforms, uv)])
@@ -154,12 +183,17 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     if not np.all(np.isfinite(r)):
         raise ValueError("residual not finite at the initial point")
     if np.any(r):
-        known.append(r)     # least_squares opens with a call at u
-        sol = least_squares(res_u, u, jac=jac_u, method="lm", x_scale="jac")
-        u, r, j_internal = sol.x, sol.fun, sol.jac
+        if r.size < n:
+            raise ValueError("Method 'lm' doesn't work when the number of "
+                             "residuals is less than the number of variables.")
+        u, _, info, _, ier = leastsq(res_u, u, Dfun=jac_u, full_output=True,
+                                     ftol=1e-8, xtol=1e-8, gtol=1e-8,
+                                     maxfev=100 * n)
+        r, j_internal = info["fvec"], jac_u(u)
         finite = bool(np.all(np.isfinite(u)) and np.all(np.isfinite(r)))
-        converged, iterations = finite and sol.status > 0, int(sol.njev)
-        message = sol.message if finite else "stopped at a non-finite point"
+        converged, iterations = finite and 1 <= ier <= 4, int(info["njev"])
+        message = (_STOP_MESSAGES[ier] if finite
+                   else "stopped at a non-finite point")
     else:
         j_internal = jac_u(u)
         converged, iterations, message = True, 0, "zero residual"

@@ -13,8 +13,9 @@ def synth_trace(mode: ResonatorMode, line: LineCalibration, grid,
     Deterministic for a given seed; noise_std is the per-quadrature standard
     deviation in absolute transmission units.
     """
-    if not noise_std >= 0:
-        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(
+            f"noise_std must be nonnegative and finite, got {noise_std}")
     grid = np.asarray(grid, dtype=float)
     if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
         raise ValueError("grid must be finite and strictly ascending")
@@ -37,8 +38,9 @@ def synth_power_series(p_grid, gamma=0.0, inv_q0=0.0, delta1=0.0, delta2=0.0,
     noise_rel applies per-point multiplicative Gaussian noise, the natural
     model for spectroscopy-extracted points.
     """
-    if not noise_rel >= 0:
-        raise ValueError(f"noise_rel must be nonnegative, got {noise_rel}")
+    if not 0 <= noise_rel < np.inf:
+        raise ValueError(
+            f"noise_rel must be nonnegative and finite, got {noise_rel}")
     for name, value in zip(("gamma", "inv_q0", "delta1", "delta2", "delta3"),
                            (gamma, inv_q0, delta1, delta2, delta3)):
         if not np.isfinite(value):
@@ -60,8 +62,9 @@ def synth_power_series(p_grid, gamma=0.0, inv_q0=0.0, delta1=0.0, delta2=0.0,
 def synth_tls_saturation(n_grid, f_delta, n_c, beta, floor, noise_rel=0.0,
                          seed=0):
     """(n_cav, 1/Q_int) points from the saturable TLS loss law."""
-    if not noise_rel >= 0:
-        raise ValueError(f"noise_rel must be nonnegative, got {noise_rel}")
+    if not 0 <= noise_rel < np.inf:
+        raise ValueError(
+            f"noise_rel must be nonnegative and finite, got {noise_rel}")
     n = np.asarray(n_grid, dtype=float)
     y = f_delta / np.sqrt(1.0 + (n / n_c) ** beta) + floor
     sigma = None

@@ -135,12 +135,8 @@ class McConfig:
             if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be >= 0")
         # run() draws each bath on |x| <= min(half_length, reach)
-        count = self._poisson_mean(min(self.half_length, self.reach))
-        if not count <= _BATH_TLS_MAX:
-            raise ValueError(
-                f"{window} times rho_tls times area times half_length is "
-                f"too large: {count:.3g} TLSs expected in a trial's bath, "
-                f"above the {_BATH_TLS_MAX:.3g} a trial holds")
+        _check_bath(self._poisson_mean(min(self.half_length, self.reach)),
+                    window)
 
     @property
     def window_segments(self):
@@ -162,6 +158,15 @@ class McConfig:
     def reach(self) -> float:
         """|x| beyond which the kernel is below exp(-28) at every grid power."""
         return self.xi * self.p_grid[-1] / 2.0 + 14.0 * self.l_edge
+
+
+def _check_bath(count, window):
+    """Refuse a bath of count expected TLSs if it is above _BATH_TLS_MAX."""
+    if not count <= _BATH_TLS_MAX:
+        raise ValueError(
+            f"{window} times rho_tls times area times half_length is "
+            f"too large: {count:.3g} TLSs expected in a trial's bath, "
+            f"above the {_BATH_TLS_MAX:.3g} a trial holds")
 
 
 @dataclass(frozen=True)
@@ -266,8 +271,11 @@ def generate_ensemble(config: McConfig, rng=None) -> TlsUnit:
     across the band; positions uniform on [-L, L]; g, Gamma_1 and S as
     McConfig states, with Gamma_2 = Gamma_1 and g_perp = g_par sharing one
     array each and dS one scalar.  About 1 % of the TLSs get Gamma_1 = 0.
-    run() draws with half_length cut to the reach (Poisson thinning).
+    run() draws with half_length cut to the reach (Poisson thinning); a
+    direct call draws on the full half_length, so it refuses a bath larger
+    than McConfig's bound before drawing.
     """
+    _check_bath(config.expected_count, "freq_window")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n = int(rng.poisson(config.expected_count))

@@ -161,9 +161,13 @@ def photon_number(mode: ResonatorMode, drive: DriveCondition):
 
     n_cav = [2 kappa_ext / (kappa_tot^2 + 4 (omega - omega_r)^2)] * P_in/(hbar omega_r)
 
-    Raises ZeroDivisionError when that denominator underflows to 0, as it
-    does on resonance for kappa_tot below about 1e-162 rad/s.
+    Raises ValueError when a decay rate overflows, and ZeroDivisionError
+    when that denominator underflows to 0, as it does on resonance for
+    kappa_tot below about 1e-162 rad/s.
     """
+    for name, kappa in (("q_int", mode.kappa_int), ("q_ext", mode.kappa_ext)):
+        if not kappa < np.inf:
+            raise ValueError(f"{name} is too small: f_r / {name} overflows")
     w = TWO_PI * drive.probe_frequency
     det = w - mode.omega_r
     denominator = mode.kappa_tot**2 + 4.0 * det**2

@@ -206,8 +206,9 @@ def permittivity_bracket(f_r, env: ThermalEnvironment):
     f_r broadcasts against env.temperature: f_r[:, None] with an array of
     temperatures gives one row per mode.
     """
-    if not np.all(np.asarray(f_r) > 0):
-        raise ValueError("f_r must be positive")
+    f_r = np.asarray(f_r)
+    if not np.all((f_r > 0) & (f_r < np.inf)):
+        raise ValueError("f_r must be positive and finite")
     x = PLANCK * f_r / (TWO_PI * K_B * env.temperature)
     return digamma(0.5 + 1j * x).real - np.log(x)
 

@@ -1,3 +1,7 @@
+import collections
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,13 +95,115 @@ def test_non_finite_residual_is_never_converged():
 
         fit = levenberg_marquardt(resid, [4.0], jac=jac,
                                   transforms=[Identity()])
-        # the start point is evaluated once, not again by least_squares
+        # the start point is evaluated once: leastsq's check of it and
+        # lmder's first call read the engine's memo
         assert calls.count(4.0) == 1 and fit.nfev == len(calls)
         assert not fit.converged or (np.all(np.isfinite(fit.values))
                                      and np.isfinite(fit.cost))
         if target:
             assert fit.converged
             assert abs(fit.values[0] - 0.25) < 1e-8
+
+
+def test_fewer_residuals_than_parameters_refused():
+    # MINPACK takes no fit with fewer residuals than parameters
+    with pytest.raises(ValueError, match=re.escape(
+            "Method 'lm' doesn't work when the number of residuals is less "
+            "than the number of variables.")):
+        levenberg_marquardt(lambda p: np.array([p[0] + p[1] - 1.0]),
+                            [0.0, 0.0], jac=lambda p: np.ones((1, 2)))
+
+
+# values, sha256 of the covariance bytes (first 32 hex digits), nfev,
+# iterations, message, converged and flags of each fit on the seed-3 inputs
+# of _pinned_fits, recorded before the engine moved from least_squares to
+# leastsq; the four stop messages are all MINPACK's successful ones
+PINNED_FITS = {
+    "full_s21": (
+        [7060997869.311512, 495.18999920507554, 458.5970927489752,
+         -141.94229633225012, 0.9000192587060879, 2.9999799297518664e-08,
+         13.675280101004791],
+        "4bea770120309a779a672679412b4ca8",
+        5, 4, "`xtol` termination condition is satisfied.", True, []),
+    "lorentzian_dip": (
+        [1.0000803677910841, 0.9999097708942917, 7061000181.516365,
+         14912759.655554183],
+        "acc72bcd4febe334120c76cdad1649c3",
+        5, 4, "Both `ftol` and `xtol` termination conditions are satisfied.",
+        True, []),
+    "power_inverse_q": (
+        [1343.1247085828345, 2.9219913883750338e-05],
+        "b8db0f7af6d242af2498db25bf6e204e",
+        2, 2, "`gtol` termination condition is satisfied.", True, []),
+    "power_frequency": (
+        [597.6193094418508, 2.1063993914007098e-05, 46405484.16938072],
+        "6267fe55fd1bfa6295066675132ca921",
+        7, 6, "`ftol` termination condition is satisfied.", True, []),
+    "tls_saturation": (
+        [1.903648193079082e-05, 3026.851545657774, 1.099175600286182,
+         1.070112106388511e-05],
+        "b07d216d2c5251f9a1cb14c8ebd0abb8",
+        5, 4, "`ftol` termination condition is satisfied.", True, []),
+}
+
+
+def _pinned_fits(seed):
+    """The benchmark's five fits, each as a thunk returning its FitResult,
+    on inputs synthesized from seed."""
+    mode = ResonatorMode.from_asymmetry_angle(7.061e9, 34477, 480, 0.3)
+    lw = 7.061e9 / mode.q_tot
+    trace = synth_trace(mode, LineCalibration(0.9, 30e-9, 1.1),
+                        np.linspace(7.061e9 - 5 * lw, 7.061e9 + 5 * lw, 801),
+                        noise_std=1e-3, seed=seed)
+    dip_mode = ResonatorMode(7.061e9, 35000, 480)
+    dip_lw = 7.061e9 / dip_mode.q_tot
+    dip = synth_trace(dip_mode, LineCalibration(),
+                      np.linspace(7.061e9 - 1.2 * dip_lw,
+                                  7.061e9 + 1.2 * dip_lw, 6001),
+                      noise_std=1e-3, seed=seed)
+    series = synth_power_series(np.linspace(0, 300e-9, 25), gamma=1.35e3,
+                                inv_q0=2.9e-5, delta1=5.9e2, delta2=2e-5,
+                                delta3=5e7, noise_rel=0.05, seed=seed)
+    n, y, sig = synth_tls_saturation(np.logspace(2, 5, 81), 2e-5, 3e3, 1.0,
+                                     1e-5, noise_rel=0.03, seed=seed)
+    return {
+        "full_s21": lambda: fit_full_s21(trace).fit,
+        "lorentzian_dip": lambda: fit_lorentzian_dip(dip).fit,
+        "power_inverse_q": lambda: fit_power_inverse_q(series, model="linear"),
+        "power_frequency": lambda: fit_power_frequency(series),
+        "tls_saturation": lambda: fit_tls_saturation(n, y, sigma=sig),
+    }
+
+
+def test_fits_pinned_bit_for_bit(monkeypatch):
+    calls = collections.Counter()
+    engine = models.levenberg_marquardt
+
+    def counted(residual, x0, jac, **kwargs):
+        def res(x):
+            calls["residual"] += 1
+            return residual(x)
+
+        def jac_counted(x):
+            calls["jac"] += 1
+            return jac(x)
+        return engine(res, x0, jac=jac_counted, **kwargs)
+
+    monkeypatch.setattr(models, "levenberg_marquardt", counted)
+    for name, fit_thunk in _pinned_fits(3).items():
+        calls.clear()
+        fit = fit_thunk()
+        values, cov_digest, nfev, iterations, message, converged, flags = (
+            PINNED_FITS[name])
+        assert fit.values.tolist() == values, name
+        assert hashlib.sha256(
+            fit.covariance.tobytes()).hexdigest()[:32] == cov_digest, name
+        assert (fit.nfev, fit.iterations, fit.message, fit.converged,
+                fit.flags) == (nfev, iterations, message, converged, flags)
+        # nfev counts every residual run; the Jacobian runs once per MINPACK
+        # iteration, plus at most once at the end for the covariance
+        assert calls["residual"] == fit.nfev, name
+        assert calls["jac"] <= fit.iterations + 1, name
 
 
 def test_transform_bounds_respected():
@@ -474,7 +580,7 @@ def test_synth_trace_noise_statistics():
 
 
 
-@pytest.mark.parametrize("noise", [-1e-3, np.nan])
+@pytest.mark.parametrize("noise", [-1e-3, np.nan, np.inf])
 def test_synth_refuses_negative_or_nan_noise(noise):
     mode = ResonatorMode(5e9, 1e4, 1e3)
     grid = np.linspace(4.99e9, 5.01e9, 11)

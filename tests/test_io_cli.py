@@ -350,6 +350,20 @@ def test_cli_fit_spectrum_parse_error(tmp_path):
     assert code == 1
 
 
+def test_cli_fit_spectrum_refuses_fewer_points_than_parameters(tmp_path,
+                                                               capsys):
+    # 3 points are 6 residuals, fewer than the full fit's 7 parameters
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("freq_hz,re,im\n7.0e9,0.9,0.01\n7.001e9,0.5,0.02\n"
+                    "7.002e9,0.9,0.03\n")
+    assert run_cli("fit-spectrum", "--input", str(tiny), "--model", "full",
+                   "--out-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "error: Method 'lm' doesn't work when the number of residuals is "
+        "less than the number of variables.\n")
+    assert list(tmp_path.iterdir()) == [tiny]
+
+
 def test_failed_run_leaves_no_stale_envelope(tmp_path):
     run_cli("synth", "--kind", "trace", "--noise", "1e-3", "--points", "2001",
             "--out-dir", str(tmp_path))
@@ -703,6 +717,14 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
       "--fmax-ghz=1e15"], "--fmax-ghz"),
     (["mc", "--fr-ghz", "1e10", "--fmax-ghz", "1e-10"], "--fmax-ghz"),
     (["mc", "--window-ghz=-1e30,1e30"], "--window-ghz"),
+    # a mode frequency and a noise that overflow, and finite flags whose
+    # product overflows a decay rate or the slopes
+    (["temp-model", "--fr-ghz=1e308"], "--fr-ghz"),
+    (["synth", "--kind", "trace", "--noise=inf"], "--noise"),
+    (["synth", "--kind", "power", "--noise=inf"], "--noise"),
+    (["photon-number", "--fr-ghz", "2.418", "--q-int=1e-308", "--q-ext",
+      "3226", "--power-dbm", "-77"], "--q-int"),
+    (["slopes", "--ds=1e308"], "--ds"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:

@@ -445,6 +445,16 @@ def test_config_validation():
         small_config(seed=-1)
 
 
+def test_direct_draw_refuses_a_bath_above_the_bound():
+    # the config allows an endless wire, as run() cuts it to the reach; a
+    # direct draw on the full length is refused before rng.poisson
+    cfg = McConfig(half_length=1e10)
+    assert cfg.expected_count > montecarlo._BATH_TLS_MAX
+    with pytest.raises(ValueError, match="^freq_window times rho_tls .* too "
+                                         "large: .* above the 1e\\+07"):
+        generate_ensemble(cfg)
+
+
 def test_bath_bound_counts_the_drawn_length():
     # construction only: none of these configs draws a bath
     cfg = McConfig()

@@ -224,7 +224,8 @@ def test_permittivity_broadcasts_bitwise_like_scalar_calls():
 # --- Kramers-Kronig oracle ----------------------------------------------------
 
 
-@pytest.mark.parametrize("f_r", [0.0, -1e9, np.nan, np.array([5e9, 0.0])])
+@pytest.mark.parametrize("f_r", [0.0, -1e9, np.nan, np.array([5e9, 0.0]),
+                                 np.inf])
 def test_permittivity_bracket_refuses_nonpositive_frequency(f_r):
     with pytest.raises(ValueError, match="f_r must be positive"):
         permittivity_bracket(f_r, ThermalEnvironment(np.array([0.01, 0.1])))
