@@ -253,14 +253,16 @@ def _temp_model_config(a):
     if not fr_hz:
         raise ValueError("--fr-ghz lists no mode frequency")
     if a.t_grid_mk:
-        if not all(v > 0 for v in a.t_grid_mk):
-            raise ValueError("--t-grid-mk must be positive")
+        if not all(0 < v < np.inf for v in a.t_grid_mk):
+            raise ValueError("--t-grid-mk must be positive and finite")
         t_grid = [v * 1e-3 for v in a.t_grid_mk]
     elif a.t_points < 1:
         raise ValueError("--t-points must be at least 1")
-    elif not (a.t_min_mk > 0 and a.t_max_mk > 0):
-        raise ValueError("--t-min-mk and --t-max-mk must be positive")
     else:
+        for flag, value in (("--t-min-mk", a.t_min_mk),
+                            ("--t-max-mk", a.t_max_mk)):
+            if not 0 < value < np.inf:
+                raise ValueError(f"{flag} must be positive and finite")
         t_grid = list(np.linspace(a.t_min_mk, a.t_max_mk, a.t_points) * 1e-3)
     if not np.isfinite(a.pdelta):
         raise ValueError("--pdelta must be finite")

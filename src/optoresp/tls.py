@@ -40,17 +40,17 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThermalEnvironment:
-    """Phonon bath at temperature [K] > 0.
+    """Phonon bath at temperature [K], positive and finite.
 
     temperature may be a numpy array of temperatures; validation rejects
-    the whole array if any element is not positive.
+    the whole array if any element is not positive and finite.
     """
 
     temperature: float
 
     def __post_init__(self):
-        if not np.all(self.temperature > 0):
-            raise ValueError("temperature must be positive")
+        if not np.all((self.temperature > 0) & (self.temperature < np.inf)):
+            raise ValueError("temperature must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class SaturationDrive:
     n_cav: float = 0.0
 
     def __post_init__(self):
-        if self.n_cav < 0:
+        if not self.n_cav >= 0:  # a NaN fails the comparison
             raise ValueError("n_cav must be >= 0")
 
 
@@ -214,7 +214,9 @@ def permittivity_bracket(f_r, env: ThermalEnvironment):
 
 
 KK_EXCISION_REL = 1e-6      # pole excision half-width, relative to f
-SD_N_SIGMA = 50.0           # inner spectral-diffusion window, in Gaussians
+# inner spectral-diffusion window, in Gaussians: the tail past 12 is ~1.8e-33
+# per side (spectral_diffusion_loss bounds the share it drops below 1e-23)
+SD_N_SIGMA = 12.0
 
 
 def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
@@ -243,13 +245,14 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
     from scipy.integrate import quad
 
     f = float(f)
-    if f <= 0:
-        raise ValueError("f must be positive")
+    if not 0 < f < np.inf:
+        raise ValueError("f must be positive and finite")
     if f_cutoff is None:
         f_thermal = 2.0 * K_B * env.temperature / PLANCK
         f_cutoff = 400.0 * max(f, f_thermal)
-    if f_cutoff <= 2.0 * f:
-        raise ValueError("cutoff must lie well above the probe frequency")
+    if not 2.0 * f < f_cutoff < np.inf:
+        raise ValueError("f_cutoff must be finite and lie well above the "
+                         "probe frequency (above 2 f)")
 
     a = PLANCK / (2.0 * K_B * env.temperature)
 
@@ -293,31 +296,48 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
             * S / (1 + (n/n_s) Gamma_2^2/(Gamma_2^2 + mu^2))
             * N(mu; Delta, sigma_sd)
 
-    The inner window spans SD_N_SIGMA Gaussians around each center.  The
-    outer integrand is even in Delta (the saturated Lorentzian is even in mu,
-    the Gaussian is symmetric, and the inner knots mirror), so only
-    Delta >= 0 is integrated and the sum doubled: on the mirrored half,
-    QUADPACK's nodes, error estimates and subdivisions would mirror these.
-    The result coincides with :func:`spectral_diffusion_loss_closed_form` for
-    any sigma_sd: Gaussian wandering alone does not lift the loss above the
-    saturated-Lorentzian value.
+    The inner window spans SD_N_SIGMA = 12 Gaussians around each center.
+    The dropped Gaussian tail beyond |u| = 12 is about 1.8e-33 per side, and
+    over the window the saturated Lorentzian 2/(1 + n/n_s + m^2) (m = mu /
+    Gamma_2) varies by at most (1 + n/n_s + (1.2 b_far)^2)/(1 + n/n_s), as
+    |m| <= b_far + 12 sigma_sd/Gamma_2 <= 1.2 b_far for any center up to the
+    outer cut-off b_far.  That factor is at most about 5e7 on criterion 4's
+    grid, so each inner integral loses a share below 1e-23 of its value.
+    The outer cut-off b_far >= 60 sigma_sd/Gamma_2 does not depend on
+    SD_N_SIGMA.  The outer integrand is even in Delta (the saturated
+    Lorentzian is even in mu, the Gaussian is symmetric, and the inner knots
+    mirror), so only Delta >= 0 is integrated and the sum doubled: on the
+    mirrored half, QUADPACK's nodes, error estimates and subdivisions would
+    mirror these.  The result coincides with
+    :func:`spectral_diffusion_loss_closed_form` for any sigma_sd: Gaussian
+    wandering alone does not lift the loss above the saturated-Lorentzian
+    value.
 
-    rho_v is the rho_TLS * V_eff prefactor [J^-1].  Returns rad/s.
+    sigma_sd [rad/s] must be positive, finite and small enough that b_far
+    squared stays finite (sigma_sd/Gamma_2 below about 2e152).  rho_v is the
+    finite rho_TLS * V_eff prefactor [J^-1].  Returns rad/s.
     """
     from scipy.integrate import quad
 
     _one_tls(tls)
-    if not (sigma_sd > 0):
-        raise ValueError("sigma_sd must be positive")
-    if tls.s == 0.0 or tls.g_perp == 0.0:
-        return 0.0
+    if not 0 < sigma_sd < np.inf:
+        raise ValueError("sigma_sd must be positive and finite")
+    if not np.isfinite(rho_v):
+        raise ValueError("rho_v must be finite")
     n_ratio = float(_drive_ratio(tls, drive))
     s_dimless = float(sigma_sd / tls.gamma2)  # below in units of Gamma_2
     w = math.sqrt(1.0 + n_ratio)         # saturated half-width
+    b_core = 10.0 * max(s_dimless, w)
+    b_far = max(4000.0 * w, 60.0 * s_dimless, 4.0 * b_core)
+    if not b_far * b_far < math.inf:  # else t**2 at t = 1/b_far underflows
+        raise ValueError("sigma_sd and n_cav are too large: the outer "
+                         "cut-off squared overflows")
+    if tls.s == 0.0 or tls.g_perp == 0.0:
+        return 0.0
     sqrt_two_pi = math.sqrt(TWO_PI)
 
     def smeared(d):
-        # f runs ~6e4 times a call: Python floats and math, not numpy scalars
+        # f runs ~2e4 times a call: Python floats and math, not numpy scalars
         def f(u):
             m = d + s_dimless * u
             core = 1.0 / (1.0 + m * m)        # saturated Lorentzian, inlined
@@ -329,8 +349,6 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
                  + [SD_N_SIGMA])
         return _piecewise_quad(f, knots, limit=60)
 
-    b_core = 10.0 * max(s_dimless, w)
-    b_far = max(4000.0 * w, 1.2 * SD_N_SIGMA * s_dimless, 4.0 * b_core)
     half = _piecewise_quad(smeared, [0.0, w, b_core], limit=100)
     # the far tail falls off like the Lorentzian; integrate in t = 1/Delta
     tail, err = quad(lambda t: smeared(1.0 / t) / t**2,

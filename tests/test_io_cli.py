@@ -725,6 +725,10 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["photon-number", "--fr-ghz", "2.418", "--q-int=1e-308", "--q-ext",
       "3226", "--power-dbm", "-77"], "--q-int"),
     (["slopes", "--ds=1e308"], "--ds"),
+    # infinite temperatures that wrote an inf row or named no flag
+    (["temp-model", "--t-grid-mk=1,inf"], "--t-grid-mk"),
+    (["temp-model", "--t-max-mk=inf"], "--t-max-mk"),
+    (["temp-model", "--t-min-mk=inf"], "--t-min-mk"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from optoresp import tls
 from optoresp.constants import HBAR, K_B, PLANCK, TWO_PI
 from optoresp.tls import (SaturationDrive, ThermalEnvironment, TlsHostMaterial,
                           TlsUnit, dispersive_pull, kramers_kronig_real_part,
@@ -219,6 +220,9 @@ def test_permittivity_broadcasts_bitwise_like_scalar_calls():
                 float(f), ThermalEnvironment(float(t)))
     with pytest.raises(ValueError):
         ThermalEnvironment(np.array([0.1, 0.0]))
+    with pytest.raises(ValueError, match="^temperature must be positive and "
+                                         "finite"):
+        ThermalEnvironment(np.array([0.1, np.inf]))
 
 
 # --- Kramers-Kronig oracle ----------------------------------------------------
@@ -236,6 +240,21 @@ def test_host_refuses_negative_or_non_finite_loss(loss):
     with pytest.raises(ValueError, match="^intrinsic_loss must be >= 0 and "
                                          "finite"):
         TlsHostMaterial(intrinsic_loss=loss)
+
+
+@pytest.mark.parametrize("f,f_cutoff,message", [
+    (np.nan, 2e12, "f must be positive and finite"),
+    (np.inf, 2e12, "f must be positive and finite"),
+    (0.0, 2e12, "f must be positive and finite"),
+    (5e9, np.nan, "f_cutoff must be finite"),
+    (5e9, np.inf, "f_cutoff must be finite"),
+    (5e9, 1e10, "f_cutoff must be finite"),
+])
+def test_kk_refuses_bad_frequency_or_cutoff(f, f_cutoff, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        kramers_kronig_real_part(f, ThermalEnvironment(0.1),
+                                 TlsHostMaterial(intrinsic_loss=3e-5),
+                                 f_cutoff=f_cutoff)
 
 
 def test_kk_zero_loss_and_equal_temperature():
@@ -318,18 +337,57 @@ def test_flat_band_saturation_independent_of_sigma():
         assert abs(num / unsat - 1.0 / np.sqrt(5.0)) < 1e-3 / np.sqrt(5.0)
 
 
-def test_spectral_diffusion_pinned_on_criterion_4_grid():
-    # recorded from a quadrature over both signs of Delta; the integrand is
-    # even, so the doubled half-line value agrees to rounding
-    pinned = [32693.141433937926, 32693.14143361626, 32694.875175467125,
-              23117.542006228374, 23117.542006114287, 23117.751500432092,
-              3253.088993300017, 3253.0889932044142, 3253.0889782587037]
+# recorded with the inner window at +-50 Gaussians from a quadrature over
+# both signs of Delta; the integrand is even, so the doubled half-line value
+# agrees to rounding
+PINNED_50_SIGMA = [32693.141433937926, 32693.14143361626, 32694.875175467125,
+                   23117.542006228374, 23117.542006114287, 23117.751500432092,
+                   3253.088993300017, 3253.0889932044142, 3253.0889782587037]
+
+
+def _criterion_4_grid():
     t = _tls(s=-1.0)
-    got = [spectral_diffusion_loss(
-               t, SaturationDrive(n_cav=n_ratio * t.saturation_photon_number),
-               sigma_rel * t.gamma2, RHO_V)
-           for n_ratio in (0.0, 1.0, 100.0) for sigma_rel in (0.01, 1.0, 100.0)]
-    assert_allclose(got, pinned, rtol=1e-13)
+    return [spectral_diffusion_loss(
+                t, SaturationDrive(n_cav=n_ratio * t.saturation_photon_number),
+                sigma_rel * t.gamma2, RHO_V)
+            for n_ratio in (0.0, 1.0, 100.0) for sigma_rel in (0.01, 1.0, 100.0)]
+
+
+def test_spectral_diffusion_pinned_on_criterion_4_grid(monkeypatch):
+    # the outer integral (nodes, knots, cut-off) does not depend on the
+    # inner window: at +-50 Gaussians it reproduces the old values
+    monkeypatch.setattr(tls, "SD_N_SIGMA", 50.0)
+    assert_allclose(_criterion_4_grid(), PINNED_50_SIGMA, rtol=1e-13)
+
+
+def test_spectral_diffusion_pinned_at_shipped_window():
+    assert tls.SD_N_SIGMA == 12.0
+    got = _criterion_4_grid()
+    assert_allclose(got, [32693.14143393708, 32693.141433611934,
+                          32694.875170543208, 23117.54200623111,
+                          23117.54200611576, 23117.751496261415,
+                          3253.0891591622194, 3253.089159161888,
+                          3253.0891546979856], rtol=1e-13)
+    # the dropped tail is below 1e-23; the shift is the inner quad's tolerance
+    assert_allclose(got, PINNED_50_SIGMA, rtol=1e-7)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("sigma_sd", np.inf, "sigma_sd must be positive and finite"),
+    ("sigma_sd", np.nan, "sigma_sd must be positive and finite"),
+    ("sigma_sd", 0.0, "sigma_sd must be positive and finite"),
+    ("sigma_sd", 1e300 * 16 * MHZ, "sigma_sd and n_cav are too large"),
+    ("n_cav", 1e305, "sigma_sd and n_cav are too large"),
+    ("n_cav", np.nan, "n_cav must be >= 0"),
+    ("rho_v", np.nan, "rho_v must be finite"),
+    ("rho_v", np.inf, "rho_v must be finite"),
+])
+def test_spectral_diffusion_refuses_bad_input(field, value, message):
+    kwargs = {"sigma_sd": 16 * MHZ, "n_cav": 1.0, "rho_v": RHO_V, field: value}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        spectral_diffusion_loss(_tls(s=-1.0),
+                                SaturationDrive(n_cav=kwargs["n_cav"]),
+                                kwargs["sigma_sd"], kwargs["rho_v"])
 
 
 def test_quadrature_oracle_against_scipy_direct():
