@@ -10,10 +10,12 @@ error such as a division by zero), each reported as one ``error:`` line;
 statistical non-convergence is reported in-band.
 
 A flat key=value or JSON config file can seed any subcommand via --config;
-explicit flags override file values.  A malformed file, an unknown key or
-an unparseable value is reported as ``path:lineno``.  Flag values are read
-as text and parsed by the same conversion inside main's error handling, so
-a bad flag value is named by its flag and fails like any other bad input.
+explicit flags override file values.  A malformed file, an unknown key, an
+unparseable value or a non-finite number is reported as ``path:lineno``: the
+envelope would write nan or inf as null, and that echo could not replay.
+Flag values are read as text and parsed by the same conversion inside main's
+error handling, so a bad flag value is named by its flag and fails like any
+other bad input.
 A range error the library raises on one of its fields is reported under
 the flag that sets that field.
 The OPTORESP_OUTDIR environment variable selects the default output
@@ -41,6 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import ensemble, io, montecarlo, superconductor
+from .checks import check_range
 from .constants import TWO_PI, dbm_to_watts
 from .fitkit import SingularJacobianError
 from .fitkit import models as fitmodels
@@ -144,8 +147,9 @@ def run_slopes(cfg, names):
         sweep = _ensemble_from_cfg(cfg, g_mhz, xi)
     except ValueError as exc:
         # the scalar flags passed in single, so a grid value is out of range
-        raise ValueError(_flag_message(
-            exc, {"xi": "--xi-grid", "couplings": "--g-grid-mhz"})) from exc
+        raise ValueError(_flag_message(exc, {
+            "xi": "--xi-grid", "g_perp_t": "--g-grid-mhz",
+            "g_par_t": "--g-grid-mhz", "couplings": "--g-grid-mhz"})) from exc
     columns = [g_mhz, xi, ensemble.slope_inverse_q(sweep),
                ensemble.slope_fractional_frequency(sweep)]
     return {
@@ -171,8 +175,7 @@ def _mc_config(a):
     # could not name either
     if a.p_points < 2:
         raise ValueError("--p-points must be at least 2")
-    if not 0 < a.p_max_nw < np.inf:
-        raise ValueError("--p-max-nw must be positive and finite")
+    check_range("--p-max-nw", a.p_max_nw)
     if a.window_ghz and (len(a.window_ghz) != 2
                          or not a.window_ghz[0] < a.window_ghz[1]):
         raise ValueError("--window-ghz takes two increasing values 'lo,hi'")
@@ -253,25 +256,20 @@ def _temp_model_config(a):
     if not fr_hz:
         raise ValueError("--fr-ghz lists no mode frequency")
     if a.t_grid_mk:
-        if not all(0 < v < np.inf for v in a.t_grid_mk):
-            raise ValueError("--t-grid-mk must be positive and finite")
+        check_range("--t-grid-mk", a.t_grid_mk)
         t_grid = [v * 1e-3 for v in a.t_grid_mk]
     elif a.t_points < 1:
         raise ValueError("--t-points must be at least 1")
     else:
-        for flag, value in (("--t-min-mk", a.t_min_mk),
-                            ("--t-max-mk", a.t_max_mk)):
-            if not 0 < value < np.inf:
-                raise ValueError(f"{flag} must be positive and finite")
+        check_range("--t-min-mk", a.t_min_mk)
+        check_range("--t-max-mk", a.t_max_mk)
         t_grid = list(np.linspace(a.t_min_mk, a.t_max_mk, a.t_points) * 1e-3)
-    if not np.isfinite(a.pdelta):
-        raise ValueError("--pdelta must be finite")
-    for flag, value in (("--lambda0-um", a.lambda0_um), ("--tc-k", a.tc_k),
-                        ("--film-d-nm", a.film_d_nm),
-                        ("--film-w-nm", a.film_w_nm),
-                        ("--film-l-mm", a.film_l_mm), ("--ltl", a.ltl)):
-        if value is not None and not 0 < value < np.inf:
-            raise ValueError(f"{flag} must be positive and finite")
+    if a.lambda0_um is None:  # no film is built to check these flags
+        for flag, value in (("--tc-k", a.tc_k), ("--film-d-nm", a.film_d_nm),
+                            ("--film-w-nm", a.film_w_nm),
+                            ("--film-l-mm", a.film_l_mm), ("--ltl", a.ltl)):
+            if value is not None:
+                check_range(flag, value)
     return {
         "fr_hz_list": fr_hz,
         "t_grid_k": t_grid,
@@ -321,8 +319,7 @@ def _synth_config(a):
         raise ValueError("--seed must be nonnegative")
     if a.kind == "trace":
         # the grid is built from both flags, so its errors could name neither
-        if not (np.isfinite([a.f_start_ghz, a.f_stop_ghz]).all()
-                and a.f_start_ghz < a.f_stop_ghz):
+        if not a.f_start_ghz < a.f_stop_ghz:
             raise ValueError("--f-start-ghz must be below --f-stop-ghz")
         # the grid run_synth builds: neighbours closer than a float's
         # spacing round to the same frequency
@@ -337,8 +334,7 @@ def _synth_config(a):
                 "f_start_hz": a.f_start_ghz * 1e9,
                 "f_stop_hz": a.f_stop_ghz * 1e9,
                 "points": a.points, "noise": a.noise, "seed": a.seed}
-    if not 0 < a.p_max_nw < np.inf:
-        raise ValueError("--p-max-nw must be positive and finite")
+    check_range("--p-max-nw", a.p_max_nw)
     return {"p_max_w": a.p_max_nw * 1e-9, "points": a.points,
             "gamma_per_w": a.gamma_per_nw * 1e9,
             "inv_q0": a.inv_q0,
@@ -533,9 +529,9 @@ COMMANDS = {c.name: c for c in (
         {"omega_r": "--fr-ghz", "rho_tls": "--rho",
          "thickness": "--thickness-nm", "width": "--width-nm", "xi": "--xi",
          "omega_max": "--fmax-ghz", "gamma1_t": "--gamma1-mhz",
-         "couplings": "--g-mhz", "s_tilde": "--s", "ds_tilde": "--ds",
-         "delta_max": "--fmax-ghz", "delta_min": "--fr-ghz",
-         "gamma2_t": "--gamma1-mhz"}),
+         "g_perp_t": "--g-mhz", "g_par_t": "--g-mhz", "s_tilde": "--s",
+         "ds_tilde": "--ds", "delta_max": "--fmax-ghz", "couplings": "--g-mhz",
+         "delta_min": "--fr-ghz", "gamma2_t": "--gamma1-mhz"}),
     Command(
         "mc", "Monte Carlo ensemble simulation",
         (Arg("--seed", int, 0),
@@ -570,7 +566,7 @@ COMMANDS = {c.name: c for c in (
          "xi": "--xi", "area": "--area-nm2", "g_mean": "--g-mhz",
          "gamma1_mean": "--gamma1-mhz", "rho_tls": "--rho",
          "s_std": "--s-std", "workers": "--workers", "seed": "--seed",
-         "ds": "--ds", "freq_window": "--window-ghz"}),
+         "ds_value": "--ds", "freq_window": "--window-ghz"}),
     Command(
         "temp-model", "temperature dependence of the frequency shift",
         (Arg("--fr-ghz", float_list, (7.0,), "comma list of mode frequencies"),
@@ -704,20 +700,23 @@ def load_config_file(path):
 
 
 def _convert(cmd, entries):
-    """Values by flag dest of (where, key, value) entries, each value parsed
-    as text like the flag key names.  where names a bad entry: "path:lineno:
-    config key 'key'" for a config file, None for a flag (named by itself)."""
+    """Values by flag dest of (where, key, text) entries, each text parsed
+    like the flag key names.  where names a bad entry: "path:lineno: config
+    key 'key'" for a config file, None for a flag (named by itself)."""
     args = {a.dest: a for a in COMMON + cmd.args}
     values = {}
-    for where, key, value in entries:
+    for where, key, text in entries:
         arg = args.get(key.replace("-", "_"))
         if arg is None:
             raise ValueError(f"{where} is not a flag of this command")
         try:
-            values[arg.dest] = arg.convert(str(value))
+            value = arg.convert(str(text))
         except ValueError as exc:
             raise ValueError(f"{where or arg.flag}: invalid value "
-                             f"{str(value)!r}") from exc
+                             f"{str(text)!r}") from exc
+        if arg.type in (float, float_list):
+            check_range(where or arg.flag, value, "finite")
+        values[arg.dest] = value
     return values
 
 

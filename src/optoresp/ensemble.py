@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import check_range
 from .constants import HBAR, TWO_PI
 
 
@@ -68,28 +69,21 @@ class EnsembleParams:
         if self.gamma2_t is None:
             object.__setattr__(self, "gamma2_t", self.gamma1_t)
         for name in ("omega_r", "rho_tls", "thickness", "width", "xi",
-                     "omega_max", "gamma1_t", "gamma2_t"):
-            value = getattr(self, name)
-            if not np.all((value > 0) & (value < np.inf)):
-                raise ValueError(f"{name} must be positive and finite")
-        if not np.all((self.g_perp_t >= 0) & (self.g_par_t >= 0)):
-            raise ValueError("couplings must be >= 0")
-        if not np.all((-1.0 <= self.s_tilde) & (self.s_tilde <= 0.0)):
-            raise ValueError("s_tilde must lie in [-1, 0]")
-        if not np.all(self.ds_tilde >= 0):
-            raise ValueError("ds_tilde must be >= 0")
+                     "omega_max", "delta_max", "delta_min", "gamma1_t",
+                     "gamma2_t"):
+            check_range(name, getattr(self, name))
+        for name in ("g_perp_t", "g_par_t", "ds_tilde"):
+            check_range(name, getattr(self, name), "nonnegative and finite")
+        check_range("s_tilde", self.s_tilde, (-1.0, 0.0))
         if not np.all((self.delta_max >= self.delta_min)
                       & (self.delta_min >= self.gamma2_t)):
             raise ValueError("delta_max must be >= delta_min >= gamma2_t")
         # every field is finite, but the slopes are products of them
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = (np.isfinite(slope_inverse_q(self))
-                      & np.isfinite(slope_fractional_frequency(self)))
-        if not np.all(finite):
-            raise ValueError(
-                "ds_tilde times omega_max times rho_tls times thickness times "
-                "width times xi times couplings squared is too large: the "
-                "slopes overflow")
+            for slope in slope_inverse_q(self), slope_fractional_frequency(self):
+                check_range("ds_tilde times omega_max times rho_tls times "
+                            "thickness times width times xi times couplings "
+                            "squared", slope, "finite")
 
     @property
     def area(self) -> float:

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..checks import check_range
 from ..constants import TWO_PI
 from ..resonator import notch
 from .engine import FitResult, Identity, Log, Scaled, levenberg_marquardt
@@ -39,8 +40,8 @@ class ComplexTrace:
         object.__setattr__(self, "values", v)
         if f.ndim != 1 or f.size != v.size:
             raise ValueError("frequencies/values must be 1-D of equal length")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v))):
-            raise ValueError("frequencies/values must be finite")
+        for part in (f, v.real, v.imag):
+            check_range("frequencies/values", part, "finite")
         if np.any(np.diff(f) <= 0):
             raise ValueError("frequencies must be strictly increasing")
         if self.noise_std is not None:

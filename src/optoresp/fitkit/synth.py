@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ..checks import check_range
 from ..resonator import LineCalibration, ResonatorMode, s21_full
 from .models import ComplexTrace, PowerSeries
 
@@ -13,12 +14,9 @@ def synth_trace(mode: ResonatorMode, line: LineCalibration, grid,
     Deterministic for a given seed; noise_std is the per-quadrature standard
     deviation in absolute transmission units.
     """
-    if not 0 <= noise_std < np.inf:
-        raise ValueError(
-            f"noise_std must be nonnegative and finite, got {noise_std}")
+    check_range("noise_std", noise_std, "nonnegative and finite")
     grid = np.asarray(grid, dtype=float)
-    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
-        raise ValueError("grid must be finite and strictly ascending")
+    check_range("grid", grid, "finite")  # ComplexTrace checks its order
     z = s21_full(mode, line, grid)
     if noise_std > 0:
         rng = np.random.default_rng(seed)
@@ -38,13 +36,10 @@ def synth_power_series(p_grid, gamma=0.0, inv_q0=0.0, delta1=0.0, delta2=0.0,
     noise_rel applies per-point multiplicative Gaussian noise, the natural
     model for spectroscopy-extracted points.
     """
-    if not 0 <= noise_rel < np.inf:
-        raise ValueError(
-            f"noise_rel must be nonnegative and finite, got {noise_rel}")
+    check_range("noise_rel", noise_rel, "nonnegative and finite")
     for name, value in zip(("gamma", "inv_q0", "delta1", "delta2", "delta3"),
                            (gamma, inv_q0, delta1, delta2, delta3)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite")
+        check_range(name, value, "finite")
     p = np.asarray(p_grid, dtype=float)
     inv_q = gamma * p + inv_q0
     dfrac = delta1 * p - delta2 * (1.0 - np.exp(-delta3 * p))
@@ -62,9 +57,7 @@ def synth_power_series(p_grid, gamma=0.0, inv_q0=0.0, delta1=0.0, delta2=0.0,
 def synth_tls_saturation(n_grid, f_delta, n_c, beta, floor, noise_rel=0.0,
                          seed=0):
     """(n_cav, 1/Q_int) points from the saturable TLS loss law."""
-    if not 0 <= noise_rel < np.inf:
-        raise ValueError(
-            f"noise_rel must be nonnegative and finite, got {noise_rel}")
+    check_range("noise_rel", noise_rel, "nonnegative and finite")
     n = np.asarray(n_grid, dtype=float)
     y = f_delta / np.sqrt(1.0 + (n / n_c) ** beta) + floor
     sigma = None

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checks import check_range
 from .constants import HBAR, TWO_PI
 from .tls import TlsUnit, dispersive_pull, longitudinal_complex_shift
 
@@ -109,31 +110,29 @@ class McConfig:
         if self.freq_window is None:
             object.__setattr__(self, "freq_window",
                                (self.omega_r - self.omega_max, self.omega_r))
-        for name in ("trials", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, least in (("seed", 0), ("trials", 1), ("workers", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         for name in ("omega_r", "omega_max", "l_edge", "xi", "area",
                      "g_mean", "gamma1_mean"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            check_range(name, getattr(self, name))
+        for name in ("exclusion", "rho_tls", "s_std", "ds_value", "p_grid"):
+            check_range(name, getattr(self, name), "nonnegative and finite")
         # an infinite wire is fine: run() cuts the bath to the reach
-        if not self.half_length > 0:
-            raise ValueError("half_length must be positive")
+        check_range("half_length", self.half_length, "positive")
+        check_range("freq_window", self.freq_window, "finite")
         lo, hi = self.freq_window
         if not (hi > lo):
             raise ValueError(
                 "freq_window must be an increasing pair" if window == "freq_window"
                 else "omega_max is below the float spacing of omega_r and "
                      "leaves the default window empty")
-        if self.exclusion < 0 or self.exclusion >= max(abs(lo), abs(hi)):
-            raise ValueError("exclusion must be >= 0 and inside the window")
+        if self.exclusion >= max(abs(lo), abs(hi)):
+            raise ValueError("exclusion must lie inside the window")
         if self.p_grid.ndim != 1 or self.p_grid.size < 2:
             raise ValueError("p_grid needs at least two points")
-        if np.any(np.diff(self.p_grid) <= 0) or self.p_grid[0] < 0:
-            raise ValueError("p_grid must be strictly increasing and nonnegative")
-        for name in ("seed", "rho_tls", "s_std"):
-            if not (getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be >= 0")
+        if np.any(np.diff(self.p_grid) <= 0):
+            raise ValueError("p_grid must be strictly increasing")
         # run() draws each bath on |x| <= min(half_length, reach)
         _check_bath(self._poisson_mean(min(self.half_length, self.reach)),
                     window)
@@ -221,8 +220,7 @@ def kernel(x, p_opt, xi, l_edge):
     in [0, 1] and does not decrease with P, as with the tanh form.  When 2|u|
     or 2|v| exceeds _COSH_ARG_MAX the whole call uses the tanh form.
     """
-    if not (l_edge > 0):
-        raise ValueError("l_edge must be positive")
+    check_range("l_edge", l_edge)
     u = np.abs(np.asarray(x, dtype=float)) / l_edge
     v = np.asarray(p_opt, dtype=float) * (xi / (2.0 * l_edge))
     if 2.0 * max(np.max(u, initial=0.0),

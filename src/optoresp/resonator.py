@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_range
 from .constants import HBAR, TWO_PI
 
 
@@ -49,12 +50,9 @@ class ResonatorMode:
     q_ext_imag: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.f_r < np.inf:
-            raise ValueError(f"f_r must be positive and finite, got {self.f_r}")
-        if not (self.q_int > 0):
-            raise ValueError(f"q_int must be positive, got {self.q_int}")
-        if not (self.q_ext > 0):
-            raise ValueError(f"q_ext must be positive, got {self.q_ext}")
+        for name in ("f_r", "q_int", "q_ext"):
+            check_range(name, getattr(self, name))
+        check_range("q_ext_imag", self.q_ext_imag, "finite")
 
     @classmethod
     def from_asymmetry_angle(cls, f_r, q_int, q_ext_mag, phi):
@@ -63,8 +61,8 @@ class ResonatorMode:
         The complex external Q is Q_ext_mag * exp(-i*phi), so phi = 0
         recovers the symmetric dip.
         """
-        if not (q_ext_mag > 0):
-            raise ValueError(f"q_ext_mag must be positive, got {q_ext_mag}")
+        check_range("q_ext_mag", q_ext_mag)
+        check_range("phi", phi, "finite")
         if not (np.cos(phi) > 0):
             raise ValueError(f"phi must lie within pi/2 of 0 (mod 2 pi), got {phi}")
         return cls(f_r, q_int, q_ext_mag * np.cos(phi), -q_ext_mag * np.sin(phi))
@@ -120,11 +118,9 @@ class LineCalibration:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.amplitude < np.inf:
-            raise ValueError("amplitude must be positive and finite")
+        check_range("amplitude", self.amplitude)
         for name in ("delay", "phase_offset"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            check_range(name, getattr(self, name), "finite")
 
 
 @dataclass(frozen=True)
@@ -135,10 +131,8 @@ class DriveCondition:
     probe_frequency: float
 
     def __post_init__(self):
-        if not (0 < self.input_power < np.inf):
-            raise ValueError("input_power must be a finite positive power")
-        if not np.isfinite(self.probe_frequency):
-            raise ValueError("probe_frequency must be finite")
+        check_range("input_power", self.input_power)
+        check_range("probe_frequency", self.probe_frequency, "finite")
 
 
 def notch(f, f_r, q_tot, q_ext, amplitude=1.0, delay=0.0, phase_offset=0.0):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
+from .checks import check_range
 from .constants import MU_0
 
 
@@ -26,7 +27,7 @@ class FilmGeometry:
 
     def __post_init__(self):
         for name in ("thickness", "width", "length"):
-            _check_positive(self, name)
+            check_range(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -46,20 +47,15 @@ class SuperconductorParams:
 
     def __post_init__(self):
         for name in ("lambda0", "t_c"):
-            _check_positive(self, name)
+            check_range(name, getattr(self, name))
         if self.l_total_per_length is not None:
-            _check_positive(self, "l_total_per_length")
+            check_range("l_total_per_length", self.l_total_per_length)
 
     @classmethod
     def with_kinetic_total(cls, lambda0, t_c, geom: FilmGeometry, t_ref=0.0):
         """L_t,l set to L_k,l(t_ref): the kinetic-inductance-dominated limit."""
         sc = cls(lambda0, t_c)
         return cls(lambda0, t_c, kinetic_inductance_per_length(sc, geom, t_ref))
-
-
-def _check_positive(obj, name):
-    if not 0 < getattr(obj, name) < np.inf:
-        raise ValueError(f"{name} must be positive and finite")
 
 
 def penetration_depth(sc: SuperconductorParams, temperature):
@@ -104,9 +100,9 @@ class CurrentDensityMap:
     j_norm: np.ndarray
 
     def __post_init__(self):
-        j = np.asarray(self.j_norm, dtype=float)
-        if np.any(j < 0) or np.any(j > 1):
-            raise ValueError("j_norm must lie in [0, 1]")
+        for name in ("x", "y"):
+            check_range(name, getattr(self, name), "finite")
+        check_range("j_norm", self.j_norm, (0.0, 1.0))
 
 
 def local_potential(current_map: CurrentDensityMap):

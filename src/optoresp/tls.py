@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_range
 from .constants import HBAR, K_B, PLANCK, TWO_PI
 
 
@@ -49,8 +50,7 @@ class ThermalEnvironment:
     temperature: float
 
     def __post_init__(self):
-        if not np.all((self.temperature > 0) & (self.temperature < np.inf)):
-            raise ValueError("temperature must be positive and finite")
+        check_range("temperature", self.temperature)
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class TlsHostMaterial:
     intrinsic_loss: float
 
     def __post_init__(self):
-        if not 0.0 <= self.intrinsic_loss < np.inf:
-            raise ValueError("intrinsic_loss must be >= 0 and finite")
+        check_range("intrinsic_loss", self.intrinsic_loss,
+                    "nonnegative and finite")
 
     @property
     def delta_tls(self) -> float:
@@ -75,14 +75,13 @@ class TlsHostMaterial:
 class SaturationDrive:
     """Microwave drive state for TLS saturation.
 
-    n_cav : mean intracavity photon number (>= 0)
+    n_cav : mean intracavity photon number (>= 0 and finite)
     """
 
     n_cav: float = 0.0
 
     def __post_init__(self):
-        if not self.n_cav >= 0:  # a NaN fails the comparison
-            raise ValueError("n_cav must be >= 0")
+        check_range("n_cav", self.n_cav, "nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -108,26 +107,15 @@ class TlsUnit:
     x: float = 0.0
 
     def __post_init__(self):
-        # bath-wide reductions with one float temporary at a time (a second
-        # faults in fresh pages on every draw); a NaN fails every comparison
-        def lo(a, bound=0.0): return np.min(a, initial=bound)
-        def hi(a, bound=0.0): return np.max(a, initial=bound)
-        for ok, message in (
-                (lo(self.g_perp) >= 0 and lo(self.g_par) >= 0,
-                 "couplings must be >= 0"),
-                (lo(self.gamma1) >= 0, "gamma1 must be >= 0"),
-                (np.all(self.gamma2 >= 0.5 * self.gamma1),
-                 "gamma2 must be >= gamma1/2"),
-                (np.isfinite([lo(self.detuning), hi(self.detuning),
-                              hi(self.gamma2), lo(self.x), hi(self.x)]).all(),
-                 "detuning, gamma2 and x must be finite"),
-                (np.all((self.gamma2 > 0) | (self.detuning != 0)),
-                 "gamma2 and detuning must not both vanish"),
-                (lo(self.s, -1.0) >= -1.0 and hi(self.s) <= 0.0,
-                 "s (= <sigma_z>) must lie in [-1, 0]"),
-                (lo(self.ds) >= 0, "ds must be >= 0")):
-            if not ok:
-                raise ValueError(message)
+        for name in ("g_perp", "g_par", "gamma1", "gamma2", "ds"):
+            check_range(name, getattr(self, name), "nonnegative and finite")
+        for name in ("detuning", "x"):
+            check_range(name, getattr(self, name), "finite")
+        check_range("s", self.s, (-1.0, 0.0))
+        if not np.all(self.gamma2 >= 0.5 * self.gamma1):
+            raise ValueError("gamma2 must be >= gamma1/2")
+        if not np.all((self.gamma2 > 0) | (self.detuning != 0)):
+            raise ValueError("gamma2 and detuning must not both vanish")
         len(self)  # the columns must broadcast together
 
     def __len__(self):
@@ -207,8 +195,7 @@ def permittivity_bracket(f_r, env: ThermalEnvironment):
     temperatures gives one row per mode.
     """
     f_r = np.asarray(f_r)
-    if not np.all((f_r > 0) & (f_r < np.inf)):
-        raise ValueError("f_r must be positive and finite")
+    check_range("f_r", f_r)
     x = PLANCK * f_r / (TWO_PI * K_B * env.temperature)
     return digamma(0.5 + 1j * x).real - np.log(x)
 
@@ -217,6 +204,9 @@ KK_EXCISION_REL = 1e-6      # pole excision half-width, relative to f
 # inner spectral-diffusion window, in Gaussians: the tail past 12 is ~1.8e-33
 # per side (spectral_diffusion_loss bounds the share it drops below 1e-23)
 SD_N_SIGMA = 12.0
+# widest spectral diffusion the oracle takes, in Gamma_2: at 3e3 scipy warns,
+# and from 1e5 on the quadrature misses the closed form by 1e-2 silently
+SD_SIGMA_MAX = 1e3
 
 
 def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
@@ -245,12 +235,12 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
     from scipy.integrate import quad
 
     f = float(f)
-    if not 0 < f < np.inf:
-        raise ValueError("f must be positive and finite")
+    check_range("f", f)
     if f_cutoff is None:
         f_thermal = 2.0 * K_B * env.temperature / PLANCK
         f_cutoff = 400.0 * max(f, f_thermal)
-    if not 2.0 * f < f_cutoff < np.inf:
+    check_range("f_cutoff", f_cutoff, "finite")
+    if not 2.0 * f < f_cutoff:
         raise ValueError("f_cutoff must be finite and lie well above the "
                          "probe frequency (above 2 f)")
 
@@ -309,21 +299,20 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     mirror), so only Delta >= 0 is integrated and the sum doubled: on the
     mirrored half, QUADPACK's nodes, error estimates and subdivisions would
     mirror these.  The result coincides with
-    :func:`spectral_diffusion_loss_closed_form` for any sigma_sd: Gaussian
-    wandering alone does not lift the loss above the saturated-Lorentzian
-    value.
+    :func:`spectral_diffusion_loss_closed_form` (within about 1e-4 relative
+    on criterion 4's TLS): Gaussian wandering alone does not lift the loss
+    above the saturated-Lorentzian value.
 
-    sigma_sd [rad/s] must be positive, finite and small enough that b_far
-    squared stays finite (sigma_sd/Gamma_2 below about 2e152).  rho_v is the
-    finite rho_TLS * V_eff prefactor [J^-1].  Returns rad/s.
+    sigma_sd [rad/s] must be positive and at most SD_SIGMA_MAX Gamma_2, the
+    width up to which the quadrature shows that identity, and sigma_sd and
+    n_cav must leave b_far squared finite.  rho_v is the finite rho_TLS * V_eff prefactor
+    [J^-1].  Returns rad/s.
     """
     from scipy.integrate import quad
 
     _one_tls(tls)
-    if not 0 < sigma_sd < np.inf:
-        raise ValueError("sigma_sd must be positive and finite")
-    if not np.isfinite(rho_v):
-        raise ValueError("rho_v must be finite")
+    check_range("sigma_sd", sigma_sd)
+    check_range("rho_v", rho_v, "finite")
     n_ratio = float(_drive_ratio(tls, drive))
     s_dimless = float(sigma_sd / tls.gamma2)  # below in units of Gamma_2
     w = math.sqrt(1.0 + n_ratio)         # saturated half-width
@@ -332,6 +321,9 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     if not b_far * b_far < math.inf:  # else t**2 at t = 1/b_far underflows
         raise ValueError("sigma_sd and n_cav are too large: the outer "
                          "cut-off squared overflows")
+    if not sigma_sd <= SD_SIGMA_MAX * tls.gamma2:
+        raise ValueError(f"sigma_sd must be at most {SD_SIGMA_MAX:g} gamma2: "
+                         "the quadrature is not accurate for wider diffusion")
     if tls.s == 0.0 or tls.g_perp == 0.0:
         return 0.0
     sqrt_two_pi = math.sqrt(TWO_PI)
@@ -382,5 +374,4 @@ def _one_tls(tls: TlsUnit):
     for name, value in vars(tls).items():
         if np.ndim(value):
             raise ValueError(f"{name} must be a scalar: the oracles take one TLS")
-    if not tls.gamma1 > 0:
-        raise ValueError("gamma1 must be positive in the oracles")
+    check_range("gamma1", tls.gamma1)

@@ -183,7 +183,8 @@ def test_array_fields_broadcast():
         ("xi", [50.0, 0.0, 20.0], "xi must be positive"),
         ("gamma1_t", [TWO_PI * 16e6, np.nan], "gamma1_t must be positive"),
         ("rho_tls", [1e45, np.inf], "rho_tls must be positive and finite"),
-        ("g_par_t", [TWO_PI * 5e6, -1.0], "couplings"),
+        ("g_par_t", [TWO_PI * 5e6, -1.0],
+         "g_par_t must be nonnegative and finite"),
         ("s_tilde", [-0.5, 0.0, 0.1], "s_tilde"),
         ("ds_tilde", [1e-9, -1e-9], "ds_tilde"),
         ("delta_min", [TWO_PI * 7e9, TWO_PI * 1e3], "delta_min >= gamma2_t"),

@@ -127,3 +127,38 @@ def test_every_public_name_has_a_caller():
     assert sorted(uncalled - set(NO_CALLER)) == []
     # an allowed name that gains a caller leaves the list
     assert sorted(set(NO_CALLER) - uncalled) == []
+
+
+def _hand_written_finite_checks(tree):
+    """Line numbers, inside a __post_init__, of np.inf or math.inf and of
+    calls to np.isfinite or math.isfinite."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            found += [n.lineno for n in ast.walk(node)
+                      if isinstance(n, ast.Attribute)
+                      and n.attr in ("inf", "isfinite")
+                      and isinstance(n.value, ast.Name)
+                      and n.value.id in ("np", "numpy", "math")]
+    return sorted(found)
+
+
+def test_post_init_range_checks_go_through_the_helper():
+    # a parameter dataclass checks its ranges with checks.check_range, the
+    # one place that decides what finite means
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.relative_to(SRC.parent)}:{n}"
+                      for n in _hand_written_finite_checks(tree)]
+    assert offenders == []
+
+
+def test_finite_check_guard_sees_each_idiom():
+    tree = ast.parse("class A:\n"
+                     "    def __post_init__(self):\n"
+                     "        if not 0 < self.x < np.inf: pass\n"
+                     "        if not math.isfinite(self.y): pass\n"
+                     "    def other(self):\n"
+                     "        return np.isfinite(self.x)\n")
+    assert _hand_written_finite_checks(tree) == [3, 4]

@@ -188,6 +188,12 @@ def run_cli(*argv):
 
 PHOTON_NUMBER = ["photon-number", "--fr-ghz", "2.418", "--q-int", "70134",
                  "--q-ext", "3226", "--power-dbm", "-77"]
+# the run each generated bad-number case starts from, by command, or by flag
+# where only one kind of run reads the flag
+BASE_ARGV = {"photon-number": PHOTON_NUMBER, **{
+    flag: ["synth", "--kind", "power"]
+    for flag in ("--p-max-nw", "--gamma-per-nw", "--inv-q0", "--delta1-per-nw",
+                 "--delta2", "--delta3-per-nw")}}
 
 
 def test_cli_photon_number(tmp_path):
@@ -580,6 +586,13 @@ def test_cli_explicit_flag_at_default_beats_config(tmp_path):
      "c.json:1: config key 'xi-grid': invalid value '20,fifty'"),
     ("synth", "c.txt", "kind = sine\n",
      "c.txt:1: config key 'kind': invalid value 'sine'"),
+    # a non-finite number, which the echo would hold as null
+    ("slopes", "c.txt", "xi = 50\nrho = inf\n",
+     "c.txt:2: config key 'rho' must be finite"),
+    ("slopes", "c.json", '{"xi": 50,\n "rho": NaN}',
+     "c.json:2: config key 'rho' must be finite"),
+    ("temp-model", "c.txt", "fr-ghz = 7,-inf\n",
+     "c.txt:1: config key 'fr-ghz' must be finite"),
 ])
 def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
                                               name, text, error):
@@ -667,7 +680,7 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["synth", "--alpha", "inf"], "--alpha"),
     (["synth", "--f-start-ghz", "7.1"], "--f-start-ghz"),
     (["synth", "--f-start-ghz", "nan"], "--f-start-ghz"),
-    (["synth", "--f-stop-ghz", "inf"], "--f-start-ghz"),
+    (["synth", "--f-stop-ghz", "inf"], "--f-stop-ghz"),
     (["synth", "--kind", "power", "--p-max-nw", "-5"], "--p-max-nw"),
     (["synth", "--kind", "power", "--p-max-nw", "nan"], "--p-max-nw"),
     # infinite values that ran into numpy warnings or LAPACK errors
@@ -729,6 +742,14 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["temp-model", "--t-grid-mk=1,inf"], "--t-grid-mk"),
     (["temp-model", "--t-max-mk=inf"], "--t-max-mk"),
     (["temp-model", "--t-min-mk=inf"], "--t-min-mk"),
+] + [
+    # every number flag of every command at nan and +-inf, in a run that
+    # reads it: io would write the value as null, so it is refused
+    ([*BASE_ARGV.get(arg.flag, BASE_ARGV.get(name, [name])),
+      f"{arg.flag}={value}"], arg.flag)
+    for name, cmd in cli.COMMANDS.items() for arg in cmd.args
+    if arg.type in (float, cli.float_list)
+    for value in ("nan", "inf", "-inf")
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:
