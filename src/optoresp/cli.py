@@ -1,42 +1,51 @@
 """Command-line surface.
 
 Subcommands: photon-number, slopes, mc, temp-model, synth, fit-spectrum.
-Every run writes a JSON result envelope whose config echo contains the fully
-resolved parameters, so any run can be replayed exactly; numeric tables go
-to unit-labeled CSV next to it.  Exit status is nonzero only for I/O, parse
-or validation failures and for numerical failures (an unsettled ODE, a
-failed quadrature, a singular Jacobian or linear system, an arithmetic
-error such as a division by zero), each reported as one ``error:`` line;
-statistical non-convergence is reported in-band.
+Every run writes a JSON result envelope (schema ``optoresp/result/v2``)
+whose config echo holds the resolved value of every flag, in flag units,
+keyed by the flag's dest (``--out-dir`` and ``--config`` aside; ``mc``
+echoes the worker count it used).  The echo is itself a JSON ``--config``
+file, so any run can be replayed exactly: write
+``json.load(open("mc.json"))["config"]`` to ``c.json`` with Python, then run
+``optoresp mc --config c.json``.  Numeric tables go to unit-labeled CSV next
+to the envelope.  Exit status is nonzero only for I/O, parse or validation
+failures and for numerical failures (an unsettled ODE, a failed quadrature,
+a singular Jacobian or linear system, an arithmetic error such as a
+division by zero), each reported as one ``error:`` line; statistical
+non-convergence is reported in-band.
 
 A flat key=value or JSON config file can seed any subcommand via --config;
-explicit flags override file values.  A malformed file, an unknown key, an
+explicit flags override file values.  A JSON ``null`` leaves its flag unset
+and a JSON list fills a list flag.  A malformed file, an unknown key, an
 unparseable value or a non-finite number is reported as ``path:lineno``: the
 envelope would write nan or inf as null, and that echo could not replay.
 Flag values are read as text and parsed by the same conversion inside main's
 error handling, so a bad flag value is named by its flag and fails like any
 other bad input.
-A range error the library raises on one of its fields is reported under
-the flag that sets that field.
 The OPTORESP_OUTDIR environment variable selects the default output
 directory (and nothing else).
 
-Each subcommand is one row of ``COMMANDS``: its flags, the builder of its
-config echo, its ``run_*`` function, its envelope and declared CSVs, its
-summary lines and the flags of the library fields it sets.  One driver runs
-every row, on one parser built per process.  A failed run removes all of
-the command's declared outputs; a successful run removes any declared output
-it did not write, so no file from an earlier run passes for its result.
+Each flag is one ``Arg`` row: it declares the library fields its value sets
+and the unit factors that take the value there, and one helper,
+``_library``, builds a library call's keywords from the rows.  A range error
+the library raises on a field is reported under the flag of the row that
+declares it.  Each subcommand is one row of ``COMMANDS``: its flags, its
+``run_*`` function, its envelope and declared CSVs, its summary lines and
+the checks only the CLI can make.  One driver runs every row, on one parser
+built per process.  A failed run removes all of the command's declared
+outputs; a successful run removes any declared output it did not write, so
+no file from an earlier run passes for its result.
 """
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -63,23 +72,114 @@ def float_list(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-# Every run_* function takes the config echo and the file names of the
-# command's declared CSVs, and returns the envelope's result payload plus one
-# writer per declared CSV: a function of its path, or None when this run
-# writes no such file.
+# --- flag rows --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Arg:
+    """One flag.  type=bool declares a switch, which sets the text 'true';
+    required=True is checked after the config file merge.
+
+    field names the library field or fields the value sets, and any other
+    word a library range message uses for this flag.  to_si holds the unit
+    factors that take the value to the field's units, multiplied in one at a
+    time in order; per is a divisor applied after them.
+    """
+    flag: str
+    type: Callable = str
+    default: object = None
+    help: str = None
+    choices: tuple = None
+    required: bool = False
+    field: str | tuple = ()
+    to_si: tuple = ()
+    per: float = None
+
+    @property
+    def dest(self):
+        return self.flag[2:].replace("-", "_")
+
+    @property
+    def fields(self):
+        return (self.field,) if isinstance(self.field, str) else self.field
+
+    def convert(self, text):
+        """The value of this flag written as text, on the command line or in
+        a config file."""
+        if self.type is bool:
+            word = text.strip().lower()
+            if word not in ("1", "true", "yes", "on", "0", "false", "no",
+                            "off"):
+                raise ValueError(f"not a switch value: {text!r}")
+            return word in ("1", "true", "yes", "on")
+        value = self.type(text)
+        if self.choices and value not in self.choices:
+            raise ValueError(f"not one of {self.choices}")
+        return value
+
+    def si(self, value):
+        """value in the units of the library field; an empty list is None.
+        A product that overflows is inf, which the library refuses."""
+        if self.type is float_list:
+            if len(value) == 0:
+                return None
+            value = np.asarray(value, dtype=float)
+        with np.errstate(over="ignore"):
+            for factor in self.to_si:
+                value = value * factor
+        return value if self.per is None else value / self.per
+
+
+def _flags(rows):
+    """Library field or message word -> the flag of the first row that
+    declares it."""
+    flags = {}
+    for arg in rows:
+        for name in arg.fields:
+            flags.setdefault(name, arg.flag)
+    return flags
+
+
+def _flag_message(exc, flags):
+    """exc's message, with each word that is a library field name replaced
+    by the flag that sets it.  The value a library message quotes after
+    ', got' is in library units, so it is dropped from a renamed message."""
+    text = str(exc)
+    named = " ".join(flags.get(word, word) for word in text.split(" "))
+    return text if named == text else named.split(", got ")[0]
+
+
+def _library(fn, a, rows, **hand):
+    """fn called with the hand-written keywords and with each parameter of
+    fn that a row declares, set from the row's value of a in library units
+    (the first row that declares it wins).  A range error fn raises names
+    the flags of rows."""
+    flags = _flags(rows)
+    by_flag = {arg.flag: arg for arg in rows}
+    params = inspect.signature(fn).parameters
+    kwargs = {name: by_flag[flag].si(getattr(a, by_flag[flag].dest))
+              for name, flag in flags.items() if name in params}
+    try:
+        return fn(**kwargs, **hand)
+    except ValueError as exc:
+        raise ValueError(_flag_message(exc, flags)) from exc
+
+
+def _echo(a):
+    """The config echo: the resolved value of every flag, by dest."""
+    return {k: v for k, v in vars(a).items() if k not in ("out_dir", "config")}
+
+
+# Every run_* function takes the resolved flags, the command's Arg rows and
+# the file names of its declared CSVs, and returns the envelope's result
+# payload plus one writer per declared CSV: a function of its path, or None
+# when this run writes no such file.
 
 # --- photon-number ----------------------------------------------------------
 
-def _photon_number_config(a):
-    return {"fr_hz": a.fr_ghz * 1e9, "q_int": a.q_int, "q_ext": a.q_ext,
-            "power_dbm": a.power_dbm, "detuning_hz": a.detuning_hz}
-
-
-def run_photon_number(cfg, names):
-    mode = ResonatorMode(f_r=cfg["fr_hz"], q_int=cfg["q_int"],
-                         q_ext=cfg["q_ext"])
-    drive = DriveCondition(input_power=dbm_to_watts(cfg["power_dbm"]),
-                           probe_frequency=cfg["fr_hz"] + cfg["detuning_hz"])
+def run_photon_number(a, rows, names):
+    mode = _library(ResonatorMode, a, rows)
+    drive = DriveCondition(input_power=dbm_to_watts(a.power_dbm),
+                           probe_frequency=mode.f_r + a.detuning_hz)
     n = photon_number(mode, drive)
     return {
         "n_cav": n,
@@ -102,54 +202,17 @@ def _photon_number_summary(r, paths):
 
 # --- slopes -----------------------------------------------------------------
 
-def _slopes_config(a):
-    return {
-        "fr_hz": a.fr_ghz * 1e9,
-        "rho_tls": a.rho,
-        "thickness_m": a.thickness_nm * 1e-9,
-        "width_m": a.width_nm * 1e-9,
-        "xi": a.xi,
-        "fmax_hz": a.fmax_ghz * 1e9,
-        "s_tilde": a.s,
-        "ds_2pi_inv_mhz": a.ds,
-        "gamma1_mhz": a.gamma1_mhz,
-        "g_mhz": a.g_mhz,
-        "g_grid_mhz": a.g_grid_mhz,
-        "xi_grid": a.xi_grid,
-    }
-
-
-def _ensemble_from_cfg(cfg, g_mhz, xi):
-    """EnsembleParams of the slopes config; g_mhz and xi may be arrays."""
-    g_rad_s = TWO_PI * g_mhz * 1e6
-    return ensemble.EnsembleParams(
-        omega_r=TWO_PI * cfg["fr_hz"],
-        rho_tls=cfg["rho_tls"],
-        thickness=cfg["thickness_m"],
-        width=cfg["width_m"],
-        xi=xi,
-        omega_max=TWO_PI * cfg["fmax_hz"],
-        s_tilde=cfg["s_tilde"],
-        ds_tilde=cfg["ds_2pi_inv_mhz"] / (TWO_PI * 1e6),
-        gamma1_t=TWO_PI * cfg["gamma1_mhz"] * 1e6,
-        g_perp_t=g_rad_s,
-        g_par_t=g_rad_s,
-    )
-
-
-def run_slopes(cfg, names):
-    single = _ensemble_from_cfg(cfg, cfg["g_mhz"], cfg["xi"])
-    g_grid = cfg["g_grid_mhz"] or [cfg["g_mhz"]]
-    xi_grid = cfg["xi_grid"] or [cfg["xi"]]
+def run_slopes(a, rows, names):
+    single = _library(ensemble.EnsembleParams, a, rows)
     # g-major rows: every xi for the first g, then the next g
-    g_mhz, xi = (a.ravel() for a in np.meshgrid(g_grid, xi_grid, indexing="ij"))
-    try:
-        sweep = _ensemble_from_cfg(cfg, g_mhz, xi)
-    except ValueError as exc:
-        # the scalar flags passed in single, so a grid value is out of range
-        raise ValueError(_flag_message(exc, {
-            "xi": "--xi-grid", "g_perp_t": "--g-grid-mhz",
-            "g_par_t": "--g-grid-mhz", "couplings": "--g-grid-mhz"})) from exc
+    g_mhz, xi = (v.ravel() for v in np.meshgrid(
+        a.g_grid_mhz or [a.g_mhz], a.xi_grid or [a.xi], indexing="ij"))
+    # the grid rows, put first, set the sweep's couplings and xi and name
+    # its range errors
+    grid = argparse.Namespace(**{**vars(a), "g_grid_mhz": g_mhz,
+                                 "xi_grid": xi})
+    sweep = _library(ensemble.EnsembleParams, grid,
+                     [r for r in rows if r.type is float_list] + list(rows))
     columns = [g_mhz, xi, ensemble.slope_inverse_q(sweep),
                ensemble.slope_fractional_frequency(sweep)]
     return {
@@ -170,31 +233,27 @@ def _slopes_summary(r, paths):
 
 # --- mc ---------------------------------------------------------------------
 
-def _mc_config(a):
+def _power_grid(a):
+    return np.linspace(0.0, a.p_max_nw * 1e-9, a.p_points)
+
+
+def _mc_check(a):
     # the power grid is built from both flags, so McConfig's p_grid errors
     # could not name either
     if a.p_points < 2:
         raise ValueError("--p-points must be at least 2")
     check_range("--p-max-nw", a.p_max_nw)
+    p = _power_grid(a)
+    with np.errstate(over="ignore"):
+        # the slope fit divides the power column by its norm
+        if not 0.0 < (p * p).sum() < np.inf:
+            raise ValueError("--p-max-nw is out of range: the norm of the "
+                             "power grid underflows or overflows")
     if a.window_ghz and (len(a.window_ghz) != 2
                          or not a.window_ghz[0] < a.window_ghz[1]):
         raise ValueError("--window-ghz takes two increasing values 'lo,hi'")
-    return {
-        "seed": a.seed, "trials": a.trials,
-        "fr_hz": a.fr_ghz * 1e9, "fmax_hz": a.fmax_ghz * 1e9,
-        "window_rad_s": ([TWO_PI * v * 1e9 for v in a.window_ghz]
-                         if a.window_ghz else None),
-        "exclusion_mhz": a.exclusion_mhz,
-        "half_length_m": a.half_length_um * 1e-6,
-        "l_edge_m": a.l_edge_um * 1e-6,
-        "xi": a.xi, "rho_tls": a.rho,
-        "area_m2": a.area_nm2 * 1e-18,
-        "g_mhz": a.g_mhz, "gamma1_mhz": a.gamma1_mhz,
-        "s_std": a.s_std, "ds_2pi_inv_mhz": a.ds,
-        "p_max_w": a.p_max_nw * 1e-9, "p_points": a.p_points,
-        "normalize_moments": not a.raw_moments,
-        "workers": usable_cores() if a.workers is None else a.workers,
-    }
+    if a.workers is None:   # the echo holds the count the run uses
+        a.workers = usable_cores()
 
 
 def usable_cores():
@@ -205,25 +264,13 @@ def usable_cores():
         return os.cpu_count() or 1
 
 
-def mc_config_from_dict(cfg) -> montecarlo.McConfig:
-    window = cfg.get("window_rad_s")
-    return montecarlo.McConfig(
-        seed=cfg["seed"], trials=cfg["trials"],
-        omega_r=TWO_PI * cfg["fr_hz"], omega_max=TWO_PI * cfg["fmax_hz"],
-        freq_window=tuple(window) if window else None,
-        exclusion=TWO_PI * cfg["exclusion_mhz"] * 1e6,
-        half_length=cfg["half_length_m"], l_edge=cfg["l_edge_m"],
-        xi=cfg["xi"], rho_tls=cfg["rho_tls"], area=cfg["area_m2"],
-        g_mean=TWO_PI * cfg["g_mhz"] * 1e6,
-        gamma1_mean=TWO_PI * cfg["gamma1_mhz"] * 1e6,
-        s_std=cfg["s_std"], ds_value=cfg["ds_2pi_inv_mhz"] / (TWO_PI * 1e6),
-        p_grid=np.linspace(0.0, cfg["p_max_w"], cfg["p_points"]),
-        normalize_moments=cfg["normalize_moments"], workers=cfg["workers"],
-    )
+def _mc_config(a, rows):
+    return _library(montecarlo.McConfig, a, rows, p_grid=_power_grid(a),
+                    normalize_moments=not a.raw_moments)
 
 
-def run_mc(cfg, names):
-    r = montecarlo.run(mc_config_from_dict(cfg))
+def run_mc(a, rows, names):
+    r = montecarlo.run(_mc_config(a, rows))
     (mq, sq), (mf, sf) = r.slope_stats()
     trials, n_p = r.dinv_q.shape
     # one curve row per (trial, power), trial-major
@@ -232,7 +279,7 @@ def run_mc(cfg, names):
     aggregate = [r.p_grid, r.mean_dinv_q, r.std_dinv_q, r.mean_dfrac,
                  r.std_dfrac]
     return {
-        "trials": cfg["trials"], "seed": cfg["seed"],
+        "trials": a.trials, "seed": a.seed,
         "slope_inv_q_mean_per_w": mq, "slope_inv_q_std_per_w": sq,
         "slope_dfrac_mean_per_w": mf, "slope_dfrac_std_per_w": sf,
         "curves_csv": names[0], "aggregate_csv": names[1],
@@ -251,57 +298,42 @@ def _mc_summary(r, paths):
 
 # --- temp-model -------------------------------------------------------------
 
-def _temp_model_config(a):
-    fr_hz = [v * 1e9 for v in a.fr_ghz]
-    if not fr_hz:
+def _temp_model_check(a):
+    if not a.fr_ghz:
         raise ValueError("--fr-ghz lists no mode frequency")
     if a.t_grid_mk:
         check_range("--t-grid-mk", a.t_grid_mk)
-        t_grid = [v * 1e-3 for v in a.t_grid_mk]
     elif a.t_points < 1:
         raise ValueError("--t-points must be at least 1")
     else:
         check_range("--t-min-mk", a.t_min_mk)
         check_range("--t-max-mk", a.t_max_mk)
-        t_grid = list(np.linspace(a.t_min_mk, a.t_max_mk, a.t_points) * 1e-3)
     if a.lambda0_um is None:  # no film is built to check these flags
         for flag, value in (("--tc-k", a.tc_k), ("--film-d-nm", a.film_d_nm),
                             ("--film-w-nm", a.film_w_nm),
                             ("--film-l-mm", a.film_l_mm), ("--ltl", a.ltl)):
             if value is not None:
                 check_range(flag, value)
-    return {
-        "fr_hz_list": fr_hz,
-        "t_grid_k": t_grid,
-        "pdelta": a.pdelta,
-        "lambda0_m": (a.lambda0_um * 1e-6 if a.lambda0_um is not None
-                      else None),
-        "tc_k": a.tc_k,
-        "film_d_m": a.film_d_nm * 1e-9,
-        "film_w_m": a.film_w_nm * 1e-9,
-        "film_l_m": a.film_l_mm * 1e-3,
-        "ltl_h_per_m": a.ltl,
-    }
 
 
-def run_temp_model(cfg, names):
-    temps = np.asarray(cfg["t_grid_k"], dtype=float)
-    fr_hz = np.asarray(cfg["fr_hz_list"], dtype=float)
+def run_temp_model(a, rows, names):
+    temps = np.asarray(a.t_grid_mk or np.linspace(a.t_min_mk, a.t_max_mk,
+                                                  a.t_points),
+                       dtype=float) * 1e-3
+    fr_hz = np.array([v * 1e9 for v in a.fr_ghz])
     qp_term = np.zeros(temps.size)
-    if cfg.get("lambda0_m") is not None:
-        geom = superconductor.FilmGeometry(cfg["film_d_m"], cfg["film_w_m"],
-                                           cfg["film_l_m"])
-        if cfg.get("ltl_h_per_m") is not None:
-            sc = superconductor.SuperconductorParams(
-                cfg["lambda0_m"], cfg["tc_k"], cfg["ltl_h_per_m"])
+    if a.lambda0_um is not None:
+        geom = _library(superconductor.FilmGeometry, a, rows)
+        if a.ltl is not None:
+            sc = _library(superconductor.SuperconductorParams, a, rows)
         else:
-            sc = superconductor.SuperconductorParams.with_kinetic_total(
-                cfg["lambda0_m"], cfg["tc_k"], geom, t_ref=temps[0])
+            sc = _library(superconductor.SuperconductorParams.with_kinetic_total,
+                          a, rows, geom=geom, t_ref=temps[0])
         qp_term = superconductor.freq_shift_from_temperature(
             sc, geom, temps, temps[0])
     # one row per (mode, temperature), mode-major; the filling factor is
     # folded into the pdelta product
-    tls_term = (cfg["pdelta"] / np.pi * permittivity_bracket(
+    tls_term = (a.pdelta / np.pi * permittivity_bracket(
         fr_hz[:, None], ThermalEnvironment(temps))).ravel()
     qp_term = np.tile(qp_term, fr_hz.size)
     columns = [np.tile(temps, fr_hz.size), np.repeat(fr_hz / 1e9, temps.size),
@@ -312,56 +344,40 @@ def run_temp_model(cfg, names):
 
 # --- synth ------------------------------------------------------------------
 
-def _synth_config(a):
+def _frequency_grid(a):
+    return np.linspace(a.f_start_ghz * 1e9, a.f_stop_ghz * 1e9, a.points)
+
+
+def _synth_check(a):
     if a.points < 1:
         raise ValueError("--points must be at least 1")
     if a.seed < 0:
         raise ValueError("--seed must be nonnegative")
+    if a.kind == "power":
+        check_range("--p-max-nw", a.p_max_nw)
+        return
+    # the grid is built from both flags, so its errors could name neither
+    if not a.f_start_ghz < a.f_stop_ghz:
+        raise ValueError("--f-start-ghz must be below --f-stop-ghz")
+    # neighbours closer than a float's spacing round to the same frequency
+    if not np.all(np.diff(_frequency_grid(a)) > 0):
+        raise ValueError("--f-start-ghz and --f-stop-ghz are too close "
+                         "for --points: the grid repeats a frequency")
+
+
+def run_synth(a, rows, names):
+    """A trace or a power series, by --kind; the CSV's one comment line
+    holds the config echo."""
+    comments = [f"generator {json.dumps(_echo(a))}"]
     if a.kind == "trace":
-        # the grid is built from both flags, so its errors could name neither
-        if not a.f_start_ghz < a.f_stop_ghz:
-            raise ValueError("--f-start-ghz must be below --f-stop-ghz")
-        # the grid run_synth builds: neighbours closer than a float's
-        # spacing round to the same frequency
-        grid = np.linspace(a.f_start_ghz * 1e9, a.f_stop_ghz * 1e9, a.points)
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("--f-start-ghz and --f-stop-ghz are too close "
-                             "for --points: the grid repeats a frequency")
-        return {"fr_hz": a.fr_ghz * 1e9, "q_int": a.q_int,
-                "q_ext": a.q_ext, "phi": a.phi,
-                "amplitude": a.amp, "tau_s": a.tau_ns * 1e-9,
-                "alpha": a.alpha,
-                "f_start_hz": a.f_start_ghz * 1e9,
-                "f_stop_hz": a.f_stop_ghz * 1e9,
-                "points": a.points, "noise": a.noise, "seed": a.seed}
-    check_range("--p-max-nw", a.p_max_nw)
-    return {"p_max_w": a.p_max_nw * 1e-9, "points": a.points,
-            "gamma_per_w": a.gamma_per_nw * 1e9,
-            "inv_q0": a.inv_q0,
-            "delta1_per_w": a.delta1_per_nw * 1e9,
-            "delta2": a.delta2,
-            "delta3_per_w": a.delta3_per_nw * 1e9,
-            "noise": a.noise, "seed": a.seed}
-
-
-def run_synth(cfg, names):
-    """A trace when cfg is a trace config (it has a mode frequency), else a
-    power series; the CSV's one comment line echoes the generator config."""
-    comments = [f"generator {json.dumps(cfg)}"]
-    if "fr_hz" in cfg:
-        mode = ResonatorMode.from_asymmetry_angle(cfg["fr_hz"], cfg["q_int"],
-                                                  cfg["q_ext"], cfg["phi"])
-        line = LineCalibration(cfg["amplitude"], cfg["tau_s"], cfg["alpha"])
-        grid = np.linspace(cfg["f_start_hz"], cfg["f_stop_hz"], cfg["points"])
-        trace = fitsynth.synth_trace(mode, line, grid, noise_std=cfg["noise"],
-                                     seed=cfg["seed"])
+        trace = _library(
+            fitsynth.synth_trace, a, rows,
+            mode=_library(ResonatorMode.from_asymmetry_angle, a, rows),
+            line=_library(LineCalibration, a, rows), grid=_frequency_grid(a))
         return {"file": names[0]}, [
             lambda path: io.write_trace(path, trace, comments)]
-    s = fitsynth.synth_power_series(
-        np.linspace(0.0, cfg["p_max_w"], cfg["points"]),
-        gamma=cfg["gamma_per_w"], inv_q0=cfg["inv_q0"],
-        delta1=cfg["delta1_per_w"], delta2=cfg["delta2"],
-        delta3=cfg["delta3_per_w"], noise_rel=cfg["noise"], seed=cfg["seed"])
+    s = _library(fitsynth.synth_power_series, a, rows,
+                 p_grid=np.linspace(0.0, a.p_max_nw * 1e-9, a.points))
     columns = [s.p_opt, s.inv_q, s.dfrac]
     return {"file": names[0]}, [
         lambda path: io.write_table(path, io.POWER_HEADER, columns, comments)]
@@ -378,19 +394,18 @@ def _fit_report(fit):
             "uncertainties": {n: fit.uncertainty(n) for n in fit.names}}
 
 
-def run_fit_spectrum(cfg, names):
+def run_fit_spectrum(a, rows, names):
     """Payload of the chosen fits, and the full-model curve when the full fit
     ran.  Under "both", a trace with no resolved dip records the Lorentzian
     failure in the payload and still gets the full fit."""
-    trace = io.read_trace(cfg["input"])
-    which = cfg["model"]
+    trace = io.read_trace(a.input)
     payload = {}
     writers = [None]
-    if which in ("lorentzian", "both"):
+    if a.model in ("lorentzian", "both"):
         try:
             lor = fitmodels.fit_lorentzian_dip(trace)
         except fitmodels.NoDipError as exc:
-            if which == "lorentzian":
+            if a.model == "lorentzian":
                 raise
             payload["lorentzian"] = {"error": str(exc)}
         else:
@@ -400,7 +415,7 @@ def run_fit_spectrum(cfg, names):
                 "q_tot_equivalent": lor.q_tot_equivalent,
                 **_fit_report(lor.fit),
             }
-    if which in ("full", "both"):
+    if a.model in ("full", "both"):
         full = fitmodels.fit_full_s21(trace)
         payload["full"] = {
             "f_r_hz": full.f_r, "q_tot": full.q_tot, "q_int": full.q_int,
@@ -416,7 +431,7 @@ def run_fit_spectrum(cfg, names):
         writers = [lambda path: io.write_table(path, FIT_CURVE_HEADER,
                                                columns)]
     qi_l = payload.get("lorentzian", {}).get("q_int", np.nan)
-    if which == "both" and np.isfinite(qi_l):
+    if a.model == "both" and np.isfinite(qi_l):
         qi_f = payload["full"]["q_int"]
         payload["q_int_discrepancy_rel"] = abs(qi_l - qi_f) / qi_f
     return payload, writers
@@ -438,56 +453,22 @@ def _fit_spectrum_summary(payload, paths):
 # --- command table ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class Arg:
-    """One flag.  type=bool declares a switch, which sets the text 'true';
-    required=True is checked after the config file merge."""
-    flag: str
-    type: Callable = str
-    default: object = None
-    help: str = None
-    choices: tuple = None
-    required: bool = False
-
-    @property
-    def dest(self):
-        return self.flag[2:].replace("-", "_")
-
-    def convert(self, text):
-        """The value of this flag written as text, on the command line or in
-        a config file."""
-        if self.type is bool:
-            word = text.strip().lower()
-            if word not in ("1", "true", "yes", "on", "0", "false", "no",
-                            "off"):
-                raise ValueError(f"not a switch value: {text!r}")
-            return word in ("1", "true", "yes", "on")
-        value = self.type(text)
-        if self.choices and value not in self.choices:
-            raise ValueError(f"not one of {self.choices}")
-        return value
-
-
-@dataclass(frozen=True)
 class Command:
     name: str
     help: str
     args: tuple           # Arg rows after the common --out-dir and --config
-    config: Callable      # resolved flags -> config echo
-    run: Callable         # (config, CSV names) -> (payload, writers)
+    run: Callable         # (flags, rows, CSV names) -> (payload, writers)
     envelope: str         # file names may use {flag} fields, e.g. {kind}
     outputs: tuple        # declared CSVs, in the order of the writers
     summary: Callable     # (payload, [envelope, *CSV paths]) -> lines
-    # library field (first word of its range error) -> the flag that sets it
-    flags: dict = field(default_factory=dict)
+    # the checks only the CLI can make, on the resolved flags; mc's also
+    # resolves its worker count
+    check: Callable = lambda a: None
 
-
-def _flag_message(exc, flags):
-    """exc's message, with each word that is a library field name replaced
-    by the flag that sets it.  The value a library message quotes after
-    ', got' is in library units, so it is dropped from a renamed message."""
-    text = str(exc)
-    named = " ".join(flags.get(word, word) for word in text.split(" "))
-    return text if named == text else named.split(", got ")[0]
+    @property
+    def flags(self):
+        """Library field or message word -> the flag that sets it."""
+        return _flags(self.args)
 
 
 COMMON = (
@@ -496,80 +477,78 @@ COMMON = (
         help="key=value or JSON file with defaults for this command"),
 )
 
+GHZ_RAD = (1e9, TWO_PI)     # GHz -> rad/s, as TWO_PI * (v * 1e9)
+MHZ_RAD = (TWO_PI, 1e6)     # MHz -> rad/s, as (TWO_PI * v) * 1e6
+DS_PER = TWO_PI * 1e6       # dS*2pi in 1/MHz -> dS in s
+
 COMMANDS = {c.name: c for c in (
     Command(
         "photon-number", "intracavity photon number",
-        (Arg("--fr-ghz", float, required=True),
-         Arg("--q-int", float, required=True),
-         Arg("--q-ext", float, required=True),
-         Arg("--power-dbm", float, required=True),
-         Arg("--detuning-hz", float, 0.0)),
-        _photon_number_config, run_photon_number, "photon_number.json", (),
-        _photon_number_summary,
-        {"f_r": "--fr-ghz", "q_int": "--q-int", "q_ext": "--q-ext",
-         "input_power": "--power-dbm", "probe_frequency": "--detuning-hz"}),
+        (Arg("--fr-ghz", float, required=True, field="f_r", to_si=(1e9,)),
+         Arg("--q-int", float, required=True, field="q_int"),
+         Arg("--q-ext", float, required=True, field="q_ext"),
+         Arg("--power-dbm", float, required=True, field="input_power"),
+         Arg("--detuning-hz", float, 0.0, field="probe_frequency")),
+        run_photon_number, "photon_number.json", (), _photon_number_summary),
     Command(
         "slopes", "analytic optical-response slopes",
-        (Arg("--fr-ghz", float, 7.0),
-         Arg("--rho", float, 1e45, "TLS density of states [1/(J m^3)]"),
-         Arg("--thickness-nm", float, 2.0),
-         Arg("--width-nm", float, 500.0),
-         Arg("--xi", float, 50.0, "m/W"),
-         Arg("--fmax-ghz", float, 1000.0),
-         Arg("--s", float, 0.0, "bath population imbalance S in [-1, 0]"),
-         Arg("--ds", float, 1.0 / 400.0,
-             "population slope dS*2pi in 1/MHz"),
-         Arg("--gamma1-mhz", float, 16.0),
-         Arg("--g-mhz", float, 5.0),
-         Arg("--g-grid-mhz", float_list, (),
-             "comma list; sweeps the coupling"),
-         Arg("--xi-grid", float_list, (), "comma list; sweeps xi")),
-        _slopes_config, run_slopes, "slopes.json", ("slopes_sweep.csv",),
-        _slopes_summary,
-        {"omega_r": "--fr-ghz", "rho_tls": "--rho",
-         "thickness": "--thickness-nm", "width": "--width-nm", "xi": "--xi",
-         "omega_max": "--fmax-ghz", "gamma1_t": "--gamma1-mhz",
-         "g_perp_t": "--g-mhz", "g_par_t": "--g-mhz", "s_tilde": "--s",
-         "ds_tilde": "--ds", "delta_max": "--fmax-ghz", "couplings": "--g-mhz",
-         "delta_min": "--fr-ghz", "gamma2_t": "--gamma1-mhz"}),
+        (Arg("--fr-ghz", float, 7.0, field=("omega_r", "delta_min"),
+             to_si=GHZ_RAD),
+         Arg("--rho", float, 1e45, "TLS density of states [1/(J m^3)]",
+             field="rho_tls"),
+         Arg("--thickness-nm", float, 2.0, field="thickness", to_si=(1e-9,)),
+         Arg("--width-nm", float, 500.0, field="width", to_si=(1e-9,)),
+         Arg("--xi", float, 50.0, "m/W", field="xi"),
+         Arg("--fmax-ghz", float, 1000.0, field=("omega_max", "delta_max"),
+             to_si=GHZ_RAD),
+         Arg("--s", float, 0.0, "bath population imbalance S in [-1, 0]",
+             field="s_tilde"),
+         Arg("--ds", float, 1.0 / 400.0, "population slope dS*2pi in 1/MHz",
+             field="ds_tilde", per=DS_PER),
+         Arg("--gamma1-mhz", float, 16.0, field=("gamma1_t", "gamma2_t"),
+             to_si=MHZ_RAD),
+         Arg("--g-mhz", float, 5.0, field=("g_perp_t", "g_par_t", "couplings"),
+             to_si=MHZ_RAD),
+         Arg("--g-grid-mhz", float_list, (), "comma list; sweeps the coupling",
+             field=("g_perp_t", "g_par_t", "couplings"), to_si=MHZ_RAD),
+         Arg("--xi-grid", float_list, (), "comma list; sweeps xi",
+             field="xi")),
+        run_slopes, "slopes.json", ("slopes_sweep.csv",), _slopes_summary),
     Command(
         "mc", "Monte Carlo ensemble simulation",
-        (Arg("--seed", int, 0),
-         Arg("--trials", int, 100),
-         Arg("--fr-ghz", float, 7.0),
-         Arg("--fmax-ghz", float, 1000.0),
+        (Arg("--seed", int, 0, field="seed"),
+         Arg("--trials", int, 100, field="trials"),
+         Arg("--fr-ghz", float, 7.0, field="omega_r", to_si=GHZ_RAD),
+         Arg("--fmax-ghz", float, 1000.0, field="omega_max", to_si=GHZ_RAD),
          Arg("--window-ghz", float_list, (),
              "detuning window 'lo,hi' in GHz (default: (fr - fmax, fr), "
-             "TLS frequencies in (0, fmax])"),
-         Arg("--exclusion-mhz", float, 100.0),
-         Arg("--half-length-um", float, 250.0),
-         Arg("--l-edge-um", float, 10.0),
-         Arg("--xi", float, 50.0),
-         Arg("--rho", float, 1e45),
-         Arg("--area-nm2", float, 1000.0),
-         Arg("--g-mhz", float, 5.0),
-         Arg("--gamma1-mhz", float, 16.0),
-         Arg("--s-std", float, 0.35),
-         Arg("--ds", float, 1.0 / 400.0,
-             "population slope dS*2pi in 1/MHz"),
+             "TLS frequencies in (0, fmax])",
+             field="freq_window", to_si=(TWO_PI, 1e9)),
+         Arg("--exclusion-mhz", float, 100.0, field="exclusion",
+             to_si=MHZ_RAD),
+         Arg("--half-length-um", float, 250.0, field="half_length",
+             to_si=(1e-6,)),
+         Arg("--l-edge-um", float, 10.0, field="l_edge", to_si=(1e-6,)),
+         Arg("--xi", float, 50.0, field="xi"),
+         Arg("--rho", float, 1e45, field="rho_tls"),
+         Arg("--area-nm2", float, 1000.0, field="area", to_si=(1e-18,)),
+         Arg("--g-mhz", float, 5.0, field="g_mean", to_si=MHZ_RAD),
+         Arg("--gamma1-mhz", float, 16.0, field="gamma1_mean", to_si=MHZ_RAD),
+         Arg("--s-std", float, 0.35, field="s_std"),
+         Arg("--ds", float, 1.0 / 400.0, "population slope dS*2pi in 1/MHz",
+             field="ds_value", per=DS_PER),
          Arg("--p-max-nw", float, 200.0),
          Arg("--p-points", int, 11),
          Arg("--raw-moments", bool, False,
              "skip the <g^2>/<Gamma_1> moment normalization"),
          Arg("--workers", int, None,
-             "trial threads (default: the usable cores)")),
-        _mc_config, run_mc, "mc.json", ("mc_curves.csv", "mc_aggregate.csv"),
-        _mc_summary,
-        {"trials": "--trials", "omega_r": "--fr-ghz",
-         "omega_max": "--fmax-ghz", "exclusion": "--exclusion-mhz",
-         "half_length": "--half-length-um", "l_edge": "--l-edge-um",
-         "xi": "--xi", "area": "--area-nm2", "g_mean": "--g-mhz",
-         "gamma1_mean": "--gamma1-mhz", "rho_tls": "--rho",
-         "s_std": "--s-std", "workers": "--workers", "seed": "--seed",
-         "ds_value": "--ds", "freq_window": "--window-ghz"}),
+             "trial threads (default: the usable cores)", field="workers")),
+        run_mc, "mc.json", ("mc_curves.csv", "mc_aggregate.csv"), _mc_summary,
+        _mc_check),
     Command(
         "temp-model", "temperature dependence of the frequency shift",
-        (Arg("--fr-ghz", float_list, (7.0,), "comma list of mode frequencies"),
+        (Arg("--fr-ghz", float_list, (7.0,), "comma list of mode frequencies",
+             field="f_r"),
          Arg("--t-min-mk", float, 10.0),
          Arg("--t-max-mk", float, 1000.0),
          Arg("--t-points", int, 100),
@@ -578,56 +557,48 @@ COMMANDS = {c.name: c for c in (
          Arg("--pdelta", float, 0.0,
              "filling factor * intrinsic TLS loss tangent"),
          Arg("--lambda0-um", float, None,
-             "penetration depth at T=0 [um]; enables the quasiparticle term"),
-         Arg("--tc-k", float, 14.0),
-         Arg("--film-d-nm", float, 10.0),
-         Arg("--film-w-nm", float, 150.0),
-         Arg("--film-l-mm", float, 1.5),
+             "penetration depth at T=0 [um]; enables the quasiparticle term",
+             field="lambda0", to_si=(1e-6,)),
+         Arg("--tc-k", float, 14.0, field="t_c"),
+         Arg("--film-d-nm", float, 10.0, field="thickness", to_si=(1e-9,)),
+         Arg("--film-w-nm", float, 150.0, field="width", to_si=(1e-9,)),
+         Arg("--film-l-mm", float, 1.5, field="length", to_si=(1e-3,)),
          Arg("--ltl", float, None,
-             "total inductance per length [H/m]; default kinetic-dominated")),
-        _temp_model_config, run_temp_model, "temp_model.json",
-        ("temp_model.csv",),
+             "total inductance per length [H/m]; default kinetic-dominated",
+             field="l_total_per_length")),
+        run_temp_model, "temp_model.json", ("temp_model.csv",),
         lambda r, paths: [f"wrote {paths[1]} ({r['n_rows']} rows)"],
-        {"f_r": "--fr-ghz", "lambda0": "--lambda0-um", "t_c": "--tc-k",
-         "thickness": "--film-d-nm", "width": "--film-w-nm",
-         "length": "--film-l-mm", "l_total_per_length": "--ltl"}),
+        _temp_model_check),
     Command(
         "synth", "synthetic traces and power series",
         (Arg("--kind", str, "trace", choices=("trace", "power")),
-         Arg("--seed", int, 0),
-         Arg("--noise", float, 0.0),
+         Arg("--seed", int, 0, field="seed"),
+         Arg("--noise", float, 0.0, field=("noise_std", "noise_rel")),
          Arg("--points", int, 4001),
          # trace parameters; default span ~3 linewidths, dense enough for
          # the from-the-bottom Q_int reading
-         Arg("--fr-ghz", float, 7.061),
-         Arg("--q-int", float, 34477.0),
-         Arg("--q-ext", float, 480.0),
-         Arg("--phi", float, 0.0),
-         Arg("--amp", float, 1.0),
-         Arg("--tau-ns", float, 0.0),
-         Arg("--alpha", float, 0.0),
+         Arg("--fr-ghz", float, 7.061, field="f_r", to_si=(1e9,)),
+         Arg("--q-int", float, 34477.0, field="q_int"),
+         Arg("--q-ext", float, 480.0, field="q_ext_mag"),
+         Arg("--phi", float, 0.0, field="phi"),
+         Arg("--amp", float, 1.0, field="amplitude"),
+         Arg("--tau-ns", float, 0.0, field="delay", to_si=(1e-9,)),
+         Arg("--alpha", float, 0.0, field="phase_offset"),
          Arg("--f-start-ghz", float, 7.0386),
          Arg("--f-stop-ghz", float, 7.0834),
          # power-series parameters
          Arg("--p-max-nw", float, 200.0),
-         Arg("--gamma-per-nw", float, 1.35e-6),
-         Arg("--inv-q0", float, 2.9e-5),
-         Arg("--delta1-per-nw", float, 5.9e-7),
-         Arg("--delta2", float, 0.0),
-         Arg("--delta3-per-nw", float, 0.0)),
-        _synth_config, run_synth, "synth_{kind}.json", ("synth_{kind}.csv",),
-        lambda r, paths: [f"wrote {paths[1]}"],
-        {"f_r": "--fr-ghz", "q_int": "--q-int", "q_ext_mag": "--q-ext",
-         "phi": "--phi", "noise_std": "--noise", "noise_rel": "--noise",
-         "amplitude": "--amp", "delay": "--tau-ns", "phase_offset": "--alpha",
-         "gamma": "--gamma-per-nw", "inv_q0": "--inv-q0",
-         "delta1": "--delta1-per-nw", "delta2": "--delta2",
-         "delta3": "--delta3-per-nw"}),
+         Arg("--gamma-per-nw", float, 1.35e-6, field="gamma", to_si=(1e9,)),
+         Arg("--inv-q0", float, 2.9e-5, field="inv_q0"),
+         Arg("--delta1-per-nw", float, 5.9e-7, field="delta1", to_si=(1e9,)),
+         Arg("--delta2", float, 0.0, field="delta2"),
+         Arg("--delta3-per-nw", float, 0.0, field="delta3", to_si=(1e9,))),
+        run_synth, "synth_{kind}.json", ("synth_{kind}.csv",),
+        lambda r, paths: [f"wrote {paths[1]}"], _synth_check),
     Command(
         "fit-spectrum", "fit a measured/synthetic trace",
         (Arg("--input", required=True),
          Arg("--model", str, "both", choices=("lorentzian", "full", "both"))),
-        lambda a: {"input": str(a.input), "model": a.model},
         run_fit_spectrum, "fit_spectrum.json", ("fit_spectrum_curve.csv",),
         _fit_spectrum_summary),
 )}
@@ -701,7 +672,8 @@ def load_config_file(path):
 
 def _convert(cmd, entries):
     """Values by flag dest of (where, key, text) entries, each text parsed
-    like the flag key names.  where names a bad entry: "path:lineno: config
+    like the flag key names; a JSON null leaves the flag unset and a JSON
+    list fills a list flag.  where names a bad entry: "path:lineno: config
     key 'key'" for a config file, None for a flag (named by itself)."""
     args = {a.dest: a for a in COMMON + cmd.args}
     values = {}
@@ -709,6 +681,10 @@ def _convert(cmd, entries):
         arg = args.get(key.replace("-", "_"))
         if arg is None:
             raise ValueError(f"{where} is not a flag of this command")
+        if text is None:
+            continue
+        if isinstance(text, list) and arg.type is float_list:
+            text = ",".join(map(str, text))
         try:
             value = arg.convert(str(text))
         except ValueError as exc:
@@ -734,17 +710,18 @@ def _execute(cmd, args):
     if missing:
         raise ValueError("missing required values (flag or config): "
                          + ", ".join(missing))
-    cfg = cmd.config(args)
+    cmd.check(args)
     paths = _output_paths(cmd, args)
     start = time.perf_counter()
-    payload, writers = cmd.run(cfg, [p.name for p in paths[1:]])
+    payload, writers = cmd.run(args, cmd.args, [p.name for p in paths[1:]])
     duration_s = time.perf_counter() - start
     paths[0].parent.mkdir(parents=True, exist_ok=True)
     # an envelope is named after its command tag: synth-trace writes
     # synth_trace.json
     tag = paths[0].stem.replace("_", "-")
     io.write_envelope(paths[0],
-                      io.result_envelope(tag, cfg, payload, duration_s))
+                      io.result_envelope(tag, _echo(args), payload,
+                                         duration_s))
     for path, write in zip(paths[1:], writers):
         if write is None:
             path.unlink(missing_ok=True)

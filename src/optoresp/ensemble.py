@@ -78,8 +78,13 @@ class EnsembleParams:
         if not np.all((self.delta_max >= self.delta_min)
                       & (self.delta_min >= self.gamma2_t)):
             raise ValueError("delta_max must be >= delta_min >= gamma2_t")
-        # every field is finite, but the slopes are products of them
+        # every field is finite, but the slopes are products of them and of
+        # their squares, which Python floats raise OverflowError on
         with np.errstate(over="ignore", invalid="ignore"):
+            for name in ("omega_r", "gamma1_t", "g_perp_t", "g_par_t"):
+                check_range(f"{name} squared",
+                            np.square(getattr(self, name), dtype=float),
+                            "finite")
             for slope in slope_inverse_q(self), slope_fractional_frequency(self):
                 check_range("ds_tilde times omega_max times rho_tls times "
                             "thickness times width times xi times couplings "

@@ -26,7 +26,7 @@ import numpy as np
 
 from .fitkit.models import ComplexTrace
 
-SCHEMA_TAG = "optoresp/result/v1"
+SCHEMA_TAG = "optoresp/result/v2"
 
 TRACE_HEADER = "freq_hz,re,im"
 POWER_HEADER = "p_opt_w,inv_q,dfrac_freq"
@@ -156,8 +156,11 @@ def read_trace(path) -> ComplexTrace:
 
 
 def result_envelope(command, config, result, duration_s):
-    """Fixed-key-order envelope; config echoes every resolved parameter so a
-    run can be replayed exactly."""
+    """Fixed-key-order envelope.  config is the echo of the run: the
+    resolved value of every flag, in flag units, keyed by the flag's dest.
+    It is itself a JSON --config file, so a run replays exactly: write
+    ``json.load(open("mc.json"))["config"]`` to ``c.json`` with Python, then
+    run ``optoresp mc --config c.json``."""
     return {
         "schema": SCHEMA_TAG,
         "command": command,

@@ -38,8 +38,8 @@ independent sub-streams spawned from the master seed, so parallel and
 sequential execution agree bit for bit.
 """
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +47,8 @@ import numpy as np
 from .checks import check_range
 from .constants import HBAR, TWO_PI
 from .tls import TlsUnit, dispersive_pull, longitudinal_complex_shift
+
+_log = logging.getLogger(__name__)
 
 # relative spread of the coupling/rate draws: FWHM equal to the mean
 FWHM_REL_STD = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -278,8 +280,8 @@ def generate_ensemble(config: McConfig, rng=None) -> TlsUnit:
         rng = np.random.default_rng(config.seed)
     n = int(rng.poisson(config.expected_count))
     if n == 0:  # the draws below are then empty and take no variates
-        warnings.warn("empty TLS ensemble (expected count "
-                      f"{config.expected_count:.3g})", stacklevel=2)
+        _log.warning("empty TLS ensemble (expected count %.3g)",
+                     config.expected_count)
 
     segs = config.window_segments
     detuning = segs[0][0] + rng.random(n) * sum(b - a for a, b in segs)
@@ -356,8 +358,7 @@ def run(config: McConfig) -> McResult:
     trial index, so the output is independent of scheduling.
     """
     if config.rho_tls == 0.0:
-        warnings.warn("rho_tls = 0: every trial is an empty ensemble",
-                      stacklevel=2)
+        _log.warning("rho_tls = 0: every trial is an empty ensemble")
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
     if config.workers == 1:
         trials = [_run_trial(config, child) for child in children]

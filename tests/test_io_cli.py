@@ -1,5 +1,8 @@
+import argparse
+import inspect
 import itertools
 import json
+import logging
 import math
 import os
 import shlex
@@ -13,12 +16,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import optoresp
-from optoresp import cli, ensemble, io, montecarlo
+from optoresp import cli, ensemble, io, montecarlo, superconductor, tls
 from optoresp.cli import main
 from optoresp.ensemble import slope_fractional_frequency, slope_inverse_q
-from optoresp.fitkit import ComplexTrace, SingularJacobianError, synth_trace
+from optoresp.fitkit import (ComplexTrace, SingularJacobianError,
+                             synth_power_series, synth_trace)
 from optoresp.meanfield import OdeConvergenceError
-from optoresp.resonator import LineCalibration, ResonatorMode
+from optoresp.resonator import DriveCondition, LineCalibration, ResonatorMode
 from optoresp.tls import QuadratureError
 
 
@@ -218,10 +222,13 @@ def test_cli_slopes_defaults_and_sweep(tmp_path):
     rows = (tmp_path / "slopes_sweep.csv").read_text().strip().splitlines()
     assert rows[0] == "g_over_2pi_mhz,xi_m_per_w,slope_inv_q_per_w,slope_dfrac_per_w"
     assert len(rows) == 7
-    # g-major rows, each equal to the closed forms called at that point alone
+    # g-major rows, each equal to the closed forms called at that point
+    # alone, with the echo's other flags
     points = itertools.product([2.0, 5.0, 8.0], [20.0, 50.0])
     for row, (g, xi) in zip(rows[1:], points):
-        p = cli._ensemble_from_cfg(env["config"], g, xi)
+        point = argparse.Namespace(**{**env["config"], "g_mhz": g, "xi": xi})
+        p = cli._library(ensemble.EnsembleParams, point,
+                         cli.COMMANDS["slopes"].args)
         assert [float(v) for v in row.split(",")] == [
             g, xi, slope_inverse_q(p), slope_fractional_frequency(p)]
 
@@ -259,22 +266,12 @@ def test_cli_mc_workers_default_to_usable_cores(tmp_path):
                 == (tmp_path / "one" / csv).read_bytes())
 
 
-def test_cli_mc_envelope_replays(tmp_path):
-    out = tmp_path / "o"
-    run_cli("mc", "--trials", "2", "--seed", "3", "--p-points", "4",
-            "--fmax-ghz", "100", "--half-length-um", "60",
-            "--out-dir", str(out))
-    env = json.loads((out / "mc.json").read_text())
-    payload, _ = cli.run_mc(env["config"], cli.COMMANDS["mc"].outputs)
-    assert payload["slope_inv_q_mean_per_w"] == env["result"]["slope_inv_q_mean_per_w"]
-    assert payload["slope_dfrac_std_per_w"] == env["result"]["slope_dfrac_std_per_w"]
-
-
-def test_cli_mc_empty_bath(tmp_path):
-    with pytest.warns(UserWarning):
+def test_cli_mc_empty_bath(tmp_path, caplog):
+    with caplog.at_level(logging.WARNING, logger="optoresp.montecarlo"):
         code = run_cli("mc", "--rho", "0", "--trials", "1", "--p-points", "4",
                        "--out-dir", str(tmp_path))
     assert code == 0
+    assert caplog.records
     agg = np.loadtxt(tmp_path / "mc_aggregate.csv", delimiter=",", skiprows=1)
     assert np.all(agg[:, 1:] == 0.0)
 
@@ -742,6 +739,15 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["temp-model", "--t-grid-mk=1,inf"], "--t-grid-mk"),
     (["temp-model", "--t-max-mk=inf"], "--t-max-mk"),
     (["temp-model", "--t-min-mk=inf"], "--t-min-mk"),
+    # a coupling whose square overflows a Python float, the same in a grid
+    # (whose line led with --ds), and power grids whose norm underflows (an
+    # SVD failure) or overflows (slopes of zero)
+    (["slopes", "--g-mhz", "1e200"], "--g-mhz"),
+    (["slopes", "--g-grid-mhz=1,1e200"], "--g-grid-mhz"),
+    (["mc", "--p-max-nw=1e-308"], "--p-max-nw"),
+    (["mc", "--trials", "1", "--p-max-nw=1e300"], "--p-max-nw"),
+    # a mode frequency whose square overflows a Python float
+    (["slopes", "--fr-ghz", "1e196", "--fmax-ghz", "1e197"], "--fr-ghz"),
 ] + [
     # every number flag of every command at nan and +-inf, in a run that
     # reads it: io would write the value as null, so it is refused
@@ -763,11 +769,32 @@ def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+# the library classes and functions whose fields each command's rows set
+BUILT = {
+    "photon-number": (ResonatorMode, DriveCondition),
+    "slopes": (ensemble.EnsembleParams,),
+    "mc": (montecarlo.McConfig,),
+    "temp-model": (superconductor.FilmGeometry,
+                   superconductor.SuperconductorParams,
+                   tls.permittivity_bracket),
+    "synth": (ResonatorMode.from_asymmetry_angle, LineCalibration,
+              synth_trace, synth_power_series),
+    "fit-spectrum": (),
+}
+
+
 @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
 def test_library_fields_map_to_flags_of_their_own_row(name):
-    cmd = cli.COMMANDS[name]
-    flags = {a.flag for a in cli.COMMON + cmd.args}
-    assert set(cmd.flags.values()) <= flags
+    # every name a row declares is a field of what its command builds, or a
+    # word of a library range message that groups fields: a renamed library
+    # field fails here instead of dropping its flag from the error lines
+    with pytest.raises(ValueError) as overflow:
+        ensemble.EnsembleParams(ds_tilde=1e300, rho_tls=1e300)
+    words = set(str(overflow.value).split())
+    assert "couplings" in words
+    fields = {p for fn in BUILT[name] for p in inspect.signature(fn).parameters}
+    for arg in cli.COMMANDS[name].args:
+        assert set(arg.fields) <= fields | words, arg.flag
 
 
 @pytest.mark.parametrize("exc", [
@@ -792,7 +819,8 @@ def test_mc_csv_schemas(tmp_path):
                    "--half-length-um", "50", "--p-max-nw", "50",
                    "--p-points", "4", "--out-dir", str(tmp_path)) == 0
     env = json.loads((tmp_path / "mc.json").read_text())
-    res = montecarlo.run(cli.mc_config_from_dict(env["config"]))
+    res = montecarlo.run(cli._mc_config(argparse.Namespace(**env["config"]),
+                                        cli.COMMANDS["mc"].args))
     dq, df = res.dinv_q.tolist(), res.dfrac.tolist()
     # one row per (trial, power), trial-major, the trial as an integer
     lines = (tmp_path / "mc_curves.csv").read_text().splitlines()
@@ -882,3 +910,32 @@ def test_readme_commands_read_the_same_from_config_files(tmp_path,
             assert main(argvs[how]) == 0, (how, argvs[how])
         outputs = [_outputs(directory) for directory in runs.values()]
         assert outputs[0] and outputs[1] == outputs[0] == outputs[2], command
+
+
+def test_readme_envelopes_replay_through_config(tmp_path, monkeypatch):
+    # each README command's config echo, written to a JSON file and given
+    # back through --config alone, runs the same: the same CSV bytes, config
+    # echo and result; mc runs 2 of its 100 trials to keep the suite fast
+    monkeypatch.delenv("OPTORESP_OUTDIR", raising=False)
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)   # fit-spectrum reads synth's trace from here
+    for i, (command, *flags) in enumerate(_readme_commands()):
+        if command == "mc":
+            flags += ["--trials", "2"]
+        assert main([command, *flags]) == 0, command
+        values = {k[2:]: v for k, v in zip(flags[::2], flags[1::2])}
+        envelope = cli.COMMANDS[command].envelope.format_map(values)
+        first = json.loads((run / envelope).read_text())
+        echo = tmp_path / f"{i}.json"
+        echo.write_text(json.dumps(first["config"]))
+        replay = tmp_path / f"replay{i}"
+        assert main([command, "--config", str(echo),
+                     "--out-dir", str(replay)]) == 0, command
+        again = json.loads((replay / envelope).read_text())
+        assert again["config"] == first["config"], command
+        assert again["result"] == first["result"], command
+        csvs = [p for p in replay.iterdir() if p.suffix == ".csv"]
+        assert len(csvs) == len(cli.COMMANDS[command].outputs), command
+        for path in csvs:
+            assert path.read_bytes() == (run / path.name).read_bytes(), path

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import warnings
 
 import numpy as np
@@ -110,10 +111,11 @@ def test_poisson_mean_statistics():
     assert abs(np.mean(counts) / cfg.expected_count - 1.0) < 0.05
 
 
-def test_empty_ensemble_warns():
+def test_empty_ensemble_warns(caplog):
     cfg = small_config(rho_tls=0.0)
-    with pytest.warns(UserWarning):
+    with caplog.at_level(logging.WARNING, logger="optoresp.montecarlo"):
         bath = generate_ensemble(cfg)
+    assert caplog.records
     assert len(bath) == 0
     res = response_curves(cfg, bath)
     assert np.all(res.dinv_q == 0.0) and np.all(res.dfrac == 0.0)
@@ -181,11 +183,12 @@ def test_thinned_draw(monkeypatch):
         assert np.array_equal(getattr(bath, f.name), getattr(full, f.name))
 
 
-def test_empty_trials_warn():
-    # about 0.1 TLS per trial: the draw's warning reaches run()'s caller
+def test_empty_trials_warn(caplog):
+    # about 0.1 TLS per trial: the draw's warning reaches the log
     cfg = small_config(trials=2, rho_tls=3e40)
-    with pytest.warns(UserWarning, match="empty TLS ensemble"):
+    with caplog.at_level(logging.WARNING, logger="optoresp.montecarlo"):
         run(cfg)
+    assert any("empty TLS ensemble" in r.getMessage() for r in caplog.records)
 
 
 def test_fit_slopes_match_polyfit():
