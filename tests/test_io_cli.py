@@ -739,6 +739,15 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["temp-model", "--t-grid-mk=1,inf"], "--t-grid-mk"),
     (["temp-model", "--t-max-mk=inf"], "--t-max-mk"),
     (["temp-model", "--t-min-mk=inf"], "--t-min-mk"),
+] + [
+    # every number flag of every command at nan and +-inf, in a run that
+    # reads it: io would write the value as null, so it is refused
+    ([*BASE_ARGV.get(arg.flag, BASE_ARGV.get(name, [name])),
+      f"{arg.flag}={value}"], arg.flag)
+    for name, cmd in cli.COMMANDS.items() for arg in cmd.args
+    if arg.type in (float, cli.float_list)
+    for value in ("nan", "inf", "-inf")
+] + [
     # a coupling whose square overflows a Python float, the same in a grid
     # (whose line led with --ds), and power grids whose norm underflows (an
     # SVD failure) or overflows (slopes of zero)
@@ -748,14 +757,6 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["mc", "--trials", "1", "--p-max-nw=1e300"], "--p-max-nw"),
     # a mode frequency whose square overflows a Python float
     (["slopes", "--fr-ghz", "1e196", "--fmax-ghz", "1e197"], "--fr-ghz"),
-] + [
-    # every number flag of every command at nan and +-inf, in a run that
-    # reads it: io would write the value as null, so it is refused
-    ([*BASE_ARGV.get(arg.flag, BASE_ARGV.get(name, [name])),
-      f"{arg.flag}={value}"], arg.flag)
-    for name, cmd in cli.COMMANDS.items() for arg in cmd.args
-    if arg.type in (float, cli.float_list)
-    for value in ("nan", "inf", "-inf")
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:
