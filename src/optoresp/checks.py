@@ -1,6 +1,13 @@
-"""The range check of every parameter the package takes, in one place."""
+"""The range check of every parameter the package takes, in one place,
+and the base class of the package's numerical failures."""
 
 import numpy as np
+
+
+class NumericalError(ArithmeticError):
+    """A numerical method failed: an unsettled ODE, a failed quadrature or a
+    singular Jacobian."""
+
 
 # rule -> whether the minimum lo and maximum hi of the values obey it
 RULES = {

@@ -9,10 +9,11 @@ file, so any run can be replayed exactly: write
 ``json.load(open("mc.json"))["config"]`` to ``c.json`` with Python, then run
 ``optoresp mc --config c.json``.  Numeric tables go to unit-labeled CSV next
 to the envelope.  Exit status is nonzero only for I/O, parse or validation
-failures and for numerical failures (an unsettled ODE, a failed quadrature,
-a singular Jacobian or linear system, an arithmetic error such as a
-division by zero), each reported as one ``error:`` line; statistical
-non-convergence is reported in-band.
+failures and for numerical failures (a ``checks.NumericalError``: an
+unsettled ODE, a failed quadrature or a singular Jacobian; a singular
+linear system; any other ``ArithmeticError``, such as a division by zero),
+each reported as one ``error:`` line; statistical non-convergence is
+reported in-band.
 
 A flat key=value or JSON config file can seed any subcommand via --config;
 explicit flags override file values.  A JSON ``null`` leaves its flag unset
@@ -54,13 +55,11 @@ import numpy as np
 from . import ensemble, io, montecarlo, superconductor
 from .checks import check_range
 from .constants import TWO_PI, dbm_to_watts
-from .fitkit import SingularJacobianError
 from .fitkit import models as fitmodels
 from .fitkit import synth as fitsynth
-from .meanfield import OdeConvergenceError
 from .resonator import (DriveCondition, LineCalibration, ResonatorMode,
                         photon_number)
-from .tls import QuadratureError, ThermalEnvironment, permittivity_bracket
+from .tls import ThermalEnvironment, permittivity_bracket
 
 TEMP_MODEL_HEADER = "temp_k,fr_ghz,dfrac_tls,dfrac_qp,dfrac_total"
 SLOPES_SWEEP_HEADER = "g_over_2pi_mhz,xi_m_per_w,slope_inv_q_per_w,slope_dfrac_per_w"
@@ -324,11 +323,7 @@ def run_temp_model(a, rows, names):
     qp_term = np.zeros(temps.size)
     if a.lambda0_um is not None:
         geom = _library(superconductor.FilmGeometry, a, rows)
-        if a.ltl is not None:
-            sc = _library(superconductor.SuperconductorParams, a, rows)
-        else:
-            sc = _library(superconductor.SuperconductorParams.with_kinetic_total,
-                          a, rows, geom=geom, t_ref=temps[0])
+        sc = _library(superconductor.SuperconductorParams, a, rows)
         qp_term = superconductor.freq_shift_from_temperature(
             sc, geom, temps, temps[0])
     # one row per (mode, temperature), mode-major; the filling factor is
@@ -747,8 +742,7 @@ def main(argv=None):
         # defaults, then the config file, then the explicit flags
         args = argparse.Namespace(**{**defaults, **from_file, **explicit})
         return _execute(cmd, args)
-    except (ValueError, OSError, ArithmeticError, OdeConvergenceError,
-            QuadratureError, SingularJacobianError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {_flag_message(exc, cmd.flags)}", file=sys.stderr)
         # a failed run leaves none of its outputs, so no envelope or CSV
         # from an earlier run passes for its result

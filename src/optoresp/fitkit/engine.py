@@ -35,8 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..checks import NumericalError
 
-class SingularJacobianError(RuntimeError):
+
+class SingularJacobianError(NumericalError):
     """Normal equations unsolvable: Jacobian rank collapsed."""
 
 

@@ -36,11 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import NumericalError
 from .constants import TWO_PI
 from .tls import TlsUnit, _one_tls
 
 
-class OdeConvergenceError(RuntimeError):
+class OdeConvergenceError(NumericalError):
     """DOP853 stopped, or the cavity decay did not settle within the window."""
 
 

@@ -17,10 +17,11 @@ downward dispersive baseline and shows up as a blue shift, exactly as in
 the analytic K_perp coefficient.
 
 TLSs beyond McConfig.reach see a kernel below exp(-28) ~ 7e-13 at every
-power, so a trial draws its bath on |x| <= reach only.  This is
-exact Poisson thinning of the bath on [-L, L]: the Poisson mean scales with
-the window and positions are uniform on it, so the drawn bath has the
-distribution of the full bath's TLSs inside the reach.
+power, so a bath is drawn on |x| <= McConfig.draw_half_length =
+min(half_length, reach) only.  This is exact Poisson thinning of the bath
+on [-L, L]: the Poisson mean scales with the window and positions are
+uniform on it, so the drawn bath has the distribution of the full bath's
+TLSs inside the reach.  response_curves sums every TLS it is given.
 
 response_curves walks the bath in blocks of _BLOCK TLSs.  For each block
 it evaluates the tls forms on TlsUnit.select's column views (not validated
@@ -35,12 +36,13 @@ order); the bath draws themselves are bit for bit those of rng.normal.
 
 Determinism: (seed, config) -> result is a pure function.  Trials get
 independent sub-streams spawned from the master seed, so parallel and
-sequential execution agree bit for bit.
+sequential execution agree bit for bit.  run logs the trials that drew an
+empty bath as one warning per run.
 """
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,7 +122,7 @@ class McConfig:
             check_range(name, getattr(self, name))
         for name in ("exclusion", "rho_tls", "s_std", "ds_value", "p_grid"):
             check_range(name, getattr(self, name), "nonnegative and finite")
-        # an infinite wire is fine: run() cuts the bath to the reach
+        # an infinite wire is fine: the bath is drawn on the reach
         check_range("half_length", self.half_length, "positive")
         check_range("freq_window", self.freq_window, "finite")
         lo, hi = self.freq_window
@@ -135,9 +137,12 @@ class McConfig:
             raise ValueError("p_grid needs at least two points")
         if np.any(np.diff(self.p_grid) <= 0):
             raise ValueError("p_grid must be strictly increasing")
-        # run() draws each bath on |x| <= min(half_length, reach)
-        _check_bath(self._poisson_mean(min(self.half_length, self.reach)),
-                    window)
+        count = self.expected_count
+        if not count <= _BATH_TLS_MAX:
+            raise ValueError(
+                f"{window} times rho_tls times area times half_length is "
+                f"too large: {count:.3g} TLSs expected in a trial's bath, "
+                f"above the {_BATH_TLS_MAX:.3g} a trial holds")
 
     @property
     def window_segments(self):
@@ -147,27 +152,21 @@ class McConfig:
         return [(a, b) for a, b in segs if b > a]
 
     @property
-    def expected_count(self) -> float:
-        """Poisson mean: rho hbar * (window width minus exclusion) * A * 2L."""
-        return self._poisson_mean(self.half_length)
-
-    def _poisson_mean(self, half_length):
-        width = sum(b - a for a, b in self.window_segments)
-        return self.rho_tls * HBAR * width * self.area * 2.0 * half_length
-
-    @property
     def reach(self) -> float:
         """|x| beyond which the kernel is below exp(-28) at every grid power."""
         return self.xi * self.p_grid[-1] / 2.0 + 14.0 * self.l_edge
 
+    @property
+    def draw_half_length(self) -> float:
+        """L', the half-length a bath is drawn on: min(half_length, reach)."""
+        return min(self.half_length, self.reach)
 
-def _check_bath(count, window):
-    """Refuse a bath of count expected TLSs if it is above _BATH_TLS_MAX."""
-    if not count <= _BATH_TLS_MAX:
-        raise ValueError(
-            f"{window} times rho_tls times area times half_length is "
-            f"too large: {count:.3g} TLSs expected in a trial's bath, "
-            f"above the {_BATH_TLS_MAX:.3g} a trial holds")
+    @property
+    def expected_count(self) -> float:
+        """Poisson mean: rho hbar * (window width minus exclusion) * A * 2L'."""
+        width = sum(b - a for a, b in self.window_segments)
+        return (self.rho_tls * HBAR * width * self.area * 2.0
+                * self.draw_half_length)
 
 
 @dataclass(frozen=True)
@@ -266,29 +265,24 @@ def _clamp_moments(rel_std):
 def generate_ensemble(config: McConfig, rng=None) -> TlsUnit:
     """Draw one random bath.
 
-    Count ~ Poisson(rho hbar dW A 2L); detunings uniform on the window minus
-    the exclusion band, from one uniform variate over the total width mapped
-    across the band; positions uniform on [-L, L]; g, Gamma_1 and S as
-    McConfig states, with Gamma_2 = Gamma_1 and g_perp = g_par sharing one
-    array each and dS one scalar.  About 1 % of the TLSs get Gamma_1 = 0.
-    run() draws with half_length cut to the reach (Poisson thinning); a
-    direct call draws on the full half_length, so it refuses a bath larger
-    than McConfig's bound before drawing.
+    Count ~ Poisson(rho hbar dW A 2L) with L = McConfig.draw_half_length;
+    detunings uniform on the window minus the exclusion band, from one
+    uniform variate over the total width mapped across the band; positions
+    uniform on [-L, L]; g, Gamma_1 and S as McConfig states, with Gamma_2 =
+    Gamma_1 and g_perp = g_par sharing one array each and dS one scalar.
+    About 1 % of the TLSs get Gamma_1 = 0.  An empty bath is not logged
+    here: run() reports its empty trials once per run.
     """
-    _check_bath(config.expected_count, "freq_window")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n = int(rng.poisson(config.expected_count))
-    if n == 0:  # the draws below are then empty and take no variates
-        _log.warning("empty TLS ensemble (expected count %.3g)",
-                     config.expected_count)
 
     segs = config.window_segments
     detuning = segs[0][0] + rng.random(n) * sum(b - a for a, b in segs)
     for (_, end), (start, _) in zip(segs, segs[1:]):
         detuning[detuning >= end] += start - end
 
-    x = rng.uniform(-config.half_length, config.half_length, n)
+    x = rng.uniform(-config.draw_half_length, config.draw_half_length, n)
 
     g = _clamped_normal(rng, n, config.g_mean)
     gamma1 = _clamped_normal(rng, n, config.gamma1_mean)
@@ -308,12 +302,6 @@ def response_curves(config: McConfig, bath: TlsUnit) -> McResult:
     """Single-trial response of a given bath over the configured power grid."""
     p = config.p_grid
     w_r = config.omega_r
-
-    # TLSs far outside the largest phonon window never contribute; a bath
-    # drawn by run() lies inside the reach already
-    reach = config.reach
-    if bath.x.min(initial=0.0) < -reach or bath.x.max(initial=0.0) > reach:
-        bath = bath.select(np.abs(bath.x) <= reach)
 
     # (dinv_q, dfrac) * w_r at each power, summed block by block
     acc = np.zeros((2, p.size))
@@ -344,28 +332,29 @@ def _fit_slopes(p, dq, df):
     return float(sq), float(sf)
 
 
-def _run_trial(config: McConfig, seed_seq) -> McResult:
-    rng = np.random.default_rng(seed_seq)
-    draw = replace(config, half_length=min(config.half_length, config.reach))
-    return response_curves(config, generate_ensemble(draw, rng))
-
-
 def run(config: McConfig) -> McResult:
     """Full Monte Carlo: `trials` independent baths, aggregated.
 
     Per-trial sub-seeds are spawned deterministically from the master seed;
     workers > 1 evaluates trials in a thread pool with results written by
-    trial index, so the output is independent of scheduling.
+    trial index, so the output is independent of scheduling.  Trials whose
+    bath came out empty are logged as one warning per run.
     """
-    if config.rho_tls == 0.0:
-        _log.warning("rho_tls = 0: every trial is an empty ensemble")
+    def trial(child):
+        bath = generate_ensemble(config, np.random.default_rng(child))
+        return len(bath), response_curves(config, bath)
+
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
     if config.workers == 1:
-        trials = [_run_trial(config, child) for child in children]
+        done = [trial(child) for child in children]
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            trials = list(pool.map(lambda c: _run_trial(config, c), children))
+            done = list(pool.map(trial, children))
+    sizes, trials = zip(*done)
+    if 0 in sizes:
+        _log.warning("%d of %d trials drew an empty TLS bath (expected count "
+                     "%.3g)", sizes.count(0), config.trials, config.expected_count)
 
     def stack(name):
         return np.concatenate([getattr(t, name) for t in trials])

@@ -36,9 +36,9 @@ class SuperconductorParams:
 
     lambda0 : zero-temperature magnetic penetration depth [m]
     t_c : critical temperature [K]
-    l_total_per_length : total inductance per unit length [H/m]; when the
-        kinetic fraction is ~1 use :meth:`with_kinetic_total` to set it from
-        the kinetic inductance itself.
+    l_total_per_length : total inductance per unit length [H/m]; None is
+        the kinetic-inductance-dominated limit, L_k,l at the reference
+        temperature of :func:`freq_shift_from_temperature`.
     """
 
     lambda0: float
@@ -50,12 +50,6 @@ class SuperconductorParams:
             check_range(name, getattr(self, name))
         if self.l_total_per_length is not None:
             check_range("l_total_per_length", self.l_total_per_length)
-
-    @classmethod
-    def with_kinetic_total(cls, lambda0, t_c, geom: FilmGeometry, t_ref=0.0):
-        """L_t,l set to L_k,l(t_ref): the kinetic-inductance-dominated limit."""
-        sc = cls(lambda0, t_c)
-        return cls(lambda0, t_c, kinetic_inductance_per_length(sc, geom, t_ref))
 
 
 def penetration_depth(sc: SuperconductorParams, temperature):
@@ -80,15 +74,18 @@ def freq_shift_from_temperature(sc: SuperconductorParams, geom: FilmGeometry,
     -(1/L_t,l) * (mu_0/(d w)) * lambda(T_ref) * (lambda(T) - lambda(T_ref)),
     the linearized form of -(L_k,l(T) - L_k,l(T_ref)) / (2 L_t,l).
     Negative for T > T_ref (the resonance softens as the film warms).
-    temperature may be an array; the result has its shape.
+    temperature may be an array; the result has its shape.  Without
+    sc.l_total_per_length, L_t,l is L_k,l(T_ref) (kinetic-dominated).
     """
-    if sc.l_total_per_length is None:
-        raise ValueError("l_total_per_length not set; use with_kinetic_total "
-                         "or supply it directly")
+    l_total = sc.l_total_per_length
+    if l_total is None:
+        with np.errstate(over="ignore", divide="ignore"):
+            l_total = kinetic_inductance_per_length(sc, geom, t_ref)
+        check_range("lambda0 squared over thickness times width", l_total)
     lam_ref = penetration_depth(sc, t_ref)
     lam = penetration_depth(sc, temperature)
     return (-(MU_0 / (geom.thickness * geom.width)) * lam_ref
-            * (lam - lam_ref) / sc.l_total_per_length)
+            * (lam - lam_ref) / l_total)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_range
+from .checks import NumericalError, check_range
 from .constants import HBAR, K_B, PLANCK, TWO_PI
 
 
@@ -35,7 +35,7 @@ def digamma(z):
     return digamma(z)
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 

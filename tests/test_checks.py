@@ -1,19 +1,22 @@
 """Every parameter dataclass refuses a non-finite float field by name, through
-the one range check of optoresp.checks."""
+the one range check of optoresp.checks, and every numerical failure is a
+checks.NumericalError."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from optoresp.checks import check_range
+from optoresp.checks import NumericalError, check_range
 from optoresp.ensemble import EnsembleParams
+from optoresp.fitkit import SingularJacobianError
+from optoresp.meanfield import OdeConvergenceError
 from optoresp.montecarlo import McConfig
 from optoresp.resonator import DriveCondition, LineCalibration, ResonatorMode
 from optoresp.superconductor import (CurrentDensityMap, FilmGeometry,
                                      SuperconductorParams)
-from optoresp.tls import (SaturationDrive, ThermalEnvironment, TlsHostMaterial,
-                          TlsUnit)
+from optoresp.tls import (QuadratureError, SaturationDrive, ThermalEnvironment,
+                          TlsHostMaterial, TlsUnit)
 
 VALID = [
     EnsembleParams(),
@@ -42,7 +45,7 @@ NON_FINITE = (np.nan, np.inf, -np.inf)
     v if isinstance(v, str) else type(v).__name__))
 def test_dataclasses_refuse_non_finite_fields_by_name(obj, name, value):
     if (type(obj), name, value) == (McConfig, "half_length", np.inf):
-        dataclasses.replace(obj, half_length=np.inf)  # run() cuts it
+        dataclasses.replace(obj, half_length=np.inf)  # drawn on the reach
         return
     with pytest.raises(ValueError, match=f"^{name} must "):
         dataclasses.replace(obj, **{name: value})
@@ -69,3 +72,12 @@ def test_check_range_rules(rule, good, bad):
     for value in (*bad, np.nan, np.array([*good, np.nan])):
         with pytest.raises(ValueError, match="^v must (be|lie in) "):
             check_range("v", value, rule)
+
+
+@pytest.mark.parametrize("error", [OdeConvergenceError, QuadratureError,
+                                   SingularJacobianError],
+                         ids=lambda e: e.__name__)
+def test_numerical_failures_share_one_base(error):
+    # the CLI reports each as one error line through ArithmeticError
+    assert issubclass(error, NumericalError)
+    assert issubclass(NumericalError, ArithmeticError)

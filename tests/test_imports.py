@@ -1,5 +1,6 @@
 """scipy stays out of a process until a function that needs it runs, and
-every public name of the package has a caller outside the tests."""
+every public name of the package, the public methods and properties of its
+public classes among them, has a caller outside the tests."""
 
 import ast
 import json
@@ -103,30 +104,77 @@ NO_CALLER = {
 }
 
 
-def test_every_public_name_has_a_caller():
-    # a public top-level def or class of src/optoresp counts as called when
-    # a Name or an Attribute outside its own body names it, in a package
-    # module (the __init__ re-exports aside) or in perfbench
-    package = ROOT / "src" / "optoresp"
-    defined, callers = [], {}
-    paths = [p for p in sorted(package.rglob("*.py"))
-             if p.name != "__init__.py"]
-    for path in paths + sorted((ROOT / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+def _uncalled(modules):
+    """Public names of the package modules that nothing outside their own
+    body names.  modules holds (tree, in_package) pairs.
+
+    A public top-level def or class counts as called when a Name or an
+    Attribute outside its body names it; a public method or property of a
+    public class (a method Class.name) when an Attribute outside the
+    method's body does."""
+    defined, uses = [], {}   # uses: name -> {(top owner, method owner, attr)}
+    for key, (tree, in_package) in enumerate(modules):
         for stmt in tree.body:
             own = getattr(stmt, "name", None)   # a def or a class
-            if package in path.parents and own and not own.startswith("_"):
-                defined.append((path, own))
+            public = in_package and own and not own.startswith("_")
+            if public:
+                defined.append((own, (key, own), None))
+            method_of = {}   # id of a node -> the method whose body holds it
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        meth = (key, own, item.name)
+                        method_of.update((id(n), meth) for n in ast.walk(item))
+                        if public and not item.name.startswith("_"):
+                            defined.append((f"{own}.{item.name}", None, meth))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
-                    callers.setdefault(node.id, set()).add((path, own))
+                    name, attr = node.id, False
                 elif isinstance(node, ast.Attribute):
-                    callers.setdefault(node.attr, set()).add((path, own))
-    uncalled = {name for path, name in defined
-                if not callers.get(name, set()) - {(path, name)}}
+                    name, attr = node.attr, True
+                else:
+                    continue
+                uses.setdefault(name, set()).add(
+                    ((key, own), method_of.get(id(node)), attr))
+    return {qual for qual, top, meth in defined
+            if not any(top is not None and t != top
+                       or meth is not None and attr and m != meth
+                       for t, m, attr in uses.get(qual.split(".")[-1], ()))}
+
+
+def test_every_public_name_has_a_caller():
+    # callers count in a package module (the __init__ re-exports aside) or
+    # in perfbench
+    package = ROOT / "src" / "optoresp"
+    paths = [p for p in sorted(package.rglob("*.py"))
+             if p.name != "__init__.py"]
+    modules = [(ast.parse(path.read_text(), filename=str(path)),
+                package in path.parents)
+               for path in paths + sorted((ROOT / "perfbench").glob("*.py"))]
+    uncalled = _uncalled(modules)
     assert sorted(uncalled - set(NO_CALLER)) == []
     # an allowed name that gains a caller leaves the list
     assert sorted(set(NO_CALLER) - uncalled) == []
+
+
+def test_caller_guard_sees_methods_and_properties():
+    package = ast.parse(
+        "def lonely():\n    return lonely()\n"
+        "def user():\n    return Box().size + Box.made().used()\n"
+        "class Box:\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    @classmethod\n    def made(cls):\n        return cls()\n"
+        "    def grow(self):\n        return self.grow()\n"
+        "    def used(self):\n        return self.shrink()\n"
+        "    def shrink(self):\n        return Box\n"
+        "    def _hidden(self):\n        pass\n"
+        "class _Private:\n    def orphan(self):\n        pass\n")
+    # the benchmark calls user; a bare Name does not call a method
+    bench = ast.parse("import pkg\npkg.user()\ngrow = 1\n")
+    assert _uncalled([(package, True), (bench, False)]) == {"lonely",
+                                                           "Box.grow"}
+    # without the benchmark nothing calls user
+    assert _uncalled([(package, True)]) == {"lonely", "user", "Box.grow"}
 
 
 def _hand_written_finite_checks(tree):

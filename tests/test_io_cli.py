@@ -757,6 +757,8 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["mc", "--trials", "1", "--p-max-nw=1e300"], "--p-max-nw"),
     # a mode frequency whose square overflows a Python float
     (["slopes", "--fr-ghz", "1e196", "--fmax-ghz", "1e197"], "--fr-ghz"),
+    # a penetration depth whose kinetic-dominated inductance overflows
+    (["temp-model", "--lambda0-um=1e308"], "--lambda0-um"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:

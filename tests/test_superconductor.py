@@ -53,24 +53,28 @@ def test_total_kinetic_inductance_anchor():
 
 
 def test_freq_shift_from_temperature():
-    sc = SuperconductorParams.with_kinetic_total(0.72e-6, 14.0, GEOM, t_ref=0.1)
-    assert freq_shift_from_temperature(sc, GEOM, 0.1, 0.1) == 0.0
+    # SC sets no l_total_per_length: the kinetic-dominated L_k,l(t_ref)
+    assert freq_shift_from_temperature(SC, GEOM, 0.1, 0.1) == 0.0
     temps = np.linspace(0.2, 5.0, 30)
-    shifts = np.array([freq_shift_from_temperature(sc, GEOM, t, 0.1)
+    shifts = np.array([freq_shift_from_temperature(SC, GEOM, t, 0.1)
                        for t in temps])
     assert np.all(shifts < 0)
     assert np.all(np.diff(shifts) < 0)
+    given = SuperconductorParams(SC.lambda0, SC.t_c,
+                                 kinetic_inductance_per_length(SC, GEOM, 0.1))
+    assert np.array_equal(freq_shift_from_temperature(given, GEOM, temps, 0.1),
+                          shifts)
 
 
 def test_freq_shift_linearized_vs_exact():
-    sc = SuperconductorParams.with_kinetic_total(0.72e-6, 14.0, GEOM, t_ref=0.1)
+    l_total = kinetic_inductance_per_length(SC, GEOM, 0.1)
     # pick T where the depth change is still small (< 0.5%)
     t = 3.5
-    lam0, lam = penetration_depth(sc, 0.1), penetration_depth(sc, t)
+    lam0, lam = penetration_depth(SC, 0.1), penetration_depth(SC, t)
     assert (lam - lam0) / lam0 < 5e-3
     exact = (-(lam**2 - lam0**2) * MU_0
-             / (2 * sc.l_total_per_length * GEOM.thickness * GEOM.width))
-    approx = freq_shift_from_temperature(sc, GEOM, t, 0.1)
+             / (2 * l_total * GEOM.thickness * GEOM.width))
+    approx = freq_shift_from_temperature(SC, GEOM, t, 0.1)
     assert abs(approx - exact) < 0.01 * abs(exact)
 
 
