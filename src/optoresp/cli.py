@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: photon-number, slopes, mc, temp-model, synth, fit-spectrum.
-Every run writes a JSON result envelope (schema ``optoresp/result/v2``)
+Every run writes a JSON result envelope (schema ``optoresp/result/v3``)
 whose config echo holds the resolved value of every flag, in flag units,
 keyed by the flag's dest (``--out-dir`` and ``--config`` aside; ``mc``
 echoes the worker count it used).  The echo is itself a JSON ``--config``
@@ -63,7 +63,7 @@ from .tls import ThermalEnvironment, permittivity_bracket
 
 TEMP_MODEL_HEADER = "temp_k,fr_ghz,dfrac_tls,dfrac_qp,dfrac_total"
 SLOPES_SWEEP_HEADER = "g_over_2pi_mhz,xi_m_per_w,slope_inv_q_per_w,slope_dfrac_per_w"
-FIT_CURVE_HEADER = "freq_hz,data_re,data_im,model_re,model_im"
+FIT_CURVE_HEADER = "freq_hz,model_re,model_im"
 
 
 def float_list(text):
@@ -421,8 +421,7 @@ def run_fit_spectrum(a, rows, names):
             **_fit_report(full.fit),
         }
         model = fitmodels.s21_model(full.fit.values, trace.frequencies)
-        columns = [trace.frequencies, trace.values.real, trace.values.imag,
-                   model.real, model.imag]
+        columns = [trace.frequencies, model.real, model.imag]
         writers = [lambda path: io.write_table(path, FIT_CURVE_HEADER,
                                                columns)]
     qi_l = payload.get("lorentzian", {}).get("q_int", np.nan)

@@ -28,6 +28,8 @@ class FilmGeometry:
     def __post_init__(self):
         for name in ("thickness", "width", "length"):
             check_range(name, getattr(self, name))
+        # the cross-section divides L_k,l and the frequency shift
+        check_range("thickness times width", self.thickness * self.width)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ def freq_shift_from_temperature(sc: SuperconductorParams, geom: FilmGeometry,
     """
     l_total = sc.l_total_per_length
     if l_total is None:
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore"):
             l_total = kinetic_inductance_per_length(sc, geom, t_ref)
         check_range("lambda0 squared over thickness times width", l_total)
     lam_ref = penetration_depth(sc, t_ref)

@@ -210,3 +210,52 @@ def test_finite_check_guard_sees_each_idiom():
                      "    def other(self):\n"
                      "        return np.isfinite(self.x)\n")
     assert _hand_written_finite_checks(tree) == [3, 4]
+
+
+def _file_writes(tree):
+    """Line numbers of calls that write a file: open() or .open() with a
+    literal mode that writes, appends or updates, or with a mode= keyword
+    that is not a literal, and .write_text() or .write_bytes()."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, (ast.Name, ast.Attribute))):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ("write_text", "write_bytes"):
+            found.append(node.lineno)
+        elif name == "open":
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            modes += [a for a in node.args if isinstance(a, ast.Constant)
+                      and isinstance(a.value, str)
+                      and set(a.value) <= set("rwxabt+")]
+            if any(not isinstance(m, ast.Constant)
+                   or set(m.value) & set("wxa+") for m in modes):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_io_writes_files():
+    # every CSV and envelope goes through io's writers
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path != SRC / "io.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            offenders += [f"{path.relative_to(SRC.parent)}:{n}"
+                          for n in _file_writes(tree)]
+    assert offenders == []
+
+
+def test_write_guard_sees_each_idiom():
+    tree = ast.parse("open(p)\n"
+                     "open(p, newline='')\n"
+                     "open(p, 'w')\n"
+                     "open(p, mode='ab')\n"
+                     "open(p, mode=m)\n"
+                     "open(p, 'r+')\n"
+                     "Path(p).open('wb')\n"
+                     "io.open(p, 'rb')\n"
+                     "p.write_text('x')\n"
+                     "p.write_bytes(b'')\n"
+                     "p.read_text()\n")
+    assert _file_writes(tree) == [3, 4, 5, 6, 7, 9, 10]

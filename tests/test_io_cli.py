@@ -20,7 +20,8 @@ from optoresp import cli, ensemble, io, montecarlo, superconductor, tls
 from optoresp.cli import main
 from optoresp.ensemble import slope_fractional_frequency, slope_inverse_q
 from optoresp.fitkit import (ComplexTrace, SingularJacobianError,
-                             synth_power_series, synth_trace)
+                             fit_full_s21, synth_power_series, synth_trace)
+from optoresp.fitkit.models import s21_model
 from optoresp.meanfield import OdeConvergenceError
 from optoresp.resonator import DriveCondition, LineCalibration, ResonatorMode
 from optoresp.tls import QuadratureError
@@ -56,6 +57,30 @@ def test_write_table_exact_bytes(tmp_path):
                                  b"-2.5,2,0.3333333333333333\n")
     with pytest.raises(ValueError, match="column length mismatch"):
         io.write_table(path, "a,b", [np.zeros(3), np.zeros(2)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 4001])
+def test_write_table_matches_row_formula(tmp_path, n):
+    """The writer's bytes are those of one repr-joined line per row, across
+    the edges of its row blocks and at the extremes of repr's forms."""
+    edges = [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308,
+             -1.7976931348623157e308]
+    floats = np.resize(edges, n) * np.resize([1.0, 1.0, -1.0], n)
+    cols = [np.arange(n), floats, np.linspace(-1.0, 1.0, n) / 3,
+            np.arange(n) - n // 2]
+    path = tmp_path / "t.csv"
+    io.write_table(path, "i,x,y,k", cols, comments=["c"])
+    rows = zip(*(np.asarray(c).tolist() for c in cols))
+    formula = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert path.read_text() == "# c\ni,x,y,k\n" + formula
+
+
+def test_write_table_refuses_header_of_other_width(tmp_path):
+    path = tmp_path / "t.csv"
+    for header, cols in (("a,b", [np.zeros(2)] * 3), ("a,b,c", [[1.0]])):
+        with pytest.raises(ValueError, match=f"header '{header}'"):
+            io.write_table(path, header, cols)
+    assert not path.exists()
 
 
 def test_parse_error_names_line(tmp_path):
@@ -124,6 +149,8 @@ _SHAPES = {
                         "# export\nj_norm,y_m,x_m\n0.1,0,0\n0.5,0,1e-6\n"
                         "1.0,1e-6,zap\n", ":5: non-numeric cell in "
                         "'1.0,1e-6,zap'"),
+    "cr-only": (_trace_table, "freq_hz,re,im\r1,2,3\r4,5,6\r",
+                [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
 }
 
 
@@ -317,8 +344,14 @@ def test_cli_synth_fit_roundtrip(tmp_path):
     env = json.loads((tmp_path / "fit_spectrum.json").read_text())
     assert abs(env["result"]["full"]["q_int"] - 34477) / 34477 < 0.05
     assert env["result"]["q_int_discrepancy_rel"] < 0.20
-    curve = (tmp_path / "fit_spectrum_curve.csv").read_text().splitlines()
-    assert curve[0] == "freq_hz,data_re,data_im,model_re,model_im"
+    curve = tmp_path / "fit_spectrum_curve.csv"
+    assert curve.read_text().splitlines()[0] == "freq_hz,model_re,model_im"
+    # the model columns are the full fit's model at its fitted values
+    trace = io.read_trace(tmp_path / "synth_trace.csv")
+    model = s21_model(fit_full_s21(trace).fit.values, trace.frequencies)
+    table = io._parse_table(curve, cli.FIT_CURVE_HEADER)
+    assert table.tobytes() == np.column_stack(
+        [trace.frequencies, model.real, model.imag]).tobytes()
 
 
 def test_cli_synth_deterministic(tmp_path):
@@ -759,6 +792,9 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["slopes", "--fr-ghz", "1e196", "--fmax-ghz", "1e197"], "--fr-ghz"),
     # a penetration depth whose kinetic-dominated inductance overflows
     (["temp-model", "--lambda0-um=1e308"], "--lambda0-um"),
+    # a film whose cross-section underflows to zero
+    (["temp-model", "--lambda0-um", "0.72", "--ltl", "1e-3",
+      "--film-d-nm=1e-300", "--film-w-nm=1e-300"], "--film-d-nm"),
 ])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:

@@ -42,6 +42,15 @@ def test_kinetic_inductance_scalings():
                     rtol=1e-12)
 
 
+@pytest.mark.parametrize("side", [1e-300, 1e300])
+def test_film_refuses_cross_section_out_of_range(side):
+    """Each side is finite and positive, but d*w underflows to 0 or
+    overflows to inf, and L_k,l and the frequency shift divide by it."""
+    with pytest.raises(ValueError,
+                       match="^thickness times width must be positive"):
+        FilmGeometry(side, side, GEOM.length)
+
+
 def test_total_kinetic_inductance_anchor():
     # lambda(0) that reproduces a 0.65 uH total on the 10 nm x 150 nm x 1.5 mm wire
     l_k_total = 0.65e-6
