@@ -8,9 +8,9 @@ tls             TLS physics on one TLS or a bath (TlsUnit), permittivity
 meanfield       ODE steady-state oracle for the TLS-cavity closed forms
 ensemble        analytic bath integrals and the optical-response slopes
 montecarlo      stochastic TLS-ensemble simulation of the response curves
-superconductor  penetration depth, kinetic inductance, thermal frequency shift,
-                current-density map
+superconductor  penetration depth, kinetic inductance, thermal frequency shift
 fitkit          Levenberg-Marquardt engine and the spectroscopy fit models
+io              the CSV tables and JSON envelopes that cli reads and writes
 cli             command-line entry point (``optoresp ...``)
 """
 

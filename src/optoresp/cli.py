@@ -232,8 +232,9 @@ def _slopes_summary(r, paths):
 
 # --- mc ---------------------------------------------------------------------
 
-def _power_grid(a):
-    return np.linspace(0.0, a.p_max_nw * 1e-9, a.p_points)
+def _power_grid(p_max_nw, points):
+    """The power grid of mc and of synth --kind power [W]."""
+    return np.linspace(0.0, p_max_nw * 1e-9, points)
 
 
 def _mc_check(a):
@@ -242,7 +243,7 @@ def _mc_check(a):
     if a.p_points < 2:
         raise ValueError("--p-points must be at least 2")
     check_range("--p-max-nw", a.p_max_nw)
-    p = _power_grid(a)
+    p = _power_grid(a.p_max_nw, a.p_points)
     with np.errstate(over="ignore"):
         # the slope fit divides the power column by its norm
         if not 0.0 < (p * p).sum() < np.inf:
@@ -264,7 +265,8 @@ def usable_cores():
 
 
 def _mc_config(a, rows):
-    return _library(montecarlo.McConfig, a, rows, p_grid=_power_grid(a),
+    return _library(montecarlo.McConfig, a, rows,
+                    p_grid=_power_grid(a.p_max_nw, a.p_points),
                     normalize_moments=not a.raw_moments)
 
 
@@ -350,6 +352,10 @@ def _synth_check(a):
         raise ValueError("--seed must be nonnegative")
     if a.kind == "power":
         check_range("--p-max-nw", a.p_max_nw)
+        # a grid whose step underflows repeats a power
+        if not np.all(np.diff(_power_grid(a.p_max_nw, a.points)) > 0):
+            raise ValueError("--p-max-nw is too small for --points: the "
+                             "grid repeats a power")
         return
     # the grid is built from both flags, so its errors could name neither
     if not a.f_start_ghz < a.f_stop_ghz:
@@ -372,7 +378,7 @@ def run_synth(a, rows, names):
         return {"file": names[0]}, [
             lambda path: io.write_trace(path, trace, comments)]
     s = _library(fitsynth.synth_power_series, a, rows,
-                 p_grid=np.linspace(0.0, a.p_max_nw * 1e-9, a.points))
+                 p_grid=_power_grid(a.p_max_nw, a.points))
     columns = [s.p_opt, s.inv_q, s.dfrac]
     return {"file": names[0]}, [
         lambda path: io.write_table(path, io.POWER_HEADER, columns, comments)]

@@ -66,21 +66,24 @@ class PowerSeries:
     sigma_dfrac: np.ndarray | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.p_opt, dtype=float)
-        object.__setattr__(self, "p_opt", p)
-        object.__setattr__(self, "inv_q", np.asarray(self.inv_q, dtype=float))
-        object.__setattr__(self, "dfrac", np.asarray(self.dfrac, dtype=float))
-        if not (p.size == self.inv_q.size == self.dfrac.size):
-            raise ValueError("series length mismatch")
-        if np.any(p < 0) or np.any(np.diff(p) <= 0):
-            raise ValueError("p_opt must be nonnegative and ascending")
-        for name in ("sigma_inv_q", "sigma_dfrac"):
+        for name, rule in (("p_opt", "nonnegative and finite"),
+                           ("inv_q", "finite"), ("dfrac", "finite"),
+                           ("sigma_inv_q", "nonnegative and finite"),
+                           ("sigma_dfrac", "nonnegative and finite")):
             val = getattr(self, name)
             if val is not None:
                 val = np.asarray(val, dtype=float)
-                if val.size != p.size:
-                    raise ValueError(f"{name} length mismatch")
+                check_range(name, val, rule)
                 object.__setattr__(self, name, val)
+        p = self.p_opt
+        if not (p.size == self.inv_q.size == self.dfrac.size):
+            raise ValueError("series length mismatch")
+        if np.any(np.diff(p) <= 0):
+            raise ValueError("p_opt must be ascending")
+        for name in ("sigma_inv_q", "sigma_dfrac"):
+            val = getattr(self, name)
+            if val is not None and val.size != p.size:
+                raise ValueError(f"{name} length mismatch")
 
 
 def _fit(model, jac, y, weight, start, names, transforms=None):

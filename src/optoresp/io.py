@@ -2,9 +2,9 @@
 
 All numeric columns carry unit-labeled headers; comment lines start with
 ``#``.  The JSON result envelope has a fixed key order and a schema tag that
-changes whenever column semantics change.  Every CSV reader here, the
-EM-solver map columns of :func:`read_columns` included, names a malformed
-or non-finite cell by ``path:lineno``.
+changes whenever column semantics change.  Every CSV is read through
+``_parse_table``, the one header check, which names a malformed or
+non-finite cell by ``path:lineno``.
 
 A table's body, the lines after its header, is parsed in one
 ``np.loadtxt`` call fed the list of body lines, which reads each cell to the
@@ -75,16 +75,6 @@ def _rows(path, lines, width):
     return np.array(rows, dtype=float)
 
 
-def _read_table(path):
-    """The file's lines, split as text mode splits them, then the number
-    and text of its header: the first line neither blank nor a comment, or
-    (None, None) without one."""
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
-    header = next(_data_lines(enumerate(lines, start=1)), (None, None))
-    return lines, *header
-
-
 # a body holding any of these goes to _rows: '#' starts a comment line, and
 # loadtxt takes the ASCII separators 0x1c-0x1f around a number for blanks,
 # which float() refuses
@@ -111,29 +101,19 @@ def _body(path, lines, header_lineno, width):
 
 
 def _parse_table(path, expected_header):
+    """The table of a CSV whose header, its first line neither blank nor a
+    comment, is expected_header.  Lines are split as text mode splits
+    them."""
     expected = expected_header.split(",")
-    lines, lineno, line = _read_table(path)
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    lineno, line = next(_data_lines(enumerate(lines, start=1)), (None, None))
     if line is None:
         raise ParseError(f"{path}: missing header '{expected_header}'")
     if [c.strip() for c in line.split(",")] != expected:
         raise ParseError(f"{path}:{lineno}: expected header "
                          f"'{expected_header}', got '{line}'")
     return _body(path, lines, lineno, len(expected))
-
-
-def read_columns(path, names):
-    """The named columns of a CSV whose header holds them in any order,
-    among others."""
-    lines, lineno, line = _read_table(path)
-    if line is None:
-        raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in line.split(",")]
-    missing = [n for n in names if n not in header]
-    if missing:
-        raise ParseError(f"{path}:{lineno}: missing columns {missing}; "
-                         f"header {header}")
-    table = _body(path, lines, lineno, len(header))
-    return {n: table[:, header.index(n)] for n in names}
 
 
 # rows per write of write_table: bounds the cell strings held at once

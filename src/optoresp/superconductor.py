@@ -1,18 +1,10 @@
-"""Thin-film superconductor kinetics: penetration depth, kinetic inductance,
-the frequency shift of a warming film, and the current-density ->
-local-potential map.
-
-Current maps come from external electromagnetic solvers as CSV files (see
-:func:`load_current_density_map` for the schema); this module only consumes
-them, through the table reader of :mod:`optoresp.io`, which names a
-malformed or non-finite cell by ``path:lineno``.
-"""
+"""Thin-film superconductor kinetics: penetration depth, kinetic inductance
+and the frequency shift of a warming film."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import io
 from .checks import check_range
 from .constants import MU_0
 
@@ -57,7 +49,9 @@ class SuperconductorParams:
 def penetration_depth(sc: SuperconductorParams, temperature):
     """lambda(T) = lambda(0)/sqrt(1 - (T/T_c)^4); defined for 0 <= T < T_c."""
     t = np.asarray(temperature, dtype=float)
-    if np.any(t < 0) or np.any(t >= sc.t_c):
+    # one min and one max decide it, so a NaN fails
+    if not (0.0 <= np.min(t, initial=np.inf)
+            and np.max(t, initial=-np.inf) < sc.t_c):
         raise ValueError(f"temperature must lie in [0, T_c = {sc.t_c} K)")
     return sc.lambda0 / np.sqrt(1.0 - (t / sc.t_c) ** 4)
 
@@ -88,39 +82,3 @@ def freq_shift_from_temperature(sc: SuperconductorParams, geom: FilmGeometry,
     lam = penetration_depth(sc, temperature)
     return (-(MU_0 / (geom.thickness * geom.width)) * lam_ref
             * (lam - lam_ref) / l_total)
-
-
-@dataclass(frozen=True)
-class CurrentDensityMap:
-    """Normalized current density J(x, y) in [0, 1] on scattered sample points."""
-
-    x: np.ndarray
-    y: np.ndarray
-    j_norm: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x", "y"):
-            check_range(name, getattr(self, name), "finite")
-        check_range("j_norm", self.j_norm, (0.0, 1.0))
-
-
-def local_potential(current_map: CurrentDensityMap):
-    """|V_local| = |cos(arcsin J)| = sqrt(1 - J^2), pointwise.
-
-    1 at a voltage antinode (J = 0), 0 at a current antinode (J = 1); TLS
-    coupling strength scales with this local electric-field amplitude.
-    """
-    return np.sqrt(1.0 - np.asarray(current_map.j_norm, dtype=float) ** 2)
-
-
-# --- file ingestion -------------------------------------------------------
-
-def load_current_density_map(path) -> CurrentDensityMap:
-    """CSV schema: header ``x_m,y_m,j_norm``; ``#`` comment lines allowed.
-
-    Values are expected pre-conditioned by the EM-solver export (in
-    particular, corner cells averaged over a small neighborhood so that
-    current crowding does not leak into the normalization).
-    """
-    cols = io.read_columns(path, ["x_m", "y_m", "j_norm"])
-    return CurrentDensityMap(x=cols["x_m"], y=cols["y_m"], j_norm=cols["j_norm"])

@@ -9,12 +9,11 @@ import pytest
 
 from optoresp.checks import NumericalError, check_range
 from optoresp.ensemble import EnsembleParams
-from optoresp.fitkit import SingularJacobianError
+from optoresp.fitkit import PowerSeries, SingularJacobianError
 from optoresp.meanfield import OdeConvergenceError
 from optoresp.montecarlo import McConfig
 from optoresp.resonator import DriveCondition, LineCalibration, ResonatorMode
-from optoresp.superconductor import (CurrentDensityMap, FilmGeometry,
-                                     SuperconductorParams)
+from optoresp.superconductor import FilmGeometry, SuperconductorParams
 from optoresp.tls import (QuadratureError, SaturationDrive, ThermalEnvironment,
                           TlsHostMaterial, TlsUnit)
 
@@ -31,7 +30,8 @@ VALID = [
     DriveCondition(1e-12, 5e9),
     FilmGeometry(1e-8, 1.5e-7, 1.5e-3),
     SuperconductorParams(7.2e-7, 14.0, 1e-3),
-    CurrentDensityMap(np.array([0.0, 1e-6]), np.zeros(2), np.array([0.2, 0.9])),
+    PowerSeries(np.array([0.0, 1e-9]), np.array([1e-5, 2e-5]),
+                np.array([0.0, -1e-6]), np.array([1e-7, 2e-7]), np.zeros(2)),
 ]
 
 # (instance, field) for every float or float-array field of each dataclass

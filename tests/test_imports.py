@@ -1,6 +1,7 @@
-"""scipy stays out of a process until a function that needs it runs, and
-every public name of the package, the public methods and properties of its
-public classes among them, has a caller outside the tests."""
+"""scipy stays out of a process until a function that needs it runs, only
+the CLI reads or writes files through io, and every public name of the
+package, the public methods and properties of its public classes among
+them, has a caller outside the tests."""
 
 import ast
 import json
@@ -95,12 +96,66 @@ def test_import_guard_sees_nested_module_level_imports():
     assert _module_level_scipy_imports(tree) == [3, 7]
 
 
+def _imports_of(tree, package, targets):
+    """Line numbers of the imports, anywhere in tree, of a module in
+    targets or of a submodule of one.  Relative imports resolve against
+    package, the dotted name of the tree's package; `from m import n`
+    imports m and may import the submodule m.n."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".")
+                parts = parts[:len(parts) - node.level + 1]
+                base = ".".join(parts + [base] if base else parts)
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == t or n.startswith(t + ".") for n in names
+               for t in targets):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_cli_imports_io():
+    # the physics and fit modules take arrays and never touch files: io is
+    # the CLI's, and nothing imports the CLI
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC)
+        targets = {"optoresp.cli"}
+        if str(rel) not in ("cli.py", "__init__.py"):
+            targets.add("optoresp.io")
+        package = ".".join(("optoresp", *rel.parent.parts))
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.relative_to(SRC.parent)}:{n}"
+                      for n in _imports_of(tree, package, targets)]
+    assert offenders == []
+
+
+def test_io_import_guard_sees_each_idiom():
+    tree = ast.parse("from . import io\n"
+                     "from .io import read_trace\n"
+                     "from .. import io, tls\n"
+                     "import optoresp.io as oio\n"
+                     "from optoresp import cli\n"
+                     "import io\n"
+                     "from . import iox\n"
+                     "def f():\n"
+                     "    from ..cli import main\n")
+    targets = {"optoresp.io", "optoresp.cli"}
+    # in a subpackage, '.' is the subpackage and '..' is optoresp
+    assert _imports_of(tree, "optoresp.fitkit", targets) == [3, 4, 5, 9]
+    assert _imports_of(tree, "optoresp", targets) == [1, 2, 4, 5]
+
+
 # public names with no caller in the package or the benchmark, and why each
 # stays
 NO_CALLER = {
     "parameter_sweep": "acceptance criterion 7 sweeps the slopes with it",
-    "local_potential": "the spatial path, for slopes --current-map",
-    "load_current_density_map": "the spatial path, for slopes --current-map",
 }
 
 

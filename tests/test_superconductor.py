@@ -3,11 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from optoresp.constants import MU_0
-from optoresp.superconductor import (CurrentDensityMap, FilmGeometry,
-                                     SuperconductorParams,
+from optoresp.superconductor import (FilmGeometry, SuperconductorParams,
                                      freq_shift_from_temperature,
                                      kinetic_inductance_per_length,
-                                     load_current_density_map, local_potential,
                                      penetration_depth)
 
 GEOM = FilmGeometry(thickness=10e-9, width=150e-9, length=1.5e-3)
@@ -24,6 +22,16 @@ def test_penetration_depth_limits():
         penetration_depth(SC, SC.t_c)
     with pytest.raises(ValueError):
         penetration_depth(SC, 1.5 * SC.t_c)
+    # a NaN temperature fails the range check, whether it is the temperature
+    # or the reference temperature of the frequency shift
+    message = r"^temperature must lie in \[0, T_c = 14.0 K\)$"
+    for temperature in (np.nan, [0.1, np.nan], [np.nan, 0.1]):
+        with pytest.raises(ValueError, match=message):
+            penetration_depth(SC, temperature)
+    with pytest.raises(ValueError, match=message):
+        freq_shift_from_temperature(SC, GEOM, [0.1, np.nan], 0.1)
+    with pytest.raises(ValueError, match=message):
+        freq_shift_from_temperature(SC, GEOM, [0.1, 0.2], np.nan)
 
 
 def test_penetration_depth_monotone():
@@ -86,41 +94,3 @@ def test_freq_shift_linearized_vs_exact():
     approx = freq_shift_from_temperature(SC, GEOM, t, 0.1)
     assert abs(approx - exact) < 0.01 * abs(exact)
 
-
-def test_local_potential():
-    m = CurrentDensityMap(x=np.zeros(3), y=np.zeros(3),
-                          j_norm=np.array([0.0, 1.0, 0.6]))
-    assert_allclose(local_potential(m), [1.0, 0.0, 0.8], atol=1e-15)
-    v = local_potential(m)
-    assert_allclose(v**2 + m.j_norm**2, 1.0, atol=1e-15)
-    with pytest.raises(ValueError):
-        CurrentDensityMap(x=np.zeros(1), y=np.zeros(1),
-                          j_norm=np.array([1.2]))
-
-
-def test_current_map_csv_roundtrip(tmp_path):
-    path = tmp_path / "jmap.csv"
-    path.write_text("# EM solver export\nx_m,y_m,j_norm\n"
-                    "0.0,0.0,0.0\n1e-6,0.0,0.5\n2e-6,1e-6,1.0\n")
-    m = load_current_density_map(path)
-    assert_allclose(m.j_norm, [0.0, 0.5, 1.0])
-    assert_allclose(local_potential(m), [1.0, np.sqrt(0.75), 0.0])
-
-
-def test_current_map_csv_errors(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("x_m,y_m,j_norm\n0.0,oops,0.1\n")
-    with pytest.raises(ValueError, match="bad.csv:2: non-numeric"):
-        load_current_density_map(bad)
-    bad.write_text("x_m,y_m,j_norm\n0.0,0.0,nan\n")
-    with pytest.raises(ValueError, match="bad.csv:2: non-finite"):
-        load_current_density_map(bad)
-    # comment lines count: the bad cell is on the file's 6th line
-    bad.write_text("# export\n# units: m\nx_m,y_m,j_norm\n0.0,0.0,0.1\n"
-                   "\n1e-6,0.0,bad\n")
-    with pytest.raises(ValueError, match="bad.csv:6: non-numeric"):
-        load_current_density_map(bad)
-    missing = tmp_path / "missing.csv"
-    missing.write_text("x_m,j_norm\n0.0,0.1\n")
-    with pytest.raises(ValueError, match="missing columns"):
-        load_current_density_map(missing)

@@ -316,11 +316,16 @@ def test_spectral_diffusion_oracle_takes_one_relaxing_tls():
         spectral_diffusion_loss(frozen, drive, 16 * MHZ, RHO_V)
 
 
-def test_spectral_diffusion_strong_drive():
+# (n/n_s, sigma/Gamma_2): a strong drive, then the corners of the range the
+# oracle takes (it refuses sigma above SD_SIGMA_MAX = 1e3 Gamma_2), where
+# no IntegrationWarning may escape
+@pytest.mark.parametrize("n_rel, sigma_rel", [
+    (100.0, 10.0), (0.0, 1e-6), (0.0, 1e3), (1e8, 1e-6), (1e8, 1e3)])
+def test_spectral_diffusion_strong_drive(n_rel, sigma_rel):
     t = _tls(s=-1.0)
     n_s = t.saturation_photon_number
-    drive = SaturationDrive(n_cav=100.0 * n_s)
-    sigma = 10.0 * t.gamma2
+    drive = SaturationDrive(n_cav=n_rel * n_s)
+    sigma = sigma_rel * t.gamma2
     num = spectral_diffusion_loss(t, drive, sigma, RHO_V)
     closed = spectral_diffusion_loss_closed_form(t, drive, RHO_V)
     assert abs(num - closed) <= 1e-3 * abs(closed)
