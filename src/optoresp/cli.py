@@ -75,8 +75,7 @@ def float_list(text):
 
 @dataclass(frozen=True)
 class Arg:
-    """One flag.  type=bool declares a switch, which sets the text 'true';
-    required=True is checked after the config file merge.
+    """One flag.  required=True is checked after the config file merge.
 
     field names the library field or fields the value sets, and any other
     word a library range message uses for this flag.  to_si holds the unit
@@ -104,12 +103,6 @@ class Arg:
     def convert(self, text):
         """The value of this flag written as text, on the command line or in
         a config file."""
-        if self.type is bool:
-            word = text.strip().lower()
-            if word not in ("1", "true", "yes", "on", "0", "false", "no",
-                            "off"):
-                raise ValueError(f"not a switch value: {text!r}")
-            return word in ("1", "true", "yes", "on")
         value = self.type(text)
         if self.choices and value not in self.choices:
             raise ValueError(f"not one of {self.choices}")
@@ -266,8 +259,7 @@ def usable_cores():
 
 def _mc_config(a, rows):
     return _library(montecarlo.McConfig, a, rows,
-                    p_grid=_power_grid(a.p_max_nw, a.p_points),
-                    normalize_moments=not a.raw_moments)
+                    p_grid=_power_grid(a.p_max_nw, a.p_points))
 
 
 def run_mc(a, rows, names):
@@ -311,8 +303,7 @@ def _temp_model_check(a):
         check_range("--t-max-mk", a.t_max_mk)
     if a.lambda0_um is None:  # no film is built to check these flags
         for flag, value in (("--tc-k", a.tc_k), ("--film-d-nm", a.film_d_nm),
-                            ("--film-w-nm", a.film_w_nm),
-                            ("--film-l-mm", a.film_l_mm), ("--ltl", a.ltl)):
+                            ("--film-w-nm", a.film_w_nm), ("--ltl", a.ltl)):
             if value is not None:
                 check_range(flag, value)
 
@@ -539,8 +530,6 @@ COMMANDS = {c.name: c for c in (
              field="ds_value", per=DS_PER),
          Arg("--p-max-nw", float, 200.0),
          Arg("--p-points", int, 11),
-         Arg("--raw-moments", bool, False,
-             "skip the <g^2>/<Gamma_1> moment normalization"),
          Arg("--workers", int, None,
              "trial threads (default: the usable cores)", field="workers")),
         run_mc, "mc.json", ("mc_curves.csv", "mc_aggregate.csv"), _mc_summary,
@@ -562,7 +551,6 @@ COMMANDS = {c.name: c for c in (
          Arg("--tc-k", float, 14.0, field="t_c"),
          Arg("--film-d-nm", float, 10.0, field="thickness", to_si=(1e-9,)),
          Arg("--film-w-nm", float, 150.0, field="width", to_si=(1e-9,)),
-         Arg("--film-l-mm", float, 1.5, field="length", to_si=(1e-3,)),
          Arg("--ltl", float, None,
              "total inductance per length [H/m]; default kinetic-dominated",
              field="l_total_per_length")),
@@ -619,10 +607,8 @@ def build_parser():
     for cmd in COMMANDS.values():
         sp = sub.add_parser(cmd.name, help=cmd.help)
         for a in COMMON + cmd.args:
-            kw = ({"action": "store_const", "const": "true"}
-                  if a.type is bool else {})
-            if a.choices:
-                kw["metavar"] = "{" + ",".join(a.choices) + "}"
+            kw = ({"metavar": "{" + ",".join(a.choices) + "}"} if a.choices
+                  else {})
             sp.add_argument(a.flag, default=argparse.SUPPRESS,
                             help=a.help or ("required (flag or config)"
                                             if a.required else None), **kw)

@@ -123,7 +123,7 @@ def slope_fractional_frequency(p: EnsembleParams) -> float:
                 - p.gamma1_t * k_parallel(p) * p.g_par_t**2)
 
 
-_SWEEP_AXES = ("omega_r", "omega_max", "gamma1")
+_SWEEP_AXES = ("omega_r", "omega_max")
 _G_REFERENCE_FR = 7e9  # Hz; coupling normalization pivot for omega_r sweeps
 
 
@@ -133,7 +133,7 @@ def parameter_sweep(p: EnsembleParams, axis, grid):
     axis "omega_r" rescales the couplings as g(omega_r) = g0 *
     sqrt(f_r / 7 GHz) (single-photon coupling grows with the mode frequency)
     and keeps delta_min pinned to omega_r.  axis "omega_max" moves delta_max
-    with it.  axis "gamma1" moves gamma2_t along when it was tied to gamma1.
+    with it.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0):
@@ -145,11 +145,8 @@ def parameter_sweep(p: EnsembleParams, axis, grid):
         scale = np.sqrt(grid / (TWO_PI * _G_REFERENCE_FR))
         q = replace(p, omega_r=grid, delta_min=grid,
                     g_perp_t=p.g_perp_t * scale, g_par_t=p.g_par_t * scale)
-    elif axis == "omega_max":
-        q = replace(p, omega_max=grid, delta_max=grid)
     else:
-        q = replace(p, gamma1_t=grid,
-                    gamma2_t=grid if p.gamma2_t == p.gamma1_t else p.gamma2_t)
+        q = replace(p, omega_max=grid, delta_max=grid)
     return {"axis": axis, "grid": grid,
             "slope_inverse_q": slope_inverse_q(q),
             "slope_fractional_frequency": slope_fractional_frequency(q)}

@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+from .checks import check_range
 from .fitkit.models import ComplexTrace
 
 SCHEMA_TAG = "optoresp/result/v3"
@@ -124,13 +125,19 @@ def write_table(path, header, columns, comments=()):
     """Unit-labeled CSV: '# ' comment lines, the header, then one row per
     index of the equal-length columns.  Floats are written as repr, so a
     read gives back the same bits; integers as integers.  The header names
-    one field per column."""
-    columns = [np.asarray(c).tolist() for c in columns]
+    one field per column.  A column holding nan or inf is refused by file
+    and column name before anything is written: no table holds a
+    non-finite number."""
+    columns = [np.asarray(c) for c in columns]
     if len({len(c) for c in columns}) > 1:
         raise ValueError("column length mismatch")
-    if header.count(",") + 1 != len(columns):
+    names = header.split(",")
+    if len(names) != len(columns):
         raise ValueError(f"header '{header}' does not name "
                          f"{len(columns)} columns")
+    for name, column in zip(names, columns):
+        check_range(f"{path}: column '{name}'", column, "finite")
+    columns = [c.tolist() for c in columns]
     rows = map(",".join, zip(*(map(repr, c) for c in columns)))
     with open(path, "w") as fh:
         fh.writelines(f"# {c}\n" for c in comments)

@@ -80,12 +80,11 @@ class McConfig:
     drawn from N(0, s_std) clamped into [-1, 0]; dS is ds_value for every
     TLS.  The slopes are fitted over the whole p_grid.
 
-    normalize_moments rescales the clamped Gaussian draws so that the bath
-    satisfies <g_i^2> = g_mean^2 and <Gamma_i> = gamma1_mean exactly; these
-    are the moments the averaged-bath (tilde) parameters stand for, and
-    without the correction the loss slope would sit ~18% above the analytic
-    value (the raw clamped draw has <g^2> = 1.18 g_mean^2).  Set it False for
-    literally mean-centered draws.
+    The clamped Gaussian draws of g and Gamma_1 are rescaled so that the
+    bath satisfies <g_i^2> = g_mean^2 and <Gamma_i> = gamma1_mean exactly:
+    these are the moments the averaged-bath (tilde) parameters stand for.
+    The raw clamped draw has <g^2> = 1.18 g_mean^2, which would put the loss
+    slope about 18 % above the analytic value.
     """
 
     seed: int = 0
@@ -104,7 +103,6 @@ class McConfig:
     s_std: float = 0.35
     ds_value: float = 1.0 / (TWO_PI * 400e6)
     p_grid: np.ndarray = field(default_factory=_default_p_grid)
-    normalize_moments: bool = True
     workers: int = 1
 
     def __post_init__(self):
@@ -286,10 +284,9 @@ def generate_ensemble(config: McConfig, rng=None) -> TlsUnit:
 
     g = _clamped_normal(rng, n, config.g_mean)
     gamma1 = _clamped_normal(rng, n, config.gamma1_mean)
-    if config.normalize_moments:
-        m1, m2 = _clamp_moments(FWHM_REL_STD)
-        g /= np.sqrt(m2)
-        gamma1 /= m1
+    m1, m2 = _clamp_moments(FWHM_REL_STD)
+    g /= np.sqrt(m2)
+    gamma1 /= m1
 
     s = _normal(rng, n, 0.0, config.s_std)
     np.clip(s, -1.0, 0.0, out=s)

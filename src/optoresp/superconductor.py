@@ -11,14 +11,14 @@ from .constants import MU_0
 
 @dataclass(frozen=True)
 class FilmGeometry:
-    """Nanowire film: thickness d, width w, length l, all in meters."""
+    """Nanowire film cross-section: thickness d and width w, in meters.  The
+    frequency shift of a warming film depends on the cross-section only."""
 
     thickness: float
     width: float
-    length: float
 
     def __post_init__(self):
-        for name in ("thickness", "width", "length"):
+        for name in ("thickness", "width"):
             check_range(name, getattr(self, name))
         # the cross-section divides L_k,l and the frequency shift
         check_range("thickness times width", self.thickness * self.width)

@@ -28,7 +28,7 @@ VALID = [
     ResonatorMode(5e9, 2e4, 1e3, 10.0),
     LineCalibration(1.0, 1e-9, 0.1),
     DriveCondition(1e-12, 5e9),
-    FilmGeometry(1e-8, 1.5e-7, 1.5e-3),
+    FilmGeometry(1e-8, 1.5e-7),
     SuperconductorParams(7.2e-7, 14.0, 1e-3),
     PowerSeries(np.array([0.0, 1e-9]), np.array([1e-5, 2e-5]),
                 np.array([0.0, -1e-6]), np.array([1e-7, 2e-7]), np.zeros(2)),

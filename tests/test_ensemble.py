@@ -137,7 +137,7 @@ def test_sweep_omega_max_scaling():
 
 
 def test_sweep_single_point_matches_direct():
-    out = parameter_sweep(P_REF, "gamma1", [P_REF.gamma1_t])
+    out = parameter_sweep(P_REF, "omega_max", [P_REF.omega_max])
     assert_allclose(out["slope_inverse_q"][0], slope_inverse_q(P_REF),
                     rtol=1e-14)
     assert_allclose(out["slope_fractional_frequency"][0],
@@ -150,17 +150,14 @@ def scalar_sweep_point(p, axis, v):
         scale = np.sqrt(v / (TWO_PI * 7e9))
         q = replace(p, omega_r=v, delta_min=v, g_perp_t=p.g_perp_t * scale,
                     g_par_t=p.g_par_t * scale)
-    elif axis == "omega_max":
-        q = replace(p, omega_max=v, delta_max=v)
     else:
-        q = replace(p, gamma1_t=v, gamma2_t=v)
+        q = replace(p, omega_max=v, delta_max=v)
     return slope_inverse_q(q), slope_fractional_frequency(q)
 
 
 @pytest.mark.parametrize("axis, grid", [
     ("omega_r", TWO_PI * np.linspace(1e9, 20e9, 25)),
     ("omega_max", TWO_PI * np.logspace(11, np.log10(3e12), 20)),
-    ("gamma1", TWO_PI * np.linspace(1e6, 100e6, 17)),
 ])
 def test_sweep_bitwise_equals_scalar_calls(axis, grid):
     out = parameter_sweep(P_REF, axis, grid)

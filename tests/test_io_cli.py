@@ -59,6 +59,16 @@ def test_write_table_exact_bytes(tmp_path):
         io.write_table(path, "a,b", [np.zeros(3), np.zeros(2)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_table_refuses_non_finite_column(tmp_path, bad):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError) as refused:
+        io.write_table(path, "x_m,n,y", [np.array([0.1, 0.2]), np.arange(2),
+                                         np.array([1.0, bad])])
+    assert str(refused.value) == f"{path}: column 'y' must be finite"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 4001])
 def test_write_table_matches_row_formula(tmp_path, n):
     """The writer's bytes are those of one repr-joined line per row, across
@@ -598,8 +608,6 @@ def test_cli_explicit_flag_at_default_beats_config(tmp_path):
      "c.json:2: config key 'trials': invalid value '2.5'"),
     ("mc", "c.txt", "seed = 1\ntrials = two\n",
      "c.txt:2: config key 'trials': invalid value 'two'"),
-    ("mc", "c.txt", "raw-moments = ture\n",
-     "c.txt:1: config key 'raw-moments': invalid value 'ture'"),
     ("slopes", "c.json", '{"xi-grid": "20,fifty"}',
      "c.json:1: config key 'xi-grid': invalid value '20,fifty'"),
     ("synth", "c.txt", "kind = sine\n",
@@ -624,7 +632,29 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     assert list(tmp_path.iterdir()) == [cfgfile]
 
 
-@pytest.mark.parametrize("argv, flag", [
+# A case's test id is argv<slot>-<flag>, its slot in FLAG_CASES.  A deleted
+# case leaves RETIRED in its slot, so the ids of the cases after it do not
+# move, and new cases are appended.  The deleted --film-l-mm row held the
+# three generated slots after --film-w-nm's.
+RETIRED = None
+_RETIRED_AFTER = {("temp-model", "--film-w-nm")}
+
+
+def _non_finite_cases():
+    """Every number flag of every command at nan and +-inf, in a run that
+    reads it: io would write the value as null, so it is refused."""
+    for name, cmd in cli.COMMANDS.items():
+        for arg in cmd.args:
+            if arg.type in (float, cli.float_list):
+                for value in ("nan", "inf", "-inf"):
+                    yield ([*BASE_ARGV.get(arg.flag,
+                                           BASE_ARGV.get(name, [name])),
+                            f"{arg.flag}={value}"], arg.flag)
+            if (name, arg.flag) in _RETIRED_AFTER:
+                yield from [RETIRED] * 3
+
+
+FLAG_CASES = [
     (["synth", "--points", "0"], "--points"),
     (["temp-model", "--t-points", "0"], "--t-points"),
     (["temp-model", "--fr-ghz", ""], "--fr-ghz"),
@@ -714,8 +744,7 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
      "--film-d-nm"),
     (["temp-model", "--lambda0-um", "0.7", "--film-w-nm", "inf"],
      "--film-w-nm"),
-    (["temp-model", "--lambda0-um", "0.7", "--film-l-mm", "nan"],
-     "--film-l-mm"),
+    RETIRED,  # --film-l-mm nan: the flag is deleted
     (["temp-model", "--lambda0-um", "0.7", "--ltl", "nan"], "--ltl"),
     (["temp-model", "--lambda0-um", "0.7", "--ltl", "0"], "--ltl"),
     (["temp-model", "--lambda0-um", "nan"], "--lambda0-um"),
@@ -728,7 +757,7 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["temp-model", "--tc-k", "nan"], "--tc-k"),
     (["temp-model", "--film-d-nm", "nan"], "--film-d-nm"),
     (["temp-model", "--film-w-nm", "inf"], "--film-w-nm"),
-    (["temp-model", "--film-l-mm", "0"], "--film-l-mm"),
+    RETIRED,  # --film-l-mm 0: the flag is deleted
     # a linewidth whose square underflows, slopes that ran to inf, and
     # Monte Carlo windows that named no flag or failed inside rng.poisson
     (["photon-number", "--fr-ghz=1e-308", "--q-int", "1", "--q-ext", "1",
@@ -760,15 +789,7 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
     (["temp-model", "--t-grid-mk=1,inf"], "--t-grid-mk"),
     (["temp-model", "--t-max-mk=inf"], "--t-max-mk"),
     (["temp-model", "--t-min-mk=inf"], "--t-min-mk"),
-] + [
-    # every number flag of every command at nan and +-inf, in a run that
-    # reads it: io would write the value as null, so it is refused
-    ([*BASE_ARGV.get(arg.flag, BASE_ARGV.get(name, [name])),
-      f"{arg.flag}={value}"], arg.flag)
-    for name, cmd in cli.COMMANDS.items() for arg in cmd.args
-    if arg.type in (float, cli.float_list)
-    for value in ("nan", "inf", "-inf")
-] + [
+    *_non_finite_cases(),
     # a coupling whose square overflows a Python float, the same in a grid
     # (whose line led with --ds), and power grids whose norm underflows (an
     # SVD failure) or overflows (slopes of zero)
@@ -785,7 +806,19 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, command,
       "--film-d-nm=1e-300", "--film-w-nm=1e-300"], "--film-d-nm"),
     # a power grid whose step underflows, so every power is 0
     (["synth", "--kind", "power", "--p-max-nw=1e-320"], "--p-max-nw"),
-])
+    # finite flags whose series or trace overflows
+    (["synth", "--kind", "power", "--p-max-nw=1e300", "--gamma-per-nw=1e10"],
+     "--gamma-per-nw"),
+    (["synth", "--kind", "power", "--delta3-per-nw=-1e10"], "--delta3-per-nw"),
+    (["synth", "--noise=1e308"], "--noise"),
+    (["synth", "--fr-ghz=1e-308"], "--fr-ghz"),
+    (["synth", "--tau-ns=1e308"], "--tau-ns"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(*case, id=f"argv{slot}-{case[1]}")
+    for slot, case in enumerate(FLAG_CASES) if case is not RETIRED])
 def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -795,6 +828,27 @@ def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
     # no word of the line is a library field the command maps to a flag
     assert not set(err.split()) & set(cli.COMMANDS[argv[0]].flags)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, csv", [
+    (["mc", "--trials", "2", "--workers", "1", "--fr-ghz=1e-308"],
+     "mc_curves.csv"),
+    (["mc", "--trials", "2", "--workers", "1", "--xi=1e308"], "mc_curves.csv"),
+    (["mc", "--trials", "2", "--workers", "1", "--ds=1e308"], "mc_curves.csv"),
+    (["mc", "--trials", "2", "--workers", "1", "--l-edge-um=1e-308"],
+     "mc_curves.csv"),
+    (["temp-model", "--fr-ghz=1e-308"], "temp_model.csv"),
+    (["temp-model", "--t-min-mk=1e-308"], "temp_model.csv"),
+])
+def test_cli_non_finite_table_fails_the_run(tmp_path, capsys, argv, csv):
+    # runs that wrote nan rows: the writer refuses the column, and the
+    # failed run removes its envelope
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / csv}: column ")
+    assert err.endswith(" must be finite\n") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -810,6 +864,25 @@ BUILT = {
               synth_trace, synth_power_series),
     "fit-spectrum": (),
 }
+
+
+def test_cli_defaults_are_the_library_reference_bath():
+    # slopes and mc declare the reference bath a second time, in flag units:
+    # each number default, taken to library units, is the library's default
+    for name, ref in (("slopes", ensemble.EnsembleParams()),
+                      ("mc", montecarlo.McConfig())):
+        rows = {arg.flag: arg for arg in cli.COMMANDS[name].args}
+        for arg in rows.values():
+            if arg.type not in (int, float) or arg.default is None:
+                continue
+            pinned = [f for f in arg.fields if hasattr(ref, f)]
+            assert pinned or not arg.fields, arg.flag
+            for field in pinned:
+                assert_allclose(arg.si(arg.default), getattr(ref, field),
+                                rtol=1e-15, atol=0, err_msg=arg.flag)
+    grid = cli._power_grid(rows["--p-max-nw"].default,
+                           rows["--p-points"].default)
+    assert_allclose(grid, montecarlo.McConfig().p_grid, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(cli.COMMANDS))

@@ -8,7 +8,7 @@ from optoresp.superconductor import (FilmGeometry, SuperconductorParams,
                                      kinetic_inductance_per_length,
                                      penetration_depth)
 
-GEOM = FilmGeometry(thickness=10e-9, width=150e-9, length=1.5e-3)
+GEOM = FilmGeometry(thickness=10e-9, width=150e-9)
 SC = SuperconductorParams(lambda0=0.72e-6, t_c=14.0)
 
 
@@ -42,7 +42,7 @@ def test_penetration_depth_monotone():
 
 def test_kinetic_inductance_scalings():
     lk = kinetic_inductance_per_length(SC, GEOM, 0.0)
-    wider = FilmGeometry(GEOM.thickness, 2 * GEOM.width, GEOM.length)
+    wider = FilmGeometry(GEOM.thickness, 2 * GEOM.width)
     assert_allclose(kinetic_inductance_per_length(SC, wider, 0.0), lk / 2,
                     rtol=1e-12)
     sc2 = SuperconductorParams(2 * SC.lambda0, SC.t_c)
@@ -56,16 +56,16 @@ def test_film_refuses_cross_section_out_of_range(side):
     overflows to inf, and L_k,l and the frequency shift divide by it."""
     with pytest.raises(ValueError,
                        match="^thickness times width must be positive"):
-        FilmGeometry(side, side, GEOM.length)
+        FilmGeometry(side, side)
 
 
 def test_total_kinetic_inductance_anchor():
     # lambda(0) that reproduces a 0.65 uH total on the 10 nm x 150 nm x 1.5 mm wire
-    l_k_total = 0.65e-6
-    lam0 = np.sqrt(l_k_total * GEOM.thickness * GEOM.width / (MU_0 * GEOM.length))
+    l_k_total, length = 0.65e-6, 1.5e-3
+    lam0 = np.sqrt(l_k_total * GEOM.thickness * GEOM.width / (MU_0 * length))
     assert_allclose(lam0, 7.192034237731906e-7, rtol=1e-12)  # ~0.72 um
     sc = SuperconductorParams(lam0, 14.0)
-    forward = kinetic_inductance_per_length(sc, GEOM, 0.0) * GEOM.length
+    forward = kinetic_inductance_per_length(sc, GEOM, 0.0) * length
     assert_allclose(forward, l_k_total, rtol=1e-12)
 
 
