@@ -871,8 +871,7 @@ def test_cli_defaults_are_the_library_reference_bath():
     # each number default, taken to library units, is the library's default
     for name, ref in (("slopes", ensemble.EnsembleParams()),
                       ("mc", montecarlo.McConfig())):
-        rows = {arg.flag: arg for arg in cli.COMMANDS[name].args}
-        for arg in rows.values():
+        for arg in cli.COMMANDS[name].args:
             if arg.type not in (int, float) or arg.default is None:
                 continue
             pinned = [f for f in arg.fields if hasattr(ref, f)]
@@ -880,8 +879,8 @@ def test_cli_defaults_are_the_library_reference_bath():
             for field in pinned:
                 assert_allclose(arg.si(arg.default), getattr(ref, field),
                                 rtol=1e-15, atol=0, err_msg=arg.flag)
-    grid = cli._power_grid(rows["--p-max-nw"].default,
-                           rows["--p-points"].default)
+    mc = {arg.flag: arg for arg in cli.COMMANDS["mc"].args}
+    grid = cli._power_grid(mc["--p-max-nw"].default, mc["--p-points"].default)
     assert_allclose(grid, montecarlo.McConfig().p_grid, rtol=1e-15, atol=0)
 
 
