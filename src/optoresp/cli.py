@@ -170,7 +170,9 @@ def _echo(a):
 
 def run_photon_number(a, rows, names):
     mode = _library(ResonatorMode, a, rows)
-    drive = DriveCondition(input_power=dbm_to_watts(a.power_dbm),
+    with np.errstate(over="ignore"):  # DriveCondition refuses an inf power
+        power = dbm_to_watts(a.power_dbm)
+    drive = DriveCondition(input_power=power,
                            probe_frequency=mode.f_r + a.detuning_hz)
     n = photon_number(mode, drive)
     return {
@@ -351,8 +353,13 @@ def _synth_check(a):
     # the grid is built from both flags, so its errors could name neither
     if not a.f_start_ghz < a.f_stop_ghz:
         raise ValueError("--f-start-ghz must be below --f-stop-ghz")
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = _frequency_grid(a)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("--f-start-ghz or --f-stop-ghz is too large in "
+                         "magnitude: the frequency grid must be finite")
     # neighbours closer than a float's spacing round to the same frequency
-    if not np.all(np.diff(_frequency_grid(a)) > 0):
+    if not np.all(np.diff(grid) > 0):
         raise ValueError("--f-start-ghz and --f-stop-ghz are too close "
                          "for --points: the grid repeats a frequency")
 

@@ -5,16 +5,21 @@ with ``scipy.optimize.leastsq``, which hands both to MINPACK's ``lmder``.
 Complex-valued data is handled by the model layer (real and imaginary
 residuals stacked), so the engine only ever sees real vectors.
 
+The Jacobian is parameter-major: ``jac(x)`` returns an (n, m) array, one
+contiguous row of m residual derivatives per parameter.  That is MINPACK's
+column-major ``fjac``, so ``leastsq(col_deriv=True)`` copies it in without
+a transpose.
+
 Internal coordinates: parameter bounds are enforced by smooth
 reparameterizations (log for positive quantities, a fixed scale for
 unbounded quantities far from O(1)) rather than clipping, which keeps the descent surface differentiable.  MINPACK
 works on the internal coordinates u, x = t(u) per parameter; the Jacobian
-is mapped by the chain rule, dr/du = dr/dx * t'(u), and MINPACK scales each
-coordinate by the norm of its Jacobian column (``diag=None``).
+is mapped by the chain rule, dr/du = dr/dx * t'(u), row by row, and MINPACK
+scales each coordinate by the norm of its Jacobian row (``diag=None``).
 
 Termination is MINPACK's: relative cost reduction below ftol, relative step
-below xtol, or every Jacobian column nearly orthogonal to the residual
-(cosine below gtol), all at 1e-8; or 100 residual evaluations per
+below xtol, or every parameter's Jacobian row nearly orthogonal to the
+residual (cosine below gtol), all at 1e-8; or 100 residual evaluations per
 parameter.  The stop message is scipy's least-squares text for MINPACK's
 stop code.  Non-convergence, including a stop at a
 non-finite point, is reported as a flag on the result, not an exception;
@@ -25,7 +30,9 @@ pseudoinverse covariance).
 The residual and the Jacobian each remember their last point: leastsq
 evaluates both at the start point to check their shapes, and lmder then
 asks for them there again, so ``nfev`` counts distinct residual
-evaluations.
+evaluations.  A remembered array is returned itself, not a copy: neither
+the engine nor scipy's wrapper writes to it.  ``jac`` must return a new
+array at each call, as the engine scales its rows in place.
 
 scipy loads on first use: ``leastsq`` is imported inside
 :func:`levenberg_marquardt`, so importing this module loads numpy only.
@@ -133,9 +140,10 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
 
     Parameters
     ----------
-    residual : callable(x) -> 1-D array of residuals (external coordinates).
-    jac : callable(x) -> (m, n) Jacobian of the residual in external
-        coordinates.
+    residual : callable(x) -> (m,) array of residuals (external coordinates).
+    jac : callable(x) -> (n, m) Jacobian of the residual in external
+        coordinates, rows by parameter: row i is d residual / d x_i.  A new
+        array at each call; the engine scales it in place.
     transforms : per-parameter Identity/Scaled/Log instances, or
         None for Identity throughout.
 
@@ -163,7 +171,7 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
         def g(uv):
             if not np.array_equal(uv, last[0]):
                 last[:] = uv.copy(), f(uv)
-            return last[1].copy()
+            return last[1]
         return g
 
     nfev = 0
@@ -174,45 +182,51 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
         nfev += 1
         return np.asarray(residual(external(uv)), dtype=float)
 
-    @memo
-    def jac_u(uv):
-        factors = np.array([t.jacobian_factor(ui)
-                            for t, ui in zip(transforms, uv)])
-        return np.asarray(jac(external(uv)), dtype=float) * factors
-
     u = np.array([t.to_internal(v) for t, v in zip(transforms, x0)])
     r = res_u(u)
+    m = r.size
     if not np.all(np.isfinite(r)):
         raise ValueError("residual not finite at the initial point")
+    if np.any(r) and m < n:
+        raise ValueError("Method 'lm' doesn't work when the number of "
+                         "residuals is less than the number of variables.")
+
+    @memo
+    def jac_u(uv):
+        j = np.asarray(jac(external(uv)), dtype=float)
+        if j.shape != (n, m):
+            raise ValueError(f"jac must return an (n, m) = ({n}, {m}) array, "
+                             f"one row per parameter, not {j.shape}")
+        j *= np.array([t.jacobian_factor(ui)
+                       for t, ui in zip(transforms, uv)])[:, None]
+        return j
+
     if np.any(r):
-        if r.size < n:
-            raise ValueError("Method 'lm' doesn't work when the number of "
-                             "residuals is less than the number of variables.")
         u, _, info, _, ier = leastsq(res_u, u, Dfun=jac_u, full_output=True,
-                                     ftol=1e-8, xtol=1e-8, gtol=1e-8,
-                                     maxfev=100 * n)
-        r, j_internal = info["fvec"], jac_u(u)
+                                     col_deriv=True, ftol=1e-8, xtol=1e-8,
+                                     gtol=1e-8, maxfev=100 * n)
+        r = info["fvec"]
         finite = bool(np.all(np.isfinite(u)) and np.all(np.isfinite(r)))
         converged, iterations = finite and 1 <= ier <= 4, int(info["njev"])
         message = (_STOP_MESSAGES[ier] if finite
                    else "stopped at a non-finite point")
     else:
-        j_internal = jac_u(u)
         converged, iterations, message = True, 0, "zero residual"
     cost = 0.5 * float(r @ r)
-    cov, flags = _covariance(j_internal, r, transforms, u, cost)
+    cov, flags = _covariance(jac_u(u), r, transforms, u, cost)
     return FitResult(names=names, values=external(u), covariance=cov,
                      cost=cost, converged=converged, iterations=iterations,
                      nfev=nfev, message=message, flags=flags)
 
 
-def _covariance(j_internal, r, transforms, u, cost):
-    """Covariance in external coordinates from the internal-coordinate Jacobian."""
-    m, n = j_internal.shape
+def _covariance(j, r, transforms, u, cost):
+    """Covariance in external coordinates from the (n, m) internal-coordinate
+    Jacobian j."""
+    n, m = j.shape
     flags = []
-    if not np.all(np.isfinite(j_internal)):
+    if not np.all(np.isfinite(j)):
         return None, ["jacobian_nonfinite"]
-    _, sv, _ = np.linalg.svd(j_internal, full_matrices=False)
+    sv = np.linalg.svd(j, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         if cost > 0.0:
             raise SingularJacobianError(
@@ -222,8 +236,10 @@ def _covariance(j_internal, r, transforms, u, cost):
         flags.append("rank_deficient")
     dof = max(m - n, 1)
     s2 = float(r @ r) / dof
-    jtj = j_internal.T @ j_internal
-    cov_int = np.linalg.pinv(jtj) * s2
+    # J^T J from a C-contiguous (m, n) copy, whose BLAS product keeps the
+    # covariance's bits; the (n, m) layout's product differs in the last bits
+    j = np.ascontiguousarray(j.T)
+    cov_int = np.linalg.pinv(j.T @ j) * s2
     # map internal covariance to external coordinates: x = f(u), dx = f'(u) du
     factors = np.array([t.jacobian_factor(ui) for t, ui in zip(transforms, u)])
     cov = cov_int * np.outer(factors, factors)

@@ -1,13 +1,13 @@
 """Fit models: Lorentzian dip, full asymmetric S21, optical power series,
 and TLS microwave-saturation curves.
 
-Each fit declares an unweighted model and its analytic Jacobian, and
-:func:`_fit` hands the engine their weighted residual pair.  Complex traces
-are fitted with stacked real/imaginary residuals so that the line phase
-(tau, alpha) and the asymmetry rotation stay separable; magnitude-only
-fitting is reserved for the Lorentzian dip estimator.  The full-S21 model is
-:func:`optoresp.resonator.notch`, the notch formula's one implementation.
-Bounds are smooth transforms, never clips.
+Each fit declares an unweighted model and its analytic Jacobian, rows by
+parameter, and :func:`_fit` hands the engine their weighted residual pair.
+Complex traces are fitted with stacked real/imaginary residuals so that the
+line phase (tau, alpha) and the asymmetry rotation stay separable;
+magnitude-only fitting is reserved for the Lorentzian dip estimator.  The
+full-S21 model is :func:`optoresp.resonator.notch`, the notch formula's one
+implementation.  Bounds are smooth transforms, never clips.
 """
 
 from dataclasses import dataclass
@@ -87,18 +87,18 @@ class PowerSeries:
 
 
 def _fit(model, jac, y, weight, start, names, transforms=None):
-    """Fit the unweighted model(x), with Jacobian jac(x), to the data y: the
-    engine sees (model(x) - y) * weight and jac(x) * weight[:, None], complex
-    ones stacked real over imaginary.  weight None fits unweighted."""
-    def stack(v, w):
-        v = v if w is None else v * w
-        return np.concatenate([v.real, v.imag]) if np.iscomplexobj(v) else v
+    """Fit the unweighted model(x), with the (n, m) Jacobian jac(x), one row
+    per parameter, to the data y: the engine sees (model(x) - y) * weight and
+    jac(x) * weight, complex ones with the real part before the imaginary
+    part along the last axis.  weight None fits unweighted."""
+    def stack(v):
+        v = v if weight is None else v * weight
+        return (np.concatenate([v.real, v.imag], axis=-1)
+                if np.iscomplexobj(v) else v)
 
-    column = None if weight is None else weight[:, None]
     return levenberg_marquardt(
-        lambda x: stack(model(x) - y, weight), start,
-        jac=lambda x: stack(jac(x), column), names=names,
-        transforms=transforms)
+        lambda x: stack(model(x) - y), start, jac=lambda x: stack(jac(x)),
+        names=names, transforms=transforms)
 
 
 def _weights_from_sigma(sigma):
@@ -121,11 +121,11 @@ def _lorentzian_jac(x, f):
     c0, c1, f0, w = x
     delta = f - f0
     den = 1.0 + 4.0 * delta**2 / w**2
-    jac = np.empty((f.size, 4))
-    jac[:, 0] = 1.0
-    jac[:, 1] = -1.0 / den
-    jac[:, 2] = -8.0 * c1 * delta / (w**2 * den**2)
-    jac[:, 3] = -8.0 * c1 * delta**2 / (w**3 * den**2)
+    jac = np.empty((4, f.size))
+    jac[0] = 1.0
+    jac[1] = -1.0 / den
+    jac[2] = -8.0 * c1 * delta / (w**2 * den**2)
+    jac[3] = -8.0 * c1 * delta**2 / (w**3 * den**2)
     return jac
 
 
@@ -273,7 +273,7 @@ def s21_model(x, f):
 
 
 def _s21_jacobian(x, f):
-    """d s21_model / dx: the seven complex columns of the model.
+    """d s21_model / dx: the seven complex rows, one per parameter.
 
     With the line factor L = amp e^{-i(2 pi f tau + alpha)},
     D = 1 + 2i Q (f - f_r)/f_r and K = L Q/(Q_e D), the model is L - K and
@@ -285,7 +285,7 @@ def _s21_jacobian(x, f):
     line = amp * np.exp(-1j * (TWO_PI * f * tau + alpha))
     k = line * q_tot / (qe * d)
     s = line - k
-    return np.column_stack([
+    return np.stack([
         -2j * q_tot * f / (f_r**2 * d) * k,   # f_r
         -k / (q_tot * d),                     # q_tot
         k / qe,                               # q_ext_re
@@ -383,7 +383,7 @@ def fit_power_inverse_q(series: PowerSeries, model="linear") -> FitResult:
         if p.size < 3:
             raise ValueError("linear fit needs at least 3 points")
         return _fit(lambda x: x[0] * p + x[1],
-                    lambda x: np.column_stack([p, np.ones_like(p)]), y, wts,
+                    lambda x: np.stack([p, np.ones_like(p)]), y, wts,
                     np.polyfit(p, y, 1), ("gamma", "inv_q0"))
 
     if model != "linear_plus_saturation":
@@ -398,7 +398,7 @@ def fit_power_inverse_q(series: PowerSeries, model="linear") -> FitResult:
     def jac(x):
         g1, g2, g3, c = x
         e = np.exp(-g3 * p)
-        return np.column_stack([p, 1.0 - e, g2 * p * e, np.ones_like(p)])
+        return np.stack([p, 1.0 - e, g2 * p * e, np.ones_like(p)])
 
     tail = max(2, p.size // 3)
     g1_0 = max(np.polyfit(p[-tail:], y[-tail:], 1)[0], 0.0)
@@ -430,7 +430,7 @@ def fit_power_frequency(series: PowerSeries) -> FitResult:
     def jac(x):
         d1, d2, d3 = x
         e = np.exp(-d3 * p)
-        return np.column_stack([p, -(1.0 - e), -d2 * p * e])
+        return np.stack([p, -(1.0 - e), -d2 * p * e])
 
     scale = max(np.max(np.abs(y)), 1e-15)
     d1_0 = np.polyfit(p, y, 1)[0]
@@ -468,8 +468,8 @@ def fit_tls_saturation(n_cav, inv_q_int, sigma=None) -> FitResult:
         dsdq = -0.5 * fdelta * s**3
         with np.errstate(divide="ignore", invalid="ignore"):
             logterm = np.where(n > 0, np.log(n / n_c), 0.0)
-        return np.column_stack([s, dsdq * (-beta * q / n_c),
-                                dsdq * q * logterm, np.ones_like(n)])
+        return np.stack([s, dsdq * (-beta * q / n_c), dsdq * q * logterm,
+                         np.ones_like(n)])
 
     floor0 = float(np.min(y))
     fdelta0 = max(float(y[np.argmin(n)] - floor0), 1e-12)

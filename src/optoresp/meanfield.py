@@ -49,6 +49,8 @@ HORIZON = 14.0          # integration window, in units of 1/kappa_tot
 N_SAMPLES = 400         # transverse sample times over the window
 RESIDUAL_TOL = 1e-3     # max |residual| of the log-amplitude decay fit
 RTOL = 1e-10            # transverse DOP853 relative tolerance
+SEED_AMPLITUDE = 1e-4   # initial coherent amplitude, small so the TLS
+                        # stays unsaturated
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,11 @@ class SteadyStateResult:
     sigma_z: np.ndarray      # <sigma_z>(t)
 
 
-def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
-                                seed_amplitude=1e-4, sz0=None):
+def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode):
     """Extra loss and shift of the cavity mode, extracted by integration
-    over HORIZON/kappa_tot: the transverse solve at N_SAMPLES times, to RTOL
-    (absolute: 1e-12 * seed_amplitude), the longitudinal one exactly.  A
+    from a coherent amplitude SEED_AMPLITUDE and the relaxed population
+    tls.s over HORIZON/kappa_tot: the transverse solve at N_SAMPLES times, to
+    RTOL (absolute: 1e-12 * SEED_AMPLITUDE), the longitudinal one exactly.  A
     decay fit residual above RESIDUAL_TOL raises OdeConvergenceError.
 
     Parameters
@@ -78,11 +80,6 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
     kappa_tot : float
         Bare cavity energy decay rate [rad/s].
     mode : {"transverse", "longitudinal"}
-    seed_amplitude : float
-        Initial coherent amplitude; keep small so the TLS stays unsaturated.
-    sz0 : float, optional
-        Initial population; defaults to the TLS's own s, so the population
-        starts relaxed.
 
     Returns
     -------
@@ -93,15 +90,11 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
         raise ValueError(f"unknown mode {mode!r}")
     if not (kappa_tot > 0):
         raise ValueError("kappa_tot must be positive")
-    sz_init = tls.s if sz0 is None else float(sz0)
-
     t_end = HORIZON / kappa_tot
     if mode == "transverse":
-        t, c, sz = _integrate_transverse(tls, kappa_tot, t_end, seed_amplitude,
-                                         sz_init)
+        t, c, sz = _integrate_transverse(tls, kappa_tot, t_end, tls.s)
     else:
-        t, c, sz = _integrate_longitudinal(tls, omega_r, kappa_tot, t_end,
-                                           seed_amplitude, sz_init)
+        t, c, sz = _integrate_longitudinal(tls, omega_r, kappa_tot, t_end)
 
     # fit over the final 80% of the window
     m = t >= t[0] + 0.2 * (t[-1] - t[0])
@@ -120,7 +113,7 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode,
                              fit_residual=float(resid), sigma_z=sz)
 
 
-def _integrate_transverse(tls, kappa_tot, t_end, seed, sz_init):
+def _integrate_transverse(tls, kappa_tot, t_end, sz_init):
     from scipy.integrate import ode
 
     # Python floats: the same IEEE operations as numpy scalars, several
@@ -138,8 +131,9 @@ def _integrate_transverse(tls, kappa_tot, t_end, seed, sz_init):
 
     t = np.linspace(0.0, t_end, N_SAMPLES)
     y = np.empty((N_SAMPLES, 5))
-    y[0] = [0.0, 0.0, seed, 0.0, sz_init]
-    solver = ode(rhs).set_integrator("dop853", rtol=RTOL, atol=1e-12 * seed)
+    y[0] = [0.0, 0.0, SEED_AMPLITUDE, 0.0, sz_init]
+    solver = ode(rhs).set_integrator("dop853", rtol=RTOL,
+                                     atol=1e-12 * SEED_AMPLITUDE)
     solver.set_initial_value(y[0])
     with warnings.catch_warnings():  # the return code below reports failure
         warnings.filterwarnings("ignore", category=UserWarning,
@@ -152,7 +146,7 @@ def _integrate_transverse(tls, kappa_tot, t_end, seed, sz_init):
     return t, y[:, 2] + 1j * y[:, 3], y[:, 4]
 
 
-def _integrate_longitudinal(tls, omega_r, kappa_tot, t_end, seed, sz_init):
+def _integrate_longitudinal(tls, omega_r, kappa_tot, t_end):
     from scipy.linalg import expm
 
     g, g1, s0 = tls.g_par, tls.gamma1, tls.s
@@ -170,7 +164,7 @@ def _integrate_longitudinal(tls, omega_r, kappa_tot, t_end, seed, sz_init):
     # doubling (rows m.. are rows 0.. times (E^m)^T); no eigendecomposition,
     # so a defective mat is fine
     dev = np.empty((n, 3))
-    dev[0] = [seed, 0.0, sz_init - s0]
+    dev[0] = [SEED_AMPLITUDE, 0.0, 0.0]  # the population starts relaxed
     step, m = expm(mat * t[1]), 1
     while m < n:
         k = min(m, n - m)

@@ -288,7 +288,10 @@ def generate_ensemble(config: McConfig, rng=None) -> TlsUnit:
     g /= np.sqrt(m2)
     gamma1 /= m1
 
-    s = _normal(rng, n, 0.0, config.s_std)
+    # a spread so wide that s_std * z overflows draws S = +-inf, which the
+    # clip maps to 0 or -1: the exact limit of a very wide spread
+    with np.errstate(over="ignore"):
+        s = _normal(rng, n, 0.0, config.s_std)
     np.clip(s, -1.0, 0.0, out=s)
 
     return TlsUnit(detuning=detuning, g_perp=g, g_par=g, gamma1=gamma1,

@@ -27,7 +27,7 @@ def test_linear_model_exact_recovery():
     def resid(p):
         return p[0] * x - y
 
-    fit = levenberg_marquardt(resid, [1.0], jac=lambda p: x[:, None])
+    fit = levenberg_marquardt(resid, [1.0], jac=lambda p: x[None, :])
     assert fit.converged
     assert abs(fit.values[0] - 3.7) < 1e-12
     # one step to the optimum, one Jacobian there to confirm it
@@ -39,7 +39,7 @@ def test_zero_residual_start_returns_immediately():
         return np.zeros(5)
 
     fit = levenberg_marquardt(resid, [2.0, 3.0],
-                              jac=lambda p: np.zeros((5, 2)))
+                              jac=lambda p: np.zeros((2, 5)))
     assert fit.converged and fit.iterations == 0 and fit.nfev == 1
     assert_allclose(fit.values, [2.0, 3.0])
     assert fit.message == "zero residual"
@@ -51,7 +51,7 @@ def test_rosenbrock_valley():
         return np.array([1.0 - p[0], 10.0 * (p[1] - p[0] ** 2)])
 
     def jac(p):
-        return np.array([[-1.0, 0.0], [-20.0 * p[0], 10.0]])
+        return np.array([[-1.0, -20.0 * p[0]], [0.0, 10.0]])
 
     fit = levenberg_marquardt(resid, [-1.2, 1.0], jac=jac)
     assert fit.converged
@@ -68,7 +68,7 @@ def test_final_cost_not_above_initial():
 
     def jac(p):
         e = np.exp(-p[1] * x)
-        return np.column_stack([e, -p[0] * x * e])
+        return np.stack([e, -p[0] * x * e])
 
     start = [0.5, 0.5]
     fit = levenberg_marquardt(resid, start, jac=jac, transforms=[Log(), Log()])
@@ -91,7 +91,7 @@ def test_non_finite_residual_is_never_converged():
 
         def jac(p):
             with np.errstate(invalid="ignore", divide="ignore"):
-                return (0.5 / np.sqrt(p[0]) * x)[:, None]
+                return (0.5 / np.sqrt(p[0]) * x)[None, :]
 
         fit = levenberg_marquardt(resid, [4.0], jac=jac,
                                   transforms=[Identity()])
@@ -112,6 +112,21 @@ def test_fewer_residuals_than_parameters_refused():
             "than the number of variables.")):
         levenberg_marquardt(lambda p: np.array([p[0] + p[1] - 1.0]),
                             [0.0, 0.0], jac=lambda p: np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("residual, x0, jac", [
+    (lambda p: p[0] * np.ones(5) - 1.0, [2.0], np.ones((5, 1))),
+    (lambda p: np.zeros(5), [2.0, 3.0], np.zeros((5, 2))),
+    (lambda p: p[0] + p[1] * np.arange(5.0), [1.0, 1.0], np.ones((5, 2))),
+], ids=["one-parameter", "zero-residual", "two-parameter"])
+def test_residual_major_jacobian_refused(residual, x0, jac):
+    # the engine takes one row per parameter; an (m, n) Jacobian is refused,
+    # also where n = 1 gives it the same memory and at a zero-residual start
+    # that leastsq never sees
+    with pytest.raises(ValueError, match=re.escape(
+            f"jac must return an (n, m) = ({len(x0)}, 5) array, one row per "
+            f"parameter, not (5, {len(x0)})")):
+        levenberg_marquardt(residual, x0, jac=lambda p: jac.copy())
 
 
 # values, sha256 of the covariance bytes (first 32 hex digits), nfev,
@@ -215,7 +230,7 @@ def test_transform_bounds_respected():
         return p[0] * x + p[1] - y
 
     fit = levenberg_marquardt(resid, [1.0, 0.3],
-                              jac=lambda p: np.column_stack([x, np.ones_like(x)]),
+                              jac=lambda p: np.stack([x, np.ones_like(x)]),
                               transforms=[Identity(), Log()])
     assert fit.values[1] > 0.0
     assert abs(fit.values[0] - 0.5) < 1e-3
@@ -240,7 +255,8 @@ def test_model_jacobians_match_finite_differences():
                       rng.uniform(-0.3, 0.3), rng.uniform(0.2, 1.5)])
         jac = models._lorentzian_jac(x, f)
         fd = _centered_fd(lambda xx: models._lorentzian(xx, f), x, f.size)
-        assert_allclose(jac, fd, rtol=1e-6, atol=1e-8)
+        assert jac.shape == (4, f.size)
+        assert_allclose(jac, fd.T, rtol=1e-6, atol=1e-8)
 
 
 def test_power_and_saturation_jacobians_match_finite_differences():
@@ -325,7 +341,7 @@ def test_s21_jacobian_matches_central_differences(monkeypatch):
             lambda xx: models._s21_jacobian(xx, GRID),
             np.zeros(GRID.size, complex), weight)
         jac = jacobian(x)
-        assert jac.shape == (2 * GRID.size, 7)
+        assert jac.shape == (7, 2 * GRID.size)
         steps = 1e-5 * np.array([LW, x[1], x[2], abs(x[3]), x[4],
                                  1.0 / (2 * np.pi * x[0]), 1.0])
         for j, h in enumerate(steps):
@@ -333,8 +349,8 @@ def test_s21_jacobian_matches_central_differences(monkeypatch):
             xp[j] += h
             xm[j] -= h
             fd = (residual(xp) - residual(xm)) / (xp[j] - xm[j])
-            assert_allclose(jac[:, j], fd, rtol=0,
-                            atol=1e-6 * np.max(np.abs(jac[:, j])))
+            assert_allclose(jac[j], fd, rtol=0,
+                            atol=1e-6 * np.max(np.abs(jac[j])))
 
 
 @settings(max_examples=200, deadline=None)

@@ -291,6 +291,19 @@ def test_cli_mc_workers_default_to_usable_cores(tmp_path):
                 == (tmp_path / "one" / csv).read_bytes())
 
 
+def test_cli_mc_widest_s_spread_runs_clean(tmp_path):
+    # s_std * z overflows to +-inf, which the clip into [-1, 0] maps to the
+    # limit of a very wide spread: no warning, and finite curves
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("mc", "--s-std=1e308", "--trials", "2", "--workers",
+                       "1", "--out-dir", str(tmp_path)) == 0
+    assert caught == []
+    for csv in ("mc_curves.csv", "mc_aggregate.csv"):
+        table = np.loadtxt(tmp_path / csv, delimiter=",", skiprows=1)
+        assert table.size and np.all(np.isfinite(table))
+
+
 def test_cli_mc_empty_bath(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="optoresp.montecarlo"):
         code = run_cli("mc", "--rho", "0", "--trials", "1", "--p-points", "4",
@@ -813,6 +826,11 @@ FLAG_CASES = [
     (["synth", "--noise=1e308"], "--noise"),
     (["synth", "--fr-ghz=1e-308"], "--fr-ghz"),
     (["synth", "--tau-ns=1e308"], "--tau-ns"),
+    # finite flags whose frequency grid or watts overflow
+    (["synth", "--f-stop-ghz=1e308"], "--f-start-ghz"),
+    (["synth", "--f-start-ghz=-1e308"], "--f-start-ghz"),
+    (PHOTON_NUMBER[:7] + ["--power-dbm=1e30"], "--power-dbm"),
+    (PHOTON_NUMBER[:7] + ["--power-dbm=1e308"], "--power-dbm"),
 ]
 
 
