@@ -298,11 +298,23 @@ def _temp_model_check(a):
         raise ValueError("--fr-ghz lists no mode frequency")
     if a.t_grid_mk:
         check_range("--t-grid-mk", a.t_grid_mk)
+        temperatures = [("--t-grid-mk", t) for t in (min(a.t_grid_mk),
+                                                      max(a.t_grid_mk))]
     elif a.t_points < 1:
         raise ValueError("--t-points must be at least 1")
     else:
         check_range("--t-min-mk", a.t_min_mk)
         check_range("--t-max-mk", a.t_max_mk)
+        temperatures = [("--t-min-mk", a.t_min_mk), ("--t-max-mk", a.t_max_mk)]
+    # the bracket's range errors at the grid's end temperatures, named by
+    # the flag that sets each
+    for flag, t_mk in temperatures:
+        try:
+            permittivity_bracket([v * 1e9 for v in a.fr_ghz],
+                                 ThermalEnvironment(t_mk * 1e-3))
+        except ValueError as exc:
+            raise ValueError(_flag_message(
+                exc, {"f_r": "--fr-ghz", "temperature": flag})) from exc
     if a.lambda0_um is None:  # no film is built to check these flags
         for flag, value in (("--tc-k", a.tc_k), ("--film-d-nm", a.film_d_nm),
                             ("--film-w-nm", a.film_w_nm), ("--ltl", a.ltl)):

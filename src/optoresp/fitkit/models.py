@@ -374,6 +374,28 @@ def fit_full_s21(trace: ComplexTrace) -> FullS21Result:
 
 # --- optical power series ---------------------------------------------------
 
+def _inverse_q_sat(x, p):
+    g1, g2, g3, c = x
+    return g1 * p + g2 * (1.0 - np.exp(-g3 * p)) + c
+
+
+def _inverse_q_sat_jac(x, p):
+    g1, g2, g3, c = x
+    e = np.exp(-g3 * p)
+    return np.stack([p, 1.0 - e, g2 * p * e, np.ones_like(p)])
+
+
+def _dfrac(x, p):
+    d1, d2, d3 = x
+    return d1 * p - d2 * (1.0 - np.exp(-d3 * p))
+
+
+def _dfrac_jac(x, p):
+    d1, d2, d3 = x
+    e = np.exp(-d3 * p)
+    return np.stack([p, -(1.0 - e), -d2 * p * e])
+
+
 def fit_power_inverse_q(series: PowerSeries, model="linear") -> FitResult:
     """Fit 1/Q(P): gamma*P + 1/Q0, or the linear-plus-saturation form
     gamma1*P + gamma2*(1 - exp(-gamma3*P)) + 1/Q0."""
@@ -391,20 +413,12 @@ def fit_power_inverse_q(series: PowerSeries, model="linear") -> FitResult:
     if p.size < 5:
         raise ValueError("saturating fit needs at least 5 points")
 
-    def curve(x):
-        g1, g2, g3, c = x
-        return g1 * p + g2 * (1.0 - np.exp(-g3 * p)) + c
-
-    def jac(x):
-        g1, g2, g3, c = x
-        e = np.exp(-g3 * p)
-        return np.stack([p, 1.0 - e, g2 * p * e, np.ones_like(p)])
-
     tail = max(2, p.size // 3)
     g1_0 = max(np.polyfit(p[-tail:], y[-tail:], 1)[0], 0.0)
     scale = max(y.max() - y.min(), 1e-12)
     start = [g1_0, 0.1 * scale, 2.0 / max(np.median(p[p > 0]), 1e-30), y[0]]
-    fit = _fit(curve, jac, y, wts, start,
+    fit = _fit(lambda x: _inverse_q_sat(x, p),
+               lambda x: _inverse_q_sat_jac(x, p), y, wts, start,
                ("gamma1", "gamma2", "gamma3", "inv_q0"),
                (Identity(), Log(), Log(), Identity()))
     if fit["gamma2"] < 1e-6 * scale:
@@ -423,23 +437,31 @@ def fit_power_frequency(series: PowerSeries) -> FitResult:
         raise ValueError("frequency-shift fit needs at least 5 points")
     wts = _weights_from_sigma(series.sigma_dfrac)
 
-    def model(x):
-        d1, d2, d3 = x
-        return d1 * p - d2 * (1.0 - np.exp(-d3 * p))
-
-    def jac(x):
-        d1, d2, d3 = x
-        e = np.exp(-d3 * p)
-        return np.stack([p, -(1.0 - e), -d2 * p * e])
-
     scale = max(np.max(np.abs(y)), 1e-15)
     d1_0 = np.polyfit(p, y, 1)[0]
     start = [d1_0, 0.5 * scale, 2.0 / max(np.median(p[p > 0]), 1e-30)]
-    fit = _fit(model, jac, y, wts, start, ("delta1", "delta2", "delta3"),
+    fit = _fit(lambda x: _dfrac(x, p), lambda x: _dfrac_jac(x, p), y, wts,
+               start, ("delta1", "delta2", "delta3"),
                (Identity(), Log(), Log()))
     if fit["delta2"] < 1e-5 * scale:
         fit.flags.append("delta2_pinned")
     return fit
+
+
+def _tls_saturation(x, n):
+    fdelta, n_c, beta, floor = x
+    return fdelta / np.sqrt(1.0 + (n / n_c) ** beta) + floor
+
+
+def _tls_saturation_jac(x, n):
+    fdelta, n_c, beta, floor = x
+    q = (n / n_c) ** beta
+    s = 1.0 / np.sqrt(1.0 + q)
+    dsdq = -0.5 * fdelta * s**3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logterm = np.where(n > 0, np.log(n / n_c), 0.0)
+    return np.stack([s, dsdq * (-beta * q / n_c), dsdq * q * logterm,
+                     np.ones_like(n)])
 
 
 def fit_tls_saturation(n_cav, inv_q_int, sigma=None) -> FitResult:
@@ -457,25 +479,13 @@ def fit_tls_saturation(n_cav, inv_q_int, sigma=None) -> FitResult:
     narrow = pos.size == 0 or pos.max() / pos.min() < 100.0
     wts = _weights_from_sigma(sigma)
 
-    def model(x):
-        fdelta, n_c, beta, floor = x
-        return fdelta / np.sqrt(1.0 + (n / n_c) ** beta) + floor
-
-    def jac(x):
-        fdelta, n_c, beta, floor = x
-        q = (n / n_c) ** beta
-        s = 1.0 / np.sqrt(1.0 + q)
-        dsdq = -0.5 * fdelta * s**3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logterm = np.where(n > 0, np.log(n / n_c), 0.0)
-        return np.stack([s, dsdq * (-beta * q / n_c), dsdq * q * logterm,
-                         np.ones_like(n)])
-
     floor0 = float(np.min(y))
     fdelta0 = max(float(y[np.argmin(n)] - floor0), 1e-12)
     n_c0 = float(np.median(pos)) if pos.size else 1.0
     start = [fdelta0, n_c0, 1.0, floor0 - 1e-3 * fdelta0]
-    fit = _fit(model, jac, y, wts, start, ("f_delta", "n_c", "beta", "floor"),
+    fit = _fit(lambda x: _tls_saturation(x, n),
+               lambda x: _tls_saturation_jac(x, n), y, wts, start,
+               ("f_delta", "n_c", "beta", "floor"),
                (Log(), Log(), Log(), Identity()))
     if narrow:
         fit.flags.append("insufficient_span")

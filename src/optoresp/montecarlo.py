@@ -60,6 +60,10 @@ FWHM_REL_STD = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 # largest mean numpy's Generator.poisson takes (about 9.2e18)
 _BATH_TLS_MAX = 1e7
 
+# draws of g and Gamma_1 stay below this many times their means: numpy's
+# normal draw lies within 14 standard deviations, 7 times the mean here
+_DRAW_HEADROOM = 10.0
+
 
 def _default_p_grid():
     return np.linspace(0.0, 200e-9, 11)
@@ -141,6 +145,37 @@ class McConfig:
                 f"{window} times rho_tls times area times half_length is "
                 f"too large: {count:.3g} TLSs expected in a trial's bath, "
                 f"above the {_BATH_TLS_MAX:.3g} a trial holds")
+        self._check_float_range()
+
+    def _check_float_range(self):
+        """Each field is in range, but a trial's products of them must stay
+        inside the float range too: the Debye denominator, the kernel
+        arguments, and the Debye weights with the curves they sum into (which
+        McResult's spread squares), for the largest g and Gamma_1 drawn."""
+        w_r, l_edge = float(self.omega_r), float(self.l_edge)
+        if not w_r * w_r > 0.0:
+            raise ValueError("omega_r is too small: its square underflows "
+                             "to zero in the Debye denominator")
+        if not 4.0 * (float(self.draw_half_length) / l_edge) < math.inf:
+            raise ValueError("l_edge is too small for the draw window: the "
+                             "kernel argument 2|x|/l_edge must be finite")
+        v_rate = float(self.xi) / (2.0 * l_edge)   # as kernel computes it
+        if not 4.0 * float(self.p_grid[-1]) * v_rate < math.inf:
+            raise ValueError("xi is too large for l_edge and the power grid: "
+                             "the kernel argument xi*P/l_edge must be finite")
+        g = _DRAW_HEADROOM * float(self.g_mean)
+        gamma1 = _DRAW_HEADROOM * float(self.gamma1_mean)
+        g2_ds = g * g * float(self.ds_value)
+        weight = 2.0 * g2_ds * gamma1 * max(w_r, gamma1)
+        # a curve's Debye part is at most (TLS count) g^2 dS / w_r, and a
+        # bath holds under twice _BATH_TLS_MAX; the spread squares it
+        curve = 2.0 * _BATH_TLS_MAX * g2_ds / w_r
+        if not (weight < math.inf
+                and 4.0 * curve * curve * self.trials < math.inf):
+            raise ValueError("ds_value or g_mean or gamma1_mean is too large, "
+                             "or omega_r too small, for the Debye weights "
+                             "g^2 dS Gamma_1 w_r of a bath and their sum to "
+                             "be finite")
 
     @property
     def window_segments(self):

@@ -12,7 +12,8 @@ closed forms take either, the quadrature and mean-field oracles one TLS only.
 Also here: the temperature dependence of the TLS permittivity (a closed
 form in scipy's complex digamma, which broadcasts over mode frequencies and
 temperatures), the Kramers-Kronig quadrature oracle for that closed form
-on a host of given loss tangent, and the Gaussian spectral-diffusion loss
+on a host of given loss tangent (a Cauchy-weight principal value plus a
+plain tail, two QUADPACK calls), and the Gaussian spectral-diffusion loss
 integral with its saturated closed form.
 
 scipy loads on first use: ``quad`` inside the two quadrature oracles, and
@@ -192,15 +193,23 @@ def permittivity_bracket(f_r, env: ThermalEnvironment):
     dependence of the TLS permittivity up to the -delta/pi prefactor.
 
     f_r broadcasts against env.temperature: f_r[:, None] with an array of
-    temperatures gives one row per mode.
+    temperatures gives one row per mode.  h f/(2 pi k T) must stay positive
+    and finite for every pair: a ValueError names f_r when it underflows and
+    temperature when it overflows.
     """
     f_r = np.asarray(f_r)
     check_range("f_r", f_r)
-    x = PLANCK * f_r / (TWO_PI * K_B * env.temperature)
+    with np.errstate(over="ignore", divide="ignore"):
+        x = PLANCK * f_r / (TWO_PI * K_B * env.temperature)
+    if not np.all(x > 0.0):
+        raise ValueError("f_r is too small for temperature so h f/(2 pi k T) "
+                         "underflows to zero")
+    if not np.all(x < np.inf):
+        raise ValueError("temperature is too low for f_r so h f/(2 pi k T) "
+                         "overflows")
     return digamma(0.5 + 1j * x).real - np.log(x)
 
 
-KK_EXCISION_REL = 1e-6      # pole excision half-width, relative to f
 # inner spectral-diffusion window, in Gaussians: the tail past 12 is ~1.8e-33
 # per side (spectral_diffusion_loss bounds the share it drops below 1e-23)
 SD_N_SIGMA = 12.0
@@ -214,8 +223,17 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
     """Dispersive counterpart of the tanh dielectric loss, by quadrature.
 
     Evaluates (delta_TLS/pi) PV int_0^cutoff f' tanh(h f'/2 k T)/(f'^2 - f^2) df'
-    with symmetric excision of half-width KK_EXCISION_REL * f around the pole
-    and two-point Richardson extrapolation of the excision width toward zero.
+    in two QUADPACK calls, split at 2 f.  On [0, 2 f] the integrand is
+    w(f')/(f' - f) with the smooth w(f') = f' tanh(h f'/2 k T)/(f' + f), and
+    the principal value comes from the Cauchy-weight rule (QAWC, scipy's
+    ``quad(weight="cauchy")``), which integrates across the pole without
+    excising it.  On [2 f, cutoff] the integrand has no pole and a plain
+    ``quad`` takes it, with the thermal knee 2 k T/h of the tanh as a
+    breakpoint when the knee lies inside; without it, the adaptive rule
+    can stop about 2e-6 off where the knee sits far above 2 f.  The split
+    at 2 f keeps the pole in the middle of the Cauchy piece, and it is why
+    the cut-off must lie above 2 f.  Each piece must reach an error
+    estimate of 1e-6 max(1, |value|), or QuadratureError is raised.
 
     The transform carries coefficient 1/pi rather than the textbook one-sided
     2/pi: the tanh loss already folds the anti-resonant TLS response into the
@@ -246,25 +264,24 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
 
     a = PLANCK / (2.0 * K_B * env.temperature)
 
+    # quad calls these ~400 times: Python floats and math, not numpy scalars
+    def w(fp):
+        return fp * math.tanh(a * fp) / (fp + f)
+
     def integrand(fp):
-        return fp * np.tanh(a * fp) / (fp**2 - f**2)
+        return fp * math.tanh(a * fp) / (fp**2 - f**2)
 
-    def excised(eps):
-        total = 0.0
-        for lo, hi in ((0.0, f - eps), (f + eps, f_cutoff)):
-            pts = [p for p in (0.5 * f, 2.0 * f) if lo < p < hi]
-            val, err = quad(integrand, lo, hi, limit=300, points=pts or None)
-            if err > 1e-6 * max(1.0, abs(val)):
-                raise QuadratureError(
-                    f"principal-value segment [{lo:g}, {hi:g}] error {err:g}")
-            total += val
-        return total
+    def piece(fun, lo, hi, **opts):
+        val, err = quad(fun, lo, hi, limit=300, **opts)
+        if err > 1e-6 * max(1.0, abs(val)):
+            raise QuadratureError(
+                f"principal-value segment [{lo:g}, {hi:g}] error {err:g}")
+        return val
 
-    eps0 = KK_EXCISION_REL * f
-    i_full = excised(eps0)
-    i_half = excised(0.5 * eps0)
-    # symmetric excision misses -2 eps h'(f) + O(eps^3); Richardson removes it
-    pv = 2.0 * i_half - i_full
+    knee = 1.0 / a
+    pv = (piece(w, 0.0, 2.0 * f, weight="cauchy", wvar=f)
+          + piece(integrand, 2.0 * f, f_cutoff,
+                  points=[knee] if 2.0 * f < knee < f_cutoff else None))
     return host.delta_tls * pv / np.pi
 
 
@@ -365,7 +382,7 @@ def _piecewise_quad(f, knots, limit):
 
 
 def _check_quad(val, err, label):
-    if not np.isfinite(val) or err > 1e-5 * max(1.0, abs(val)):
+    if not math.isfinite(val) or err > 1e-5 * max(1.0, abs(val)):
         raise QuadratureError(f"quadrature failed on {label}: value {val:g}, error {err:g}")
 
 

@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import functools
 import inspect
 import itertools
 import json
@@ -831,6 +833,18 @@ FLAG_CASES = [
     (["synth", "--f-start-ghz=-1e308"], "--f-start-ghz"),
     (PHOTON_NUMBER[:7] + ["--power-dbm=1e30"], "--power-dbm"),
     (PHOTON_NUMBER[:7] + ["--power-dbm=1e308"], "--power-dbm"),
+    # finite flags that over- or underflowed inside a trial (a squared mode
+    # frequency, the kernel arguments, the Debye weights) or h f/(2 pi k T),
+    # and then wrote a nan row
+    (["mc", "--trials", "2", "--workers", "1", "--fr-ghz=1e-308"], "--fr-ghz"),
+    (["mc", "--trials", "2", "--workers", "1", "--l-edge-um=1e-308"],
+     "--l-edge-um"),
+    (["mc", "--trials", "2", "--workers", "1", "--xi=1e308"], "--xi"),
+    (["mc", "--trials", "2", "--workers", "1", "--ds=1e308"], "--ds"),
+    (["temp-model", "--fr-ghz=1e-308"], "--fr-ghz"),
+    (["temp-model", "--t-min-mk=1e-308"], "--t-min-mk"),
+    (["temp-model", "--t-max-mk=1e-308"], "--t-max-mk"),
+    (["temp-model", "--t-grid-mk=1e-308"], "--t-grid-mk"),
 ]
 
 
@@ -849,24 +863,24 @@ def test_cli_empty_table_names_flag(tmp_path, capsys, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv, csv", [
-    (["mc", "--trials", "2", "--workers", "1", "--fr-ghz=1e-308"],
-     "mc_curves.csv"),
-    (["mc", "--trials", "2", "--workers", "1", "--xi=1e308"], "mc_curves.csv"),
-    (["mc", "--trials", "2", "--workers", "1", "--ds=1e308"], "mc_curves.csv"),
-    (["mc", "--trials", "2", "--workers", "1", "--l-edge-um=1e-308"],
-     "mc_curves.csv"),
-    (["temp-model", "--fr-ghz=1e-308"], "temp_model.csv"),
-    (["temp-model", "--t-min-mk=1e-308"], "temp_model.csv"),
+    (["mc", "--trials", "1", "--workers", "1"], "mc_aggregate.csv"),
+    (["temp-model"], "temp_model.csv"),
 ])
-def test_cli_non_finite_table_fails_the_run(tmp_path, capsys, argv, csv):
-    # runs that wrote nan rows: the writer refuses the column, and the
-    # failed run removes its envelope
+def test_cli_non_finite_table_fails_the_run(tmp_path, capsys, monkeypatch,
+                                            argv, csv):
+    # a run whose table csv holds a nan: the writer refuses the column, and
+    # the failed run removes its envelope and the tables written before it
+    def run(a, rows, names):
+        return {}, [functools.partial(
+            io.write_table, header="x",
+            columns=[[1.0, np.nan if name == csv else 2.0]]) for name in names]
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0],
+                        dataclasses.replace(cli.COMMANDS[argv[0]], run=run))
     assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / csv}: column ")
-    assert err.endswith(" must be finite\n") and err.count("\n") == 1
+    assert (capsys.readouterr().err
+            == f"error: {tmp_path / csv}: column 'x' must be finite\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -280,7 +281,32 @@ def test_kk_matches_digamma_closed_form(t1, t2):
     closed = -(host.delta_tls / np.pi) * (
         permittivity_bracket(f, ThermalEnvironment(t2))
         - permittivity_bracket(f, ThermalEnvironment(t1)))
-    assert abs(kk_diff - closed) <= 1e-3 * abs(closed)
+    assert abs(kk_diff - closed) <= 1e-9 * abs(closed)
+
+
+def test_kk_probe_grid_is_quiet_and_matches_digamma():
+    # f from far below to far above the thermal knee 2kT/h, each value at
+    # the default cut-off, with any scipy IntegrationWarning an error; then
+    # each adjacent temperature pair at a shared cut-off against the closed
+    # form, within the oracle's own 1e-6 error gate on the larger value
+    host = TlsHostMaterial(intrinsic_loss=3e-5)
+    temperatures = [1e-3, 1e-2, 0.1, 1.0, 10.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in [1e6, 1e7, 1e8, 1e9, 1e10, 1e11]:
+            for t in temperatures:
+                assert np.isfinite(kramers_kronig_real_part(
+                    f, ThermalEnvironment(t), host))
+            for t1, t2 in zip(temperatures[:-1], temperatures[1:]):
+                cutoff = 400.0 * max(f, 2.0 * K_B * t2 / PLANCK)
+                kk1, kk2 = (kramers_kronig_real_part(
+                    f, ThermalEnvironment(t), host, f_cutoff=cutoff)
+                    for t in (t1, t2))
+                closed = -(host.delta_tls / np.pi) * (
+                    permittivity_bracket(f, ThermalEnvironment(t2))
+                    - permittivity_bracket(f, ThermalEnvironment(t1)))
+                assert (abs(kk2 - kk1 - closed)
+                        <= 1e-6 * max(abs(kk1), abs(kk2))), (f, t1, t2)
 
 
 # --- spectral diffusion -------------------------------------------------------
