@@ -320,6 +320,12 @@ def _temp_model_check(a):
                             ("--film-w-nm", a.film_w_nm), ("--ltl", a.ltl)):
             if value is not None:
                 check_range(flag, value)
+        return
+    # the quasiparticle term takes every temperature of the grid below T_c
+    check_range("--tc-k", a.tc_k)
+    for flag, t_mk in temperatures:
+        if not t_mk * 1e-3 < a.tc_k:
+            raise ValueError(f"{flag} must lie below --tc-k")
 
 
 def run_temp_model(a, rows, names):
@@ -335,8 +341,13 @@ def run_temp_model(a, rows, names):
             sc, geom, temps, temps[0])
     # one row per (mode, temperature), mode-major; the filling factor is
     # folded into the pdelta product
-    tls_term = (a.pdelta / np.pi * permittivity_bracket(
-        fr_hz[:, None], ThermalEnvironment(temps))).ravel()
+    with np.errstate(over="ignore"):
+        tls_term = (a.pdelta / np.pi * permittivity_bracket(
+            fr_hz[:, None], ThermalEnvironment(temps))).ravel()
+    if not np.all(np.isfinite(tls_term)):
+        raise ValueError("--pdelta is too large for the temperature grid: "
+                         "the TLS term pdelta/pi times the permittivity "
+                         "bracket overflows")
     qp_term = np.tile(qp_term, fr_hz.size)
     columns = [np.tile(temps, fr_hz.size), np.repeat(fr_hz / 1e9, temps.size),
                tls_term, qp_term, tls_term + qp_term]

@@ -85,6 +85,12 @@ class EnsembleParams:
                 check_range(f"{name} squared",
                             np.square(getattr(self, name), dtype=float),
                             "finite")
+            # the Debye denominator of K_par
+            if not np.all(np.square(self.gamma1_t, dtype=float)
+                          + np.square(self.omega_r, dtype=float) > 0.0):
+                raise ValueError("omega_r and gamma1_t are too small: "
+                                 "gamma1_t squared plus omega_r squared "
+                                 "underflows to zero")
             for slope in slope_inverse_q(self), slope_fractional_frequency(self):
                 check_range("ds_tilde times omega_max times rho_tls times "
                             "thickness times width times xi times couplings "

@@ -34,6 +34,15 @@ the cosh ratio.  The sums run block by block, so the curves can differ from
 one bath-wide matrix-vector product by about 1e-15 relative (summation
 order); the bath draws themselves are bit for bit those of rng.normal.
 
+generate_ensemble can draw into a column store: a dict, owned by the
+caller, of one float buffer per column.  Each column is then drawn in place
+into its buffer and the bath's columns are [:n] views of the buffers, so a
+bath drawn into a store is valid until the next draw into that store.  run
+keeps one store per worker thread for the length of the call, so a thread's
+trials after its first reuse the pages of its last bath instead of faulting
+fresh ones in; the stores are freed when run returns.  The draws are the
+same with or without a store.
+
 Determinism: (seed, config) -> result is a pure function.  Trials get
 independent sub-streams spawned from the master seed, so parallel and
 sequential execution agree bit for bit.  run logs the trials that drew an
@@ -42,6 +51,7 @@ empty bath as one warning per run.
 
 import logging
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,8 +196,10 @@ class McConfig:
 
     @property
     def reach(self) -> float:
-        """|x| beyond which the kernel is below exp(-28) at every grid power."""
-        return self.xi * self.p_grid[-1] / 2.0 + 14.0 * self.l_edge
+        """|x| beyond which the kernel is below exp(-28) at every grid power;
+        inf when xi P overflows, which _check_float_range refuses."""
+        with np.errstate(over="ignore"):
+            return self.xi * self.p_grid[-1] / 2.0 + 14.0 * self.l_edge
 
     @property
     def draw_half_length(self) -> float:
@@ -196,10 +208,12 @@ class McConfig:
 
     @property
     def expected_count(self) -> float:
-        """Poisson mean: rho hbar * (window width minus exclusion) * A * 2L'."""
+        """Poisson mean: rho hbar * (window width minus exclusion) * A * 2L';
+        inf when the product overflows, which the bath-size check refuses."""
         width = sum(b - a for a, b in self.window_segments)
-        return (self.rho_tls * HBAR * width * self.area * 2.0
-                * self.draw_half_length)
+        with np.errstate(over="ignore"):
+            return (self.rho_tls * HBAR * width * self.area * 2.0
+                    * self.draw_half_length)
 
 
 @dataclass(frozen=True)
@@ -268,21 +282,34 @@ def kernel(x, p_opt, xi, l_edge):
     return np.divide(np.tanh(2.0 * v), k, out=k)[()]
 
 
-def _normal(rng, n, loc, scale):
-    """rng.normal(loc, scale, n) bit for bit, in one buffer: normal computes
-    loc + scale * z on the same standard-normal stream."""
-    z = rng.standard_normal(n)
-    z *= scale
-    z += loc
-    return z
+def _column(store, name, n):
+    """An n-long float column: without a store a fresh array, with one the
+    [:n] view of the store's buffer for name.  A buffer grows only when n
+    exceeds it, and the old one is dropped before the new one is allocated,
+    so a store holds one buffer of about one column per name."""
+    if store is None:
+        return np.empty(n)
+    if name not in store or store[name].size < n:
+        store.pop(name, None)
+        store[name] = np.empty(n)
+    return store[name][:n]
 
 
-def _clamped_normal(rng, n, mean):
-    """mean * max(N(1, FWHM_REL_STD), 0) draws."""
-    z = _normal(rng, n, 1.0, FWHM_REL_STD)
-    np.maximum(z, 0.0, out=z)
-    z *= mean
-    return z
+def _normal(rng, out, loc, scale):
+    """rng.normal(loc, scale, out.size) bit for bit, drawn into out: normal
+    computes loc + scale * z on the same standard-normal stream."""
+    rng.standard_normal(out=out)
+    out *= scale
+    out += loc
+    return out
+
+
+def _clamped_normal(rng, out, mean):
+    """mean * max(N(1, FWHM_REL_STD), 0) draws, into out."""
+    _normal(rng, out, 1.0, FWHM_REL_STD)
+    np.maximum(out, 0.0, out=out)
+    out *= mean
+    return out
 
 
 def _clamp_moments(rel_std):
@@ -295,7 +322,7 @@ def _clamp_moments(rel_std):
     return m1, m2
 
 
-def generate_ensemble(config: McConfig, rng=None) -> TlsUnit:
+def generate_ensemble(config: McConfig, rng=None, store=None) -> TlsUnit:
     """Draw one random bath.
 
     Count ~ Poisson(rho hbar dW A 2L) with L = McConfig.draw_half_length;
@@ -305,20 +332,34 @@ def generate_ensemble(config: McConfig, rng=None) -> TlsUnit:
     Gamma_1 and g_perp = g_par sharing one array each and dS one scalar.
     About 1 % of the TLSs get Gamma_1 = 0.  An empty bath is not logged
     here: run() reports its empty trials once per run.
+
+    store, a dict the caller owns, holds one buffer per column.  With a
+    store each column is drawn in place into its buffer (grown when the
+    count exceeds it) and the bath's columns are [:n] views of the buffers,
+    so the bath is valid until the next draw into the same store.  Without
+    one the columns are fresh arrays.  The draws are the same either way.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n = int(rng.poisson(config.expected_count))
 
+    # lo + width * u, as lo + rng.random(n) * width computes it
     segs = config.window_segments
-    detuning = segs[0][0] + rng.random(n) * sum(b - a for a, b in segs)
+    detuning = rng.random(out=_column(store, "detuning", n))
+    detuning *= sum(b - a for a, b in segs)
+    detuning += segs[0][0]
     for (_, end), (start, _) in zip(segs, segs[1:]):
-        detuning[detuning >= end] += start - end
+        np.add(detuning, start - end, out=detuning, where=detuning >= end)
 
-    x = rng.uniform(-config.draw_half_length, config.draw_half_length, n)
+    # low + (high - low) * u, as rng.uniform(low, high, n) computes it
+    half = config.draw_half_length
+    x = rng.random(out=_column(store, "x", n))
+    x *= half - (-half)
+    x += -half
 
-    g = _clamped_normal(rng, n, config.g_mean)
-    gamma1 = _clamped_normal(rng, n, config.gamma1_mean)
+    g = _clamped_normal(rng, _column(store, "g", n), config.g_mean)
+    gamma1 = _clamped_normal(rng, _column(store, "gamma1", n),
+                             config.gamma1_mean)
     m1, m2 = _clamp_moments(FWHM_REL_STD)
     g /= np.sqrt(m2)
     gamma1 /= m1
@@ -326,7 +367,7 @@ def generate_ensemble(config: McConfig, rng=None) -> TlsUnit:
     # a spread so wide that s_std * z overflows draws S = +-inf, which the
     # clip maps to 0 or -1: the exact limit of a very wide spread
     with np.errstate(over="ignore"):
-        s = _normal(rng, n, 0.0, config.s_std)
+        s = _normal(rng, _column(store, "s", n), 0.0, config.s_std)
     np.clip(s, -1.0, 0.0, out=s)
 
     return TlsUnit(detuning=detuning, g_perp=g, g_par=g, gamma1=gamma1,
@@ -372,11 +413,18 @@ def run(config: McConfig) -> McResult:
 
     Per-trial sub-seeds are spawned deterministically from the master seed;
     workers > 1 evaluates trials in a thread pool with results written by
-    trial index, so the output is independent of scheduling.  Trials whose
-    bath came out empty are logged as one warning per run.
+    trial index, so the output is independent of scheduling.  Each worker
+    thread draws its trials into one column store (see generate_ensemble),
+    so a trial reuses the pages of the thread's last bath; the stores are
+    freed when run returns.  Trials whose bath came out empty are logged as
+    one warning per run.
     """
+    stores = threading.local()
+
     def trial(child):
-        bath = generate_ensemble(config, np.random.default_rng(child))
+        store = vars(stores).setdefault("columns", {})
+        bath = generate_ensemble(config, np.random.default_rng(child),
+                                 store=store)
         return len(bath), response_curves(config, bath)
 
     children = np.random.SeedSequence(config.seed).spawn(config.trials)

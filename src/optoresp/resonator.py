@@ -157,7 +157,8 @@ def photon_number(mode: ResonatorMode, drive: DriveCondition):
 
     Raises ValueError when a decay rate overflows, and ZeroDivisionError
     when that denominator underflows to 0, as it does on resonance for
-    kappa_tot below about 1e-162 rad/s.
+    kappa_tot below about 1e-162 rad/s, or when the photon energy
+    hbar omega_r does, for f_r below about 1e-290 Hz.
     """
     for name, kappa in (("q_int", mode.kappa_int), ("q_ext", mode.kappa_ext)):
         if not kappa < np.inf:
@@ -168,5 +169,9 @@ def photon_number(mode: ResonatorMode, drive: DriveCondition):
     if denominator == 0.0:
         raise ZeroDivisionError("f_r is too small for q_int and q_ext to "
                                 "give a linewidth whose square is nonzero")
+    energy = HBAR * mode.omega_r
+    if energy == 0.0:
+        raise ZeroDivisionError("f_r is too small: the photon energy "
+                                "hbar omega_r underflows to zero")
     lorentz = 2.0 * mode.kappa_ext / denominator
-    return lorentz * drive.input_power / (HBAR * mode.omega_r)
+    return lorentz * drive.input_power / energy

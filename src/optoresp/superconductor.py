@@ -80,5 +80,12 @@ def freq_shift_from_temperature(sc: SuperconductorParams, geom: FilmGeometry,
         check_range("lambda0 squared over thickness times width", l_total)
     lam_ref = penetration_depth(sc, t_ref)
     lam = penetration_depth(sc, temperature)
-    return (-(MU_0 / (geom.thickness * geom.width)) * lam_ref
-            * (lam - lam_ref) / l_total)
+    # an overflowed factor times the zero shift at t_ref is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = (-(MU_0 / (geom.thickness * geom.width)) * lam_ref
+                 * (lam - lam_ref) / l_total)
+    if not np.all(np.isfinite(shift)):
+        raise ValueError("lambda0 is too large, or thickness times width or "
+                         "l_total_per_length too small, for the frequency "
+                         "shift to be finite")
+    return shift

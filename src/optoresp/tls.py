@@ -199,7 +199,8 @@ def permittivity_bracket(f_r, env: ThermalEnvironment):
     """
     f_r = np.asarray(f_r)
     check_range("f_r", f_r)
-    with np.errstate(over="ignore", divide="ignore"):
+    # both products can underflow to zero, which makes x nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = PLANCK * f_r / (TWO_PI * K_B * env.temperature)
     if not np.all(x > 0.0):
         raise ValueError("f_r is too small for temperature so h f/(2 pi k T) "

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import functools
 import inspect
@@ -7,14 +8,19 @@ import json
 import logging
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import optoresp
@@ -845,6 +851,19 @@ FLAG_CASES = [
     (["temp-model", "--t-min-mk=1e-308"], "--t-min-mk"),
     (["temp-model", "--t-max-mk=1e-308"], "--t-max-mk"),
     (["temp-model", "--t-grid-mk=1e-308"], "--t-grid-mk"),
+    # pairs of finite flags that over- or underflowed: found by the
+    # generated contract test below
+    (PHOTON_NUMBER + ["--fr-ghz=1e-308", "--q-ext=1e-308"], "--fr-ghz"),
+    (["temp-model", "--t-min-mk=1e30", "--lambda0-um=1e-308"], "--t-min-mk"),
+    (["temp-model", "--t-min-mk=1e30", "--pdelta=1e308"], "--pdelta"),
+    (["temp-model", "--lambda0-um=1e30", "--ltl=1e-308"], "--lambda0-um"),
+    (["temp-model", "--lambda0-um=1e308", "--ltl=1e-308"], "--lambda0-um"),
+    (["temp-model", "--fr-ghz=1e-308", "--t-min-mk=1e-308"], "--fr-ghz"),
+    (["mc", "--trials", "2", "--workers", "1", "--xi=1e308",
+      "--half-length-um=1e308"], "--fmax-ghz"),
+    (["mc", "--trials", "2", "--workers", "1", "--xi=1e308",
+      "--p-max-nw=1e30"], "--xi"),
+    (["slopes", "--fr-ghz=1e-308", "--gamma1-mhz=1e-308"], "--fr-ghz"),
 ]
 
 
@@ -1072,3 +1091,66 @@ def test_readme_envelopes_replay_through_config(tmp_path, monkeypatch):
         assert len(csvs) == len(cli.COMMANDS[command].outputs), command
         for path in csvs:
             assert path.read_bytes() == (run / path.name).read_bytes(), path
+
+
+# --- the CLI contract at the finite extremes --------------------------------
+
+EDGE_VALUES = ("0", "-0.0", "-1", "1e-308", "1e30", "1e308")
+# the run each generated case starts from, by command; fit-spectrum reads
+# the trace at TRACE
+TRACE = "<synthesized trace>"
+CONTRACT_BASE = {"photon-number": PHOTON_NUMBER,
+                 "mc": ["mc", "--trials", "4", "--workers", "1"],
+                 "fit-spectrum": ["fit-spectrum", "--input", TRACE]}
+EMPTY_BATH = re.compile(r"\d+ of \d+ trials drew an empty TLS bath "
+                        r"\(expected count \S+\)")
+
+
+@st.composite
+def edge_runs(draw):
+    """argv of one command with one to three of its number flags each at an
+    edge value or left at its default, and any choice flag drawn."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    cmd = cli.COMMANDS[name]
+    argv = list(CONTRACT_BASE.get(name, [name]))
+    for arg in cmd.args:
+        if arg.choices:
+            argv.append(f"{arg.flag}={draw(st.sampled_from(arg.choices))}")
+    numbers = [a.flag for a in cmd.args
+               if a.type in (int, float, cli.float_list)]
+    if numbers:
+        for flag in draw(st.lists(st.sampled_from(numbers), min_size=1,
+                                  max_size=3, unique=True)):
+            value = draw(st.sampled_from((None, *EDGE_VALUES)))
+            if value is not None:
+                argv.append(f"{flag}={value}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def synthesized_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("trace")
+    assert main(["synth", "--noise", "1e-3", "--out-dir", str(out)]) == 0
+    return str(out / "synth_trace.csv")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(argv=edge_runs())
+def test_cli_contract_at_finite_extremes(synthesized_trace, argv):
+    # every run either succeeds quietly or fails at the boundary: exit 1,
+    # one error line naming a flag, and none of its declared outputs left
+    argv = [synthesized_trace if a == TRACE else a for a in argv]
+    err = StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([*argv, "--out-dir", out])
+        left = sorted(os.listdir(out))
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert all(EMPTY_BATH.fullmatch(line) for line in lines), lines
+    else:
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: --"), lines
+        assert left == []

@@ -1,7 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import logging
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -158,8 +161,8 @@ def test_thinned_draw(monkeypatch):
     # sub-stream does, bit for bit, on the wire cut to the reach
     drawn = []
 
-    def recording(config, rng):
-        bath = generate_ensemble(config, rng)
+    def recording(config, rng, store):
+        bath = generate_ensemble(config, rng, store)
         drawn.append((config, bath))
         return bath
 
@@ -180,6 +183,92 @@ def test_thinned_draw(monkeypatch):
         direct = generate_ensemble(cfg, np.random.default_rng(child))
         for f in dataclasses.fields(TlsUnit):
             assert np.array_equal(getattr(bath, f.name), getattr(direct, f.name))
+
+
+# the bath columns a store holds, by TlsUnit field
+STORED = ("detuning", "x", "g_perp", "gamma1", "s")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trials_draw_into_one_store_per_thread(monkeypatch, workers):
+    # within one run each thread draws a trial into its last trial's
+    # buffers, unless the count exceeds every earlier count of the thread:
+    # then the old buffers are dropped for larger ones.  The stores are
+    # freed when run returns.
+    owners, last, refs, kinds = {}, {}, [], []
+
+    def recording(config, rng, store):
+        bath = generate_ensemble(config, rng, store)
+        thread = threading.get_ident()
+        assert owners.setdefault(id(store), thread) == thread
+        n = len(bath)
+        most, prev = last.get(thread, (-1, None))
+        if n > most:
+            assert prev is None or all(ref() is None for ref in prev)
+            last[thread] = (n, [weakref.ref(getattr(bath, name).base)
+                                for name in STORED])
+            refs.extend(last[thread][1])
+            kinds.append("grown")
+        else:
+            assert all(np.shares_memory(getattr(bath, name), ref())
+                       for name, ref in zip(STORED, prev))
+            kinds.append("reused")
+        return bath
+
+    monkeypatch.setattr(montecarlo, "generate_ensemble", recording)
+    cfg = small_config(trials=8, workers=workers)
+    run(cfg)
+    assert len(kinds) == cfg.trials
+    assert 1 <= len(last) <= workers
+    assert len(set(owners.values())) == len(owners) == len(last)
+    if workers == 1:
+        # the counts at seed 123 (3244, 3308, 3348, 3259, 3204, 3304, 3372,
+        # 3171) exceed every earlier one three times after the first trial
+        assert kinds == ["grown"] * 3 + ["reused"] * 3 + ["grown", "reused"]
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_store_draws_equal_fresh_draws():
+    # one store through draws whose counts rise and fall, an empty bath
+    # among them: each bath equals a fresh draw on the same stream, with
+    # columns of its own length, and each buffer holds the largest count
+    store, most = {}, 0
+    for seed, rho in enumerate((1e45, 3e44, 2e45, 0.0, 5e44, 2e45, 1e44)):
+        cfg = small_config(rho_tls=rho)
+        bath = generate_ensemble(cfg, np.random.default_rng(seed), store)
+        fresh = generate_ensemble(cfg, np.random.default_rng(seed))
+        assert len(bath) == len(fresh)
+        for f in dataclasses.fields(TlsUnit):
+            assert (np.asarray(getattr(bath, f.name)).tobytes()
+                    == np.asarray(getattr(fresh, f.name)).tobytes()), f.name
+        assert sorted(store) == ["detuning", "g", "gamma1", "s", "x"]
+        for name in STORED:
+            column = getattr(bath, name)
+            assert column.base is store[name.replace("g_perp", "g")]
+            assert column.size == len(bath)
+        most = max(most, len(bath))
+        assert {buf.size for buf in store.values()} == {most}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_draws_through_module_attributes(monkeypatch, workers):
+    # perfbench times the draw and the response by wrapping these module
+    # attributes, so run() calls each through the module once per trial
+    calls = []
+
+    def counting(name):
+        fn = getattr(montecarlo, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("generate_ensemble", "response_curves"):
+        monkeypatch.setattr(montecarlo, name, counting(name))
+    run(small_config(trials=5, workers=workers))
+    assert sorted(calls) == ["generate_ensemble"] * 5 + ["response_curves"] * 5
 
 
 def test_empty_trials_warn(caplog):
