@@ -140,6 +140,12 @@ def _flag_message(exc, flags):
     return text if named == text else named.split(", got ")[0]
 
 
+@functools.cache
+def _parameters(fn):
+    """The names of fn's parameters, read from its signature once."""
+    return frozenset(inspect.signature(fn).parameters)
+
+
 def _library(fn, a, rows, **hand):
     """fn called with the hand-written keywords and with each parameter of
     fn that a row declares, set from the row's value of a in library units
@@ -147,7 +153,7 @@ def _library(fn, a, rows, **hand):
     the flags of rows."""
     flags = _flags(rows)
     by_flag = {arg.flag: arg for arg in rows}
-    params = inspect.signature(fn).parameters
+    params = _parameters(fn)
     kwargs = {name: by_flag[flag].si(getattr(a, by_flag[flag].dest))
               for name, flag in flags.items() if name in params}
     try:

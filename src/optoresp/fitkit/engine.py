@@ -30,9 +30,14 @@ pseudoinverse covariance).
 The residual and the Jacobian each remember their last point: leastsq
 evaluates both at the start point to check their shapes, and lmder then
 asks for them there again, so ``nfev`` counts distinct residual
-evaluations.  A remembered array is returned itself, not a copy: neither
-the engine nor scipy's wrapper writes to it.  ``jac`` must return a new
-array at each call, as the engine scales its rows in place.
+evaluations.  The point is kept as a list of floats and compared with
+``!=``, which decides as ``np.array_equal`` does: a point holding NaN never
+matches, and -0.0 matches 0.0.  A remembered array is returned itself, not
+a copy: neither the engine nor scipy's wrapper writes to it.  ``jac`` must
+return a new array at each call, as the engine scales its rows in place.
+
+The covariance makes one tall (m, n) copy of the final Jacobian, which
+serves both the rank check's singular values and the Gram product J^T J.
 
 scipy loads on first use: ``leastsq`` is imported inside
 :func:`levenberg_marquardt`, so importing this module loads numpy only.
@@ -100,6 +105,19 @@ class Log(Identity):
         return float(np.exp(u))
 
 
+def _remember_last(f):
+    """f of a 1-D float array, with its last point and value remembered: a
+    point equal to the last one is served the remembered value itself."""
+    last = [None, None]
+
+    def g(uv):
+        key = uv.tolist()
+        if key != last[0]:
+            last[:] = key, f(uv)
+        return last[1]
+    return g
+
+
 @dataclass
 class FitResult:
     names: list
@@ -164,19 +182,9 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
     def external(uv):
         return np.array([t.to_external(ui) for t, ui in zip(transforms, uv)])
 
-    def memo(f):
-        """f with its last point and value remembered."""
-        last = [np.empty(0), None]
-
-        def g(uv):
-            if not np.array_equal(uv, last[0]):
-                last[:] = uv.copy(), f(uv)
-            return last[1]
-        return g
-
     nfev = 0
 
-    @memo
+    @_remember_last
     def res_u(uv):
         nonlocal nfev
         nfev += 1
@@ -191,7 +199,7 @@ def levenberg_marquardt(residual, x0, jac, names=None, transforms=None):
         raise ValueError("Method 'lm' doesn't work when the number of "
                          "residuals is less than the number of variables.")
 
-    @memo
+    @_remember_last
     def jac_u(uv):
         j = np.asarray(jac(external(uv)), dtype=float)
         if j.shape != (n, m):
@@ -226,6 +234,11 @@ def _covariance(j, r, transforms, u, cost):
     flags = []
     if not np.all(np.isfinite(j)):
         return None, ["jacobian_nonfinite"]
+    # one C-contiguous (m, n) copy, made first: LAPACK takes the singular
+    # values of this tall layout 2-3x faster than of the wide (n, m) one, and
+    # its BLAS product J^T J keeps the covariance's bits, where the (n, m)
+    # layout's product differs in the last bits
+    j = np.ascontiguousarray(j.T)
     sv = np.linalg.svd(j, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         if cost > 0.0:
@@ -236,9 +249,6 @@ def _covariance(j, r, transforms, u, cost):
         flags.append("rank_deficient")
     dof = max(m - n, 1)
     s2 = float(r @ r) / dof
-    # J^T J from a C-contiguous (m, n) copy, whose BLAS product keeps the
-    # covariance's bits; the (n, m) layout's product differs in the last bits
-    j = np.ascontiguousarray(j.T)
     cov_int = np.linalg.pinv(j.T @ j) * s2
     # map internal covariance to external coordinates: x = f(u), dx = f'(u) du
     factors = np.array([t.jacobian_factor(ui) for t, ui in zip(transforms, u)])

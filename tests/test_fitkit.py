@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from optoresp.fitkit import (ComplexTrace, Identity, Log, NoDipError,
-                             PowerSeries, fit_full_s21, fit_lorentzian_dip,
-                             fit_power_frequency, fit_power_inverse_q,
-                             fit_tls_saturation, levenberg_marquardt,
+                             PowerSeries, SingularJacobianError, fit_full_s21,
+                             fit_lorentzian_dip, fit_power_frequency,
+                             fit_power_inverse_q, fit_tls_saturation,
+                             levenberg_marquardt,
                              synth_power_series, synth_tls_saturation,
                              synth_trace)
 from optoresp.fitkit import models
+from optoresp.fitkit.engine import _remember_last
 from optoresp.resonator import LineCalibration, ResonatorMode, notch
 
 # --- engine ------------------------------------------------------------------
@@ -43,6 +45,9 @@ def test_zero_residual_start_returns_immediately():
     assert fit.converged and fit.iterations == 0 and fit.nfev == 1
     assert_allclose(fit.values, [2.0, 3.0])
     assert fit.message == "zero residual"
+    # a zero Jacobian at a zero residual has no covariance
+    assert fit.flags == ["zero_jacobian"] and fit.covariance is None
+    assert np.isnan(fit.uncertainty("p0"))
 
 
 def test_rosenbrock_valley():
@@ -127,6 +132,83 @@ def test_residual_major_jacobian_refused(residual, x0, jac):
             f"jac must return an (n, m) = ({len(x0)}, 5) array, one row per "
             f"parameter, not (5, {len(x0)})")):
         levenberg_marquardt(residual, x0, jac=lambda p: jac.copy())
+
+
+# --- covariance outcomes -----------------------------------------------------
+
+_LINE_X = np.linspace(1.0, 2.0, 20)
+_LINE_Y = 3.0 * _LINE_X + 0.01 * np.sin(7.0 * _LINE_X)
+
+
+@pytest.mark.parametrize("eps, flags", [
+    (0.0, ["rank_deficient"]), (1e-10, []), (1e-14, ["rank_deficient"]),
+], ids=["identical", "eps=1e-10", "eps=1e-14"])
+def test_jacobian_rank_check(eps, flags):
+    # the Jacobian rows x and x + eps x^2 have singular values in the ratio
+    # of about 0.14 eps: above the 1e-12 rank threshold at 1e-10, below it
+    # at 1e-14; a rank-deficient fit keeps a pseudoinverse covariance
+    x = _LINE_X
+    row = x + eps * x ** 2
+
+    def resid(p):
+        return p[0] * x + p[1] * row - _LINE_Y
+
+    fit = levenberg_marquardt(resid, [1.0, 1.0],
+                              jac=lambda p: np.stack([x, row]))
+    assert fit.converged and fit.flags == flags
+    assert np.all(np.isfinite(fit.covariance))
+
+
+def test_zero_jacobian_at_nonzero_residual_raises():
+    with pytest.raises(SingularJacobianError, match="identically zero"):
+        levenberg_marquardt(lambda p: _LINE_Y + 0.0 * p[0], [2.0],
+                            jac=lambda p: np.zeros((1, 20)))
+
+
+def test_infinite_jacobian_at_solution_flagged():
+    # sqrt(p) x vanishes at p = 0, where its derivative is infinite
+    def jac(p):
+        with np.errstate(divide="ignore"):
+            return (0.5 / np.sqrt(p[0]) * _LINE_X)[None, :]
+
+    fit = levenberg_marquardt(lambda p: np.sqrt(p[0]) * _LINE_X, [0.0],
+                              jac=jac)
+    assert fit.flags == ["jacobian_nonfinite"] and fit.covariance is None
+
+
+# --- last-point memo ---------------------------------------------------------
+
+
+def _counting_memo():
+    calls = []
+
+    def f(uv):
+        calls.append(uv.tolist())
+        return uv * 2.0
+    return _remember_last(f), calls
+
+
+def test_memo_point_holding_nan_is_evaluated_every_time():
+    g, calls = _counting_memo()
+    for _ in range(3):
+        g(np.array([1.0, np.nan]))
+    assert len(calls) == 3
+
+
+def test_memo_serves_negative_zero_from_zero():
+    g, calls = _counting_memo()
+    first = g(np.array([0.0]))
+    assert g(np.array([-0.0])) is first and len(calls) == 1
+
+
+def test_memo_returns_the_remembered_object():
+    g, calls = _counting_memo()
+    u = np.array([1.5, -2.0])
+    first = g(u)
+    assert g(u.copy()) is first and len(calls) == 1
+    # the point is kept as a copy: a point written in place is a new one
+    u[0] = 3.0
+    assert g(u) is not first and calls == [[1.5, -2.0], [3.0, -2.0]]
 
 
 # values, sha256 of the covariance bytes (first 32 hex digits), nfev,
