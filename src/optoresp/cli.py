@@ -13,7 +13,9 @@ failures and for numerical failures (a ``checks.NumericalError``: an
 unsettled ODE, a failed quadrature or a singular Jacobian; a singular
 linear system; any other ``ArithmeticError``, such as a division by zero),
 each reported as one ``error:`` line; statistical non-convergence is
-reported in-band.
+reported in-band.  A command runs under ``np.errstate`` with overflow,
+invalid operations and division by zero raised, so a floating-point error
+no check foresaw is one of these failures, in ``mc``'s worker threads too.
 
 A flat key=value or JSON config file can seed any subcommand via --config;
 explicit flags override file values.  A JSON ``null`` leaves its flag unset
@@ -735,7 +737,10 @@ def _execute(cmd, args):
     cmd.check(args)
     paths = _output_paths(cmd, args)
     start = time.perf_counter()
-    payload, writers = cmd.run(args, cmd.args, [p.name for p in paths[1:]])
+    # an overflow, invalid operation or division by zero no code of the run
+    # expects raises FloatingPointError, an ArithmeticError: one error line
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        payload, writers = cmd.run(args, cmd.args, [p.name for p in paths[1:]])
     duration_s = time.perf_counter() - start
     paths[0].parent.mkdir(parents=True, exist_ok=True)
     # an envelope is named after its command tag: synth-trace writes

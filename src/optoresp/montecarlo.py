@@ -24,13 +24,20 @@ uniform on it, so the drawn bath has the distribution of the full bath's
 TLSs inside the reach.  response_curves sums every TLS it is given.
 
 response_curves walks the bath in blocks of _BLOCK TLSs.  For each block
-it evaluates the tls forms on TlsUnit.select's column views (not validated
-again) and the (powers x block) kernel, and adds the product of the two
-weight rows with the kernel into one (2, powers) accumulator, so no
-bath-length kernel matrix or weight temporaries are built.  kernel picks
-its tanh fallback per call, so per block: a block holding a TLS with
-2|x|/l_edge > _COSH_ARG_MAX takes the tanh form while the other blocks keep
-the cosh ratio.  The sums run block by block, so the curves can differ from
+the tls forms, on TlsUnit.select's column views (not validated again), write
+the two weight rows (loss, shift) and their scratch rows in place into one
+(5, block) workspace, and kernel writes the (powers x block) kernel into a
+second buffer.  One matrix product per block of the two weight rows with
+the kernel adds into a (2, powers) accumulator.  Both buffers are made once
+per call and serve every block of the bath, so a block allocates nothing of
+its length but kernel's row of |x|/l_edge, and no bath-length kernel matrix
+is built.  They are freed when the call returns rather than kept in run's
+column store: kept there, they would sit above the columns that a later,
+larger bath regrows, and a run's peak RSS would rise by their 2 MB.
+
+kernel picks its tanh fallback per call, so per block: a block holding a
+TLS with 2|x|/l_edge > _COSH_ARG_MAX takes the tanh form while the other
+blocks keep the cosh ratio.  The sums run block by block, so the curves can differ from
 one bath-wide matrix-vector product by about 1e-15 relative (summation
 order); the bath draws themselves are bit for bit those of rng.normal.
 
@@ -45,10 +52,13 @@ same with or without a store.
 
 Determinism: (seed, config) -> result is a pure function.  Trials get
 independent sub-streams spawned from the master seed, so parallel and
-sequential execution agree bit for bit.  run logs the trials that drew an
-empty bath as one warning per run.
+sequential execution agree bit for bit.  With workers > 1 each trial runs
+in a copy of the caller's contextvars context, so numpy's error state
+(np.errstate) holds in the pool threads as in the caller.  run logs the
+trials that drew an empty bath as one warning per run.
 """
 
+import contextvars
 import logging
 import math
 import threading
@@ -255,7 +265,7 @@ _BLOCK = 16384
 _COSH_ARG_MAX = 700.0
 
 
-def kernel(x, p_opt, xi, l_edge):
+def kernel(x, p_opt, xi, l_edge, out=None):
     """Phonon window around the laser spot, in [0, 1]; x and p_opt broadcast.
 
     K(x, P) = [tanh((x + xi P/2)/l_edge) - tanh((x - xi P/2)/l_edge)] / 2
@@ -267,19 +277,29 @@ def kernel(x, p_opt, xi, l_edge):
     instead of 2mn tanh.  Every step of it rounds monotonically, so K stays
     in [0, 1] and does not decrease with P, as with the tanh form.  When 2|u|
     or 2|v| exceeds _COSH_ARG_MAX the whole call uses the tanh form.
+
+    out, a float array of the broadcast shape owned by the caller, takes K
+    and is returned; without it K goes to a fresh array, unwrapped to a
+    scalar for scalar inputs.  Both forms write K in place into it.
     """
     check_range("l_edge", l_edge)
-    u = np.abs(np.asarray(x, dtype=float)) / l_edge
+    # one fresh row for u, a 0-d array for a scalar x; then in place
+    u = np.array(x, dtype=float)
+    np.abs(u, out=u)
+    u /= l_edge
     v = np.asarray(p_opt, dtype=float) * (xi / (2.0 * l_edge))
+    k = np.empty(np.broadcast_shapes(u.shape, v.shape)) if out is None else out
     if 2.0 * max(np.max(u, initial=0.0),
                  np.max(np.abs(v), initial=0.0)) > _COSH_ARG_MAX:
-        return 0.5 * (np.tanh(u + v) - np.tanh(u - v))
-    # in place, with out given so that 0-d inputs stay arrays; [()] unwraps
-    # those to a scalar
-    k = np.multiply(1.0 / np.cosh(2.0 * v), np.cosh(2.0 * u),
-                    out=np.empty(np.broadcast_shapes(u.shape, v.shape)))
-    k += 1.0
-    return np.divide(np.tanh(2.0 * v), k, out=k)[()]
+        np.tanh(np.add(u, v, out=k), out=k)
+        k -= np.tanh(u - v)
+        k *= 0.5
+    else:
+        u *= 2.0
+        np.multiply(1.0 / np.cosh(2.0 * v), np.cosh(u, out=u), out=k)
+        k += 1.0
+        np.divide(np.tanh(2.0 * v), k, out=k)
+    return k if out is not None else k[()]
 
 
 def _column(store, name, n):
@@ -378,19 +398,27 @@ def response_curves(config: McConfig, bath: TlsUnit) -> McResult:
     """Single-trial response of a given bath over the configured power grid."""
     p = config.p_grid
     w_r = config.omega_r
+    n = len(bath)
+    # one workspace for every block: the weight rows (loss, shift), then
+    # the tls forms' scratch rows; and the kernel
+    work = np.empty((5, min(n, _BLOCK)))
+    k = np.empty((p.size, min(n, _BLOCK)))
 
     # (dinv_q, dfrac) * w_r at each power, summed block by block
     acc = np.zeros((2, p.size))
-    for start in range(0, len(bath), _BLOCK):
+    for start in range(0, n, _BLOCK):
         blk = bath.select(slice(start, start + _BLOCK))
-        loss_par, shift_par = longitudinal_complex_shift(blk, w_r)
+        m = min(_BLOCK, n - start)
+        w = work[:, :m]
+        longitudinal_complex_shift(blk, w_r, out=w[:3])
         # optical convention: illumination is measured against the
         # ground-state bath, so the dispersive pull enters as the change
         # S - (-1) = 1 + S
-        shift_perp = dispersive_pull(blk, 1.0 + blk.s)
-        shift_perp += shift_par
-        acc += np.stack((loss_par, shift_perp)) @ kernel(
-            blk.x, p[:, None], config.xi, config.l_edge).T
+        np.add(blk.s, 1.0, out=w[2])
+        dispersive_pull(blk, w[2], out=w[3:])
+        w[1] += w[3]
+        acc += w[:2] @ kernel(blk.x, p[:, None], config.xi, config.l_edge,
+                              out=k[:, :m]).T
     dq, df = acc / w_r
     sq, sf = _fit_slopes(p, dq, df)
     return McResult(p_grid=p, dinv_q=dq[None, :], dfrac=df[None, :],
@@ -413,13 +441,17 @@ def run(config: McConfig) -> McResult:
 
     Per-trial sub-seeds are spawned deterministically from the master seed;
     workers > 1 evaluates trials in a thread pool with results written by
-    trial index, so the output is independent of scheduling.  Each worker
-    thread draws its trials into one column store (see generate_ensemble),
-    so a trial reuses the pages of the thread's last bath; the stores are
-    freed when run returns.  Trials whose bath came out empty are logged as
-    one warning per run.
+    trial index, so the output is independent of scheduling, each trial in
+    a copy of the caller's context.  Each worker thread draws its trials
+    into one column store (see generate_ensemble), so a trial reuses the
+    pages of the thread's last bath; the stores are freed when run
+    returns.  Trials whose bath came out empty are logged as one warning
+    per run.
     """
     stores = threading.local()
+    # numpy keeps its error state in a context variable, which pool threads
+    # do not inherit: each trial runs in a copy of the caller's context
+    context = contextvars.copy_context()
 
     def trial(child):
         store = vars(stores).setdefault("columns", {})
@@ -427,13 +459,16 @@ def run(config: McConfig) -> McResult:
                                  store=store)
         return len(bath), response_curves(config, bath)
 
+    def in_context(child):
+        return context.copy().run(trial, child)
+
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
     if config.workers == 1:
         done = [trial(child) for child in children]
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            done = list(pool.map(trial, children))
+            done = list(pool.map(in_context, children))
     sizes, trials = zip(*done)
     if 0 in sizes:
         _log.warning("%d of %d trials drew an empty TLS bath (expected count "

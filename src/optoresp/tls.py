@@ -8,6 +8,10 @@ that drives the Debye-type longitudinal response.  Both are stored per TLS so
 that nonequilibrium (phonon-driven) values decouple from the thermodynamic
 temperature.  TlsUnit holds one TLS or a bath (the Monte Carlo's draw): the
 closed forms take either, the quadrature and mean-field oracles one TLS only.
+The two forms the Monte Carlo sums, longitudinal_complex_shift and
+dispersive_pull, evaluate in place, into rows the caller may own (out), in
+the operation order of their formulas; the Monte Carlo reuses its rows from
+block to block.
 
 Also here: the temperature dependence of the TLS permittivity (a closed
 form in scipy's complex digamma, which broadcasts over mode frequencies and
@@ -108,12 +112,19 @@ class TlsUnit:
     x: float = 0.0
 
     def __post_init__(self):
+        # a column shared by two fields (the Monte Carlo's g_perp = g_par
+        # and gamma1 = gamma2) is checked once, under the first field's name
+        names = {}
         for name in ("g_perp", "g_par", "gamma1", "gamma2", "ds"):
+            names.setdefault(id(getattr(self, name)), name)
+        for name in names.values():
             check_range(name, getattr(self, name), "nonnegative and finite")
         for name in ("detuning", "x"):
             check_range(name, getattr(self, name), "finite")
         check_range("s", self.s, (-1.0, 0.0))
-        if not np.all(self.gamma2 >= 0.5 * self.gamma1):
+        # x >= x/2 for every nonnegative finite x: a shared column passes
+        if (self.gamma2 is not self.gamma1
+                and not np.all(self.gamma2 >= 0.5 * self.gamma1)):
             raise ValueError("gamma2 must be >= gamma1/2")
         if not np.all((self.gamma2 > 0) | (self.detuning != 0)):
             raise ValueError("gamma2 and detuning must not both vanish")
@@ -156,10 +167,34 @@ def transverse_complex_shift(tls: TlsUnit):
     return loss, dispersive_pull(tls, tls.s)
 
 
-def dispersive_pull(tls: TlsUnit, s):
+def _rows(out, k, *columns):
+    """The k rows a closed form writes: out's, or those of a fresh (k, ...)
+    array shaped like the broadcast of columns.  Each row is a view, 0-d
+    for one TLS."""
+    if out is None:
+        out = np.empty((k, *np.broadcast_shapes(*map(np.shape, columns))))
+    return [out[i, ...] for i in range(k)]
+
+
+def dispersive_pull(tls: TlsUnit, s, out=None):
     """-g_perp^2 Delta s / (Gamma_2^2 + Delta^2) [rad/s], the pull of tls at
-    population s: S in transverse_complex_shift, 1 + S in the Monte Carlo."""
-    return -tls.g_perp**2 * tls.detuning * s / (tls.gamma2**2 + tls.detuning**2)
+    population s: S in transverse_complex_shift, 1 + S in the Monte Carlo.
+
+    out, a float array of two rows owned by the caller, takes the pull in
+    out[0] and the denominator in out[1]; s must not lie in it.  Without
+    it the rows are fresh.  Either way the steps are the same in-place ones,
+    in the order of the formula, and the pull is returned.
+    """
+    pull, denom = _rows(out, 2, tls.g_perp, tls.detuning, s, tls.gamma2)
+    np.square(tls.detuning, out=pull)
+    np.square(tls.gamma2, out=denom)
+    denom += pull
+    np.square(tls.g_perp, out=pull)
+    np.negative(pull, out=pull)
+    pull *= tls.detuning
+    pull *= s
+    pull /= denom
+    return pull[()]
 
 
 def _drive_ratio(tls: TlsUnit, drive: SaturationDrive):
@@ -170,7 +205,7 @@ def _drive_ratio(tls: TlsUnit, drive: SaturationDrive):
     return drive.n_cav / n_s
 
 
-def longitudinal_complex_shift(tls: TlsUnit, omega_r):
+def longitudinal_complex_shift(tls: TlsUnit, omega_r, out=None):
     """Debye loss and down-shift from the sigma_z coupling.
 
     Returns (loss, shift) in rad/s, one value per TLS of tls:
@@ -181,11 +216,26 @@ def longitudinal_complex_shift(tls: TlsUnit, omega_r):
     Both vanish for a frozen population (dS = 0); the loss is
     detuning-independent, which is the experimental fingerprint of this
     channel.
+
+    out, a float array of three rows owned by the caller, takes the loss in
+    out[0], the shift in out[1] and the denominator in out[2].  Without it
+    the rows are fresh.  Either way the steps are the same in-place ones, in
+    the order of the formulas: ((((2 g_par^2) dS) Gamma_1) omega_r)/denom.
     """
-    denom = tls.gamma1**2 + omega_r**2
-    loss = 2.0 * tls.g_par**2 * tls.ds * tls.gamma1 * omega_r / denom
-    shift = -tls.g_par**2 * tls.ds * tls.gamma1**2 / denom
-    return loss, shift
+    loss, shift, denom = _rows(out, 3, tls.g_par, tls.ds, tls.gamma1, omega_r)
+    np.square(tls.g_par, out=loss)
+    np.negative(loss, out=shift)
+    loss *= 2.0
+    loss *= tls.ds
+    loss *= tls.gamma1
+    loss *= omega_r
+    shift *= tls.ds
+    np.square(tls.gamma1, out=denom)
+    shift *= denom
+    denom += omega_r**2
+    loss /= denom
+    shift /= denom
+    return loss[()], shift[()]
 
 
 def permittivity_bracket(f_r, env: ThermalEnvironment):
@@ -272,17 +322,24 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
     def integrand(fp):
         return fp * math.tanh(a * fp) / (fp**2 - f**2)
 
-    def piece(fun, lo, hi, **opts):
-        val, err = quad(fun, lo, hi, limit=300, **opts)
+    def piece(fun, lo, hi, points=(), **opts):
+        val, err = quad(fun, lo, hi, limit=300 + len(points),
+                        points=sorted(points) or None, **opts)
         if err > 1e-6 * max(1.0, abs(val)):
             raise QuadratureError(
                 f"principal-value segment [{lo:g}, {hi:g}] error {err:g}")
         return val
 
+    # the far piece's breakpoints: the knee, and 2 f times each power of ten
+    # below the cut-off
     knee = 1.0 / a
+    points = [knee] if 2.0 * f < knee < f_cutoff else []
+    decade = 20.0 * f
+    while decade < f_cutoff:
+        points.append(decade)
+        decade *= 10.0
     pv = (piece(w, 0.0, 2.0 * f, weight="cauchy", wvar=f)
-          + piece(integrand, 2.0 * f, f_cutoff,
-                  points=[knee] if 2.0 * f < knee < f_cutoff else None))
+          + piece(integrand, 2.0 * f, f_cutoff, points))
     return host.delta_tls * pv / np.pi
 
 

@@ -903,6 +903,24 @@ def test_cli_non_finite_table_fails_the_run(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_overflow_fails_the_run(tmp_path, capsys, monkeypatch, workers):
+    # commands run with numpy's overflow, invalid and divide-by-zero errors
+    # raised, in the worker threads of mc too: a trial that overflows ends
+    # the run with one error line and no outputs, for any worker count
+    def overflowing(config, bath, store=None):
+        return np.float64(1e308) * np.float64(10.0)
+
+    monkeypatch.setattr(montecarlo, "response_curves", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("mc", "--trials", "2", "--workers", workers,
+                       "--out-dir", str(tmp_path)) == 1
+    assert (capsys.readouterr().err
+            == "error: overflow encountered in scalar multiply\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # the library classes and functions whose fields each command's rows set
 BUILT = {
     "photon-number": (ResonatorMode, DriveCondition),

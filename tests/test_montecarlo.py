@@ -410,12 +410,9 @@ def test_tanh_fallback_chosen_per_block():
     # 2|x|/l_edge passes _COSH_ARG_MAX only for |x| > 350 um, inside the
     # reach of 354 um; with the bath ordered by |x| only the last block
     # holds such TLSs and takes the tanh form
-    l_edge = 1e-6
-    cfg = small_config(l_edge=l_edge, half_length=354e-6,
-                       p_grid=np.linspace(0.0, 340e-6 * 2 / 50.0, 11))
+    cfg, bath = pinned_response_bath("tanh_fallback")
+    l_edge = cfg.l_edge
     assert cfg.reach >= cfg.half_length
-    bath = generate_ensemble(cfg)
-    bath = bath.select(np.argsort(np.abs(bath.x)))
     far = [2.0 * np.max(np.abs(bath.x[i:i + montecarlo._BLOCK])) / l_edge
            > montecarlo._COSH_ARG_MAX
            for i in range(0, len(bath), montecarlo._BLOCK)]
@@ -472,12 +469,59 @@ def test_bath_draw_bitwise_like_rng_normal():
         assert follow.random() == rng.random()
 
 
-def test_ground_state_bath_is_silent():
+def ground_state_bath():
     cfg = small_config(s_std=1e-12, ds_value=0.0)
-    bath = dataclasses.replace(generate_ensemble(cfg), s=-1.0, ds=0.0)
+    return cfg, dataclasses.replace(generate_ensemble(cfg), s=-1.0, ds=0.0)
+
+
+def test_ground_state_bath_is_silent():
+    cfg, bath = ground_state_bath()
     res = response_curves(cfg, bath)
     assert np.all(res.dinv_q == 0.0)
     assert np.all(res.dfrac == 0.0)
+
+
+def pinned_response_bath(case):
+    """(config, bath) of a RESPONSE_PINS case: the baths of
+    test_response_curves_across_blocks, test_ground_state_bath_is_silent and
+    test_tanh_fallback_chosen_per_block."""
+    if case == "ground_state":
+        return ground_state_bath()
+    if case == "tanh_fallback":
+        cfg = small_config(l_edge=1e-6, half_length=354e-6,
+                           p_grid=np.linspace(0.0, 340e-6 * 2 / 50.0, 11))
+        bath = generate_ensemble(cfg)
+        return cfg, bath.select(np.argsort(np.abs(bath.x)))
+    cfg = small_config(omega_max=TWO_PI * 200e9, half_length=140e-6)
+    n = {"ragged": 2 * montecarlo._BLOCK + 1234, "one_block": 5000,
+         "empty": 0}[case]
+    return cfg, generate_ensemble(cfg).select(slice(n))
+
+
+# sha256 (first 32 hex digits) of the bytes of response_curves' dinv_q and
+# dfrac, recorded before the blocks' weights and kernel were written into
+# one workspace per call.  The empty and the ground-state bath both give six
+# +0.0
+RESPONSE_PINS = {
+    "ragged": ["70834d252b0ed8b9e450a6aea54a6b88",
+               "d67acaa044d30c3d1b60bb2d27af582d"],
+    "one_block": ["3617e64b2763163c51228fe57849536f",
+                  "f2e86be21441dabbe532e1e01d0d7ba4"],
+    "empty": ["17b0761f87b081d5cf10757ccc89f12b",
+              "17b0761f87b081d5cf10757ccc89f12b"],
+    "ground_state": ["17b0761f87b081d5cf10757ccc89f12b",
+                     "17b0761f87b081d5cf10757ccc89f12b"],
+    "tanh_fallback": ["2ddc22d042d30842e3627848717a3330",
+                      "84b997d3010bd2396348774c136ce898"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESPONSE_PINS))
+def test_response_curves_pinned(case):
+    res = response_curves(*pinned_response_bath(case))
+    got = [hashlib.sha256(a.tobytes()).hexdigest()[:32]
+           for a in (res.dinv_q, res.dfrac)]
+    assert got == RESPONSE_PINS[case]
 
 
 # sha256 (first 32 hex digits) of the bytes of run()'s dinv_q, dfrac,

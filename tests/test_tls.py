@@ -135,6 +135,55 @@ def test_tls_unit_rejects_one_bad_element():
                             gamma2=np.where(on_res, 0.0, bath.gamma2))
 
 
+def _shared_bath(g, gamma1):
+    """_grid_bath's rows with g_perp = g_par and gamma2 = gamma1 each one
+    array, as the Monte Carlo draws them."""
+    return dataclasses.replace(_grid_bath(), g_perp=g, g_par=g,
+                               gamma1=gamma1, gamma2=gamma1)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_shared_coupling_column_is_checked(bad):
+    bath = _grid_bath()
+    g = bath.g_perp.copy()
+    g[-1] = bad
+    with pytest.raises(ValueError,
+                       match="^g_perp must be nonnegative and finite$"):
+        _shared_bath(g, bath.gamma1)
+    gamma1 = bath.gamma1.copy()
+    gamma1[-1] = bad
+    with pytest.raises(ValueError,
+                       match="^gamma1 must be nonnegative and finite$"):
+        _shared_bath(bath.g_perp, gamma1)
+
+
+def test_gamma2_below_half_gamma1_refused_unless_shared():
+    bath = _grid_bath()
+    shared = _shared_bath(bath.g_perp, bath.gamma1)
+    assert shared.gamma2 is shared.gamma1
+    # an equal but distinct array is compared, and one row below half fails
+    dataclasses.replace(bath, gamma2=bath.gamma1.copy())
+    gamma2 = bath.gamma1.copy()
+    gamma2[-1] = 0.49 * bath.gamma1[-1]
+    with pytest.raises(ValueError, match="^gamma2 must be >= gamma1/2$"):
+        dataclasses.replace(bath, gamma2=gamma2)
+
+
+def test_closed_forms_write_into_out():
+    # a caller's rows take the same bits as fresh ones, and the returned
+    # values are views of them
+    bath = _grid_bath()
+    w_r = TWO_PI * 7e9
+    rows = np.full((5, len(bath)), np.nan)
+    loss, shift = longitudinal_complex_shift(bath, w_r, out=rows[:3])
+    pull = dispersive_pull(bath, 1.0 + bath.s, out=rows[3:])
+    assert _bitwise(np.stack((loss, shift, pull)),
+                    np.stack((*longitudinal_complex_shift(bath, w_r),
+                              dispersive_pull(bath, 1.0 + bath.s))))
+    for got, row in ((loss, 0), (shift, 1), (pull, 3)):
+        assert np.shares_memory(got, rows[row])
+
+
 # --- transverse -------------------------------------------------------------
 
 def test_transverse_on_resonance():
@@ -307,6 +356,25 @@ def test_kk_probe_grid_is_quiet_and_matches_digamma():
                     - permittivity_bracket(f, ThermalEnvironment(t1)))
                 assert (abs(kk2 - kk1 - closed)
                         <= 1e-6 * max(abs(kk1), abs(kk2))), (f, t1, t2)
+
+
+def test_kk_far_piece_on_many_decades():
+    # at 1 MHz and 10 K the far piece spans five decades with its structure
+    # near 2 f; against 400 log-spaced pieces at epsrel 1e-13 (the near
+    # piece is the same Cauchy rule, at 1e-13 too)
+    f, t = 1e6, 10.0
+    host = TlsHostMaterial(intrinsic_loss=3e-5)
+    a = PLANCK / (2.0 * K_B * t)
+    cutoff = 400.0 * max(f, 1.0 / a)
+    tight = dict(epsabs=0.0, epsrel=1e-13, limit=300)
+    near = quad(lambda x: x * np.tanh(a * x) / (x + f), 0.0, 2.0 * f,
+                weight="cauchy", wvar=f, **tight)[0]
+    edges = np.geomspace(2.0 * f, cutoff, 401)
+    far = sum(quad(lambda x: x * np.tanh(a * x) / (x * x - f * f),
+                   lo, hi, **tight)[0] for lo, hi in zip(edges, edges[1:]))
+    want = host.delta_tls * (near + far) / np.pi
+    got = kramers_kronig_real_part(f, ThermalEnvironment(t), host)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 # --- spectral diffusion -------------------------------------------------------
