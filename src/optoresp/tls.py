@@ -17,14 +17,16 @@ Also here: the temperature dependence of the TLS permittivity (a closed
 form in scipy's complex digamma, which broadcasts over mode frequencies and
 temperatures), the Kramers-Kronig quadrature oracle for that closed form
 on a host of given loss tangent (a Cauchy-weight principal value plus a
-plain tail, two QUADPACK calls), and the Gaussian spectral-diffusion loss
-integral with its saturated closed form.
+plain tail, two to four QUADPACK calls), and the Gaussian spectral-diffusion
+loss integral with its saturated closed form (QUADPACK over the detuning, a
+fixed Gauss-Legendre rule over the Gaussian).
 
 scipy loads on first use: ``quad`` inside the two quadrature oracles, and
 ``scipy.special.digamma`` inside :func:`digamma`.  Importing this module,
 or using the closed forms the Monte Carlo runs on, loads numpy only.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -264,9 +266,16 @@ def permittivity_bracket(f_r, env: ThermalEnvironment):
 # inner spectral-diffusion window, in Gaussians: the tail past 12 is ~1.8e-33
 # per side (spectral_diffusion_loss bounds the share it drops below 1e-23)
 SD_N_SIGMA = 12.0
-# widest spectral diffusion the oracle takes, in Gamma_2: at 3e3 scipy warns,
-# and from 1e5 on the quadrature misses the closed form by 1e-2 silently
+# widest spectral diffusion the oracle takes, in Gamma_2: the range its
+# tests cover.  At 3e3 and 1e5 the inner rule meets its estimate and no
+# warning is raised; the result is 3.5e-6 and 1.1e-7 below the closed form
+# without drive, and 1.6e-4 below (the outer cut-off's share) at n/n_s = 1e8
 SD_SIGMA_MAX = 1e3
+# fixed inner knots, in Gaussians: no segment of the Gaussian's bulk spans
+# more than 3 standard deviations; past 9 it is below 3e-18 of its peak
+SD_GAUSS_KNOTS = (-9.0, -6.0, -3.0, 3.0, 6.0, 9.0)
+# largest relative gap between the 20- and 16-node inner sums
+SD_INNER_RTOL = 1e-10
 
 
 def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
@@ -274,17 +283,25 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
     """Dispersive counterpart of the tanh dielectric loss, by quadrature.
 
     Evaluates (delta_TLS/pi) PV int_0^cutoff f' tanh(h f'/2 k T)/(f'^2 - f^2) df'
-    in two QUADPACK calls, split at 2 f.  On [0, 2 f] the integrand is
+    in QUADPACK calls split at 2 f.  Near the pole the integrand is
     w(f')/(f' - f) with the smooth w(f') = f' tanh(h f'/2 k T)/(f' + f), and
     the principal value comes from the Cauchy-weight rule (QAWC, scipy's
     ``quad(weight="cauchy")``), which integrates across the pole without
-    excising it.  On [2 f, cutoff] the integrand has no pole and a plain
-    ``quad`` takes it, with the thermal knee 2 k T/h of the tanh as a
-    breakpoint when the knee lies inside; without it, the adaptive rule
-    can stop about 2e-6 off where the knee sits far above 2 f.  The split
-    at 2 f keeps the pole in the middle of the Cauchy piece, and it is why
-    the cut-off must lie above 2 f.  Each piece must reach an error
-    estimate of 1e-6 max(1, |value|), or QuadratureError is raised.
+    excising it.  QAWC takes [0, 2 f] whole when the thermal knee 2 k T/h
+    of the tanh lies at or above f.  A knee below f is a bend that QAWC
+    cannot be given as a breakpoint: at 1e11 Hz and 1 mK, where it sits in
+    the first 0.02 % of [0, 2 f], the whole-interval rule left the result
+    1.2e-8 off.  So there QAWC takes [f/2, 3 f/2] only, and plain ``quad``
+    calls take [3 f/2, 2 f] and [0, f/2], the latter with breakpoints at
+    the knee and each power of ten times it below f/2 (with the knee alone
+    it still stopped 5e-8 off).  On [2 f, cutoff] the integrand has no
+    pole and a plain ``quad`` takes it, with breakpoints at 2 f times each
+    power of ten and at the knee when it lies inside; without the knee,
+    the adaptive rule can stop about 2e-6 off where the knee sits far
+    above 2 f.  Either way the pole sits in the middle of its Cauchy piece;
+    the split at 2 f is why the cut-off must lie above 2 f.  Each piece
+    must reach an error estimate of 1e-6 max(1, |value|), or
+    QuadratureError is raised.
 
     The transform carries coefficient 1/pi rather than the textbook one-sided
     2/pi: the tanh loss already folds the anti-resonant TLS response into the
@@ -330,16 +347,25 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
                 f"principal-value segment [{lo:g}, {hi:g}] error {err:g}")
         return val
 
-    # the far piece's breakpoints: the knee, and 2 f times each power of ten
-    # below the cut-off
+    def decades(start, stop):
+        """start times each power of ten below stop."""
+        points = []
+        while start < stop:
+            points.append(start)
+            start *= 10.0
+        return points
+
     knee = 1.0 / a
-    points = [knee] if 2.0 * f < knee < f_cutoff else []
-    decade = 20.0 * f
-    while decade < f_cutoff:
-        points.append(decade)
-        decade *= 10.0
-    pv = (piece(w, 0.0, 2.0 * f, weight="cauchy", wvar=f)
-          + piece(integrand, 2.0 * f, f_cutoff, points))
+    if knee < f:
+        near = (piece(integrand, 0.0, 0.5 * f, decades(knee, 0.5 * f))
+                + piece(w, 0.5 * f, 1.5 * f, weight="cauchy", wvar=f)
+                + piece(integrand, 1.5 * f, 2.0 * f))
+    else:
+        near = piece(w, 0.0, 2.0 * f, weight="cauchy", wvar=f)
+    far_points = decades(20.0 * f, f_cutoff)
+    if 2.0 * f < knee < f_cutoff:
+        far_points.append(knee)
+    pv = near + piece(integrand, 2.0 * f, f_cutoff, far_points)
     return host.delta_tls * pv / np.pi
 
 
@@ -378,6 +404,26 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     on criterion 4's TLS): Gaussian wandering alone does not lift the loss
     above the saturated-Lorentzian value.
 
+    The outer integral over Delta is QUADPACK's.  The inner one, over the
+    Gaussian variable u at one outer node Delta, is a fixed 20-node
+    Gauss-Legendre sum on each segment of a knot set, evaluated in one
+    numpy pass.  In u the saturated Lorentzian has its poles at
+    u_c +- i h, with u_c = -Delta/s, h = w/s, s = sigma_sd/Gamma_2 and
+    w = sqrt(1 + n/n_s).  The knots follow from one requirement: every
+    segment lies at least a third of its length away from the nearest pole.
+    The core segment [u_c - h, u_c + h] and geometric steps u_c +- 4^k h
+    (k = 1, 2, ...) on either side meet it (the core at a half, each step at
+    a third), and so does any piece of them that the window edges
+    +-SD_N_SIGMA and the Gaussian's fixed knots SD_GAUSS_KNOTS cut off.
+    On such a segment the poles lie outside the Bernstein ellipse of
+    parameter rho = 1.87, so an n-node sum converges like rho^(-2n) (like
+    (1 + sqrt 2)^(-2n) on the core segment).  The Gaussian is entire, and
+    its fixed knots keep every segment of its bulk within 3 standard
+    deviations.  A 16-node sum on the same segments is the error estimate:
+    the two must agree to SD_INNER_RTOL = 1e-10 relative, or
+    QuadratureError names the outer node.  On criterion 4's grid and at the
+    corners of the accepted range they agree to 3e-12 or better.
+
     sigma_sd [rad/s] must be positive and at most SD_SIGMA_MAX Gamma_2, the
     width up to which the quadrature shows that identity, and sigma_sd and
     n_cav must leave b_far squared finite.  rho_v is the finite rho_TLS * V_eff prefactor
@@ -401,20 +447,38 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
                          "the quadrature is not accurate for wider diffusion")
     if tls.s == 0.0 or tls.g_perp == 0.0:
         return 0.0
-    sqrt_two_pi = math.sqrt(TWO_PI)
+    nodes, weights = _inner_rule()
+    window = (-SD_N_SIGMA, SD_N_SIGMA)
+    norm = math.sqrt(TWO_PI)
 
     def smeared(d):
-        # f runs ~2e4 times a call: Python floats and math, not numpy scalars
-        def f(u):
-            m = d + s_dimless * u
-            core = 1.0 / (1.0 + m * m)        # saturated Lorentzian, inlined
-            return (2.0 * core / (1.0 + n_ratio * core)
-                    * math.exp(-0.5 * u * u) / sqrt_two_pi)
-        feats = sorted((x - d) / s_dimless for x in (-30 * w, -w, 0.0, w, 30 * w))
-        knots = ([-SD_N_SIGMA]
-                 + [u for u in feats if -SD_N_SIGMA < u < SD_N_SIGMA]
-                 + [SD_N_SIGMA])
-        return _piecewise_quad(f, knots, limit=60)
+        # in m = d + s u the poles sit at +-i w, and the core and step knots
+        # at m = +-4^k w, until the next step passes both window edges
+        # (|m| <= |d| + SD_N_SIGMA s there): the last segment is a piece of
+        # it.  In Python floats a knot far off the window maps to u = +-inf
+        knots = [*SD_GAUSS_KNOTS, *window]
+        step, far = w, abs(d) + SD_N_SIGMA * s_dimless
+        while True:
+            knots += ((-step - d) / s_dimless, (step - d) / s_dimless)
+            step *= 4.0
+            if step >= far:
+                break
+        knots = np.array(knots)
+        knots.clip(*window, out=knots)
+        knots.sort()
+        lo = knots[:-1]
+        length = knots[1:] - lo        # a repeated knot adds a zero length
+        u = lo[:, None] + length[:, None] * nodes
+        m = d + s_dimless * u
+        core = 1.0 / (1.0 + m * m)            # saturated Lorentzian
+        f = 2.0 * core / (1.0 + n_ratio * core) * np.exp(-0.5 * u * u)
+        fine, coarse = length @ (f @ weights)
+        if not abs(fine - coarse) <= SD_INNER_RTOL * abs(fine):
+            raise QuadratureError(
+                f"quadrature failed on the spectral-diffusion inner integral "
+                f"at Delta = {d:g} Gamma_2: 20 nodes {fine:.16g}, 16 nodes "
+                f"{coarse:.16g}")
+        return float(fine) / norm
 
     half = _piecewise_quad(smeared, [0.0, w, b_core], limit=100)
     # the far tail falls off like the Lorentzian; integrate in t = 1/Delta
@@ -424,6 +488,18 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     # 2 (half + tail) is the double integral in units of Gamma_2 for both
     # axes, i.e. the dimensionless 2*pi/sqrt(1 + n/n_s) when converged
     return -HBAR * rho_v * tls.g_perp**2 * tls.s * (2.0 * (half + tail))
+
+
+@functools.cache
+def _inner_rule():
+    """The inner spectral-diffusion rule: Gauss-Legendre nodes on [0, 1], 20
+    then 16, and a (36, 2) weight matrix whose columns sum each rule."""
+    (x20, w20), (x16, w16) = map(np.polynomial.legendre.leggauss, (20, 16))
+    nodes = 0.5 * (np.concatenate((x20, x16)) + 1.0)
+    weights = np.zeros((36, 2))
+    weights[:20, 0], weights[20:, 1] = 0.5 * w20, 0.5 * w16
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _piecewise_quad(f, knots, limit):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,12 @@ from optoresp.tls import (SaturationDrive, ThermalEnvironment, TlsHostMaterial,
                           transverse_complex_shift)
 
 MHZ = TWO_PI * 1e6
+
+
+def _tight_quad(fun, lo, hi, **opts):
+    """quad's value at epsabs 0 and epsrel 1e-13: the tight references of
+    the quadrature oracles below."""
+    return quad(fun, lo, hi, epsabs=0.0, epsrel=1e-13, limit=300, **opts)[0]
 
 
 def _tls(detuning=0.0, g_perp=5 * MHZ, g_par=5 * MHZ, gamma1=16 * MHZ,
@@ -358,21 +365,36 @@ def test_kk_probe_grid_is_quiet_and_matches_digamma():
                         <= 1e-6 * max(abs(kk1), abs(kk2))), (f, t1, t2)
 
 
+def _kk_tight_reference(f, t, host):
+    """The Kramers-Kronig value at the default cut-off, tight: the Cauchy
+    rule on [0, 2 f] and 400 log-spaced plain pieces on [2 f, cut-off]."""
+    a = PLANCK / (2.0 * K_B * t)
+    cutoff = 400.0 * max(f, 1.0 / a)
+    near = _tight_quad(lambda x: x * np.tanh(a * x) / (x + f), 0.0, 2.0 * f,
+                       weight="cauchy", wvar=f)
+    edges = np.geomspace(2.0 * f, cutoff, 401)
+    far = sum(_tight_quad(lambda x: x * np.tanh(a * x) / (x * x - f * f),
+                          lo, hi) for lo, hi in zip(edges, edges[1:]))
+    return host.delta_tls * (near + far) / np.pi
+
+
 def test_kk_far_piece_on_many_decades():
     # at 1 MHz and 10 K the far piece spans five decades with its structure
     # near 2 f; against 400 log-spaced pieces at epsrel 1e-13 (the near
     # piece is the same Cauchy rule, at 1e-13 too)
     f, t = 1e6, 10.0
     host = TlsHostMaterial(intrinsic_loss=3e-5)
-    a = PLANCK / (2.0 * K_B * t)
-    cutoff = 400.0 * max(f, 1.0 / a)
-    tight = dict(epsabs=0.0, epsrel=1e-13, limit=300)
-    near = quad(lambda x: x * np.tanh(a * x) / (x + f), 0.0, 2.0 * f,
-                weight="cauchy", wvar=f, **tight)[0]
-    edges = np.geomspace(2.0 * f, cutoff, 401)
-    far = sum(quad(lambda x: x * np.tanh(a * x) / (x * x - f * f),
-                   lo, hi, **tight)[0] for lo, hi in zip(edges, edges[1:]))
-    want = host.delta_tls * (near + far) / np.pi
+    want = _kk_tight_reference(f, t, host)
+    got = kramers_kronig_real_part(f, ThermalEnvironment(t), host)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_kk_near_piece_below_the_thermal_knee():
+    # at 100 GHz and 1 mK the knee 2kT/h sits in the first 0.02 % of
+    # [0, 2 f], where the Cauchy rule takes no breakpoint
+    f, t = 1e11, 1e-3
+    host = TlsHostMaterial(intrinsic_loss=3e-5)
+    want = _kk_tight_reference(f, t, host)
     got = kramers_kronig_real_part(f, ThermalEnvironment(t), host)
     assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -412,17 +434,86 @@ def test_spectral_diffusion_oracle_takes_one_relaxing_tls():
 
 # (n/n_s, sigma/Gamma_2): a strong drive, then the corners of the range the
 # oracle takes (it refuses sigma above SD_SIGMA_MAX = 1e3 Gamma_2), where
-# no IntegrationWarning may escape
-@pytest.mark.parametrize("n_rel, sigma_rel", [
-    (100.0, 10.0), (0.0, 1e-6), (0.0, 1e3), (1e8, 1e-6), (1e8, 1e3)])
-def test_spectral_diffusion_strong_drive(n_rel, sigma_rel):
+# no warning may escape
+STRONG_DRIVE = [(100.0, 10.0), (0.0, 1e-6), (0.0, 1e3), (1e8, 1e-6),
+                (1e8, 1e3)]
+CRITERION_4_GRID = [(n_rel, sigma_rel) for n_rel in (0.0, 1.0, 100.0)
+                    for sigma_rel in (0.01, 1.0, 100.0)]
+
+
+def _sd_case(n_rel, sigma_rel):
+    """The TLS, drive and sigma_sd of one (n/n_s, sigma/Gamma_2) case."""
     t = _tls(s=-1.0)
-    n_s = t.saturation_photon_number
-    drive = SaturationDrive(n_cav=n_rel * n_s)
-    sigma = sigma_rel * t.gamma2
-    num = spectral_diffusion_loss(t, drive, sigma, RHO_V)
+    return (t, SaturationDrive(n_cav=n_rel * t.saturation_photon_number),
+            sigma_rel * t.gamma2)
+
+
+@pytest.mark.parametrize("n_rel, sigma_rel", STRONG_DRIVE)
+def test_spectral_diffusion_strong_drive(n_rel, sigma_rel):
+    t, drive, sigma = _sd_case(n_rel, sigma_rel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        num = spectral_diffusion_loss(t, drive, sigma, RHO_V)
     closed = spectral_diffusion_loss_closed_form(t, drive, RHO_V)
     assert abs(num - closed) <= 1e-3 * abs(closed)
+
+
+@pytest.mark.parametrize("n_rel", [0.0, 1e8])
+def test_spectral_diffusion_takes_vanishing_diffusion(n_rel):
+    # at sigma_sd = 1e-305 Gamma_2 and below, Delta/sigma_sd and the inner
+    # knots overflow to inf; the loss is the sigma -> 0 limit all the same
+    t, drive, _ = _sd_case(n_rel, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [spectral_diffusion_loss(t, drive, sigma_rel * t.gamma2, RHO_V)
+               for sigma_rel in (1e-12, 1e-305, 1e-315)]
+    assert_allclose(got[1:], got[0], rtol=1e-14)
+
+
+def _sd_tight_reference(t, drive, sigma_sd):
+    """spectral_diffusion_loss's outer integral, with its [0, w, b_core]
+    pieces and the inner integral tight; the inner integral is QUADPACK on
+    the integrand and knots the oracle used before its Gauss-Legendre rule."""
+    n_ratio = float(drive.n_cav / t.saturation_photon_number)
+    s = float(sigma_sd / t.gamma2)
+    w = math.sqrt(1.0 + n_ratio)
+    b_core = 10.0 * max(s, w)
+    b_far = max(4000.0 * w, 60.0 * s, 4.0 * b_core)
+
+    def smeared(d):
+        def f(u):
+            m = d + s * u
+            core = 1.0 / (1.0 + m * m)
+            return (2.0 * core / (1.0 + n_ratio * core)
+                    * math.exp(-0.5 * u * u) / math.sqrt(TWO_PI))
+        feats = sorted((x - d) / s for x in (-30 * w, -w, 0.0, w, 30 * w))
+        knots = [-12.0] + [u for u in feats if -12.0 < u < 12.0] + [12.0]
+        return sum(_tight_quad(f, a, b)
+                   for a, b in zip(knots, knots[1:]) if b > a)
+
+    half = _tight_quad(smeared, 0.0, w) + _tight_quad(smeared, w, b_core)
+    tail = quad(lambda x: smeared(1.0 / x) / x**2, 1.0 / b_far, 1.0 / b_core,
+                limit=80)[0]
+    return -HBAR * RHO_V * t.g_perp**2 * t.s * (2.0 * (half + tail))
+
+
+@pytest.mark.parametrize("n_rel, sigma_rel", CRITERION_4_GRID + STRONG_DRIVE)
+def test_spectral_diffusion_against_tight_reference(n_rel, sigma_rel):
+    t, drive, sigma = _sd_case(n_rel, sigma_rel)
+    want = _sd_tight_reference(t, drive, sigma)
+    got = spectral_diffusion_loss(t, drive, sigma, RHO_V)
+    assert abs(got - want) <= 1e-11 * abs(want)
+
+
+def test_spectral_diffusion_inner_rule_failure_names_the_node(monkeypatch):
+    # below the 16-node sum's own precision the two inner sums disagree;
+    # the first outer node QUADPACK samples is the middle of [0, w]
+    monkeypatch.setattr(tls, "SD_INNER_RTOL", 1e-15)
+    t, drive, sigma = _sd_case(0.0, 1e3)
+    with pytest.raises(tls.QuadratureError,
+                       match=r"^quadrature failed on the spectral-diffusion "
+                             r"inner integral at Delta = 0\.5 Gamma_2: "):
+        spectral_diffusion_loss(t, drive, sigma, RHO_V)
 
 
 def test_flat_band_saturation_independent_of_sigma():
@@ -436,39 +527,31 @@ def test_flat_band_saturation_independent_of_sigma():
         assert abs(num / unsat - 1.0 / np.sqrt(5.0)) < 1e-3 / np.sqrt(5.0)
 
 
-# recorded with the inner window at +-50 Gaussians from a quadrature over
-# both signs of Delta; the integrand is even, so the doubled half-line value
-# agrees to rounding
-PINNED_50_SIGMA = [32693.141433937926, 32693.14143361626, 32694.875175467125,
-                   23117.542006228374, 23117.542006114287, 23117.751500432092,
-                   3253.088993300017, 3253.0889932044142, 3253.0889782587037]
+# recorded with the inner window at +-50 Gaussians; the oracle integrates
+# the even outer integrand over Delta >= 0 and doubles it
+PINNED_50_SIGMA = [32693.14143393381, 32693.141433608504, 32694.875170438136,
+                   23117.5420062255, 23117.54200611046, 23117.751496220426,
+                   3253.089159155931, 3253.0891591556097, 3253.089155951481]
 
 
 def _criterion_4_grid():
-    t = _tls(s=-1.0)
-    return [spectral_diffusion_loss(
-                t, SaturationDrive(n_cav=n_ratio * t.saturation_photon_number),
-                sigma_rel * t.gamma2, RHO_V)
-            for n_ratio in (0.0, 1.0, 100.0) for sigma_rel in (0.01, 1.0, 100.0)]
+    return [spectral_diffusion_loss(*_sd_case(n_rel, sigma_rel), RHO_V)
+            for n_rel, sigma_rel in CRITERION_4_GRID]
 
 
 def test_spectral_diffusion_pinned_on_criterion_4_grid(monkeypatch):
     # the outer integral (nodes, knots, cut-off) does not depend on the
-    # inner window: at +-50 Gaussians it reproduces the old values
+    # inner window: at +-50 Gaussians it reproduces the recorded values
     monkeypatch.setattr(tls, "SD_N_SIGMA", 50.0)
     assert_allclose(_criterion_4_grid(), PINNED_50_SIGMA, rtol=1e-13)
 
 
 def test_spectral_diffusion_pinned_at_shipped_window():
+    # the dropped tail is below 1e-23 of each inner integral, and the fixed
+    # inner rule resolves both windows to rounding, so the values at +-50
+    # Gaussians pin the shipped window too
     assert tls.SD_N_SIGMA == 12.0
-    got = _criterion_4_grid()
-    assert_allclose(got, [32693.14143393708, 32693.141433611934,
-                          32694.875170543208, 23117.54200623111,
-                          23117.54200611576, 23117.751496261415,
-                          3253.0891591622194, 3253.089159161888,
-                          3253.0891546979856], rtol=1e-13)
-    # the dropped tail is below 1e-23; the shift is the inner quad's tolerance
-    assert_allclose(got, PINNED_50_SIGMA, rtol=1e-7)
+    assert_allclose(_criterion_4_grid(), PINNED_50_SIGMA, rtol=1e-13)
 
 
 @pytest.mark.parametrize("field,value,message", [
