@@ -425,8 +425,8 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     corners of the accepted range they agree to 3e-12 or better.
 
     sigma_sd [rad/s] must be positive and at most SD_SIGMA_MAX Gamma_2, the
-    width up to which the quadrature shows that identity, and sigma_sd and
-    n_cav must leave b_far squared finite.  rho_v is the finite rho_TLS * V_eff prefactor
+    widest diffusion the tests cover, and sigma_sd and n_cav must leave
+    b_far squared finite.  rho_v is the finite rho_TLS * V_eff prefactor
     [J^-1].  Returns rad/s.
     """
     from scipy.integrate import quad
@@ -444,7 +444,7 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
                          "cut-off squared overflows")
     if not sigma_sd <= SD_SIGMA_MAX * tls.gamma2:
         raise ValueError(f"sigma_sd must be at most {SD_SIGMA_MAX:g} gamma2: "
-                         "the quadrature is not accurate for wider diffusion")
+                         "wider diffusion is past the range the tests cover")
     if tls.s == 0.0 or tls.g_perp == 0.0:
         return 0.0
     nodes, weights = _inner_rule()

@@ -558,7 +558,7 @@ def test_spectral_diffusion_pinned_at_shipped_window():
     ("sigma_sd", np.inf, "sigma_sd must be positive and finite"),
     ("sigma_sd", np.nan, "sigma_sd must be positive and finite"),
     ("sigma_sd", 0.0, "sigma_sd must be positive and finite"),
-    # past 1e3 Gamma_2 the quadrature drifts from the closed form
+    # 1e3 Gamma_2 is the widest diffusion the oracle's tests cover
     ("sigma_sd", 1e4 * 16 * MHZ, "sigma_sd must be at most 1000 gamma2"),
     ("sigma_sd", 1e300 * 16 * MHZ, "sigma_sd and n_cav are too large"),
     ("n_cav", 1e305, "sigma_sd and n_cav are too large"),
