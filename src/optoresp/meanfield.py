@@ -20,10 +20,24 @@ Longitudinal mode (sigma_z coupling), in the lab frame:
 The transverse equations, nonlinear in <sigma_z>, are stiff: the TLS decays at
 Gamma_2 over a window of 14/kappa (2100/Gamma_2 at kappa = Gamma_2/150).  They
 run on one call of LSODA (``scipy.integrate.odeint``), whose implicit steps
-take about two right-hand-side calls to DOP853's twelve; ATOL lies far below
-the ~1e-17 that |c| ends at on strong-loss draws, whose rate the fit reads off
-log |c|.  The linear longitudinal ones are propagated exactly by expm(M dt) on
-a uniform grid, and their fixed point (the static displacement sourced by S)
+take about two right-hand-side calls to DOP853's twelve.  The bare decay
+e^(-kappa t/2) is exact, so LSODA integrates s~ = e^(kappa t/2) <s> and
+c~ = e^(kappa t/2) <c> (an integrating factor, Lawson 1967):
+
+    d s~/dt  = (i Delta - Gamma_2 + kappa/2) s~ + i g_perp <sigma_z> c~
+    d c~/dt  = -i g_perp s~
+    d<sz>/dt = 2 i g_perp e^(-kappa t) (s~ c~* - s~* c~) - Gamma_1 (<sz> - S)
+
+and returns <c> = e^(-kappa t/2) c~.  Late in the window the field is the
+cavity-branch mode, which decays at (kappa + loss)/2; in this frame it decays
+at loss/2, so wherever the TLS loss is below kappa LSODA's steps grow.  RTOL
+is the relative error on c~ and on <c> alike; ATOL bounds the error on c~,
+so on <c> it is ATOL e^(-kappa t/2), at most ATOL.  A sample with |c~| below
+C_TILDE_FLOOR ATOL carries integrator error, not physics, and raises rather
+than enter the fit on log |c|.
+
+The linear longitudinal equations are propagated exactly by expm(M dt) on a
+uniform grid, and their fixed point (the static displacement sourced by S)
 is removed before demodulating at omega_r.  Validity of the closed forms
 requires weak coupling (g <~ Gamma_2/4) and kappa well below the TLS rates;
 the rotating-wave step behind the longitudinal closed form costs
@@ -33,6 +47,7 @@ scipy loads on first use: ``odeint`` inside the transverse solve and ``expm``
 inside the longitudinal one, so importing this module loads numpy only.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,7 +59,8 @@ from .tls import TlsUnit, _one_tls
 
 
 class OdeConvergenceError(NumericalError):
-    """LSODA stopped, or the cavity decay did not settle within the window."""
+    """LSODA stopped, the cavity field fell to LSODA's absolute tolerance, or
+    the decay did not settle within the window."""
 
 
 HORIZON = 14.0          # integration window, in units of 1/kappa_tot
@@ -53,6 +69,7 @@ RESIDUAL_TOL = 1e-3     # max |residual| of the log-amplitude decay fit
 SEED_AMPLITUDE = 1e-4   # initial <c>, small so the TLS stays unsaturated
 RTOL, ATOL = 1e-12, 1e-22 * SEED_AMPLITUDE  # transverse LSODA tolerances
 MAX_STEPS = 20000       # LSODA steps allowed per sample interval
+C_TILDE_FLOOR = 1e6     # least e^(kappa t/2) |c| fitted, in units of ATOL
 
 
 @dataclass(frozen=True)
@@ -69,8 +86,10 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode):
     """Extra loss and shift of the cavity mode, extracted by integration
     from a coherent amplitude SEED_AMPLITUDE and the relaxed population
     tls.s over HORIZON/kappa_tot: the transverse solve at N_SAMPLES times by
-    LSODA to RTOL and ATOL, the longitudinal one exactly.  A stopped solve
-    or a decay fit residual above RESIDUAL_TOL raises OdeConvergenceError.
+    LSODA to RTOL and ATOL, the longitudinal one exactly.  A stopped solve,
+    a transverse field e^(kappa_tot t/2) |c| below C_TILDE_FLOOR ATOL at any
+    sample, or a decay fit residual above RESIDUAL_TOL raises
+    OdeConvergenceError.
 
     Parameters
     ----------
@@ -122,14 +141,20 @@ def _integrate_transverse(tls, kappa_tot, t_end, sz_init):
     # Python floats: numpy scalars' IEEE results, several times cheaper
     g, g1, g2 = float(tls.g_perp), float(tls.gamma1), float(tls.gamma2)
     delta, s0 = float(tls.detuning), float(tls.s)
-    half_kappa = float(0.5 * kappa_tot)
+    kappa = float(kappa_tot)
+    half_kappa, neg_kappa = 0.5 * kappa, -kappa
+    rate, exp = half_kappa - g2, math.exp
 
-    def rhs(_t, y):  # y = (Re s, Im s, Re c, Im c, sz)
+    # y = (Re s~, Im s~, Re c~, Im c~, sz), (s~, c~) = e^(kappa t/2) (s, c):
+    # the bare cavity decay is factored out, so LSODA resolves only what the
+    # TLS adds to it
+    def rhs(t, y):
         sr, si, cr, ci, sz = y.tolist()
-        return [-g2 * sr - delta * si - g * sz * ci,
-                delta * sr - g2 * si + g * sz * cr,
-                -half_kappa * cr + g * si, -half_kappa * ci - g * sr,
-                -4.0 * g * (si * cr - sr * ci) - g1 * (sz - s0)]
+        return [rate * sr - delta * si - g * sz * ci,
+                delta * sr + rate * si + g * sz * cr,
+                g * si, -g * sr,
+                -4.0 * g * exp(neg_kappa * t) * (si * cr - sr * ci)
+                - g1 * (sz - s0)]
 
     t = np.linspace(0.0, t_end, N_SAMPLES)
     with warnings.catch_warnings():  # the message below reports failure
@@ -143,7 +168,16 @@ def _integrate_transverse(tls, kappa_tot, t_end, sz_init):
         reason = info["message"].replace(" (perhaps wrong Dfun type)", "")
         raise OdeConvergenceError(f"LSODA stopped at t = {tcur:.3e} s of "
                                   f"{t_end:.3e} s: {reason}")
-    return t, y[:, 2] + 1j * y[:, 3], y[:, 4]
+    c_tilde = y[:, 2] + 1j * y[:, 3]
+    # ATOL bounds the error on c~; a fit through samples near it reads noise
+    low = np.abs(c_tilde) < C_TILDE_FLOOR * ATOL
+    if low.any():
+        t_low = t[np.argmax(low)]
+        del t, y, info, c_tilde, low  # a kept error holds no trajectory
+        raise OdeConvergenceError(
+            f"cavity field e^(kappa t/2) |c| fell below {C_TILDE_FLOOR:.0e} "
+            f"ATOL at t = {t_low:.3e} s of {t_end:.3e} s")
+    return t, np.exp(-half_kappa * t) * c_tilde, y[:, 4]
 
 
 def _integrate_longitudinal(tls, omega_r, kappa_tot, t_end):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from numpy.testing import assert_allclose
 from scipy.integrate import ode
 
@@ -43,11 +44,15 @@ def test_decoupled_tls_leaves_cavity_alone():
     assert abs(res.shift) < 1e-6 * G2
     # population relaxes to S at rate Gamma_1, from a start off S that only
     # the integrator takes
-    times, _, sigma_z = meanfield._integrate_transverse(
+    times, cavity, sigma_z = meanfield._integrate_transverse(
         t, G2 / 100, meanfield.HORIZON / (G2 / 100), -0.2)
     mask = sigma_z - t.s > 1e-6
     rate = -np.polyfit(times[mask], np.log(sigma_z[mask] - t.s), 1)[0]
     assert_allclose(rate, t.gamma1, rtol=1e-3)
+    # with no coupling e^(kappa t/2) c stays at the seed, so the frame's
+    # factor alone makes the bare decay
+    assert_allclose(cavity, meanfield.SEED_AMPLITUDE
+                    * np.exp(-0.5 * (G2 / 100) * times), rtol=1e-14, atol=0)
 
 
 def test_transverse_resonant_example():
@@ -109,16 +114,20 @@ TIGHT_REFERENCE_DRAWS = [(19.39, 0.525, 0.159, 0.1019, -0.94),
                          (25.43, 1.587, -2.899, 0.1099, -0.56)]
 
 
-@pytest.mark.parametrize("draw", TIGHT_REFERENCE_DRAWS)
-def test_transverse_matches_tight_dop853_reference(draw, monkeypatch):
+def _reference_tls(draw):
     g2_mhz, g1, delta, g, s = draw
     g2 = g2_mhz * MHZ
-    t = _tls(detuning=delta * g2, g_perp=g * g2, g_par=0.0, gamma1=g1 * g2,
-             gamma2=g2, s=s)
+    return _tls(detuning=delta * g2, g_perp=g * g2, g_par=0.0, gamma1=g1 * g2,
+                gamma2=g2, s=s)
+
+
+@pytest.mark.parametrize("draw", TIGHT_REFERENCE_DRAWS)
+def test_transverse_matches_tight_dop853_reference(draw, monkeypatch):
+    t = _reference_tls(draw)
 
     def solve():
         return steady_state_by_integration(t, TWO_PI * 7e9,
-                                           kappa_tot=g2 / 150,
+                                           kappa_tot=t.gamma2 / 150,
                                            mode="transverse")
 
     res = solve()
@@ -128,11 +137,45 @@ def test_transverse_matches_tight_dop853_reference(draw, monkeypatch):
     assert res.t.tobytes() == ref.t.tobytes()
     err = (abs(complex(res.extra_loss - ref.extra_loss, res.shift - ref.shift))
            / abs(complex(ref.extra_loss, ref.shift)))
-    assert err < 1e-8
-    # the DOP853 oracle at rtol 1e-10 that LSODA replaced strayed from this
-    # reference by 4.0e-6 and 1.4e-7 of |c| on the third and fourth draws
+    assert err < 1e-10
+    # LSODA on (s, c) rather than on the frame of the bare decay strayed from
+    # this reference by 2.4e-10 in (loss, shift) and 1.5e-8 of |c| on the
+    # second draw
     c_ref = ref.cavity_field
-    assert np.max(np.abs(res.cavity_field - c_ref) / np.abs(c_ref)) < 1e-7
+    assert np.max(np.abs(res.cavity_field - c_ref) / np.abs(c_ref)) < 5e-9
+
+
+@pytest.mark.parametrize("draw", TIGHT_REFERENCE_DRAWS[:3])
+def test_transverse_back_action_matches_tight_dop853_reference(draw,
+                                                               monkeypatch):
+    # at the real seed sigma_z moves by about 1e-8, too little for the fit to
+    # see a wrong factor on its row; a seed of 0.3 moves it by 2-6e-3
+    monkeypatch.setattr(meanfield, "SEED_AMPLITUDE", 0.3)
+    t = _reference_tls(draw)
+    kappa = t.gamma2 / 150
+    _, c, sigma_z = meanfield._integrate_transverse(t, kappa, 3 / kappa, t.s)
+    _, c_ref, sigma_z_ref = _transverse_dop853(1e-13, 1e-22 * 0.3)(
+        t, kappa, 3 / kappa, t.s)
+    assert np.max(np.abs(sigma_z - sigma_z_ref)) < 1e-9
+    assert np.max(np.abs(c - c_ref) / np.abs(c_ref)) < 1e-8
+
+
+def test_transverse_weak_loss_draw_call_count(monkeypatch):
+    # taking the bare decay out of (s, c) lets LSODA step by what the TLS
+    # adds: 1097 right-hand-side calls on this draw, against 3031 on (s, c)
+    odeint, calls = scipy.integrate.odeint, [0]
+
+    def counting(rhs, *args, **kwargs):
+        def counted(*xs):
+            calls[0] += 1
+            return rhs(*xs)
+        return odeint(counted, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "odeint", counting)
+    t = _reference_tls(TIGHT_REFERENCE_DRAWS[4])
+    steady_state_by_integration(t, TWO_PI * 7e9, kappa_tot=t.gamma2 / 150,
+                                mode="transverse")
+    assert 0 < calls[0] <= 1600
 
 
 def test_transverse_detuned_matches_closed_form():
@@ -272,13 +315,31 @@ def test_unsettled_decay_raises(monkeypatch):
     with pytest.raises(OdeConvergenceError) as raised:
         steady_state_by_integration(t, TWO_PI * 7e9, kappa_tot=G2 * 2.0,
                                     mode="transverse")
+    _assert_holds_no_trajectory(raised.value)
+
+
+def _assert_holds_no_trajectory(err):
     # the frames of a kept error hold the fit's coefficients, not the
     # trajectory
-    tb = raised.value.__traceback__
+    tb = err.__traceback__
     while tb is not None:
         assert all(np.size(v) <= 2 for v in tb.tb_frame.f_locals.values()
                    if isinstance(v, np.ndarray))
         tb = tb.tb_next
+
+
+def test_cavity_field_near_atol_raises(monkeypatch):
+    # LSODA's absolute error control acts on e^(kappa t/2) c, which ends
+    # near 1.7e-13 on this draw: within 1e6 ATOL of it at ATOL = 1e-18, so
+    # no fit runs through those samples
+    monkeypatch.setattr(meanfield, "ATOL", 1e-18)
+    t = _reference_tls(TIGHT_REFERENCE_DRAWS[0])
+    message = (r"^cavity field e\^\(kappa t/2\) \|c\| fell below 1e\+06 ATOL "
+               r"at t = [1-9]\S* s of \S+ s$")
+    with pytest.raises(OdeConvergenceError, match=message) as raised:
+        steady_state_by_integration(t, TWO_PI * 7e9, kappa_tot=t.gamma2 / 150,
+                                    mode="transverse")
+    _assert_holds_no_trajectory(raised.value)
 
 
 def test_transverse_solve_leaves_no_memory_behind(monkeypatch):
