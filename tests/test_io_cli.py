@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import inspect
 import itertools
 import json
@@ -1109,6 +1110,58 @@ def test_readme_envelopes_replay_through_config(tmp_path, monkeypatch):
         assert len(csvs) == len(cli.COMMANDS[command].outputs), command
         for path in csvs:
             assert path.read_bytes() == (run / path.name).read_bytes(), path
+
+
+# sha256 of every file the README session writes, each envelope without its
+# duration_s, recorded at 0a43036.  The mc files depend on the BLAS's
+# summation order, as test_montecarlo's PINNED_RUNS do.
+README_DIGESTS = {
+    "fit_spectrum.json":
+        "1f69bdf5d1d6b558fed2fbdb9300095f6080790eeef73cf832f2eea9510990ef",
+    "fit_spectrum_curve.csv":
+        "1d3463bf8612cd85ba3898c40470c6b8e33958e0536539f48576d93ca311a84d",
+    "mc.json":
+        "9b6cd4a7287f09b0f9511ee3736c9a3116402de98fe590419451023f02bce562",
+    "mc_aggregate.csv":
+        "a3ba87d8e0b8fe8e20489f74cc83f17c9624335ddefd4835e2fee0a90bcffba1",
+    "mc_curves.csv":
+        "bee519bd38fef653fb369c9b58e7ca9ee549aa73e8e774c11591ce8a8961be54",
+    "photon_number.json":
+        "d9eb783f592d3ceb787cb7f81d8325985b48d6e830e69856f2f82b573fdf9f0d",
+    "slopes.json":
+        "8ff733c21159a341723ad3d7879351d4637ebd2cbee0c09758c06208f1a81e36",
+    "slopes_sweep.csv":
+        "c2dab3739109b4716ae8512b1e1c50fe4a219df7b562fd25d50dbf514c071ea0",
+    "synth_trace.csv":
+        "61336c7f7828178dc0f2b1e38f7e0a2f9e66174b6fd57a36247fa8164bf1eee7",
+    "synth_trace.json":
+        "66df7369ba85fc67ddc97ca9ffdcb9c33111f1b8dc080241337b9f34dbd74753",
+    "temp_model.csv":
+        "0cb85182bc131646504b4e617823fdab5a1f18030ebfdd3f73c06442a3e6c894",
+    "temp_model.json":
+        "60529cb0b4813f496299cccca04243d3c6669d6286f27766ce6cb460c9f7fa06",
+}
+
+
+def test_readme_outputs_pinned(tmp_path, monkeypatch):
+    # the README session as written, mc at 2 of its 100 trials (as the
+    # replay tests run it) on one worker, so that its echo does not depend
+    # on the host's core count
+    monkeypatch.delenv("OPTORESP_OUTDIR", raising=False)
+    monkeypatch.chdir(tmp_path)   # fit-spectrum reads synth's trace from here
+    for command, *flags in _readme_commands():
+        if command == "mc":
+            flags += ["--trials", "2", "--workers", "1"]
+        assert main([command, *flags]) == 0, command
+    got = {}
+    for path in sorted(tmp_path.iterdir()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            envelope = json.loads(data)
+            del envelope["duration_s"]
+            data = json.dumps(envelope).encode()
+        got[path.name] = hashlib.sha256(data).hexdigest()
+    assert got == README_DIGESTS
 
 
 # --- the CLI contract at the finite extremes --------------------------------
