@@ -32,18 +32,21 @@ Each flag is one ``Arg`` row: it declares the library fields its value sets
 and the unit factors that take the value there, and one helper,
 ``_library``, builds a library call's keywords from the rows.  A range error
 the library raises on a field is reported under the flag of the row that
-declares it.  Each subcommand is one row of ``COMMANDS``: its flags, its
-``run_*`` function, its envelope and declared CSVs, its summary lines and
-the checks only the CLI can make.  One driver runs every row, on one parser
-built per process.  A failed run removes all of the command's declared
-outputs; a successful run removes any declared output it did not write, so
-no file from an earlier run passes for its result.
+declares it, a domain's bounds in the flag's units.  A flag that sets no
+library field declares its own domain.  Each subcommand is one row of
+``COMMANDS``: its flags, its ``run_*`` function, its envelope and declared
+CSVs, its summary lines and the checks only the CLI can make.  One driver
+runs every row, on one parser built per process.  A failed run removes all
+of the command's declared outputs; a successful run removes any declared
+output it did not write, so no file from an earlier run passes for its
+result.
 """
 
 import argparse
 import functools
 import inspect
 import json
+import math
 import os
 import re
 import sys
@@ -55,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from . import ensemble, io, montecarlo, superconductor
-from .checks import check_range
+from .checks import DomainError, check_range
 from .constants import TWO_PI, dbm_to_watts
 from .fitkit import models as fitmodels
 from .fitkit import synth as fitsynth
@@ -82,7 +85,9 @@ class Arg:
     field names the library field or fields the value sets, and any other
     word a library range message uses for this flag.  to_si holds the unit
     factors that take the value to the field's units, multiplied in one at a
-    time in order; per is a divisor applied after them.
+    time in order; per is a divisor applied after them.  A flag that sets no
+    library field declares its closed domain (lo, hi) in flag units, checked
+    where the value is read; a library field's domain is the library's.
     """
     flag: str
     type: Callable = str
@@ -93,6 +98,7 @@ class Arg:
     field: str | tuple = ()
     to_si: tuple = ()
     per: float = None
+    domain: tuple = None
 
     @property
     def dest(self):
@@ -122,24 +128,35 @@ class Arg:
                 value = value * factor
         return value if self.per is None else value / self.per
 
+    def in_flag_units(self, value):
+        """A value in the units of the library field, in the flag's."""
+        return value * (self.per or 1.0) / math.prod(self.to_si)
+
 
 def _flags(rows):
-    """Library field or message word -> the flag of the first row that
-    declares it."""
+    """Library field or message word -> the first row that declares it."""
     flags = {}
     for arg in rows:
         for name in arg.fields:
-            flags.setdefault(name, arg.flag)
+            flags.setdefault(name, arg)
     return flags
 
 
 def _flag_message(exc, flags):
     """exc's message, with each word that is a library field name replaced
-    by the flag that sets it.  The value a library message quotes after
-    ', got' is in library units, so it is dropped from a renamed message."""
+    by the flag of its row in flags.  A value a library message quotes is in
+    library units: a renamed DomainError quotes its bounds in the flag's
+    units, and any other renamed message drops the value after ', got'."""
     text = str(exc)
-    named = " ".join(flags.get(word, word) for word in text.split(" "))
-    return text if named == text else named.split(", got ")[0]
+    named = " ".join(flags[word].flag if word in flags else word
+                     for word in text.split(" "))
+    if named == text:
+        return text
+    if isinstance(exc, DomainError) and exc.name in flags:
+        arg = flags[exc.name]
+        return str(DomainError(arg.flag, tuple(map(arg.in_flag_units,
+                                                   exc.domain))))
+    return named.split(", got ")[0]
 
 
 @functools.cache
@@ -154,10 +171,9 @@ def _library(fn, a, rows, **hand):
     (the first row that declares it wins).  A range error fn raises names
     the flags of rows."""
     flags = _flags(rows)
-    by_flag = {arg.flag: arg for arg in rows}
     params = _parameters(fn)
-    kwargs = {name: by_flag[flag].si(getattr(a, by_flag[flag].dest))
-              for name, flag in flags.items() if name in params}
+    kwargs = {name: arg.si(getattr(a, arg.dest))
+              for name, arg in flags.items() if name in params}
     try:
         return fn(**kwargs, **hand)
     except ValueError as exc:
@@ -178,9 +194,7 @@ def _echo(a):
 
 def run_photon_number(a, rows, names):
     mode = _library(ResonatorMode, a, rows)
-    with np.errstate(over="ignore"):  # DriveCondition refuses an inf power
-        power = dbm_to_watts(a.power_dbm)
-    drive = DriveCondition(input_power=power,
+    drive = DriveCondition(input_power=dbm_to_watts(a.power_dbm),
                            probe_frequency=mode.f_r + a.detuning_hz)
     n = photon_number(mode, drive)
     return {
@@ -241,17 +255,6 @@ def _power_grid(p_max_nw, points):
 
 
 def _mc_check(a):
-    # the power grid is built from both flags, so McConfig's p_grid errors
-    # could not name either
-    if a.p_points < 2:
-        raise ValueError("--p-points must be at least 2")
-    check_range("--p-max-nw", a.p_max_nw)
-    p = _power_grid(a.p_max_nw, a.p_points)
-    with np.errstate(over="ignore"):
-        # the slope fit divides the power column by its norm
-        if not 0.0 < (p * p).sum() < np.inf:
-            raise ValueError("--p-max-nw is out of range: the norm of the "
-                             "power grid underflows or overflows")
     if a.window_ghz and (len(a.window_ghz) != 2
                          or not a.window_ghz[0] < a.window_ghz[1]):
         raise ValueError("--window-ghz takes two increasing values 'lo,hi'")
@@ -304,25 +307,6 @@ def _mc_summary(r, paths):
 def _temp_model_check(a):
     if not a.fr_ghz:
         raise ValueError("--fr-ghz lists no mode frequency")
-    if a.t_grid_mk:
-        check_range("--t-grid-mk", a.t_grid_mk)
-        temperatures = [("--t-grid-mk", t) for t in (min(a.t_grid_mk),
-                                                      max(a.t_grid_mk))]
-    elif a.t_points < 1:
-        raise ValueError("--t-points must be at least 1")
-    else:
-        check_range("--t-min-mk", a.t_min_mk)
-        check_range("--t-max-mk", a.t_max_mk)
-        temperatures = [("--t-min-mk", a.t_min_mk), ("--t-max-mk", a.t_max_mk)]
-    # the bracket's range errors at the grid's end temperatures, named by
-    # the flag that sets each
-    for flag, t_mk in temperatures:
-        try:
-            permittivity_bracket([v * 1e9 for v in a.fr_ghz],
-                                 ThermalEnvironment(t_mk * 1e-3))
-        except ValueError as exc:
-            raise ValueError(_flag_message(
-                exc, {"f_r": "--fr-ghz", "temperature": flag})) from exc
     if a.lambda0_um is None:  # no film is built to check these flags
         for flag, value in (("--tc-k", a.tc_k), ("--film-d-nm", a.film_d_nm),
                             ("--film-w-nm", a.film_w_nm), ("--ltl", a.ltl)):
@@ -331,6 +315,8 @@ def _temp_model_check(a):
         return
     # the quasiparticle term takes every temperature of the grid below T_c
     check_range("--tc-k", a.tc_k)
+    temperatures = ([("--t-grid-mk", max(a.t_grid_mk))] if a.t_grid_mk else
+                    [("--t-min-mk", a.t_min_mk), ("--t-max-mk", a.t_max_mk)])
     for flag, t_mk in temperatures:
         if not t_mk * 1e-3 < a.tc_k:
             raise ValueError(f"{flag} must lie below --tc-k")
@@ -340,7 +326,7 @@ def run_temp_model(a, rows, names):
     temps = np.asarray(a.t_grid_mk or np.linspace(a.t_min_mk, a.t_max_mk,
                                                   a.t_points),
                        dtype=float) * 1e-3
-    fr_hz = np.array([v * 1e9 for v in a.fr_ghz])
+    fr_hz = rows[0].si(a.fr_ghz)
     qp_term = np.zeros(temps.size)
     if a.lambda0_um is not None:
         geom = _library(superconductor.FilmGeometry, a, rows)
@@ -349,13 +335,8 @@ def run_temp_model(a, rows, names):
             sc, geom, temps, temps[0])
     # one row per (mode, temperature), mode-major; the filling factor is
     # folded into the pdelta product
-    with np.errstate(over="ignore"):
-        tls_term = (a.pdelta / np.pi * permittivity_bracket(
-            fr_hz[:, None], ThermalEnvironment(temps))).ravel()
-    if not np.all(np.isfinite(tls_term)):
-        raise ValueError("--pdelta is too large for the temperature grid: "
-                         "the TLS term pdelta/pi times the permittivity "
-                         "bracket overflows")
+    tls_term = (a.pdelta / np.pi * permittivity_bracket(
+        fr_hz[:, None], ThermalEnvironment(temps))).ravel()
     qp_term = np.tile(qp_term, fr_hz.size)
     columns = [np.tile(temps, fr_hz.size), np.repeat(fr_hz / 1e9, temps.size),
                tls_term, qp_term, tls_term + qp_term]
@@ -370,27 +351,15 @@ def _frequency_grid(a):
 
 
 def _synth_check(a):
-    if a.points < 1:
-        raise ValueError("--points must be at least 1")
     if a.seed < 0:
         raise ValueError("--seed must be nonnegative")
     if a.kind == "power":
-        check_range("--p-max-nw", a.p_max_nw)
-        # a grid whose step underflows repeats a power
-        if not np.all(np.diff(_power_grid(a.p_max_nw, a.points)) > 0):
-            raise ValueError("--p-max-nw is too small for --points: the "
-                             "grid repeats a power")
         return
     # the grid is built from both flags, so its errors could name neither
     if not a.f_start_ghz < a.f_stop_ghz:
         raise ValueError("--f-start-ghz must be below --f-stop-ghz")
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = _frequency_grid(a)
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("--f-start-ghz or --f-stop-ghz is too large in "
-                         "magnitude: the frequency grid must be finite")
     # neighbours closer than a float's spacing round to the same frequency
-    if not np.all(np.diff(grid) > 0):
+    if not np.all(np.diff(_frequency_grid(a)) > 0):
         raise ValueError("--f-start-ghz and --f-stop-ghz are too close "
                          "for --points: the grid repeats a frequency")
 
@@ -496,7 +465,8 @@ class Command:
 
     @property
     def flags(self):
-        """Library field or message word -> the flag that sets it."""
+        """Library field or message word -> the row of the flag that sets
+        it."""
         return _flags(self.args)
 
 
@@ -509,6 +479,8 @@ COMMON = (
 GHZ_RAD = (1e9, TWO_PI)     # GHz -> rad/s, as TWO_PI * (v * 1e9)
 MHZ_RAD = (TWO_PI, 1e6)     # MHz -> rad/s, as (TWO_PI * v) * 1e6
 DS_PER = TWO_PI * 1e6       # dS*2pi in 1/MHz -> dS in s
+P_MAX_NW = (1e-6, 1e9)      # 1 fW to 1 W of laser power
+T_MK = (1e-2, 1e6)          # 10 uK to 1000 K, inside ThermalEnvironment's
 
 COMMANDS = {c.name: c for c in (
     Command(
@@ -516,8 +488,10 @@ COMMANDS = {c.name: c for c in (
         (Arg("--fr-ghz", float, required=True, field="f_r", to_si=(1e9,)),
          Arg("--q-int", float, required=True, field="q_int"),
          Arg("--q-ext", float, required=True, field="q_ext"),
-         Arg("--power-dbm", float, required=True, field="input_power"),
-         Arg("--detuning-hz", float, 0.0, field="probe_frequency")),
+         # 1e-23 W (15 photons a second at 1 GHz) to 1 kW
+         Arg("--power-dbm", float, required=True, domain=(-200.0, 60.0)),
+         # within 1 THz of the mode
+         Arg("--detuning-hz", float, 0.0, domain=(-1e12, 1e12))),
         run_photon_number, "photon_number.json", (), _photon_number_summary),
     Command(
         "slopes", "analytic optical-response slopes",
@@ -536,10 +510,10 @@ COMMANDS = {c.name: c for c in (
              field="ds_tilde", per=DS_PER),
          Arg("--gamma1-mhz", float, 16.0, field=("gamma1_t", "gamma2_t"),
              to_si=MHZ_RAD),
-         Arg("--g-mhz", float, 5.0, field=("g_perp_t", "g_par_t", "couplings"),
+         Arg("--g-mhz", float, 5.0, field=("g_perp_t", "g_par_t"),
              to_si=MHZ_RAD),
          Arg("--g-grid-mhz", float_list, (), "comma list; sweeps the coupling",
-             field=("g_perp_t", "g_par_t", "couplings"), to_si=MHZ_RAD),
+             field=("g_perp_t", "g_par_t"), to_si=MHZ_RAD),
          Arg("--xi-grid", float_list, (), "comma list; sweeps xi",
              field="xi")),
         run_slopes, "slopes.json", ("slopes_sweep.csv",), _slopes_summary),
@@ -566,8 +540,8 @@ COMMANDS = {c.name: c for c in (
          Arg("--s-std", float, 0.35, field="s_std"),
          Arg("--ds", float, 1.0 / 400.0, "population slope dS*2pi in 1/MHz",
              field="ds_value", per=DS_PER),
-         Arg("--p-max-nw", float, 200.0),
-         Arg("--p-points", int, 11),
+         Arg("--p-max-nw", float, 200.0, domain=P_MAX_NW),
+         Arg("--p-points", int, 11, domain=(2, 1000)),  # tens in a sweep
          Arg("--workers", int, None,
              "trial threads (default: the usable cores)", field="workers")),
         run_mc, "mc.json", ("mc_curves.csv", "mc_aggregate.csv"), _mc_summary,
@@ -575,14 +549,14 @@ COMMANDS = {c.name: c for c in (
     Command(
         "temp-model", "temperature dependence of the frequency shift",
         (Arg("--fr-ghz", float_list, (7.0,), "comma list of mode frequencies",
-             field="f_r"),
-         Arg("--t-min-mk", float, 10.0),
-         Arg("--t-max-mk", float, 1000.0),
-         Arg("--t-points", int, 100),
+             field="f_r", to_si=(1e9,)),
+         Arg("--t-min-mk", float, 10.0, domain=T_MK),
+         Arg("--t-max-mk", float, 1000.0, domain=T_MK),
+         Arg("--t-points", int, 100, domain=(1, 1e6)),  # 1e6 table rows
          Arg("--t-grid-mk", float_list, (),
-             "explicit comma list of temperatures [mK]"),
-         Arg("--pdelta", float, 0.0,
-             "filling factor * intrinsic TLS loss tangent"),
+             "explicit comma list of temperatures [mK]", domain=T_MK),
+         Arg("--pdelta", float, 0.0,   # each factor is at most 1
+             "filling factor * intrinsic TLS loss tangent", domain=(0.0, 1.0)),
          Arg("--lambda0-um", float, None,
              "penetration depth at T=0 [um]; enables the quasiparticle term",
              field="lambda0", to_si=(1e-6,)),
@@ -600,7 +574,7 @@ COMMANDS = {c.name: c for c in (
         (Arg("--kind", str, "trace", choices=("trace", "power")),
          Arg("--seed", int, 0, field="seed"),
          Arg("--noise", float, 0.0, field=("noise_std", "noise_rel")),
-         Arg("--points", int, 4001),
+         Arg("--points", int, 4001, domain=(1, 1e6)),  # a VNA's: up to 1e5
          # trace parameters; default span ~3 linewidths, dense enough for
          # the from-the-bottom Q_int reading
          Arg("--fr-ghz", float, 7.061, field="f_r", to_si=(1e9,)),
@@ -610,10 +584,10 @@ COMMANDS = {c.name: c for c in (
          Arg("--amp", float, 1.0, field="amplitude"),
          Arg("--tau-ns", float, 0.0, field="delay", to_si=(1e-9,)),
          Arg("--alpha", float, 0.0, field="phase_offset"),
-         Arg("--f-start-ghz", float, 7.0386),
-         Arg("--f-stop-ghz", float, 7.0834),
+         Arg("--f-start-ghz", float, 7.0386, domain=(0.0, 1e6)),  # to 1 PHz
+         Arg("--f-stop-ghz", float, 7.0834, domain=(0.0, 1e6)),
          # power-series parameters
-         Arg("--p-max-nw", float, 200.0),
+         Arg("--p-max-nw", float, 200.0, domain=P_MAX_NW),
          Arg("--gamma-per-nw", float, 1.35e-6, field="gamma", to_si=(1e9,)),
          Arg("--inv-q0", float, 2.9e-5, field="inv_q0"),
          Arg("--delta1-per-nw", float, 5.9e-7, field="delta1", to_si=(1e9,)),
@@ -714,8 +688,8 @@ def _convert(cmd, entries):
         except ValueError as exc:
             raise ValueError(f"{where or arg.flag}: invalid value "
                              f"{str(text)!r}") from exc
-        if arg.type in (float, float_list):
-            check_range(where or arg.flag, value, "finite")
+        if arg.domain or arg.type in (float, float_list):
+            check_range(where or arg.flag, value, arg.domain or "finite")
         values[arg.dest] = value
     return values
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import check_range
+from .checks import check_fields, ranged
 from .constants import HBAR, TWO_PI
 
 
@@ -43,23 +43,29 @@ class EnsembleParams:
 
     Any field may be a numpy array: the closed forms below broadcast over
     the fields and return arrays of the broadcast shape, and validation
-    rejects the whole set if any element is out of range.
+    rejects the whole set if any element lies outside its field's domain.
     """
 
-    omega_r: float = TWO_PI * 7e9
-    rho_tls: float = 1e45
-    thickness: float = 2e-9
-    width: float = 500e-9
-    xi: float = 50.0
-    omega_max: float = TWO_PI * 1e12
-    delta_max: float | None = None
-    delta_min: float | None = None
-    s_tilde: float = 0.0
-    ds_tilde: float = 1.0 / (TWO_PI * 400e6)
-    gamma1_t: float = TWO_PI * 16e6
-    gamma2_t: float | None = None
-    g_perp_t: float = TWO_PI * 5e6
-    g_par_t: float = TWO_PI * 5e6
+    # each field's closed domain [lo, hi] and its reason; in it no slope
+    # or intermediate product overflows or underflows
+    # rad/s: 1 kHz to 1 PHz, audio to optical
+    omega_r: float = ranged(TWO_PI * 1e3, TWO_PI * 1e15, TWO_PI * 7e9)
+    rho_tls: float = ranged(1e35, 1e55, 1e45)  # amorphous hosts: 1e44-1e46
+    # m: a partial monolayer (as an average) to a chip
+    thickness: float = ranged(1e-11, 0.1, 2e-9)
+    width: float = ranged(1e-11, 0.1, 500e-9)
+    xi: float = ranged(1e-3, 1e5, 50.0)  # m/W: 1 nm to 10 cm of wire per uW
+    omega_max: float = ranged(TWO_PI * 1e3, TWO_PI * 1e15, TWO_PI * 1e12)
+    delta_max: float | None = ranged(TWO_PI * 1e3, TWO_PI * 1e15, None)
+    delta_min: float | None = ranged(TWO_PI * 1e3, TWO_PI * 1e15, None)
+    s_tilde: float = ranged(-1.0, 0.0, 0.0)  # <sigma_z> of a TLS
+    # s: hbar/kT at 8 nK is 1 ms
+    ds_tilde: float = ranged(0.0, 1e-3, 1.0 / (TWO_PI * 400e6))
+    # rad/s: rates and couplings from 1 Hz (0 Hz for g) to 1 THz
+    gamma1_t: float = ranged(TWO_PI, TWO_PI * 1e12, TWO_PI * 16e6)
+    gamma2_t: float | None = ranged(TWO_PI, TWO_PI * 1e12, None)
+    g_perp_t: float = ranged(0.0, TWO_PI * 1e12, TWO_PI * 5e6)
+    g_par_t: float = ranged(0.0, TWO_PI * 1e12, TWO_PI * 5e6)
 
     def __post_init__(self):
         if self.delta_max is None:
@@ -68,33 +74,10 @@ class EnsembleParams:
             object.__setattr__(self, "delta_min", self.omega_r)
         if self.gamma2_t is None:
             object.__setattr__(self, "gamma2_t", self.gamma1_t)
-        for name in ("omega_r", "rho_tls", "thickness", "width", "xi",
-                     "omega_max", "delta_max", "delta_min", "gamma1_t",
-                     "gamma2_t"):
-            check_range(name, getattr(self, name))
-        for name in ("g_perp_t", "g_par_t", "ds_tilde"):
-            check_range(name, getattr(self, name), "nonnegative and finite")
-        check_range("s_tilde", self.s_tilde, (-1.0, 0.0))
+        check_fields(self)
         if not np.all((self.delta_max >= self.delta_min)
                       & (self.delta_min >= self.gamma2_t)):
             raise ValueError("delta_max must be >= delta_min >= gamma2_t")
-        # every field is finite, but the slopes are products of them and of
-        # their squares, which Python floats raise OverflowError on
-        with np.errstate(over="ignore", invalid="ignore"):
-            for name in ("omega_r", "gamma1_t", "g_perp_t", "g_par_t"):
-                check_range(f"{name} squared",
-                            np.square(getattr(self, name), dtype=float),
-                            "finite")
-            # the Debye denominator of K_par
-            if not np.all(np.square(self.gamma1_t, dtype=float)
-                          + np.square(self.omega_r, dtype=float) > 0.0):
-                raise ValueError("omega_r and gamma1_t are too small: "
-                                 "gamma1_t squared plus omega_r squared "
-                                 "underflows to zero")
-            for slope in slope_inverse_q(self), slope_fractional_frequency(self):
-                check_range("ds_tilde times omega_max times rho_tls times "
-                            "thickness times width times xi times couplings "
-                            "squared", slope, "finite")
 
     @property
     def area(self) -> float:

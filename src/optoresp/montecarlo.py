@@ -62,11 +62,11 @@ import contextvars
 import logging
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_range
+from .checks import check_fields, check_range, ranged
 from .constants import HBAR, TWO_PI
 from .tls import TlsUnit, dispersive_pull, longitudinal_complex_shift
 
@@ -79,11 +79,6 @@ FWHM_REL_STD = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 # reference bath's 1.9e5, or 0.4 GB of float64 columns, and far below the
 # largest mean numpy's Generator.poisson takes (about 9.2e18)
 _BATH_TLS_MAX = 1e7
-
-# draws of g and Gamma_1 stay below this many times their means: numpy's
-# normal draw lies within 14 standard deviations, 7 times the mean here
-_DRAW_HEADROOM = 10.0
-
 
 def _default_p_grid():
     return np.linspace(0.0, 200e-9, 11)
@@ -111,48 +106,49 @@ class McConfig:
     slope about 18 % above the analytic value.
     """
 
-    seed: int = 0
-    trials: int = 100
-    omega_r: float = TWO_PI * 7e9
-    omega_max: float = TWO_PI * 1e12
-    freq_window: tuple[float, float] | None = None
-    exclusion: float = TWO_PI * 100e6
-    half_length: float = 250e-6
-    l_edge: float = 10e-6
-    xi: float = 50.0
-    rho_tls: float = 1e45
-    area: float = 1000e-18
-    g_mean: float = TWO_PI * 5e6
-    gamma1_mean: float = TWO_PI * 16e6
-    s_std: float = 0.35
-    ds_value: float = 1.0 / (TWO_PI * 400e6)
-    p_grid: np.ndarray = field(default_factory=_default_p_grid)
-    workers: int = 1
+    # each field's closed domain [lo, hi] and its reason; in it no product
+    # a trial forms overflows or underflows
+    seed: int = ranged(0, 2**64 - 1, 0)     # any 64-bit seed
+    trials: int = ranged(1, 100_000, 100)   # a thousand README runs
+    # rad/s: 1 kHz to 1 PHz, audio to optical; the window, a detuning, and
+    # the exclusion within 1 PHz
+    omega_r: float = ranged(TWO_PI * 1e3, TWO_PI * 1e15, TWO_PI * 7e9)
+    omega_max: float = ranged(TWO_PI * 1e3, TWO_PI * 1e15, TWO_PI * 1e12)
+    freq_window: tuple[float, float] | None = ranged(
+        -TWO_PI * 1e15, TWO_PI * 1e15, None)
+    exclusion: float = ranged(0.0, TWO_PI * 1e15, TWO_PI * 100e6)
+    # m: from 1 nm to an endless wire, which is drawn on the reach
+    half_length: float = ranged(1e-9, math.inf, 250e-6)
+    l_edge: float = ranged(1e-9, 1.0, 10e-6)  # m: a phonon window's edge
+    xi: float = ranged(1e-3, 1e5, 50.0)  # m/W: 1 nm to 10 cm of wire per uW
+    rho_tls: float = ranged(0.0, 1e55, 1e45)  # amorphous hosts: 1e44-1e46
+    area: float = ranged(1e-22, 1e-2, 1000e-18)  # m^2: (10 pm)^2 to (10 cm)^2
+    # rad/s: 1 Hz to 1 THz.  The clamped draw reaches 6.3 g_mean and 6.8
+    # gamma1_mean: numpy's normal draw z lies within r + 53 ln 2 / r =
+    # 13.71 of 0 (its ziggurat tail, r = 3.654), so a draw is at most
+    # 1 + 13.71 FWHM_REL_STD = 6.82 times the mean before the moment
+    # rescaling divides g by sqrt(1.180) and Gamma_1 by 1.001.  TlsUnit's
+    # domains reach ten times these bounds
+    g_mean: float = ranged(TWO_PI, TWO_PI * 1e12, TWO_PI * 5e6)
+    gamma1_mean: float = ranged(TWO_PI, TWO_PI * 1e12, TWO_PI * 16e6)
+    s_std: float = ranged(0.0, 1e3, 0.35)  # 3 decades past the [-1, 0] clip
+    # s: hbar/kT at 8 nK is 1 ms
+    ds_value: float = ranged(0.0, 1e-3, 1.0 / (TWO_PI * 400e6))
+    # W: laser powers up to 1 W
+    p_grid: np.ndarray = ranged(0.0, 1.0, default_factory=_default_p_grid)
+    workers: int = ranged(1, 1024, 1)       # a thread per core of a large host
 
     def __post_init__(self):
         object.__setattr__(self, "p_grid", np.asarray(self.p_grid, dtype=float))
-        # the field that sets the window, named by its checks below
+        # the field that sets the window, named by the bath-size check below
         window = "omega_max" if self.freq_window is None else "freq_window"
         if self.freq_window is None:
             object.__setattr__(self, "freq_window",
                                (self.omega_r - self.omega_max, self.omega_r))
-        for name, least in (("seed", 0), ("trials", 1), ("workers", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
-        for name in ("omega_r", "omega_max", "l_edge", "xi", "area",
-                     "g_mean", "gamma1_mean"):
-            check_range(name, getattr(self, name))
-        for name in ("exclusion", "rho_tls", "s_std", "ds_value", "p_grid"):
-            check_range(name, getattr(self, name), "nonnegative and finite")
-        # an infinite wire is fine: the bath is drawn on the reach
-        check_range("half_length", self.half_length, "positive")
-        check_range("freq_window", self.freq_window, "finite")
+        check_fields(self)
         lo, hi = self.freq_window
-        if not (hi > lo):
-            raise ValueError(
-                "freq_window must be an increasing pair" if window == "freq_window"
-                else "omega_max is below the float spacing of omega_r and "
-                     "leaves the default window empty")
+        if not hi > lo:
+            raise ValueError("freq_window must be an increasing pair")
         if self.exclusion >= max(abs(lo), abs(hi)):
             raise ValueError("exclusion must lie inside the window")
         if self.p_grid.ndim != 1 or self.p_grid.size < 2:
@@ -165,37 +161,6 @@ class McConfig:
                 f"{window} times rho_tls times area times half_length is "
                 f"too large: {count:.3g} TLSs expected in a trial's bath, "
                 f"above the {_BATH_TLS_MAX:.3g} a trial holds")
-        self._check_float_range()
-
-    def _check_float_range(self):
-        """Each field is in range, but a trial's products of them must stay
-        inside the float range too: the Debye denominator, the kernel
-        arguments, and the Debye weights with the curves they sum into (which
-        McResult's spread squares), for the largest g and Gamma_1 drawn."""
-        w_r, l_edge = float(self.omega_r), float(self.l_edge)
-        if not w_r * w_r > 0.0:
-            raise ValueError("omega_r is too small: its square underflows "
-                             "to zero in the Debye denominator")
-        if not 4.0 * (float(self.draw_half_length) / l_edge) < math.inf:
-            raise ValueError("l_edge is too small for the draw window: the "
-                             "kernel argument 2|x|/l_edge must be finite")
-        v_rate = float(self.xi) / (2.0 * l_edge)   # as kernel computes it
-        if not 4.0 * float(self.p_grid[-1]) * v_rate < math.inf:
-            raise ValueError("xi is too large for l_edge and the power grid: "
-                             "the kernel argument xi*P/l_edge must be finite")
-        g = _DRAW_HEADROOM * float(self.g_mean)
-        gamma1 = _DRAW_HEADROOM * float(self.gamma1_mean)
-        g2_ds = g * g * float(self.ds_value)
-        weight = 2.0 * g2_ds * gamma1 * max(w_r, gamma1)
-        # a curve's Debye part is at most (TLS count) g^2 dS / w_r, and a
-        # bath holds under twice _BATH_TLS_MAX; the spread squares it
-        curve = 2.0 * _BATH_TLS_MAX * g2_ds / w_r
-        if not (weight < math.inf
-                and 4.0 * curve * curve * self.trials < math.inf):
-            raise ValueError("ds_value or g_mean or gamma1_mean is too large, "
-                             "or omega_r too small, for the Debye weights "
-                             "g^2 dS Gamma_1 w_r of a bath and their sum to "
-                             "be finite")
 
     @property
     def window_segments(self):
@@ -206,10 +171,8 @@ class McConfig:
 
     @property
     def reach(self) -> float:
-        """|x| beyond which the kernel is below exp(-28) at every grid power;
-        inf when xi P overflows, which _check_float_range refuses."""
-        with np.errstate(over="ignore"):
-            return self.xi * self.p_grid[-1] / 2.0 + 14.0 * self.l_edge
+        """|x| beyond which the kernel is below exp(-28) at every power."""
+        return self.xi * self.p_grid[-1] / 2.0 + 14.0 * self.l_edge
 
     @property
     def draw_half_length(self) -> float:
@@ -218,12 +181,10 @@ class McConfig:
 
     @property
     def expected_count(self) -> float:
-        """Poisson mean: rho hbar * (window width minus exclusion) * A * 2L';
-        inf when the product overflows, which the bath-size check refuses."""
+        """Poisson mean: rho hbar (window width minus exclusion) A 2L'."""
         width = sum(b - a for a, b in self.window_segments)
-        with np.errstate(over="ignore"):
-            return (self.rho_tls * HBAR * width * self.area * 2.0
-                    * self.draw_half_length)
+        return (self.rho_tls * HBAR * width * self.area * 2.0
+                * self.draw_half_length)
 
 
 @dataclass(frozen=True)
@@ -384,10 +345,7 @@ def generate_ensemble(config: McConfig, rng=None, store=None) -> TlsUnit:
     g /= np.sqrt(m2)
     gamma1 /= m1
 
-    # a spread so wide that s_std * z overflows draws S = +-inf, which the
-    # clip maps to 0 or -1: the exact limit of a very wide spread
-    with np.errstate(over="ignore"):
-        s = _normal(rng, _column(store, "s", n), 0.0, config.s_std)
+    s = _normal(rng, _column(store, "s", n), 0.0, config.s_std)
     np.clip(s, -1.0, 0.0, out=s)
 
     return TlsUnit(detuning=detuning, g_perp=g, g_par=g, gamma1=gamma1,

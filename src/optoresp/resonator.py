@@ -22,8 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_range
+from .checks import check_fields, check_range, ranged
 from .constants import HBAR, TWO_PI
+
+
+# the closed domains of from_asymmetry_angle's arguments: |Q_ext| of at least
+# 1 keeps Q_ext = |Q_ext| cos(phi) >= 0.07 inside ResonatorMode's domain
+DOMAINS = {"q_ext_mag": (1.0, 1e18),
+           "phi": (-1.5, 1.5)}  # rad: within 86 degrees of the symmetric dip
 
 
 @dataclass(frozen=True)
@@ -44,27 +50,26 @@ class ResonatorMode:
         conventional reported external Q is ``q_ext_reported``.
     """
 
-    f_r: float
-    q_int: float
-    q_ext: float
-    q_ext_imag: float = 0.0
+    # each field's closed domain [lo, hi]; in it no decay rate, dip or
+    # photon number overflows or underflows
+    f_r: float = ranged(1e3, 1e15)  # Hz: 1 kHz to 1 PHz, audio to optical
+    # an overdamped mode to far past the best superconducting cavities (1e11)
+    q_int: float = ranged(1e-2, 1e18)
+    q_ext: float = ranged(1e-2, 1e18)
+    q_ext_imag: float = ranged(-1e18, 1e18, 0.0)
 
     def __post_init__(self):
-        for name in ("f_r", "q_int", "q_ext"):
-            check_range(name, getattr(self, name))
-        check_range("q_ext_imag", self.q_ext_imag, "finite")
+        check_fields(self)
 
     @classmethod
     def from_asymmetry_angle(cls, f_r, q_int, q_ext_mag, phi):
         """Build a mode from |Q_ext| and the asymmetry angle phi.
 
         The complex external Q is Q_ext_mag * exp(-i*phi), so phi = 0
-        recovers the symmetric dip.
+        recovers the symmetric dip.  Both arguments take their DOMAINS.
         """
-        check_range("q_ext_mag", q_ext_mag)
-        check_range("phi", phi, "finite")
-        if not (np.cos(phi) > 0):
-            raise ValueError(f"phi must lie within pi/2 of 0 (mod 2 pi), got {phi}")
+        check_range("q_ext_mag", q_ext_mag, DOMAINS["q_ext_mag"])
+        check_range("phi", phi, DOMAINS["phi"])
         return cls(f_r, q_int, q_ext_mag * np.cos(phi), -q_ext_mag * np.sin(phi))
 
     @property
@@ -113,26 +118,25 @@ class LineCalibration:
     amplitude is dimensionless (> 0), delay in seconds, phase_offset in rad.
     """
 
-    amplitude: float = 1.0
-    delay: float = 0.0
-    phase_offset: float = 0.0
+    amplitude: float = ranged(1e-6, 1e6, 1.0)  # -120 dB to +120 dB of gain
+    delay: float = ranged(-1e-3, 1e-3, 0.0)  # s: up to 200 km of cable
+    phase_offset: float = ranged(-1e3, 1e3, 0.0)  # rad: 160 turns unwrapped
 
     def __post_init__(self):
-        check_range("amplitude", self.amplitude)
-        for name in ("delay", "phase_offset"):
-            check_range(name, getattr(self, name), "finite")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class DriveCondition:
     """Microwave drive: input power [W] at the feedline and probe frequency [Hz]."""
 
-    input_power: float
-    probe_frequency: float
+    # W: 1.5 photons a second at 1 GHz to 10 kW
+    input_power: float = ranged(1e-24, 1e4)
+    # Hz, signed: any mode's frequency detuned by up to 1 PHz
+    probe_frequency: float = ranged(-1e16, 1e16)
 
     def __post_init__(self):
-        check_range("input_power", self.input_power)
-        check_range("probe_frequency", self.probe_frequency, "finite")
+        check_fields(self)
 
 
 def notch(f, f_r, q_tot, q_ext, amplitude=1.0, delay=0.0, phase_offset=0.0):
@@ -154,24 +158,8 @@ def photon_number(mode: ResonatorMode, drive: DriveCondition):
     """Mean intracavity photon number for a hanger-type resonator.
 
     n_cav = [2 kappa_ext / (kappa_tot^2 + 4 (omega - omega_r)^2)] * P_in/(hbar omega_r)
-
-    Raises ValueError when a decay rate overflows, and ZeroDivisionError
-    when that denominator underflows to 0, as it does on resonance for
-    kappa_tot below about 1e-162 rad/s, or when the photon energy
-    hbar omega_r does, for f_r below about 1e-290 Hz.
     """
-    for name, kappa in (("q_int", mode.kappa_int), ("q_ext", mode.kappa_ext)):
-        if not kappa < np.inf:
-            raise ValueError(f"{name} is too small: f_r / {name} overflows")
     w = TWO_PI * drive.probe_frequency
     det = w - mode.omega_r
-    denominator = mode.kappa_tot**2 + 4.0 * det**2
-    if denominator == 0.0:
-        raise ZeroDivisionError("f_r is too small for q_int and q_ext to "
-                                "give a linewidth whose square is nonzero")
-    energy = HBAR * mode.omega_r
-    if energy == 0.0:
-        raise ZeroDivisionError("f_r is too small: the photon energy "
-                                "hbar omega_r underflows to zero")
-    lorentz = 2.0 * mode.kappa_ext / denominator
-    return lorentz * drive.input_power / energy
+    lorentz = 2.0 * mode.kappa_ext / (mode.kappa_tot**2 + 4.0 * det**2)
+    return lorentz * drive.input_power / (HBAR * mode.omega_r)

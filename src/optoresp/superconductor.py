@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_range
+from .checks import check_fields, ranged
 from .constants import MU_0
 
 
@@ -14,14 +14,12 @@ class FilmGeometry:
     """Nanowire film cross-section: thickness d and width w, in meters.  The
     frequency shift of a warming film depends on the cross-section only."""
 
-    thickness: float
-    width: float
+    # m: a partial monolayer (as an average) to a chip
+    thickness: float = ranged(1e-11, 0.1)
+    width: float = ranged(1e-11, 0.1)
 
     def __post_init__(self):
-        for name in ("thickness", "width"):
-            check_range(name, getattr(self, name))
-        # the cross-section divides L_k,l and the frequency shift
-        check_range("thickness times width", self.thickness * self.width)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -35,15 +33,13 @@ class SuperconductorParams:
         temperature of :func:`freq_shift_from_temperature`.
     """
 
-    lambda0: float
-    t_c: float
-    l_total_per_length: float | None = None
+    lambda0: float = ranged(1e-9, 1e-3)  # m: 1 nm to 1 mm
+    t_c: float = ranged(1e-3, 1e3)  # K: every superconductor, with margin
+    # H/m: 1 nH/m to 1 kH/m, around a nanowire's 1e-4
+    l_total_per_length: float | None = ranged(1e-9, 1e3, None)
 
     def __post_init__(self):
-        for name in ("lambda0", "t_c"):
-            check_range(name, getattr(self, name))
-        if self.l_total_per_length is not None:
-            check_range("l_total_per_length", self.l_total_per_length)
+        check_fields(self)
 
 
 def penetration_depth(sc: SuperconductorParams, temperature):
@@ -75,17 +71,8 @@ def freq_shift_from_temperature(sc: SuperconductorParams, geom: FilmGeometry,
     """
     l_total = sc.l_total_per_length
     if l_total is None:
-        with np.errstate(over="ignore"):
-            l_total = kinetic_inductance_per_length(sc, geom, t_ref)
-        check_range("lambda0 squared over thickness times width", l_total)
+        l_total = kinetic_inductance_per_length(sc, geom, t_ref)
     lam_ref = penetration_depth(sc, t_ref)
     lam = penetration_depth(sc, temperature)
-    # an overflowed factor times the zero shift at t_ref is nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        shift = (-(MU_0 / (geom.thickness * geom.width)) * lam_ref
-                 * (lam - lam_ref) / l_total)
-    if not np.all(np.isfinite(shift)):
-        raise ValueError("lambda0 is too large, or thickness times width or "
-                         "l_total_per_length too small, for the frequency "
-                         "shift to be finite")
-    return shift
+    return (-(MU_0 / (geom.thickness * geom.width)) * lam_ref
+            * (lam - lam_ref) / l_total)

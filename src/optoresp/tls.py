@@ -28,12 +28,14 @@ or using the closed forms the Monte Carlo runs on, loads numpy only.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checks import NumericalError, check_range
+from .checks import (NumericalError, check_fields, check_range, domain,
+                     ranged)
 from .constants import HBAR, K_B, PLANCK, TWO_PI
+from .resonator import ResonatorMode
 
 
 def digamma(z):
@@ -48,30 +50,30 @@ class QuadratureError(NumericalError):
 
 @dataclass(frozen=True)
 class ThermalEnvironment:
-    """Phonon bath at temperature [K], positive and finite.
+    """Phonon bath at temperature [K].
 
     temperature may be a numpy array of temperatures; validation rejects
-    the whole array if any element is not positive and finite.
+    the whole array if any element lies outside its domain.
     """
 
-    temperature: float
+    # K: a dilution refrigerator's floor, with margin, to far above any T_c
+    temperature: float = ranged(1e-6, 1e4)
 
     def __post_init__(self):
-        check_range("temperature", self.temperature)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class TlsHostMaterial:
     """Dielectric host holding the TLS bath.
 
-    intrinsic_loss : loss tangent delta_TLS of the bath, >= 0 and finite
+    intrinsic_loss : loss tangent delta_TLS of the bath
     """
 
-    intrinsic_loss: float
+    intrinsic_loss: float = ranged(0.0, 1.0)  # a loss tangent is at most 1
 
     def __post_init__(self):
-        check_range("intrinsic_loss", self.intrinsic_loss,
-                    "nonnegative and finite")
+        check_fields(self)
 
     @property
     def delta_tls(self) -> float:
@@ -82,13 +84,15 @@ class TlsHostMaterial:
 class SaturationDrive:
     """Microwave drive state for TLS saturation.
 
-    n_cav : mean intracavity photon number (>= 0 and finite)
+    n_cav : mean intracavity photon number
     """
 
-    n_cav: float = 0.0
+    # far past a superconducting resonator's breakdown (about 1e9 photons);
+    # it bounds spectral_diffusion_loss's outer cut-off
+    n_cav: float = ranged(0.0, 1e15, 0.0)
 
     def __post_init__(self):
-        check_range("n_cav", self.n_cav, "nonnegative and finite")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -104,26 +108,27 @@ class TlsUnit:
     at equilibrium).
     """
 
-    detuning: float
-    g_perp: float
-    g_par: float
-    gamma1: float
-    gamma2: float
-    s: float
-    ds: float = 0.0
-    x: float = 0.0
+    # each field's closed domain [lo, hi] holds every bath drawn from a
+    # valid McConfig: ten times its window and its largest g_mean and
+    # gamma1_mean, which a draw exceeds at most 6.8-fold (see McConfig)
+    detuning: float = ranged(-TWO_PI * 1e16, TWO_PI * 1e16)  # rad/s
+    g_perp: float = ranged(0.0, TWO_PI * 1e13)  # rad/s
+    g_par: float = ranged(0.0, TWO_PI * 1e13)
+    gamma1: float = ranged(0.0, TWO_PI * 1e13)
+    gamma2: float = ranged(0.0, TWO_PI * 1e13)
+    s: float = ranged(-1.0, 0.0)
+    ds: float = ranged(0.0, 1e-3, 0.0)  # s
+    x: float = ranged(-1e5, 1e5, 0.0)  # m: McConfig's reach is below 51 km
 
     def __post_init__(self):
-        # a column shared by two fields (the Monte Carlo's g_perp = g_par
-        # and gamma1 = gamma2) is checked once, under the first field's name
-        names = {}
-        for name in ("g_perp", "g_par", "gamma1", "gamma2", "ds"):
-            names.setdefault(id(getattr(self, name)), name)
-        for name in names.values():
-            check_range(name, getattr(self, name), "nonnegative and finite")
-        for name in ("detuning", "x"):
-            check_range(name, getattr(self, name), "finite")
-        check_range("s", self.s, (-1.0, 0.0))
+        # a column shared by two fields of one domain (the Monte Carlo's
+        # g_perp = g_par and gamma1 = gamma2) is checked once, under the
+        # first field's name
+        first = {}
+        for f in fields(self):
+            first.setdefault((id(getattr(self, f.name)), f.metadata["domain"]),
+                             f.name)
+        check_fields(self, first.values())
         # x >= x/2 for every nonnegative finite x: a shared column passes
         if (self.gamma2 is not self.gamma1
                 and not np.all(self.gamma2 >= 0.5 * self.gamma1)):
@@ -245,21 +250,12 @@ def permittivity_bracket(f_r, env: ThermalEnvironment):
     dependence of the TLS permittivity up to the -delta/pi prefactor.
 
     f_r broadcasts against env.temperature: f_r[:, None] with an array of
-    temperatures gives one row per mode.  h f/(2 pi k T) must stay positive
-    and finite for every pair: a ValueError names f_r when it underflows and
-    temperature when it overflows.
+    temperatures gives one row per mode.  f_r takes ResonatorMode's domain:
+    with the temperature's, h f/(2 pi k T) lies in [7e-13, 8e9].
     """
     f_r = np.asarray(f_r)
-    check_range("f_r", f_r)
-    # both products can underflow to zero, which makes x nan
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = PLANCK * f_r / (TWO_PI * K_B * env.temperature)
-    if not np.all(x > 0.0):
-        raise ValueError("f_r is too small for temperature so h f/(2 pi k T) "
-                         "underflows to zero")
-    if not np.all(x < np.inf):
-        raise ValueError("temperature is too low for f_r so h f/(2 pi k T) "
-                         "overflows")
+    check_range("f_r", f_r, domain(ResonatorMode, "f_r"))
+    x = PLANCK * f_r / (TWO_PI * K_B * env.temperature)
     return digamma(0.5 + 1j * x).real - np.log(x)
 
 
@@ -425,9 +421,9 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     corners of the accepted range they agree to 3e-12 or better.
 
     sigma_sd [rad/s] must be positive and at most SD_SIGMA_MAX Gamma_2, the
-    widest diffusion the tests cover, and sigma_sd and n_cav must leave
-    b_far squared finite.  rho_v is the finite rho_TLS * V_eff prefactor
-    [J^-1].  Returns rad/s.
+    widest diffusion the tests cover; with it, n_cav's domain keeps b_far
+    squared finite.  rho_v is the finite rho_TLS * V_eff prefactor [J^-1].
+    Returns rad/s.
     """
     from scipy.integrate import quad
 
@@ -439,9 +435,6 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     w = math.sqrt(1.0 + n_ratio)         # saturated half-width
     b_core = 10.0 * max(s_dimless, w)
     b_far = max(4000.0 * w, 60.0 * s_dimless, 4.0 * b_core)
-    if not b_far * b_far < math.inf:  # else t**2 at t = 1/b_far underflows
-        raise ValueError("sigma_sd and n_cav are too large: the outer "
-                         "cut-off squared overflows")
     if not sigma_sd <= SD_SIGMA_MAX * tls.gamma2:
         raise ValueError(f"sigma_sd must be at most {SD_SIGMA_MAX:g} gamma2: "
                          "wider diffusion is past the range the tests cover")

@@ -1,12 +1,16 @@
-"""Every parameter dataclass refuses a non-finite float field by name, through
-the one range check of optoresp.checks, and every numerical failure is a
-checks.NumericalError."""
+"""Every parameter dataclass declares a closed domain for each number field
+and refuses a value outside it by name, through the one range check of
+optoresp.checks, and every numerical failure is a checks.NumericalError."""
 
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import optoresp
+from optoresp import montecarlo
 from optoresp.checks import NumericalError, check_range
 from optoresp.ensemble import EnsembleParams
 from optoresp.fitkit import PowerSeries, SingularJacobianError
@@ -81,3 +85,87 @@ def test_numerical_failures_share_one_base(error):
     # the CLI reports each as one error line through ArithmeticError
     assert issubclass(error, NumericalError)
     assert issubclass(NumericalError, ArithmeticError)
+
+
+# the package's dataclasses that hold data or results, whose numbers a
+# computation or a file sets; every other one is a parameter class
+NOT_PARAMETERS = {"ComplexTrace", "PowerSeries", "McResult", "FitResult",
+                  "LorentzianDipResult", "FullS21Result", "SteadyStateResult",
+                  "Arg", "Command"}
+
+
+def _package_dataclasses():
+    modules = [importlib.import_module(m.name) for m in pkgutil.walk_packages(
+        optoresp.__path__, "optoresp.")]
+    return {obj for module in modules for obj in vars(module).values()
+            if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+            and obj.__module__ == module.__name__}
+
+
+PARAMETER_CLASSES = sorted(
+    (c for c in _package_dataclasses() if c.__name__ not in NOT_PARAMETERS),
+    key=lambda c: c.__name__)
+
+
+def test_parameter_classes_are_found():
+    assert {c.__name__ for c in _package_dataclasses()} >= NOT_PARAMETERS
+    assert set(PARAMETER_CLASSES) >= {type(obj) for obj in VALID[:-1]}
+
+
+def _default(f):
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return None if f.default is dataclasses.MISSING else f.default
+
+
+@pytest.mark.parametrize("cls", PARAMETER_CLASSES, ids=lambda c: c.__name__)
+def test_every_field_declares_a_domain_that_holds_its_default(cls):
+    # a default lies two decades or more inside each nonzero end; a count
+    # may default to its least value (one worker)
+    for f in dataclasses.fields(cls):
+        assert "domain" in f.metadata, f"{cls.__name__}.{f.name}"
+        lo, hi = f.metadata["domain"]
+        assert lo < hi, f.name
+        default = _default(f)
+        if default is None:
+            continue
+        v = np.asarray(default, dtype=float)
+        assert lo <= v.min() and v.max() <= hi, f.name
+        if f.type is int:
+            continue
+        if lo != 0.0:
+            assert v.min() >= (100.0 * lo if lo > 0 else lo / 100.0), f.name
+        if hi != 0.0:
+            assert v.max() <= (hi / 100.0 if hi > 0 else 100.0 * hi), f.name
+
+
+def test_bath_domains_hold_every_draw_of_a_valid_config():
+    # TlsUnit's domains hold ten times McConfig's largest means and window,
+    # and a draw reaches at most 6.8 times its mean
+    mc = {f.name: f.metadata["domain"] for f in dataclasses.fields(McConfig)}
+    unit = {f.name: f.metadata["domain"]
+            for f in dataclasses.fields(TlsUnit)}
+    for name, mean in (("g_perp", "g_mean"), ("g_par", "g_mean"),
+                       ("gamma1", "gamma1_mean"), ("gamma2", "gamma1_mean")):
+        np.testing.assert_allclose(unit[name], (0.0, 10.0 * mc[mean][1]),
+                                   rtol=1e-15)
+    np.testing.assert_allclose(unit["detuning"],
+                               np.multiply(10.0, mc["freq_window"]),
+                               rtol=1e-15)
+    assert unit["ds"] == mc["ds_value"] and unit["s"] == (-1.0, 0.0)
+    # the longest reach a valid config draws on
+    assert (mc["xi"][1] * mc["p_grid"][1] / 2.0 + 14.0 * mc["l_edge"][1]
+            < unit["x"][1])
+    # a bath drawn at the top of every spread and rate, over the widest
+    # window, is a valid TlsUnit; rho keeps it near 2e4 TLSs
+    top = {name: mc[name][1] for name in ("g_mean", "gamma1_mean", "s_std",
+                                          "ds_value")}
+    cfg = McConfig(omega_max=mc["omega_max"][1], rho_tls=1e41, **top)
+    assert 1e4 < len(montecarlo.generate_ensemble(cfg)) < 1e5
+
+
+@pytest.mark.parametrize("name", ["trials", "workers"])
+def test_counts_far_past_any_run_are_refused_at_construction(name):
+    # before run spawns a seed per trial or starts a thread per worker
+    with pytest.raises(ValueError, match=f"^{name} must lie in "):
+        McConfig(**{name: 10**11})

@@ -655,9 +655,9 @@ def test_synth_trace_noise_statistics():
 def test_synth_refuses_negative_or_nan_noise(noise):
     mode = ResonatorMode(5e9, 1e4, 1e3)
     grid = np.linspace(4.99e9, 5.01e9, 11)
-    with pytest.raises(ValueError, match="noise_std must be nonnegative"):
+    with pytest.raises(ValueError, match=r"noise_std must lie in \[0, 1\]"):
         synth_trace(mode, LineCalibration(), grid, noise_std=noise)
-    with pytest.raises(ValueError, match="noise_rel must be nonnegative"):
+    with pytest.raises(ValueError, match=r"noise_rel must lie in \[0, 1\]"):
         synth_power_series(np.linspace(0, 1, 5), noise_rel=noise)
     with pytest.raises(ValueError, match="noise_rel must be nonnegative"):
         synth_tls_saturation(np.logspace(0, 3, 6), 1.0, 10.0, 1.0, 0.0,

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import optoresp
-from optoresp import cli, ensemble, io, montecarlo, superconductor, tls
+from optoresp import (checks, cli, ensemble, io, montecarlo, superconductor,
+                      tls)
 from optoresp.cli import main
 from optoresp.ensemble import slope_fractional_frequency, slope_inverse_q
 from optoresp.fitkit import (ComplexTrace, SingularJacobianError,
@@ -301,11 +302,13 @@ def test_cli_mc_workers_default_to_usable_cores(tmp_path):
 
 
 def test_cli_mc_widest_s_spread_runs_clean(tmp_path):
-    # s_std * z overflows to +-inf, which the clip into [-1, 0] maps to the
-    # limit of a very wide spread: no warning, and finite curves
+    # at the top of its domain s_std * z is far outside [-1, 0], and the
+    # clip maps it to the limit of a very wide spread: no warning, and
+    # finite curves
+    top = checks.domain(montecarlo.McConfig, "s_std")[1]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run_cli("mc", "--s-std=1e308", "--trials", "2", "--workers",
+        assert run_cli("mc", f"--s-std={top!r}", "--trials", "2", "--workers",
                        "1", "--out-dir", str(tmp_path)) == 0
     assert caught == []
     for csv in ("mc_curves.csv", "mc_aggregate.csv"):
@@ -566,7 +569,7 @@ def test_parser_built_once_serves_every_run(tmp_path, capsys, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     assert run_all(tmp_path / "fresh", fresh=True) == shared
     assert shared[0] == [0, 0, 1, 0, 0]
-    assert shared[2] == "error: --xi must be positive and finite\n"
+    assert shared[2] == "error: --xi must lie in [0.001, 100000]\n"
     assert _outputs(tmp_path / "shared") == _outputs(tmp_path / "fresh")
     cli.build_parser.cache_clear()
     assert help_texts() == before
@@ -797,7 +800,7 @@ FLAG_CASES = [
     (["mc", "--gamma1-mhz=inf"], "--gamma1-mhz"),
     (["mc", "--trials", "1", "--workers", "1", "--p-points", "3",
       "--fmax-ghz=1e15"], "--fmax-ghz"),
-    (["mc", "--fr-ghz", "1e10", "--fmax-ghz", "1e-10"], "--fmax-ghz"),
+    (["mc", "--fr-ghz", "1e5", "--fmax-ghz", "1e-10"], "--fmax-ghz"),
     (["mc", "--window-ghz=-1e30,1e30"], "--window-ghz"),
     # a mode frequency and a noise that overflow, and finite flags whose
     # product overflows a decay rate or the slopes
@@ -829,14 +832,14 @@ FLAG_CASES = [
     # a power grid whose step underflows, so every power is 0
     (["synth", "--kind", "power", "--p-max-nw=1e-320"], "--p-max-nw"),
     # finite flags whose series or trace overflows
-    (["synth", "--kind", "power", "--p-max-nw=1e300", "--gamma-per-nw=1e10"],
+    (["synth", "--kind", "power", "--p-max-nw=1e9", "--gamma-per-nw=1e10"],
      "--gamma-per-nw"),
     (["synth", "--kind", "power", "--delta3-per-nw=-1e10"], "--delta3-per-nw"),
     (["synth", "--noise=1e308"], "--noise"),
     (["synth", "--fr-ghz=1e-308"], "--fr-ghz"),
     (["synth", "--tau-ns=1e308"], "--tau-ns"),
     # finite flags whose frequency grid or watts overflow
-    (["synth", "--f-stop-ghz=1e308"], "--f-start-ghz"),
+    (["synth", "--f-start-ghz=1e308"], "--f-start-ghz"),
     (["synth", "--f-start-ghz=-1e308"], "--f-start-ghz"),
     (PHOTON_NUMBER[:7] + ["--power-dbm=1e30"], "--power-dbm"),
     (PHOTON_NUMBER[:7] + ["--power-dbm=1e308"], "--power-dbm"),
@@ -856,15 +859,23 @@ FLAG_CASES = [
     # generated contract test below
     (PHOTON_NUMBER + ["--fr-ghz=1e-308", "--q-ext=1e-308"], "--fr-ghz"),
     (["temp-model", "--t-min-mk=1e30", "--lambda0-um=1e-308"], "--t-min-mk"),
-    (["temp-model", "--t-min-mk=1e30", "--pdelta=1e308"], "--pdelta"),
+    (["temp-model", "--t-min-mk=1e5", "--pdelta=1e308"], "--pdelta"),
     (["temp-model", "--lambda0-um=1e30", "--ltl=1e-308"], "--lambda0-um"),
     (["temp-model", "--lambda0-um=1e308", "--ltl=1e-308"], "--lambda0-um"),
-    (["temp-model", "--fr-ghz=1e-308", "--t-min-mk=1e-308"], "--fr-ghz"),
-    (["mc", "--trials", "2", "--workers", "1", "--xi=1e308",
+    (["temp-model", "--fr-ghz=1e-308", "--t-min-mk=0.01"], "--fr-ghz"),
+    (["mc", "--trials", "2", "--workers", "1", "--xi=1e5", "--p-max-nw=1e3",
       "--half-length-um=1e308"], "--fmax-ghz"),
     (["mc", "--trials", "2", "--workers", "1", "--xi=1e308",
-      "--p-max-nw=1e30"], "--xi"),
+      "--p-max-nw=1e9"], "--xi"),
     (["slopes", "--fr-ghz=1e-308", "--gamma1-mhz=1e-308"], "--fr-ghz"),
+    # counts far past any run, which allocated until memory ran out (a
+    # traceback) or would spawn a seed per trial or start a thread per
+    # worker: each is refused before any allocation
+    (["synth", "--points", "100000000000"], "--points"),
+    (["mc", "--p-points", "100000000000"], "--p-points"),
+    (["temp-model", "--t-points", "100000000000"], "--t-points"),
+    (["mc", "--trials", "100000000000"], "--trials"),
+    (["mc", "--workers", "100000000000"], "--workers"),
 ]
 
 
@@ -959,13 +970,9 @@ def test_library_fields_map_to_flags_of_their_own_row(name):
     # every name a row declares is a field of what its command builds, or a
     # word of a library range message that groups fields: a renamed library
     # field fails here instead of dropping its flag from the error lines
-    with pytest.raises(ValueError) as overflow:
-        ensemble.EnsembleParams(ds_tilde=1e300, rho_tls=1e300)
-    words = set(str(overflow.value).split())
-    assert "couplings" in words
     fields = {p for fn in BUILT[name] for p in inspect.signature(fn).parameters}
     for arg in cli.COMMANDS[name].args:
-        assert set(arg.fields) <= fields | words, arg.flag
+        assert set(arg.fields) <= fields, arg.flag
 
 
 @pytest.mark.parametrize("exc", [
@@ -1225,3 +1232,117 @@ def test_cli_contract_at_finite_extremes(synthesized_trace, argv):
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: --"), lines
         assert left == []
+
+
+# --- the CLI contract at the ends of the declared domains -------------------
+
+def _declared_domains(name):
+    """Library field -> closed domain, as declared for what command name
+    builds: a parameter class's fields, or the DOMAINS of a function's
+    module; permittivity_bracket's f_r takes ResonatorMode's."""
+    found = {}
+    for fn in (*BUILT[name], ResonatorMode):
+        owner = getattr(fn, "__self__", fn)   # a classmethod's class
+        if dataclasses.is_dataclass(owner):
+            for f in dataclasses.fields(owner):
+                found.setdefault(f.name, f.metadata["domain"])
+        for key, value in getattr(sys.modules[fn.__module__], "DOMAINS",
+                                  {}).items():
+            found.setdefault(key, value)
+    return found
+
+
+def _flag_domain(name, arg):
+    """arg's closed domain in flag units: its own, or the one the library
+    declares for the first field it sets that declares one; None if none."""
+    if arg.domain:
+        return arg.domain
+    declared = _declared_domains(name)
+    for field in arg.fields:
+        if field in declared:
+            return tuple(sorted(map(arg.in_flag_units, declared[field])))
+    return None
+
+
+def _domain_ends(name, arg):
+    """The flag values at the finite ends of arg's domain, each moved inward
+    by a relative 1e-9 so that the round trip through the flag's unit
+    factors stays inside.  A count takes its least value only: its top is
+    a run of minutes."""
+    domain = _flag_domain(name, arg)
+    if domain is None or arg.type is str:
+        return []
+    lo, hi = domain
+    if arg.type is int:
+        return [str(int(lo))]
+    return [repr(end + 1e-9 * abs(end) * (1.0 if other > end else -1.0))
+            for end, other in ((lo, hi), (hi, lo)) if math.isfinite(end)]
+
+
+def test_every_number_flag_has_a_declared_domain():
+    for name, cmd in cli.COMMANDS.items():
+        for arg in cmd.args:
+            # synth's seed is any nonnegative integer of numpy's generator
+            if (arg.type in (int, float, cli.float_list)
+                    and (name, arg.flag) != ("synth", "--seed")):
+                assert _flag_domain(name, arg) is not None, (name, arg.flag)
+
+
+# the run each domain-end case starts from, by command: one mc trial
+DOMAIN_BASE = {**CONTRACT_BASE, "mc": ["mc", "--trials", "1", "--workers", "1"]}
+# a refusal that is about the float range, or a range the domains should
+# have kept a value inside
+FLOAT_RANGE = re.compile(r"overflow|underflow|encountered|division|finite"
+                         r"|must lie in \[")
+
+
+def _runs_clean_or_is_refused_in_range(argv):
+    """In the domains no product overflows or underflows: the run succeeds
+    quietly or is refused by a check that is not about the float range."""
+    err = StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([*argv, "--out-dir", out])
+        left = sorted(os.listdir(out))
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert all(EMPTY_BATH.fullmatch(line) for line in lines), lines
+    else:
+        assert code == 1 and left == []
+        assert len(lines) == 1 and lines[0].startswith("error: --"), lines
+        assert not FLOAT_RANGE.search(lines[0]), lines
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([*DOMAIN_BASE.get(name, [name]), f"{arg.flag}={value}"],
+                 id=f"{name}{arg.flag}={value}")
+    for name, cmd in sorted(cli.COMMANDS.items()) for arg in cmd.args
+    for value in _domain_ends(name, arg)])
+def test_cli_runs_at_each_domain_end(argv):
+    _runs_clean_or_is_refused_in_range(argv)
+
+
+@st.composite
+def domain_end_runs(draw):
+    """argv of one command with two or three of its number flags each at an
+    end of its declared domain, and any choice flag drawn."""
+    name = draw(st.sampled_from(sorted(set(cli.COMMANDS) - {"fit-spectrum"})))
+    argv = list(DOMAIN_BASE.get(name, [name]))
+    for arg in cli.COMMANDS[name].args:
+        if arg.choices:
+            argv.append(f"{arg.flag}={draw(st.sampled_from(arg.choices))}")
+    ends = {arg.flag: _domain_ends(name, arg)
+            for arg in cli.COMMANDS[name].args if _domain_ends(name, arg)}
+    for flag in draw(st.lists(st.sampled_from(sorted(ends)), min_size=2,
+                              max_size=3, unique=True)):
+        argv.append(f"{flag}={draw(st.sampled_from(ends[flag]))}")
+    return argv
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(argv=domain_end_runs())
+def test_cli_contract_at_domain_ends(argv):
+    # products of two or three flags at their ends stay in the float range
+    _runs_clean_or_is_refused_in_range(argv)

@@ -623,7 +623,7 @@ def test_config_validation():
     for s_std in (-0.1, np.nan):
         with pytest.raises(ValueError, match="s_std"):
             small_config(s_std=s_std)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, "):
         small_config(seed=-1)
 
 

@@ -52,10 +52,10 @@ def test_kinetic_inductance_scalings():
 
 @pytest.mark.parametrize("side", [1e-300, 1e300])
 def test_film_refuses_cross_section_out_of_range(side):
-    """Each side is finite and positive, but d*w underflows to 0 or
-    overflows to inf, and L_k,l and the frequency shift divide by it."""
+    """Each side is finite and positive, but outside the domain that keeps
+    d*w, which L_k,l and the frequency shift divide by, in range."""
     with pytest.raises(ValueError,
-                       match="^thickness times width must be positive"):
+                       match=r"^thickness must lie in \[1e-11, 0.1\]$"):
         FilmGeometry(side, side)
 
 

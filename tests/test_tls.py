@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -155,12 +156,12 @@ def test_shared_coupling_column_is_checked(bad):
     g = bath.g_perp.copy()
     g[-1] = bad
     with pytest.raises(ValueError,
-                       match="^g_perp must be nonnegative and finite$"):
+                       match=r"^g_perp must lie in \[0, 6.28319e\+13\]$"):
         _shared_bath(g, bath.gamma1)
     gamma1 = bath.gamma1.copy()
     gamma1[-1] = bad
     with pytest.raises(ValueError,
-                       match="^gamma1 must be nonnegative and finite$"):
+                       match=r"^gamma1 must lie in \[0, 6.28319e\+13\]$"):
         _shared_bath(bath.g_perp, gamma1)
 
 
@@ -277,8 +278,8 @@ def test_permittivity_broadcasts_bitwise_like_scalar_calls():
                 float(f), ThermalEnvironment(float(t)))
     with pytest.raises(ValueError):
         ThermalEnvironment(np.array([0.1, 0.0]))
-    with pytest.raises(ValueError, match="^temperature must be positive and "
-                                         "finite"):
+    with pytest.raises(ValueError, match=r"^temperature must lie in "
+                                         r"\[1e-06, 10000\]$"):
         ThermalEnvironment(np.array([0.1, np.inf]))
 
 
@@ -288,14 +289,15 @@ def test_permittivity_broadcasts_bitwise_like_scalar_calls():
 @pytest.mark.parametrize("f_r", [0.0, -1e9, np.nan, np.array([5e9, 0.0]),
                                  np.inf])
 def test_permittivity_bracket_refuses_nonpositive_frequency(f_r):
-    with pytest.raises(ValueError, match="f_r must be positive"):
+    with pytest.raises(ValueError,
+                       match=r"^f_r must lie in \[1000, 1e\+15\]$"):
         permittivity_bracket(f_r, ThermalEnvironment(np.array([0.01, 0.1])))
 
 
 @pytest.mark.parametrize("loss", [-1e-5, np.nan, np.inf])
 def test_host_refuses_negative_or_non_finite_loss(loss):
-    with pytest.raises(ValueError, match="^intrinsic_loss must be "
-                                         "nonnegative and finite"):
+    with pytest.raises(ValueError,
+                       match=r"^intrinsic_loss must lie in \[0, 1\]$"):
         TlsHostMaterial(intrinsic_loss=loss)
 
 
@@ -560,15 +562,16 @@ def test_spectral_diffusion_pinned_at_shipped_window():
     ("sigma_sd", 0.0, "sigma_sd must be positive and finite"),
     # 1e3 Gamma_2 is the widest diffusion the oracle's tests cover
     ("sigma_sd", 1e4 * 16 * MHZ, "sigma_sd must be at most 1000 gamma2"),
-    ("sigma_sd", 1e300 * 16 * MHZ, "sigma_sd and n_cav are too large"),
-    ("n_cav", 1e305, "sigma_sd and n_cav are too large"),
-    ("n_cav", np.nan, "n_cav must be nonnegative and finite"),
+    ("sigma_sd", 1e300 * 16 * MHZ, "sigma_sd must be at most 1000 gamma2"),
+    # the domain of n_cav bounds the outer cut-off
+    ("n_cav", 1e305, "n_cav must lie in [0, 1e+15]"),
+    ("n_cav", np.nan, "n_cav must lie in [0, 1e+15]"),
     ("rho_v", np.nan, "rho_v must be finite"),
     ("rho_v", np.inf, "rho_v must be finite"),
 ])
 def test_spectral_diffusion_refuses_bad_input(field, value, message):
     kwargs = {"sigma_sd": 16 * MHZ, "n_cav": 1.0, "rho_v": RHO_V, field: value}
-    with pytest.raises(ValueError, match=f"^{message}"):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         spectral_diffusion_loss(_tls(s=-1.0),
                                 SaturationDrive(n_cav=kwargs["n_cav"]),
                                 kwargs["sigma_sd"], kwargs["rho_v"])
