@@ -34,7 +34,6 @@ RULES = {
     "positive and finite": lambda lo, hi: 0.0 < lo and hi < np.inf,
     "nonnegative and finite": lambda lo, hi: 0.0 <= lo and hi < np.inf,
     "finite": lambda lo, hi: -np.inf < lo and hi < np.inf,
-    "positive": lambda lo, hi: 0.0 < lo,  # admits +inf
 }
 
 

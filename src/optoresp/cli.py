@@ -51,14 +51,14 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import ensemble, io, montecarlo, superconductor
-from .checks import DomainError, check_range
+from .checks import DomainError, check_range, domain
 from .constants import TWO_PI, dbm_to_watts
 from .fitkit import models as fitmodels
 from .fitkit import synth as fitsynth
@@ -307,14 +307,19 @@ def _mc_summary(r, paths):
 def _temp_model_check(a):
     if not a.fr_ghz:
         raise ValueError("--fr-ghz lists no mode frequency")
-    if a.lambda0_um is None:  # no film is built to check these flags
-        for flag, value in (("--tc-k", a.tc_k), ("--film-d-nm", a.film_d_nm),
-                            ("--film-w-nm", a.film_w_nm), ("--ltl", a.ltl)):
+    # the film's flags meet the library's domains whether or not
+    # --lambda0-um builds a film, so each value is valid or not on its own
+    flags = COMMANDS["temp-model"].flags
+    for cls in (superconductor.FilmGeometry,
+                superconductor.SuperconductorParams):
+        for f in fields(cls):
+            arg = flags[f.name]
+            value = getattr(a, arg.dest)
             if value is not None:
-                check_range(flag, value)
+                check_range(f.name, arg.si(value), domain(cls, f.name))
+    if a.lambda0_um is None:
         return
     # the quasiparticle term takes every temperature of the grid below T_c
-    check_range("--tc-k", a.tc_k)
     temperatures = ([("--t-grid-mk", max(a.t_grid_mk))] if a.t_grid_mk else
                     [("--t-min-mk", a.t_min_mk), ("--t-max-mk", a.t_max_mk)])
     for flag, t_mk in temperatures:

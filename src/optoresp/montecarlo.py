@@ -80,6 +80,11 @@ FWHM_REL_STD = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 # largest mean numpy's Generator.poisson takes (about 9.2e18)
 _BATH_TLS_MAX = 1e7
 
+# W: the least top power of a sweep, 1 fW, the low end of the command
+# line's --p-max-nw.  Far below it the slope fit's power-column norm
+# underflows
+_P_TOP_MIN = 1e-15
+
 def _default_p_grid():
     return np.linspace(0.0, 200e-9, 11)
 
@@ -155,6 +160,9 @@ class McConfig:
             raise ValueError("p_grid needs at least two points")
         if np.any(np.diff(self.p_grid) <= 0):
             raise ValueError("p_grid must be strictly increasing")
+        if not self.p_grid[-1] >= _P_TOP_MIN:
+            raise ValueError(f"p_grid's largest power must be at least "
+                             f"{_P_TOP_MIN:g} W")
         count = self.expected_count
         if not count <= _BATH_TLS_MAX:
             raise ValueError(

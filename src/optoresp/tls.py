@@ -442,29 +442,31 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
         return 0.0
     nodes, weights = _inner_rule()
     window = (-SD_N_SIGMA, SD_N_SIGMA)
-    norm = math.sqrt(TWO_PI)
+    norm, one_plus_n = math.sqrt(TWO_PI), 1.0 + n_ratio
 
     def smeared(d):
         # in m = d + s u the poles sit at +-i w, and the core and step knots
         # at m = +-4^k w, until the next step passes both window edges
-        # (|m| <= |d| + SD_N_SIGMA s there): the last segment is a piece of
-        # it.  In Python floats a knot far off the window maps to u = +-inf
+        # (|m| <= |d| + SD_N_SIGMA s there).  Only the knots strictly
+        # inside the window are kept, and its edges end the outer segments.
+        # In Python floats a knot far off the window maps to u = +-inf
         knots = [*SD_GAUSS_KNOTS, *window]
         step, far = w, abs(d) + SD_N_SIGMA * s_dimless
         while True:
-            knots += ((-step - d) / s_dimless, (step - d) / s_dimless)
+            for u in ((-step - d) / s_dimless, (step - d) / s_dimless):
+                if -SD_N_SIGMA < u < SD_N_SIGMA:
+                    knots.append(u)
             step *= 4.0
             if step >= far:
                 break
         knots = np.array(knots)
-        knots.clip(*window, out=knots)
         knots.sort()
         lo = knots[:-1]
         length = knots[1:] - lo        # a repeated knot adds a zero length
         u = lo[:, None] + length[:, None] * nodes
         m = d + s_dimless * u
-        core = 1.0 / (1.0 + m * m)            # saturated Lorentzian
-        f = 2.0 * core / (1.0 + n_ratio * core) * np.exp(-0.5 * u * u)
+        # the saturated Lorentzian 2/(1 + n/n_s + m^2) times the Gaussian
+        f = 2.0 * np.exp(-0.5 * u * u) / (one_plus_n + m * m)
         fine, coarse = length @ (f @ weights)
         if not abs(fine - coarse) <= SD_INNER_RTOL * abs(fine):
             raise QuadratureError(

@@ -876,6 +876,12 @@ FLAG_CASES = [
     (["temp-model", "--t-points", "100000000000"], "--t-points"),
     (["mc", "--trials", "100000000000"], "--trials"),
     (["mc", "--workers", "100000000000"], "--workers"),
+    # film flags outside their domains without --lambda0-um, which wrote
+    # their rows although the same value with a film was refused
+    (["temp-model", "--film-d-nm=1e300"], "--film-d-nm"),
+    (["temp-model", "--film-w-nm=1e-5"], "--film-w-nm"),
+    (["temp-model", "--tc-k=1e5"], "--tc-k"),
+    (["temp-model", "--ltl=1e9"], "--ltl"),
 ]
 
 

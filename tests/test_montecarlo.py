@@ -627,6 +627,19 @@ def test_config_validation():
         small_config(seed=-1)
 
 
+def test_config_refuses_a_vanishing_top_power():
+    # a top power of 1e-300 W passed construction, and the slope fit divided
+    # by a power-column norm that underflowed, then raised LinAlgError; at
+    # 1 fW, the least --p-max-nw, a run is clean
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^p_grid's largest power must "
+                                             r"be at least 1e-15 W$"):
+            small_config(p_grid=np.array([0.0, 1e-300]))
+        res = run(small_config(p_grid=np.array([0.0, 1e-15]), trials=1))
+    assert np.isfinite(res.slope_stats()).all()
+
+
 def test_direct_draw_of_a_long_wire_is_on_the_reach():
     # a 2 x 1e10 m wire holds about 1.3e19 TLSs; a direct draw, as run()'s,
     # takes only those on the reach
