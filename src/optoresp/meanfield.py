@@ -54,7 +54,14 @@ kappa/2 > Gamma_2.
 
 The linear longitudinal equations are propagated exactly by expm(M dt) on a
 uniform grid, and their fixed point (the static displacement sourced by S)
-is removed before demodulating at omega_r.  Validity of the closed forms
+is removed before demodulating at omega_r.  sigma_z couples to c + c*, so
+the lab-frame field also carries a small counter-rotating part, which beats
+with the demodulated carrier at 2 omega (omega = omega_r minus the fitted
+phase slope) and ripples log |c| at a fixed relative size, up to 2e-3 where
+omega_r is near Gamma_1.  The longitudinal fit therefore takes cos 2 omega t
+and sin 2 omega t as two more columns beside t and 1, for both the log
+amplitude and the phase; the transverse fit, in the rotating frame, has no
+such ripple and takes t and 1 only.  Validity of the closed forms
 requires weak coupling (g <~ Gamma_2/4) and kappa well below the TLS rates;
 the rotating-wave step behind the longitudinal closed form costs
 O(kappa/omega_r), so keep kappa/omega_r small for a tight oracle.
@@ -137,11 +144,22 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode):
     m = t >= t[0] + 0.2 * (t[-1] - t[0])
     design = np.column_stack([t[m], np.ones(m.sum())])
     log_amp = np.log(np.abs(c[m]))
-    coef_amp, *_ = np.linalg.lstsq(design, log_amp, rcond=None)
-    coef_ph, *_ = np.linalg.lstsq(design, np.unwrap(np.angle(c[m])), rcond=None)
+    phase = np.unwrap(np.angle(c[m]))
+    coef_ph, *_ = np.linalg.lstsq(design, phase, rcond=None)
+    if mode == "transverse":
+        coef_amp, *_ = np.linalg.lstsq(design, log_amp, rcond=None)
+    else:
+        # the counter-rotating ripple, at twice the carrier omega_r - (phase
+        # slope)
+        beat = 2.0 * (omega_r - coef_ph[0])
+        design = np.column_stack([design, np.cos(beat * t[m]),
+                                  np.sin(beat * t[m])])
+        coef_amp, coef_ph = np.linalg.lstsq(
+            design, np.column_stack([log_amp, phase]), rcond=None)[0].T
     resid = np.max(np.abs(log_amp - design @ coef_amp))
     if resid > RESIDUAL_TOL:
-        del t, c, sz, m, design, log_amp  # a kept error holds no trajectory
+        # a kept error holds neither the trajectory nor the fit
+        del t, c, sz, m, design, phase, log_amp, coef_ph, coef_amp
         raise OdeConvergenceError(
             f"decay fit residual {resid:.2e} exceeds {RESIDUAL_TOL:.2e}; "
             "mode structure not settled within the horizon")

@@ -18,12 +18,14 @@ form in scipy's complex digamma, which broadcasts over mode frequencies and
 temperatures), the Kramers-Kronig quadrature oracle for that closed form
 on a host of given loss tangent (a Cauchy-weight principal value plus a
 plain tail, two to four QUADPACK calls), and the Gaussian spectral-diffusion
-loss integral with its saturated closed form (QUADPACK over the detuning, a
+loss integral with its saturated closed form (QUADPACK's 21-point
+Gauss-Kronrod rule and bisection over the detuning, batched in numpy, and a
 fixed Gauss-Legendre rule over the Gaussian).
 
-scipy loads on first use: ``quad`` inside the two quadrature oracles, and
+scipy loads on first use: ``quad`` inside the Kramers-Kronig oracle, and
 ``scipy.special.digamma`` inside :func:`digamma`.  Importing this module,
-or using the closed forms the Monte Carlo runs on, loads numpy only.
+using the closed forms the Monte Carlo runs on, or the spectral-diffusion
+oracle loads numpy only.
 """
 
 import functools
@@ -393,17 +395,29 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     The outer cut-off b_far >= 60 sigma_sd/Gamma_2 does not depend on
     SD_N_SIGMA.  The outer integrand is even in Delta (the saturated
     Lorentzian is even in mu, the Gaussian is symmetric, and the inner knots
-    mirror), so only Delta >= 0 is integrated and the sum doubled: on the
-    mirrored half, QUADPACK's nodes, error estimates and subdivisions would
-    mirror these.  The result coincides with
-    :func:`spectral_diffusion_loss_closed_form` (within about 1e-4 relative
-    on criterion 4's TLS): Gaussian wandering alone does not lift the loss
-    above the saturated-Lorentzian value.
+    mirror), so only Delta >= 0 is integrated and the sum doubled.  The
+    result coincides with :func:`spectral_diffusion_loss_closed_form`
+    (within about 1e-4 relative on criterion 4's TLS): Gaussian wandering
+    alone does not lift the loss above the saturated-Lorentzian value.
 
-    The outer integral over Delta is QUADPACK's.  The inner one, over the
-    Gaussian variable u at one outer node Delta, is a fixed 20-node
-    Gauss-Legendre sum on each segment of a knot set, evaluated in one
-    numpy pass.  In u the saturated Lorentzian has its poles at
+    The outer integral over Delta has three pieces: [0, w] and [w, b_core]
+    in Delta, with b_core = 10 max(s, w), and the tail [b_core, b_far] in
+    t = 1/Delta, where the integrand falls off like the Lorentzian.  Each is
+    integrated as scipy's ``quad`` would, by QUADPACK's 21-point
+    Gauss-Kronrod rule qk21 with its error estimate and qags's bisection of
+    the worst segment to quad's default tolerance, at most SD_OUTER_LIMITS
+    segments (quad's limit), but without qags's extrapolation; each piece's
+    error must stay within 1e-5 max(1, |value|), or QuadratureError names
+    the piece.  Every round of bisection is one numpy pass over the new
+    segments of all three pieces: on criterion 4's grid the first round
+    (63 outer nodes) and one bisection (42) settle it.  The values match
+    ``quad``'s to 1e-13 relative or better.
+
+    The inner integral, over the Gaussian variable u at an outer node
+    Delta, is a fixed 20-node Gauss-Legendre sum on each segment of a knot
+    set, evaluated for every node of a round at once: each node's knot set
+    is padded with a window edge to the round's largest count, so the pads
+    add zero-length segments.  In u the saturated Lorentzian has its poles at
     u_c +- i h, with u_c = -Delta/s, h = w/s, s = sigma_sd/Gamma_2 and
     w = sqrt(1 + n/n_s).  The knots follow from one requirement: every
     segment lies at least a third of its length away from the nearest pole.
@@ -416,8 +430,9 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     (1 + sqrt 2)^(-2n) on the core segment).  The Gaussian is entire, and
     its fixed knots keep every segment of its bulk within 3 standard
     deviations.  A 16-node sum on the same segments is the error estimate:
-    the two must agree to SD_INNER_RTOL = 1e-10 relative, or
-    QuadratureError names the outer node.  On criterion 4's grid and at the
+    the two must agree to SD_INNER_RTOL = 1e-10 relative at every node, or
+    QuadratureError names the first that fails, in qk21's order (the
+    centre of a segment first).  On criterion 4's grid and at the
     corners of the accepted range they agree to 3e-12 or better.
 
     sigma_sd [rad/s] must be positive and at most SD_SIGMA_MAX Gamma_2, the
@@ -425,64 +440,99 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     squared finite.  rho_v is the finite rho_TLS * V_eff prefactor [J^-1].
     Returns rad/s.
     """
-    from scipy.integrate import quad
-
     _one_tls(tls)
     check_range("sigma_sd", sigma_sd)
     check_range("rho_v", rho_v, "finite")
     n_ratio = float(_drive_ratio(tls, drive))
     s_dimless = float(sigma_sd / tls.gamma2)  # below in units of Gamma_2
-    w = math.sqrt(1.0 + n_ratio)         # saturated half-width
-    b_core = 10.0 * max(s_dimless, w)
-    b_far = max(4000.0 * w, 60.0 * s_dimless, 4.0 * b_core)
     if not sigma_sd <= SD_SIGMA_MAX * tls.gamma2:
         raise ValueError(f"sigma_sd must be at most {SD_SIGMA_MAX:g} gamma2: "
                          "wider diffusion is past the range the tests cover")
     if tls.s == 0.0 or tls.g_perp == 0.0:
         return 0.0
+    outer, pieces = _sd_outer(n_ratio, s_dimless)
+    labels = [f"segment [{a:g}, {b:g}]" for a, b in pieces[:2]]
+    labels.append("spectral-diffusion tail")
+    body_lo, body_hi, tail = map(
+        _check_quad, _adaptive_qk21(outer, pieces, SD_OUTER_LIMITS), labels)
+    # 2 (half + tail) is the double integral in units of Gamma_2 for both
+    # axes, i.e. the dimensionless 2*pi/sqrt(1 + n/n_s) when converged
+    half = body_lo + body_hi
+    return -HBAR * rho_v * tls.g_perp**2 * tls.s * (2.0 * (half + tail))
+
+
+def _sd_outer(n_ratio, s):
+    """spectral_diffusion_loss's outer integrand and its three pieces, in
+    units of Gamma_2 at drive ratio n_ratio and width s: [0, w] and
+    [w, b_core] in Delta, and the tail [1/b_far, 1/b_core] in t = 1/Delta,
+    where the integrand is smeared(1/t)/t^2.  The integrand takes an array
+    of outer nodes, one row per segment, and each row's piece index."""
+    w = math.sqrt(1.0 + n_ratio)         # saturated half-width
+    b_core = 10.0 * max(s, w)
+    b_far = max(4000.0 * w, 60.0 * s, 4.0 * b_core)
     nodes, weights = _inner_rule()
-    window = (-SD_N_SIGMA, SD_N_SIGMA)
+    fixed = (*SD_GAUSS_KNOTS, -SD_N_SIGMA, SD_N_SIGMA)
     norm, one_plus_n = math.sqrt(TWO_PI), 1.0 + n_ratio
 
     def smeared(d):
+        """The inner integral at each outer node of the 1-d array d >= 0."""
         # in m = d + s u the poles sit at +-i w, and the core and step knots
         # at m = +-4^k w, until the next step passes both window edges
         # (|m| <= |d| + SD_N_SIGMA s there).  Only the knots strictly
-        # inside the window are kept, and its edges end the outer segments.
-        # In Python floats a knot far off the window maps to u = +-inf
-        knots = [*SD_GAUSS_KNOTS, *window]
-        step, far = w, abs(d) + SD_N_SIGMA * s_dimless
-        while True:
-            for u in ((-step - d) / s_dimless, (step - d) / s_dimless):
-                if -SD_N_SIGMA < u < SD_N_SIGMA:
-                    knots.append(u)
-            step *= 4.0
-            if step >= far:
-                break
-        knots = np.array(knots)
-        knots.sort()
-        lo = knots[:-1]
-        length = knots[1:] - lo        # a repeated knot adds a zero length
-        u = lo[:, None] + length[:, None] * nodes
-        m = d + s_dimless * u
-        # the saturated Lorentzian 2/(1 + n/n_s + m^2) times the Gaussian
-        f = 2.0 * np.exp(-0.5 * u * u) / (one_plus_n + m * m)
-        fine, coarse = length @ (f @ weights)
-        if not abs(fine - coarse) <= SD_INNER_RTOL * abs(fine):
+        # inside the window are kept: one off it (+-inf where s is tiny)
+        # becomes a window edge, and so do the pads that give every node
+        # the batch's largest count.  A repeated knot adds a zero length
+        far = np.abs(d) + SD_N_SIGMA * s
+        steps = [w]
+        while 4.0 * steps[-1] < far.max():
+            steps.append(4.0 * steps[-1])
+        steps = np.array(steps)
+        reached = steps < far[:, None]
+        reached[:, 0] = True
+        with np.errstate(over="ignore"):
+            poles = np.concatenate(((-steps - d[:, None]) / s,
+                                    (steps - d[:, None]) / s), axis=1)
+        inside = np.tile(reached, 2) & (np.abs(poles) < SD_N_SIGMA)
+        knots = np.concatenate(
+            (np.broadcast_to(fixed, (d.size, len(fixed))),
+             np.where(inside, poles, SD_N_SIGMA)), axis=1)
+        knots.sort(axis=1)
+        knots = knots[:, :len(fixed) + inside.sum(axis=1).max()]
+        lo = knots[:, :-1]
+        length = knots[:, 1:] - lo
+        # (node, segment, Gauss node) arrays, each step in place: m becomes
+        # the denominator 1 + n/n_s + m^2 of the saturated Lorentzian
+        # 2/(1 + n/n_s + m^2), and u the Lorentzian times the Gaussian
+        u = length[..., None] * nodes
+        u += lo[..., None]
+        m = u * s
+        m += d[:, None, None]
+        np.square(m, out=m)
+        m += one_plus_n
+        np.square(u, out=u)
+        u *= -0.5
+        np.exp(u, out=u)
+        u *= 2.0
+        u /= m
+        fine, coarse = (length[:, None, :] @ (u @ weights))[:, 0].T
+        bad = ~(np.abs(fine - coarse) <= SD_INNER_RTOL * np.abs(fine))
+        if bad.any():
+            i = np.argmax(bad)
             raise QuadratureError(
                 f"quadrature failed on the spectral-diffusion inner integral "
-                f"at Delta = {d:g} Gamma_2: 20 nodes {fine:.16g}, 16 nodes "
-                f"{coarse:.16g}")
-        return float(fine) / norm
+                f"at Delta = {d[i]:g} Gamma_2: 20 nodes {fine[i]:.16g}, 16 "
+                f"nodes {coarse[i]:.16g}")
+        return fine / norm
 
-    half = _piecewise_quad(smeared, [0.0, w, b_core], limit=100)
-    # the far tail falls off like the Lorentzian; integrate in t = 1/Delta
-    tail, err = quad(lambda t: smeared(1.0 / t) / t**2,
-                     1.0 / b_far, 1.0 / b_core, limit=80)
-    _check_quad(tail, err, "spectral-diffusion tail")
-    # 2 (half + tail) is the double integral in units of Gamma_2 for both
-    # axes, i.e. the dimensionless 2*pi/sqrt(1 + n/n_s) when converged
-    return -HBAR * rho_v * tls.g_perp**2 * tls.s * (2.0 * (half + tail))
+    def outer(x, piece):
+        tail = piece == 2               # in t = 1/Delta: smeared(1/t)/t^2
+        d = x.copy()
+        d[tail] = 1.0 / x[tail]
+        val = smeared(d.ravel()).reshape(x.shape)
+        val[tail] /= x[tail] ** 2
+        return val
+
+    return outer, [(0.0, w), (w, b_core), (1.0 / b_far, 1.0 / b_core)]
 
 
 @functools.cache
@@ -497,22 +547,118 @@ def _inner_rule():
     return nodes, weights
 
 
-def _piecewise_quad(f, knots, limit):
-    from scipy.integrate import quad
+# QUADPACK's 21-point Gauss-Kronrod rule qk21 (Piessens et al., QUADPACK,
+# Springer 1983, routine dqk21), its 33 digits rounded to 21 decimals, which
+# give the same doubles: the nodes xgk on [0, 1] with the centre last, their
+# Kronrod weights wgk, and the weights wg of the embedded 10-point Gauss
+# rule, whose nodes are xgk[1::2]
+QK21_XGK = (0.995657163025808080736, 0.973906528517171720078,
+            0.930157491355708226001, 0.865063366688984510732,
+            0.780817726586416897064, 0.679409568299024406234,
+            0.562757134668604683339, 0.433395394129247190799,
+            0.294392862701460198131, 0.148874338981631210885,
+            0.0)
+QK21_WGK = (0.011694638867371874278, 0.032558162307964727479,
+            0.054755896574351996031, 0.075039674810919952767,
+            0.093125454583697605535, 0.109387158802297641899,
+            0.123491976262065851077, 0.134709217311473325928,
+            0.142775938577060080797, 0.147739104901338491375,
+            0.149445554002916905665)
+QK21_WG = (0.066671344308688137594, 0.149451349150580593146,
+           0.219086362515982043996, 0.269266719309996355091,
+           0.295524224714752870174)
+# most segments each outer spectral-diffusion piece is cut into, as quad's
+# limit: [0, w], [w, b_core], the tail
+SD_OUTER_LIMITS = (100, 100, 80)
 
-    total = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b <= a:
-            continue
-        val, err = quad(f, a, b, limit=limit)
-        _check_quad(val, err, f"segment [{a:g}, {b:g}]")
-        total += val
-    return total
+
+@functools.cache
+def _qk21_rule():
+    """qk21's 21 nodes on [-1, 1] in the order it samples them: the centre,
+    then each Gauss node and then each Kronrod node, minus before plus; and
+    a (21, 2) weight matrix, the Kronrod weights then the Gauss ones."""
+    order = [10, *(i for i in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+                   for _ in (0, 1))]
+    x = np.array(QK21_XGK)[order]
+    x[1::2] *= -1.0
+    weights = np.zeros((21, 2))
+    weights[:, 0] = np.array(QK21_WGK)[order]
+    weights[1:11, 1] = np.repeat(QK21_WG, 2)
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
 
 
-def _check_quad(val, err, label):
+def _qk21(f, a, b):
+    """QUADPACK's qk21 on each segment [a[i], b[i]], a < b: the Kronrod sums
+    and their error estimates.  f is called once, on the (len(a), 21) array of
+    every segment's nodes, each row in qk21's order; the array it returns
+    is overwritten."""
+    x, weights = _qk21_rule()
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    fv = f(centre[:, None] + half[:, None] * x)
+    resk, resg = (fv @ weights).T
+    resabs = np.abs(fv) @ weights[:, 0]
+    fv -= 0.5 * resk[:, None]
+    np.abs(fv, out=fv)
+    resasc = fv @ weights[:, 0]
+    resabs *= half
+    resasc *= half
+    err = np.abs(resk - resg) * half
+    # qk21's scaling of the Gauss-Kronrod gap, and its rounding floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    err = np.where(resabs > tiny / (50.0 * eps),
+                   np.maximum(50.0 * eps * resabs, err), err)
+    return resk * half, err
+
+
+def _adaptive_qk21(f, pieces, limits):
+    """(value, error) of f over each piece (a, b), a < b, by the bisection
+    of QUADPACK's qags without its extrapolation, to scipy quad's default
+    tolerance.  While a piece's error sum exceeds max(1.49e-8, 1.49e-8
+    |value|) and it has fewer segments than its limit, its worst segment is
+    halved: the half with the larger error takes its place in the list and
+    the other is appended, as in qags.  Each round calls _qk21 once, on the
+    new segments of every piece: f(x, piece) takes their nodes x and each
+    row's piece index."""
+    segs = [[] for _ in pieces]      # each piece's (a, b, value, error)
+    slot = [None] * len(pieces)      # the segment a piece's halves replace
+    new = [(i, a, b) for i, (a, b) in enumerate(pieces)]
+    while new:
+        piece, a, b = map(np.array, zip(*new))
+        val, err = _qk21(lambda x: f(x, piece), a, b)
+        rows = zip(piece, zip(a, b, val, err))
+        for i, seg in rows:
+            if slot[i] is None:
+                segs[i].append(seg)
+                continue
+            other = next(rows)[1]
+            if other[3] > seg[3]:
+                seg, other = other, seg
+            segs[i][slot[i]] = seg
+            segs[i].append(other)
+        new = []
+        for i, (seg, limit) in enumerate(zip(segs, limits)):
+            value, error = sum(s[2] for s in seg), sum(s[3] for s in seg)
+            slot[i] = None
+            if (error > max(1.49e-8, 1.49e-8 * abs(value))
+                    and len(seg) < limit):
+                slot[i] = max(range(len(seg)), key=lambda k: seg[k][3])
+                lo, hi = seg[slot[i]][:2]
+                mid = 0.5 * (lo + hi)
+                new += [(i, lo, mid), (i, mid, hi)]
+    return [(sum(s[2] for s in seg), sum(s[3] for s in seg)) for seg in segs]
+
+
+def _check_quad(result, label):
+    """The value of a (value, error) pair whose error is at most 1e-5
+    max(1, |value|)."""
+    val, err = result
     if not math.isfinite(val) or err > 1e-5 * max(1.0, abs(val)):
         raise QuadratureError(f"quadrature failed on {label}: value {val:g}, error {err:g}")
+    return val
 
 
 def _one_tls(tls: TlsUnit):

@@ -345,6 +345,46 @@ def test_unsettled_decay_raises(monkeypatch):
     _assert_holds_no_trajectory(raised.value)
 
 
+def test_unsettled_longitudinal_decay_raises(monkeypatch):
+    # a strongly coupled population relaxing at Gamma_1 = 5 kappa: over
+    # HORIZON its transient has settled (fit residual 7.9e-7), over one
+    # 1/kappa it bends the trace (1.6e-4)
+    monkeypatch.setattr(meanfield, "RESIDUAL_TOL", 1e-5)
+    omega_r = 16 * MHZ
+    t = _tls(g_perp=0.0, g_par=4 * MHZ, gamma1=G2 / 10, gamma2=G2 / 10,
+             s=-0.5, ds=10.0 / (TWO_PI * 400e6))
+    res = steady_state_by_integration(t, omega_r, kappa_tot=0.02 * omega_r,
+                                      mode="longitudinal")
+    assert res.fit_residual < 1e-6
+    monkeypatch.setattr(meanfield, "HORIZON", 1.0)
+    with pytest.raises(OdeConvergenceError) as raised:
+        steady_state_by_integration(t, omega_r, kappa_tot=0.02 * omega_r,
+                                    mode="longitudinal")
+    _assert_holds_no_trajectory(raised.value)
+
+
+def test_longitudinal_fits_the_counter_rotating_ripple():
+    # a draw of criterion 5's ranges whose demodulated field ripples at
+    # 2 omega, from the counter-rotating part of the lab-frame field: fitted
+    # on t and 1 alone, its log amplitude leaves a residual of 2.0e-3, above
+    # RESIDUAL_TOL
+    g1 = 8.8 * MHZ
+    omega_r, kappa = 0.53 * g1, 0.005 * 0.53 * g1
+    t = _tls(g_perp=0.0, g_par=0.73 * MHZ, gamma1=g1, gamma2=g1, s=-0.26,
+             ds=1.6 * 10 / (TWO_PI * 400e6))
+    res = steady_state_by_integration(t, omega_r, kappa_tot=kappa,
+                                      mode="longitudinal")
+    assert res.fit_residual < 1e-5
+    mat = np.array([[-0.5 * kappa, omega_r, 0.0],
+                    [-omega_r, -0.5 * kappa, -t.g_par],
+                    [-2.0 * g1 * t.ds * t.g_par, 0.0, -g1]])
+    lam = np.linalg.eigvals(mat)
+    lam = lam[np.argmin(lam.imag)]
+    loss, shift = -2.0 * lam.real - kappa, -(lam.imag + omega_r)
+    assert (abs(complex(res.extra_loss - loss, res.shift - shift))
+            < 1e-8 * abs(complex(loss, shift)))
+
+
 def _assert_holds_no_trajectory(err):
     # the frames of a kept error hold the fit's coefficients, not the
     # trajectory

@@ -1,6 +1,10 @@
 import dataclasses
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -518,6 +522,51 @@ def test_spectral_diffusion_inner_rule_failure_names_the_node(monkeypatch):
         spectral_diffusion_loss(t, drive, sigma, RHO_V)
 
 
+def test_qk21_table_is_exact_on_monomials():
+    # the 21-point Kronrod rule integrates x^k exactly on [-1, 1] up to
+    # degree 31, and its embedded 10-point Gauss rule up to degree 19
+    x, weights = tls._qk21_rule()
+    for k in range(32):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        kronrod, gauss = x**k @ weights
+        assert abs(kronrod - want) <= 1e-15, k
+        if k < 20:
+            assert abs(gauss - want) <= 1e-15, k
+    # degree 32 is past the Kronrod rule, and 20 past the Gauss rule
+    assert abs(x**32 @ weights[:, 0] - 2.0 / 33) > 1e-13
+    assert abs(x**20 @ weights[:, 1] - 2.0 / 21) > 1e-7
+    # the Gauss nodes are Gauss-Legendre's
+    xg, wg = np.polynomial.legendre.leggauss(10)
+    gauss = weights[:, 1] > 0
+    order = np.argsort(x[gauss])
+    assert_allclose(x[gauss][order], xg, rtol=0, atol=1e-15)
+    assert_allclose(weights[gauss, 1][order], wg, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_rel, sigma_rel", CRITERION_4_GRID + STRONG_DRIVE)
+def test_spectral_diffusion_outer_sum_matches_quad(n_rel, sigma_rel):
+    # the batched qk21 sum and QUADPACK (scipy's quad at its defaults and
+    # the oracle's limits) on the same outer integrand and pieces
+    outer, pieces = tls._sd_outer(n_rel, sigma_rel)
+    got = tls._adaptive_qk21(outer, pieces, tls.SD_OUTER_LIMITS)
+    for i, ((a, b), limit) in enumerate(zip(pieces, tls.SD_OUTER_LIMITS)):
+        val, err = quad(lambda x: outer(np.array([[x]]), np.array([i]))[0, 0],
+                        a, b, limit=limit)
+        assert abs(got[i][0] - val) <= 1e-13 * abs(val), (a, b)
+        # the error estimate scales a difference of two near-equal sums
+        assert_allclose(got[i][1], err, rtol=1e-3)
+
+
+def test_spectral_diffusion_outer_failure_names_the_piece(monkeypatch):
+    # one qk21 sum per piece: on [w, b_core] at sigma = 100 Gamma_2 its
+    # error estimate is above 1e-5 of the value
+    monkeypatch.setattr(tls, "SD_OUTER_LIMITS", (1, 1, 1))
+    t, drive, sigma = _sd_case(0.0, 100.0)
+    with pytest.raises(tls.QuadratureError,
+                       match=r"^quadrature failed on segment \[1, 1000\]: "):
+        spectral_diffusion_loss(t, drive, sigma, RHO_V)
+
+
 def test_flat_band_saturation_independent_of_sigma():
     # integrated loss / unsaturated = 1/sqrt(1 + n/n_s) for any sigma
     t = _tls(s=-0.5)
@@ -554,6 +603,29 @@ def test_spectral_diffusion_pinned_at_shipped_window():
     # Gaussians pin the shipped window too
     assert tls.SD_N_SIGMA == 12.0
     assert_allclose(_criterion_4_grid(), PINNED_50_SIGMA, rtol=1e-13)
+
+
+def test_spectral_diffusion_needs_no_scipy():
+    # a process in which scipy cannot be imported computes the pinned grid
+    script = """
+import json, sys
+sys.modules["scipy"] = None
+from optoresp.constants import TWO_PI
+from optoresp.tls import SaturationDrive, TlsUnit, spectral_diffusion_loss
+MHZ = TWO_PI * 1e6
+t = TlsUnit(detuning=0.0, g_perp=5 * MHZ, g_par=5 * MHZ, gamma1=16 * MHZ,
+            gamma2=16 * MHZ, s=-1.0)
+print(json.dumps([spectral_diffusion_loss(
+    t, SaturationDrive(n_cav=n * t.saturation_photon_number),
+    sigma * t.gamma2, %r) for n, sigma in %r]))
+""" % (RHO_V, CRITERION_4_GRID)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(tls.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert_allclose(got, PINNED_50_SIGMA, rtol=1e-13)
 
 
 @pytest.mark.parametrize("field,value,message", [
