@@ -1,13 +1,14 @@
-"""The range check of every parameter the package takes, in one place,
-and the base class of the package's numerical failures.
+"""The one range-check vocabulary of the package, and the base class of its
+numerical failures.
 
-Each number field of a parameter class declares its closed physical domain
-[lo, hi] once, beside the field (:func:`ranged`), and the class's
-``__post_init__`` checks them all through :func:`check_fields`.  The domains
-are chosen so that no product the package forms of in-domain values
-overflows or underflows: a value outside its domain is refused under its own
-name ("omega_r must lie in [6283.19, 6.28319e+15]"), and the command line
-names the flag that sets it, with the bounds in the flag's units.
+Every parameter has a closed physical domain [lo, hi], declared once: beside
+its dataclass field (:func:`ranged`, checked by :func:`check_fields`), in
+its module's ``DOMAINS`` for a function argument, or reused from the field
+that declares the same quantity.  :func:`check_range` refuses a value
+outside it by name ("omega_r must lie in [6283.19, 6.28319e+15]"); the
+command line names the flag, with the bounds in its units.  In-domain values
+form no product that overflows or underflows.  Data (samples, series and
+table columns) are checked by :func:`check_finite` ("x must be finite").
 """
 
 from dataclasses import MISSING, field, fields
@@ -29,31 +30,26 @@ class DomainError(ValueError):
         self.name, self.domain = name, domain
 
 
-# rule -> whether the minimum lo and maximum hi of the values obey it
-RULES = {
-    "positive and finite": lambda lo, hi: 0.0 < lo and hi < np.inf,
-    "nonnegative and finite": lambda lo, hi: 0.0 <= lo and hi < np.inf,
-    "finite": lambda lo, hi: -np.inf < lo and hi < np.inf,
-}
+def _extremes(value):
+    """(min, max) of value by two reductions, with no temporary of its size:
+    a NaN propagates to both, and empty input gives (inf, -inf), which passes."""
+    return (np.minimum.reduce(value, axis=None, dtype=float, initial=np.inf),
+            np.maximum.reduce(value, axis=None, dtype=float, initial=-np.inf))
 
 
-def check_range(name, value, rule="positive and finite"):
-    """Raise ValueError("<name> must be <rule>") unless every element of
-    value (a number, a sequence or an array) obeys rule: a key of RULES, or
-    a closed interval (a, b), refused as DomainError, worded "<name> must
-    lie in [a, b]".
+def check_range(name, value, domain):
+    """Raise DomainError unless every element of value (a number, a sequence
+    or an array) lies in the closed domain (lo, hi); a NaN lies in none."""
+    lo, hi = _extremes(value)
+    if not (domain[0] <= lo and hi <= domain[1]):
+        raise DomainError(name, domain)
 
-    One minimum and one maximum reduction decide it, so no temporary of
-    value's size is built; a NaN propagates through both and fails every
-    rule.  Empty input passes.
-    """
-    lo = np.minimum.reduce(value, axis=None, dtype=float, initial=np.inf)
-    hi = np.maximum.reduce(value, axis=None, dtype=float, initial=-np.inf)
-    if isinstance(rule, tuple):
-        if not (rule[0] <= lo and hi <= rule[1]):
-            raise DomainError(name, rule)
-    elif not RULES[rule](lo, hi):
-        raise ValueError(f"{name} must be {rule}")
+
+def check_finite(name, values):
+    """Raise ValueError("<name> must be finite") unless every value is."""
+    lo, hi = _extremes(values)
+    if not (-np.inf < lo and hi < np.inf):
+        raise ValueError(f"{name} must be finite")
 
 
 def ranged(lo, hi, default=MISSING, **kwargs):

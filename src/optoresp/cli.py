@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from . import ensemble, io, montecarlo, superconductor
-from .checks import DomainError, check_range, domain
+from .checks import DomainError, check_finite, check_range, domain
 from .constants import TWO_PI, dbm_to_watts
 from .fitkit import models as fitmodels
 from .fitkit import synth as fitsynth
@@ -693,8 +693,10 @@ def _convert(cmd, entries):
         except ValueError as exc:
             raise ValueError(f"{where or arg.flag}: invalid value "
                              f"{str(text)!r}") from exc
-        if arg.domain or arg.type in (float, float_list):
-            check_range(where or arg.flag, value, arg.domain or "finite")
+        if arg.domain:
+            check_range(where or arg.flag, value, arg.domain)
+        elif arg.type in (float, float_list):  # the library's domain
+            check_finite(where or arg.flag, value)
         values[arg.dest] = value
     return values
 

@@ -76,9 +76,7 @@ class Scaled(Identity):
     """
 
     def __init__(self, scale):
-        if not (scale > 0):
-            raise ValueError("scale must be positive")
-        self.scale = float(scale)
+        self.scale = float(scale)  # a positive constant of the fit model
 
     def to_internal(self, x):
         return float(x) / self.scale

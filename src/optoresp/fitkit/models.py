@@ -15,10 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..checks import check_range
+from ..checks import check_finite, check_range
 from ..constants import TWO_PI
 from ..resonator import notch
 from .engine import FitResult, Identity, Log, Scaled, levenberg_marquardt
+
+
+_NONNEGATIVE = (0.0, np.inf)  # a power or a deviation, past check_finite
 
 
 class NoDipError(ValueError):
@@ -41,13 +44,15 @@ class ComplexTrace:
         if f.ndim != 1 or f.size != v.size:
             raise ValueError("frequencies/values must be 1-D of equal length")
         for part in (f, v.real, v.imag):
-            check_range("frequencies/values", part, "finite")
+            check_finite("frequencies/values", part)
         if np.any(np.diff(f) <= 0):
             raise ValueError("frequencies must be strictly increasing")
         if self.noise_std is not None:
             ns = np.asarray(self.noise_std, dtype=float)
             if ns.size != f.size:
                 raise ValueError("noise_std length mismatch")
+            check_finite("noise_std", ns)
+            check_range("noise_std", ns, _NONNEGATIVE)
             object.__setattr__(self, "noise_std", ns)
 
 
@@ -66,14 +71,13 @@ class PowerSeries:
     sigma_dfrac: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, rule in (("p_opt", "nonnegative and finite"),
-                           ("inv_q", "finite"), ("dfrac", "finite"),
-                           ("sigma_inv_q", "nonnegative and finite"),
-                           ("sigma_dfrac", "nonnegative and finite")):
+        for name in ("p_opt", "inv_q", "dfrac", "sigma_inv_q", "sigma_dfrac"):
             val = getattr(self, name)
             if val is not None:
                 val = np.asarray(val, dtype=float)
-                check_range(name, val, rule)
+                check_finite(name, val)
+                if name not in ("inv_q", "dfrac"):
+                    check_range(name, val, _NONNEGATIVE)
                 object.__setattr__(self, name, val)
         p = self.p_opt
         if not (p.size == self.inv_q.size == self.dfrac.size):
@@ -385,6 +389,11 @@ def _inverse_q_sat_jac(x, p):
     return np.stack([p, 1.0 - e, g2 * p * e, np.ones_like(p)])
 
 
+def _linear(x, p):
+    gamma, inv_q0 = x
+    return gamma * p + inv_q0
+
+
 def _dfrac(x, p):
     d1, d2, d3 = x
     return d1 * p - d2 * (1.0 - np.exp(-d3 * p))
@@ -404,7 +413,7 @@ def fit_power_inverse_q(series: PowerSeries, model="linear") -> FitResult:
     if model == "linear":
         if p.size < 3:
             raise ValueError("linear fit needs at least 3 points")
-        return _fit(lambda x: x[0] * p + x[1],
+        return _fit(lambda x: _linear(x, p),
                     lambda x: np.stack([p, np.ones_like(p)]), y, wts,
                     np.polyfit(p, y, 1), ("gamma", "inv_q0"))
 

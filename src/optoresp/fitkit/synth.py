@@ -4,7 +4,8 @@ import numpy as np
 
 from ..checks import check_range
 from ..resonator import LineCalibration, ResonatorMode, s21_full
-from .models import ComplexTrace, PowerSeries
+from .models import (ComplexTrace, PowerSeries, _dfrac, _linear,
+                     _tls_saturation)
 
 
 # the closed domain of each number the two generators below take, SI
@@ -59,8 +60,8 @@ def synth_power_series(p_grid, gamma=0.0, inv_q0=0.0, delta1=0.0, delta2=0.0,
                            (p, gamma, inv_q0, delta1, delta2, delta3,
                             noise_rel)):
         check_range(name, value, DOMAINS[name])
-    inv_q = gamma * p + inv_q0
-    dfrac = delta1 * p - delta2 * (1.0 - np.exp(-delta3 * p))
+    inv_q = _linear((gamma, inv_q0), p)
+    dfrac = _dfrac((delta1, delta2, delta3), p)
     sig_q = sig_f = None
     if noise_rel > 0:
         rng = np.random.default_rng(seed)
@@ -74,10 +75,11 @@ def synth_power_series(p_grid, gamma=0.0, inv_q0=0.0, delta1=0.0, delta2=0.0,
 
 def synth_tls_saturation(n_grid, f_delta, n_c, beta, floor, noise_rel=0.0,
                          seed=0):
-    """(n_cav, 1/Q_int) points from the saturable TLS loss law."""
-    check_range("noise_rel", noise_rel, "nonnegative and finite")
+    """(n_cav, 1/Q_int) points from the saturable TLS loss law; noise_rel
+    takes its DOMAINS."""
+    check_range("noise_rel", noise_rel, DOMAINS["noise_rel"])
     n = np.asarray(n_grid, dtype=float)
-    y = f_delta / np.sqrt(1.0 + (n / n_c) ** beta) + floor
+    y = _tls_saturation((f_delta, n_c, beta, floor), n)
     sigma = None
     if noise_rel > 0:
         rng = np.random.default_rng(seed)

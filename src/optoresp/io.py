@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .checks import check_range
+from .checks import check_finite
 from .fitkit.models import ComplexTrace
 
 SCHEMA_TAG = "optoresp/result/v3"
@@ -136,7 +136,7 @@ def write_table(path, header, columns, comments=()):
         raise ValueError(f"header '{header}' does not name "
                          f"{len(columns)} columns")
     for name, column in zip(names, columns):
-        check_range(f"{path}: column '{name}'", column, "finite")
+        check_finite(f"{path}: column '{name}'", column)
     columns = [c.tolist() for c in columns]
     rows = map(",".join, zip(*(map(repr, c) for c in columns)))
     with open(path, "w") as fh:

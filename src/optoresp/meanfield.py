@@ -76,8 +76,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import NumericalError
+from .checks import NumericalError, check_range, domain
 from .constants import TWO_PI
+from .ensemble import EnsembleParams
 from .tls import TlsUnit, _one_tls
 
 
@@ -93,6 +94,10 @@ SEED_AMPLITUDE = 1e-4   # initial <c>, small so the TLS stays unsaturated
 RTOL, ATOL = 1e-12, 1e-22 * SEED_AMPLITUDE  # transverse LSODA tolerances
 MAX_STEPS = 20000       # LSODA steps allowed per sample interval
 C_TILDE_FLOOR = 1e6     # least e^(-mu t) |c| fitted, in units of ATOL
+
+# rad/s: a linewidth of 1 Hz to TlsUnit's top rate (omega_r takes
+# EnsembleParams' domain)
+DOMAINS = {"kappa_tot": (TWO_PI, TWO_PI * 1e13)}
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode):
         Resonator angular frequency [rad/s] (enters the longitudinal
         dynamics; the transverse equations are written in its frame).
     kappa_tot : float
-        Bare cavity energy decay rate [rad/s].
+        Bare cavity energy decay rate [rad/s], in DOMAINS.
     mode : {"transverse", "longitudinal"}
 
     Returns
@@ -132,8 +137,8 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode):
     _one_tls(tls)
     if mode not in ("transverse", "longitudinal"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not (kappa_tot > 0):
-        raise ValueError("kappa_tot must be positive")
+    check_range("omega_r", omega_r, domain(EnsembleParams, "omega_r"))
+    check_range("kappa_tot", kappa_tot, DOMAINS["kappa_tot"])
     t_end = HORIZON / kappa_tot
     if mode == "transverse":
         t, c, sz = _integrate_transverse(tls, kappa_tot, t_end, tls.s)
@@ -143,7 +148,12 @@ def steady_state_by_integration(tls: TlsUnit, omega_r, kappa_tot, mode):
     # fit over the final 80% of the window
     m = t >= t[0] + 0.2 * (t[-1] - t[0])
     design = np.column_stack([t[m], np.ones(m.sum())])
-    log_amp = np.log(np.abs(c[m]))
+    log_amp = np.abs(c[m])
+    if not log_amp.min() > 0.0:
+        del t, c, sz, m, log_amp  # a kept error holds no trajectory
+        raise OdeConvergenceError("cavity field underflowed within the "
+                                  "horizon: the TLS loss far exceeds kappa_tot")
+    np.log(log_amp, out=log_amp)
     phase = np.unwrap(np.angle(c[m]))
     coef_ph, *_ = np.linalg.lstsq(design, phase, rcond=None)
     if mode == "transverse":

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_fields, check_range, ranged
+from .checks import check_fields, check_range, domain, ranged
 from .constants import HBAR, TWO_PI
 from .tls import TlsUnit, dispersive_pull, longitudinal_complex_shift
 
@@ -232,6 +232,7 @@ _BLOCK = 16384
 
 # cosh overflows past 710; beyond this argument use the tanh form
 _COSH_ARG_MAX = 700.0
+_L_EDGE = domain(McConfig, "l_edge")  # kernel's l_edge, read once
 
 
 def kernel(x, p_opt, xi, l_edge, out=None):
@@ -251,7 +252,7 @@ def kernel(x, p_opt, xi, l_edge, out=None):
     and is returned; without it K goes to a fresh array, unwrapped to a
     scalar for scalar inputs.  Both forms write K in place into it.
     """
-    check_range("l_edge", l_edge)
+    check_range("l_edge", l_edge, _L_EDGE)
     # one fresh row for u, a 0-d array for a scalar x; then in place
     u = np.array(x, dtype=float)
     np.abs(u, out=u)

@@ -275,6 +275,16 @@ SD_GAUSS_KNOTS = (-9.0, -6.0, -3.0, 3.0, 6.0, 9.0)
 # largest relative gap between the 20- and 16-node inner sums
 SD_INNER_RTOL = 1e-10
 
+# the closed domain of each oracle argument that no field declares
+DOMAINS = {
+    "f_cutoff": (2e3, 1e18),  # Hz: past 2 f, to 400 f (the default) at f's top
+    # rad/s: any positive width, to SD_SIGMA_MAX times TlsUnit's top gamma2
+    "sigma_sd": (math.ulp(0.0), SD_SIGMA_MAX * domain(TlsUnit, "gamma2")[1]),
+    "rho_v": (0.0, 1e55),  # J^-1: McConfig's top rho_tls in a cubic metre
+    # rad/s: a relaxing TLS, from McConfig's least gamma1_mean (1 Hz) up
+    "gamma1": (TWO_PI, domain(TlsUnit, "gamma1")[1]),
+}
+
 
 def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
                              f_cutoff=None):
@@ -319,11 +329,11 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
     from scipy.integrate import quad
 
     f = float(f)
-    check_range("f", f)
+    check_range("f", f, domain(ResonatorMode, "f_r"))
     if f_cutoff is None:
         f_thermal = 2.0 * K_B * env.temperature / PLANCK
         f_cutoff = 400.0 * max(f, f_thermal)
-    check_range("f_cutoff", f_cutoff, "finite")
+    check_range("f_cutoff", f_cutoff, DOMAINS["f_cutoff"])
     if not 2.0 * f < f_cutoff:
         raise ValueError("f_cutoff must be finite and lie well above the "
                          "probe frequency (above 2 f)")
@@ -435,14 +445,15 @@ def spectral_diffusion_loss(tls: TlsUnit, drive: SaturationDrive, sigma_sd,
     centre of a segment first).  On criterion 4's grid and at the
     corners of the accepted range they agree to 3e-12 or better.
 
-    sigma_sd [rad/s] must be positive and at most SD_SIGMA_MAX Gamma_2, the
-    widest diffusion the tests cover; with it, n_cav's domain keeps b_far
-    squared finite.  rho_v is the finite rho_TLS * V_eff prefactor [J^-1].
+    sigma_sd [rad/s] and the rho_TLS * V_eff prefactor rho_v [J^-1] take
+    their DOMAINS; sigma_sd must also be at most SD_SIGMA_MAX Gamma_2, the
+    widest diffusion the tests cover, and with it n_cav's domain keeps b_far
+    squared finite.  A width far below Gamma_2 is the sigma -> 0 limit.
     Returns rad/s.
     """
     _one_tls(tls)
-    check_range("sigma_sd", sigma_sd)
-    check_range("rho_v", rho_v, "finite")
+    check_range("sigma_sd", sigma_sd, DOMAINS["sigma_sd"])
+    check_range("rho_v", rho_v, DOMAINS["rho_v"])
     n_ratio = float(_drive_ratio(tls, drive))
     s_dimless = float(sigma_sd / tls.gamma2)  # below in units of Gamma_2
     if not sigma_sd <= SD_SIGMA_MAX * tls.gamma2:
@@ -479,7 +490,8 @@ def _sd_outer(n_ratio, s):
         # in m = d + s u the poles sit at +-i w, and the core and step knots
         # at m = +-4^k w, until the next step passes both window edges
         # (|m| <= |d| + SD_N_SIGMA s there).  Only the knots strictly
-        # inside the window are kept: one off it (+-inf where s is tiny)
+        # inside the window are kept: one off it (+-inf where s is tiny or
+        # underflows to 0)
         # becomes a window edge, and so do the pads that give every node
         # the batch's largest count.  A repeated knot adds a zero length
         far = np.abs(d) + SD_N_SIGMA * s
@@ -489,7 +501,7 @@ def _sd_outer(n_ratio, s):
         steps = np.array(steps)
         reached = steps < far[:, None]
         reached[:, 0] = True
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             poles = np.concatenate(((-steps - d[:, None]) / s,
                                     (steps - d[:, None]) / s), axis=1)
         inside = np.tile(reached, 2) & (np.abs(poles) < SD_N_SIGMA)
@@ -662,8 +674,9 @@ def _check_quad(result, label):
 
 
 def _one_tls(tls: TlsUnit):
-    """Entry check of the oracles here and in meanfield: one relaxing TLS."""
+    """Entry check of the oracles here and in meanfield: one relaxing TLS,
+    gamma1 in its DOMAINS."""
     for name, value in vars(tls).items():
         if np.ndim(value):
             raise ValueError(f"{name} must be a scalar: the oracles take one TLS")
-    check_range("gamma1", tls.gamma1)
+    check_range("gamma1", tls.gamma1, DOMAINS["gamma1"])

@@ -4,6 +4,7 @@ optoresp.checks, and every numerical failure is a checks.NumericalError."""
 
 import dataclasses
 import importlib
+import math
 import pkgutil
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import optoresp
 from optoresp import montecarlo
-from optoresp.checks import NumericalError, check_range
+from optoresp.checks import DomainError, NumericalError, check_finite, check_range
 from optoresp.ensemble import EnsembleParams
 from optoresp.fitkit import PowerSeries, SingularJacobianError
 from optoresp.meanfield import OdeConvergenceError
@@ -63,18 +64,31 @@ def test_asymmetry_angle_refuses_non_finite_arguments(name, value):
         ResonatorMode.from_asymmetry_angle(**{**kwargs, name: value})
 
 
-@pytest.mark.parametrize("rule,good,bad", [
-    ("positive and finite", [1e-300, 1e300], [0.0, np.inf]),
-    ("nonnegative and finite", [0.0, 1e300], [-1e-300, np.inf]),
-    ("finite", [-1e300, 1e300], [-np.inf, np.inf]),
+@pytest.mark.parametrize("domain,good,bad", [
+    ((0.0, np.inf), [0.0, 1e300, np.inf], [-1e-300, -np.inf]),
+    ((math.ulp(0.0), 1.0), [5e-324, 1.0], [0.0, 1.0 + 2**-52]),
     ((-1.0, 0.0), [-1.0, 0.0], [-1.5, 0.5]),
 ])
-def test_check_range_rules(rule, good, bad):
-    check_range("v", np.array(good), rule)
-    check_range("v", [], rule)  # nothing to refuse
+def test_check_range_rules(domain, good, bad):
+    check_range("v", np.array(good), domain)
+    check_range("v", [], domain)  # nothing to refuse
     for value in (*bad, np.nan, np.array([*good, np.nan])):
-        with pytest.raises(ValueError, match="^v must (be|lie in) "):
-            check_range("v", value, rule)
+        with pytest.raises(DomainError, match=r"^v must lie in \[") as err:
+            check_range("v", value, domain)
+        assert (err.value.name, err.value.domain) == ("v", domain)
+
+
+def test_check_finite():
+    check_finite("v", np.array([-1e300, 0.0, 1e300]))
+    check_finite("v", [])  # nothing to refuse
+    for value in (np.nan, np.inf, -np.inf, np.array([0.0, np.nan]), [1.0, np.inf]):
+        with pytest.raises(ValueError, match="^v must be finite$"):
+            check_finite("v", value)
+
+
+def test_check_range_has_no_default_domain():
+    with pytest.raises(TypeError):
+        check_range("v", 1.0)
 
 
 @pytest.mark.parametrize("error", [OdeConvergenceError, QuadratureError,

@@ -659,6 +659,6 @@ def test_synth_refuses_negative_or_nan_noise(noise):
         synth_trace(mode, LineCalibration(), grid, noise_std=noise)
     with pytest.raises(ValueError, match=r"noise_rel must lie in \[0, 1\]"):
         synth_power_series(np.linspace(0, 1, 5), noise_rel=noise)
-    with pytest.raises(ValueError, match="noise_rel must be nonnegative"):
+    with pytest.raises(ValueError, match=r"noise_rel must lie in \[0, 1\]"):
         synth_tls_saturation(np.logspace(0, 3, 6), 1.0, 10.0, 1.0, 0.0,
                              noise_rel=noise)

@@ -306,15 +306,15 @@ def test_host_refuses_negative_or_non_finite_loss(loss):
 
 
 @pytest.mark.parametrize("f,f_cutoff,message", [
-    (np.nan, 2e12, "f must be positive and finite"),
-    (np.inf, 2e12, "f must be positive and finite"),
-    (0.0, 2e12, "f must be positive and finite"),
-    (5e9, np.nan, "f_cutoff must be finite"),
-    (5e9, np.inf, "f_cutoff must be finite"),
+    (np.nan, 2e12, "f must lie in [1000, 1e+15]"),
+    (np.inf, 2e12, "f must lie in [1000, 1e+15]"),
+    (0.0, 2e12, "f must lie in [1000, 1e+15]"),
+    (5e9, np.nan, "f_cutoff must lie in [2000, 1e+18]"),
+    (5e9, np.inf, "f_cutoff must lie in [2000, 1e+18]"),
     (5e9, 1e10, "f_cutoff must be finite"),
 ])
 def test_kk_refuses_bad_frequency_or_cutoff(f, f_cutoff, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         kramers_kronig_real_part(f, ThermalEnvironment(0.1),
                                  TlsHostMaterial(intrinsic_loss=3e-5),
                                  f_cutoff=f_cutoff)
@@ -434,7 +434,8 @@ def test_spectral_diffusion_oracle_takes_one_relaxing_tls():
     with pytest.raises(ValueError, match="^detuning must be a scalar"):
         spectral_diffusion_loss(_grid_bath(), drive, 16 * MHZ, RHO_V)
     frozen = _tls(detuning=3 * MHZ, gamma1=0.0, gamma2=0.0)
-    with pytest.raises(ValueError, match="^gamma1 must be positive"):
+    with pytest.raises(ValueError,
+                       match=r"^gamma1 must lie in \[6.28319, 6.28319e\+13\]$"):
         spectral_diffusion_loss(frozen, drive, 16 * MHZ, RHO_V)
 
 
@@ -629,17 +630,18 @@ print(json.dumps([spectral_diffusion_loss(
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("sigma_sd", np.inf, "sigma_sd must be positive and finite"),
-    ("sigma_sd", np.nan, "sigma_sd must be positive and finite"),
-    ("sigma_sd", 0.0, "sigma_sd must be positive and finite"),
+    ("sigma_sd", np.inf, "sigma_sd must lie in [4.94066e-324, 6.28319e+16]"),
+    ("sigma_sd", np.nan, "sigma_sd must lie in [4.94066e-324, 6.28319e+16]"),
+    ("sigma_sd", 0.0, "sigma_sd must lie in [4.94066e-324, 6.28319e+16]"),
     # 1e3 Gamma_2 is the widest diffusion the oracle's tests cover
     ("sigma_sd", 1e4 * 16 * MHZ, "sigma_sd must be at most 1000 gamma2"),
-    ("sigma_sd", 1e300 * 16 * MHZ, "sigma_sd must be at most 1000 gamma2"),
+    ("sigma_sd", 1e300 * 16 * MHZ,
+     "sigma_sd must lie in [4.94066e-324, 6.28319e+16]"),
     # the domain of n_cav bounds the outer cut-off
     ("n_cav", 1e305, "n_cav must lie in [0, 1e+15]"),
     ("n_cav", np.nan, "n_cav must lie in [0, 1e+15]"),
-    ("rho_v", np.nan, "rho_v must be finite"),
-    ("rho_v", np.inf, "rho_v must be finite"),
+    ("rho_v", np.nan, "rho_v must lie in [0, 1e+55]"),
+    ("rho_v", np.inf, "rho_v must lie in [0, 1e+55]"),
 ])
 def test_spectral_diffusion_refuses_bad_input(field, value, message):
     kwargs = {"sigma_sd": 16 * MHZ, "n_cav": 1.0, "rho_v": RHO_V, field: value}
