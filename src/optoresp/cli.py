@@ -356,8 +356,6 @@ def _frequency_grid(a):
 
 
 def _synth_check(a):
-    if a.seed < 0:
-        raise ValueError("--seed must be nonnegative")
     if a.kind == "power":
         return
     # the grid is built from both flags, so its errors could name neither

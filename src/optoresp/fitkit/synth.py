@@ -8,8 +8,8 @@ from .models import (ComplexTrace, PowerSeries, _dfrac, _linear,
                      _tls_saturation)
 
 
-# the closed domain of each number the two generators below take, SI
-# units; in it no trace or series overflows
+# the closed domain of each number the generators below take, SI units; in
+# it no trace or series overflows
 DOMAINS = {
     "grid": (0.0, 1e16),        # Hz: 0 to 10 PHz, past every mode
     "noise_std": (0.0, 1.0),    # up to a matched line's unit transmission
@@ -20,6 +20,7 @@ DOMAINS = {
     "delta2": (-1.0, 1.0),      # a saturating shift below f_r itself
     "delta3": (0.0, 1e12),      # 1/W: saturating above 1 pW
     "noise_rel": (0.0, 1.0),    # relative noise up to 100 %
+    "seed": (0, 2**64 - 1),     # McConfig's: any 64-bit seed
 }
 
 
@@ -28,10 +29,11 @@ def synth_trace(mode: ResonatorMode, line: LineCalibration, grid,
     """Full-model trace plus independent Gaussian noise on Re and Im.
 
     Deterministic for a given seed; noise_std is the per-quadrature standard
-    deviation in absolute transmission units.  grid and noise_std take
-    their DOMAINS.
+    deviation in absolute transmission units.  grid, noise_std and seed
+    take their DOMAINS.
     """
     check_range("noise_std", noise_std, DOMAINS["noise_std"])
+    check_range("seed", seed, DOMAINS["seed"])
     grid = np.asarray(grid, dtype=float)
     check_range("grid", grid, DOMAINS["grid"])  # ComplexTrace checks its order
     z = s21_full(mode, line, grid)
@@ -51,14 +53,14 @@ def synth_power_series(p_grid, gamma=0.0, inv_q0=0.0, delta1=0.0, delta2=0.0,
         Df/f(P) = delta1*P - delta2*(1 - exp(-delta3*P))
 
     noise_rel applies per-point multiplicative Gaussian noise, the natural
-    model for spectroscopy-extracted points.  Every number but the seed
-    takes its DOMAINS.
+    model for spectroscopy-extracted points.  Every number takes its
+    DOMAINS.
     """
     p = np.asarray(p_grid, dtype=float)
     for name, value in zip(("p_grid", "gamma", "inv_q0", "delta1", "delta2",
-                            "delta3", "noise_rel"),
+                            "delta3", "noise_rel", "seed"),
                            (p, gamma, inv_q0, delta1, delta2, delta3,
-                            noise_rel)):
+                            noise_rel, seed)):
         check_range(name, value, DOMAINS[name])
     inv_q = _linear((gamma, inv_q0), p)
     dfrac = _dfrac((delta1, delta2, delta3), p)
@@ -76,8 +78,9 @@ def synth_power_series(p_grid, gamma=0.0, inv_q0=0.0, delta1=0.0, delta2=0.0,
 def synth_tls_saturation(n_grid, f_delta, n_c, beta, floor, noise_rel=0.0,
                          seed=0):
     """(n_cav, 1/Q_int) points from the saturable TLS loss law; noise_rel
-    takes its DOMAINS."""
+    and seed take their DOMAINS."""
     check_range("noise_rel", noise_rel, DOMAINS["noise_rel"])
+    check_range("seed", seed, DOMAINS["seed"])
     n = np.asarray(n_grid, dtype=float)
     y = _tls_saturation((f_delta, n_c, beta, floor), n)
     sigma = None

@@ -16,8 +16,8 @@ block to block.
 Also here: the temperature dependence of the TLS permittivity (a closed
 form in scipy's complex digamma, which broadcasts over mode frequencies and
 temperatures), the Kramers-Kronig quadrature oracle for that closed form
-on a host of given loss tangent (a Cauchy-weight principal value plus a
-plain tail, two to four QUADPACK calls), and the Gaussian spectral-diffusion
+on a host of given loss tangent (one plain QUADPACK call, its pole
+subtracted in closed form), and the Gaussian spectral-diffusion
 loss integral with its saturated closed form (QUADPACK's 21-point
 Gauss-Kronrod rule and bisection over the detuning, batched in numpy, and a
 fixed Gauss-Legendre rule over the Gaussian).
@@ -290,26 +290,22 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
                              f_cutoff=None):
     """Dispersive counterpart of the tanh dielectric loss, by quadrature.
 
-    Evaluates (delta_TLS/pi) PV int_0^cutoff f' tanh(h f'/2 k T)/(f'^2 - f^2) df'
-    in QUADPACK calls split at 2 f.  Near the pole the integrand is
-    w(f')/(f' - f) with the smooth w(f') = f' tanh(h f'/2 k T)/(f' + f), and
-    the principal value comes from the Cauchy-weight rule (QAWC, scipy's
-    ``quad(weight="cauchy")``), which integrates across the pole without
-    excising it.  QAWC takes [0, 2 f] whole when the thermal knee 2 k T/h
-    of the tanh lies at or above f.  A knee below f is a bend that QAWC
-    cannot be given as a breakpoint: at 1e11 Hz and 1 mK, where it sits in
-    the first 0.02 % of [0, 2 f], the whole-interval rule left the result
-    1.2e-8 off.  So there QAWC takes [f/2, 3 f/2] only, and plain ``quad``
-    calls take [3 f/2, 2 f] and [0, f/2], the latter with breakpoints at
-    the knee and each power of ten times it below f/2 (with the knee alone
-    it still stopped 5e-8 off).  On [2 f, cutoff] the integrand has no
-    pole and a plain ``quad`` takes it, with breakpoints at 2 f times each
-    power of ten and at the knee when it lies inside; without the knee,
-    the adaptive rule can stop about 2e-6 off where the knee sits far
-    above 2 f.  Either way the pole sits in the middle of its Cauchy piece;
-    the split at 2 f is why the cut-off must lie above 2 f.  Each piece
-    must reach an error estimate of 1e-6 max(1, |value|), or
-    QuadratureError is raised.
+    Evaluates (delta_TLS/pi) PV int_0^C g(f')/(f'^2 - f^2) df' with
+    g(f') = f' tanh(h f'/2 k T) and C the cut-off.  The pole is subtracted
+    in closed form:
+
+        PV int_0^C g(f')/(f'^2 - f^2) df'
+            = int_0^C (g(f') - g(f))/(f'^2 - f^2) df'
+              + g(f) ln((C - f)/(C + f))/(2 f)
+
+    and the remaining integrand is smooth (its limit at f' = f is
+    g'(f)/(2 f)).  One plain ``quad`` call takes it over [0, C], with
+    breakpoints at f, at the thermal knee 2 k T/h of the tanh, and at each
+    power of ten times either one below C, so no node lands on the
+    removable point and each bend and decade has a piece of its own.  The
+    call must reach an error estimate of 1e-6 max(1, |value|), or
+    QuadratureError is raised.  The cut-off must lie above 2 f, so that the
+    pole sits well inside [0, C].
 
     The transform carries coefficient 1/pi rather than the textbook one-sided
     2/pi: the tanh loss already folds the anti-resonant TLS response into the
@@ -335,45 +331,27 @@ def kramers_kronig_real_part(f, env: ThermalEnvironment, host: TlsHostMaterial,
         f_cutoff = 400.0 * max(f, f_thermal)
     check_range("f_cutoff", f_cutoff, DOMAINS["f_cutoff"])
     if not 2.0 * f < f_cutoff:
-        raise ValueError("f_cutoff must be finite and lie well above the "
-                         "probe frequency (above 2 f)")
+        raise ValueError("f_cutoff must lie well above the probe frequency "
+                         "(above 2 f)")
 
     a = PLANCK / (2.0 * K_B * env.temperature)
+    g_f = f * math.tanh(a * f)
 
-    # quad calls these ~400 times: Python floats and math, not numpy scalars
-    def w(fp):
-        return fp * math.tanh(a * fp) / (fp + f)
-
+    # quad calls this ~250 times: Python floats and math, not numpy scalars
     def integrand(fp):
-        return fp * math.tanh(a * fp) / (fp**2 - f**2)
+        return (fp * math.tanh(a * fp) - g_f) / ((fp - f) * (fp + f))
 
-    def piece(fun, lo, hi, points=(), **opts):
-        val, err = quad(fun, lo, hi, limit=300 + len(points),
-                        points=sorted(points) or None, **opts)
-        if err > 1e-6 * max(1.0, abs(val)):
-            raise QuadratureError(
-                f"principal-value segment [{lo:g}, {hi:g}] error {err:g}")
-        return val
-
-    def decades(start, stop):
-        """start times each power of ten below stop."""
-        points = []
-        while start < stop:
-            points.append(start)
+    points = set()
+    for start in (f, 1.0 / a):
+        while start < f_cutoff:
+            points.add(start)
             start *= 10.0
-        return points
-
-    knee = 1.0 / a
-    if knee < f:
-        near = (piece(integrand, 0.0, 0.5 * f, decades(knee, 0.5 * f))
-                + piece(w, 0.5 * f, 1.5 * f, weight="cauchy", wvar=f)
-                + piece(integrand, 1.5 * f, 2.0 * f))
-    else:
-        near = piece(w, 0.0, 2.0 * f, weight="cauchy", wvar=f)
-    far_points = decades(20.0 * f, f_cutoff)
-    if 2.0 * f < knee < f_cutoff:
-        far_points.append(knee)
-    pv = near + piece(integrand, 2.0 * f, f_cutoff, far_points)
+    val, err = quad(integrand, 0.0, f_cutoff, limit=300 + len(points),
+                    points=sorted(points))
+    if err > 1e-6 * max(1.0, abs(val)):
+        raise QuadratureError(f"Kramers-Kronig quadrature error {err:g}")
+    # ln((C - f)/(C + f)) by log1p: exact where C is many decades above f
+    pv = val + g_f * math.log1p(-2.0 * f / (f_cutoff + f)) / (2.0 * f)
     return host.delta_tls * pv / np.pi
 
 

@@ -72,6 +72,9 @@ SWEEP = [
     ("synth", "noise_rel", SYNTH_DOMAINS["noise_rel"],
      lambda v: synth_tls_saturation(np.logspace(0, 3, 6), 1e-5, 10.0, 1.0,
                                     1e-6, noise_rel=v)[1]),
+    ("synth", "seed", SYNTH_DOMAINS["seed"],
+     lambda v: synth_tls_saturation(np.logspace(0, 3, 6), 1e-5, 10.0, 1.0,
+                                    1e-6, seed=v)[1]),
 ]
 SWEEP_IDS = [f"{case}-{name}" for case, name, _, _ in SWEEP]
 
@@ -97,6 +100,10 @@ def test_just_outside_each_domain_end_is_refused_by_name(case, name, bounds,
         with pytest.raises(DomainError, match=f"^{name} must lie in ") as err:
             call(outside)
         assert end is None or err.value.domain[end] == bounds[end]
+
+
+def test_synth_seed_takes_the_monte_carlo_seed_domain():
+    assert SYNTH_DOMAINS["seed"] == domain(montecarlo.McConfig, "seed")
 
 
 # inputs that ran to a bare arithmetic error, a nan or a wrong-signed result

@@ -1288,9 +1288,7 @@ def _domain_ends(name, arg):
 def test_every_number_flag_has_a_declared_domain():
     for name, cmd in cli.COMMANDS.items():
         for arg in cmd.args:
-            # synth's seed is any nonnegative integer of numpy's generator
-            if (arg.type in (int, float, cli.float_list)
-                    and (name, arg.flag) != ("synth", "--seed")):
+            if arg.type in (int, float, cli.float_list):
                 assert _flag_domain(name, arg) is not None, (name, arg.flag)
 
 

@@ -345,6 +345,23 @@ def test_unsettled_decay_raises(monkeypatch):
     _assert_holds_no_trajectory(raised.value)
 
 
+def test_longitudinal_refuses_kappa_not_far_below_omega_r():
+    # at kappa = omega_r the solve returned an extra loss of -3089 rad/s,
+    # with fit residual 6.9e-7, where the closed form gives +179.5
+    omega_r = TWO_PI * 7e9
+    t = _tls(g_perp=0.0, s=0.0, ds=10.0 / (TWO_PI * 400e6))
+    for kappa in (omega_r, 1.001 * meanfield.KAPPA_OVER_OMEGA_MAX * omega_r):
+        with pytest.raises(ValueError, match=r"^kappa_tot must be at most "
+                           r"0\.02 omega_r in longitudinal mode$"):
+            steady_state_by_integration(t, omega_r, kappa_tot=kappa,
+                                        mode="longitudinal")
+    res = steady_state_by_integration(
+        t, omega_r, kappa_tot=meanfield.KAPPA_OVER_OMEGA_MAX * omega_r,
+        mode="longitudinal")
+    loss, _ = longitudinal_complex_shift(t, omega_r)
+    assert abs(res.extra_loss - loss) < 0.02 * loss
+
+
 def test_unsettled_longitudinal_decay_raises(monkeypatch):
     # a strongly coupled population relaxing at Gamma_1 = 5 kappa: over
     # HORIZON its transient has settled (fit residual 7.9e-7), over one

@@ -311,7 +311,7 @@ def test_host_refuses_negative_or_non_finite_loss(loss):
     (0.0, 2e12, "f must lie in [1000, 1e+15]"),
     (5e9, np.nan, "f_cutoff must lie in [2000, 1e+18]"),
     (5e9, np.inf, "f_cutoff must lie in [2000, 1e+18]"),
-    (5e9, 1e10, "f_cutoff must be finite"),
+    (5e9, 1e10, "f_cutoff must lie well above the probe frequency"),
 ])
 def test_kk_refuses_bad_frequency_or_cutoff(f, f_cutoff, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -350,12 +350,15 @@ def test_kk_probe_grid_is_quiet_and_matches_digamma():
     # f from far below to far above the thermal knee 2kT/h, each value at
     # the default cut-off, with any scipy IntegrationWarning an error; then
     # each adjacent temperature pair at a shared cut-off against the closed
-    # form, within the oracle's own 1e-6 error gate on the larger value
+    # form, within the oracle's own 1e-6 error gate on the larger value.
+    # The first and last of f and of T lie 1e-9 inside their domain's ends
     host = TlsHostMaterial(intrinsic_loss=3e-5)
-    temperatures = [1e-3, 1e-2, 0.1, 1.0, 10.0]
+    temperatures = [1e-6 * (1 + 1e-9), 1e-3, 1e-2, 0.1, 1.0, 10.0,
+                    1e4 * (1 - 1e-9)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f in [1e6, 1e7, 1e8, 1e9, 1e10, 1e11]:
+        for f in [1e3 * (1 + 1e-9), 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+                  1e15 * (1 - 1e-9)]:
             for t in temperatures:
                 assert np.isfinite(kramers_kronig_real_part(
                     f, ThermalEnvironment(t), host))
@@ -385,9 +388,10 @@ def _kk_tight_reference(f, t, host):
 
 
 def test_kk_far_piece_on_many_decades():
-    # at 1 MHz and 10 K the far piece spans five decades with its structure
-    # near 2 f; against 400 log-spaced pieces at epsrel 1e-13 (the near
-    # piece is the same Cauchy rule, at 1e-13 too)
+    # at 1 MHz and 10 K the default cut-off lies five decades above 2 f,
+    # with the tanh's structure near 2 f and its knee at 4e11 Hz; against
+    # the Cauchy rule on [0, 2 f] and 400 log-spaced pieces above it, each
+    # at epsrel 1e-13
     f, t = 1e6, 10.0
     host = TlsHostMaterial(intrinsic_loss=3e-5)
     want = _kk_tight_reference(f, t, host)
@@ -397,7 +401,8 @@ def test_kk_far_piece_on_many_decades():
 
 def test_kk_near_piece_below_the_thermal_knee():
     # at 100 GHz and 1 mK the knee 2kT/h sits in the first 0.02 % of
-    # [0, 2 f], where the Cauchy rule takes no breakpoint
+    # [0, 2 f], a bend far below the pole that the oracle's breakpoints at
+    # the knee and its decades must resolve
     f, t = 1e11, 1e-3
     host = TlsHostMaterial(intrinsic_loss=3e-5)
     want = _kk_tight_reference(f, t, host)
