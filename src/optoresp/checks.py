@@ -12,6 +12,7 @@ table columns) are checked by :func:`check_finite` ("x must be finite").
 """
 
 from dataclasses import MISSING, field, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -39,8 +40,12 @@ def _extremes(value):
 
 def check_range(name, value, domain):
     """Raise DomainError unless every element of value (a number, a sequence
-    or an array) lies in the closed domain (lo, hi); a NaN lies in none."""
-    lo, hi = _extremes(value)
+    or an array) lies in the closed domain (lo, hi); a NaN lies in none.  An
+    integer is compared exactly: in float64, 2**64 rounds onto 2**64 - 1."""
+    if isinstance(value, Integral):
+        lo = hi = int(value)
+    else:
+        lo, hi = _extremes(value)
     if not (domain[0] <= lo and hi <= domain[1]):
         raise DomainError(name, domain)
 

@@ -182,3 +182,16 @@ def test_counts_far_past_any_run_are_refused_at_construction(name):
     # before run spawns a seed per trial or starts a thread per worker
     with pytest.raises(ValueError, match=f"^{name} must lie in "):
         McConfig(**{name: 10**11})
+
+
+def test_integers_are_compared_exactly():
+    # in float64 2**64 rounds onto the seed domain's top 2**64 - 1
+    top, message = 2**64 - 1, r"^seed must lie in \[0, 1\.84467e\+19\]$"
+    for value in (top, np.uint64(top), 0, np.int64(0)):
+        check_range("seed", value, (0, top))
+    McConfig(seed=top)
+    for value in (top + 1, -1, np.int64(-1)):
+        with pytest.raises(DomainError, match=message):
+            check_range("seed", value, (0, top))
+    with pytest.raises(DomainError, match=message):
+        McConfig(seed=top + 1)

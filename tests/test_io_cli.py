@@ -882,6 +882,9 @@ FLAG_CASES = [
     (["temp-model", "--film-w-nm=1e-5"], "--film-w-nm"),
     (["temp-model", "--tc-k=1e5"], "--tc-k"),
     (["temp-model", "--ltl=1e9"], "--ltl"),
+    # a seed of 2**64, one past the top, which rounded onto it in float64
+    (["synth", "--kind", "power", "--seed", str(2**64)], "--seed"),
+    (["mc", "--seed", str(2**64)], "--seed"),
 ]
 
 

@@ -185,10 +185,72 @@ def test_transverse_does_not_depend_on_frame(draw, monkeypatch):
                 < 5e-9)
 
 
+@pytest.mark.parametrize("draw", TIGHT_REFERENCE_DRAWS)
+def test_transverse_fast_mode_split_is_exact(draw, monkeypatch):
+    # f = f0 e^((nu - mu) t) solves the linear part for any multiple of the
+    # fast eigenvector, so the split shapes LSODA's steps only: no split (the
+    # seed left whole in r) and a fast amplitude off f0 give the same
+    # trajectory and fit
+    t = _reference_tls(draw)
+    kappa = t.gamma2 / 150
+
+    def solve():
+        return steady_state_by_integration(t, TWO_PI * 7e9, kappa_tot=kappa,
+                                           mode="transverse")
+
+    res, (nu, f0) = solve(), meanfield._fast_mode(t, kappa)
+    for scale in (0.0, 1.05 - 0.05j):
+        monkeypatch.setattr(meanfield, "_fast_mode",
+                            lambda tls, kappa: (nu, scale * f0))
+        other = solve()
+        err = (abs(complex(res.extra_loss - other.extra_loss,
+                           res.shift - other.shift))
+               / abs(complex(other.extra_loss, other.shift)))
+        assert err < 1e-10
+        c_other = other.cavity_field
+        assert (np.max(np.abs(res.cavity_field - c_other) / np.abs(c_other))
+                < 5e-9)
+
+
+def _assert_matches_dop853(t, kappa):
+    args = (t, kappa, meanfield.HORIZON / kappa, t.s)
+    _, c, sigma_z = meanfield._integrate_transverse(*args)
+    _, c_ref, sigma_z_ref = _transverse_dop853(
+        1e-13, 1e-22 * meanfield.SEED_AMPLITUDE)(*args)
+    assert np.max(np.abs(c - c_ref) / np.abs(c_ref)) < 1e-11
+    assert np.max(np.abs(sigma_z - sigma_z_ref)) < 1e-11
+
+
+@pytest.mark.parametrize("delta, kappa, g, s", [(0.0, 3.0, 0.1, -0.9),
+                                                (1.5, 3.0, 0.1, -0.9),
+                                                (0.0, 2.5, 0.11, -0.94)])
+def test_transverse_matches_dop853_where_the_cavity_is_fast(delta, kappa, g,
+                                                            s):
+    # kappa/2 > Gamma_2: mu is the TLS branch and the split takes out the
+    # cavity branch, which carries most of the seed.  The two agreed to
+    # 4.5e-14 of |c| and 3.3e-13 in sigma_z (delta, kappa, g in Gamma_2)
+    t = _tls(detuning=delta * G2, g_perp=g * G2, g_par=0.0, s=s)
+    kappa *= G2
+    f0 = meanfield._fast_mode(t, kappa)[1]
+    assert abs(f0[1]) > abs(f0[0])      # the fast mode is the cavity's
+    _assert_matches_dop853(t, kappa)
+
+
+def test_transverse_keeps_the_seed_whole_at_the_exceptional_point():
+    # at Delta = 0 and S = -1 the two modes meet where Gamma_2 - kappa/2 =
+    # 2 g.  Split there, the seed's two parts of 8.6e6 times its size
+    # cancelled to 5.4e-9 of |c|
+    t = _tls(g_perp=G2 / 10, g_par=0.0)
+    kappa = 1.6 * G2
+    assert not meanfield._fast_mode(t, kappa)[1].any()
+    _assert_matches_dop853(t, kappa)
+
+
 def test_transverse_tight_reference_call_count(monkeypatch):
-    # in the frame of the slowest linear mode LSODA steps by the TLS
-    # transient and the nonlinearity: 10952 right-hand-side calls over these
-    # draws, against 34035 in the frame of the bare cavity decay
+    # with both linear modes solved in closed form LSODA steps by the
+    # nonlinearity alone: 1234 right-hand-side calls over these draws,
+    # against 10952 with the fast mode left in r and 34035 in the frame of
+    # the bare cavity decay
     odeint, calls = scipy.integrate.odeint, [0]
 
     def counting(rhs, *args, **kwargs):
@@ -202,7 +264,7 @@ def test_transverse_tight_reference_call_count(monkeypatch):
         t = _reference_tls(draw)
         steady_state_by_integration(t, TWO_PI * 7e9, kappa_tot=t.gamma2 / 150,
                                     mode="transverse")
-    assert 0 < calls[0] <= 16000
+    assert 0 < calls[0] <= 2000
 
 
 def test_transverse_detuned_matches_closed_form():
